@@ -85,7 +85,6 @@ class SchemeConfig:
             weight_decay=self.weight_decay,
             batch_size=self.batch_size,
             epochs=epochs,
-            seed=self.seed,
         )
 
 
@@ -103,9 +102,9 @@ def _train(net, x, cfg: SgdConfig, rng, batch_loss, weight_penalty=None) -> None
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             xb = x[idx]
-            logits = net.forward(xb)
-            _, grad = batch_loss(logits, idx)
-            grads = net.backward(xb, grad)
+            cache = net.forward_cached(xb)
+            _, grad = batch_loss(cache[0], idx)
+            grads = net.backward(xb, grad, cache)
             if weight_penalty is not None:
                 _, wgrads = weight_penalty(net)
                 grads.add_weight_grads(wgrads)
@@ -166,11 +165,10 @@ def run_split_phase(
     plan = partition.make_plan(net, cfg.split_index, c_old, c_new, cfg.rho)
     x, y, is_new = _pool(d_t, mem)
     soft = teacher.soft_labels(x)
-    new_rows = np.flatnonzero(is_new)
 
     def batch_loss(logits, idx):
         kd = losses.kd_loss(logits, soft[idx], old_range, cfg.tau)
-        sel = np.isin(idx, new_rows)
+        sel = is_new[idx]
         grad = kd.grad_logits.copy()
         value = kd.value
         if sel.any():
@@ -190,7 +188,7 @@ def run_split_phase(
 
     diagnostics["cross_norm_at_disconnect"] = losses.cross_frobenius(net, plan)
 
-    groups = partition.cross_groups(plan, net)
+    groups = plan.groups
     partition.disconnect(net, groups)
 
     rng = np.random.default_rng([cfg.seed, step, 2])
@@ -295,7 +293,7 @@ def run_dd_step(
     old_range = teacher_old.class_range
     new_range = TaskRange(c_old, c_old + c_new)
 
-    aux = build_net(net.in_dim, list(cfg.hidden), c_new, seed=hash((cfg.seed, step, "dd")) % 2**32)
+    aux = build_net(net.in_dim, list(cfg.hidden), c_new, seed=[cfg.seed, step, 5])
     local_labels = d_t.y - c_old
 
     def aux_loss(logits, idx):

@@ -155,9 +155,7 @@ def sparsify_penalty(net, plan, gamma: float):
     gamma * w / ||W_group||_F with the norm floored at 1e-8, so entries are
     driven toward exactly zero; within-partition weights get zero gradient.
     """
-    from .partition import cross_groups
-
-    groups = cross_groups(plan, net)
+    groups = plan.cut_groups(net)
     value = 0.0
     grads: list[np.ndarray | None] = [None] * net.depth
     for li, (on_mask, no_mask) in groups.per_layer.items():

@@ -52,7 +52,6 @@ class SgdConfig:
     weight_decay: float = 0.0
     batch_size: int = 32
     epochs: int = 40
-    seed: int = 0
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -115,12 +114,14 @@ class DenseNet:
             h = np.maximum(z, 0.0) if layer.activation == RELU else z
         return h, inputs, preacts
 
-    def backward(self, x: np.ndarray, upstream: np.ndarray) -> "GradientSet":
+    def backward(self, x: np.ndarray, upstream: np.ndarray, cache=None) -> "GradientSet":
         """Backpropagate d(loss)/d(logits) to per-parameter gradients.
 
-        Gradients at masked-out weight positions are exactly zero.
+        cache is the forward_cached(x) result for the current parameters;
+        without it the forward pass is recomputed. Gradients at masked-out
+        weight positions are exactly zero.
         """
-        logits, inputs, preacts = self.forward_cached(x)
+        logits, inputs, preacts = self.forward_cached(x) if cache is None else cache
         upstream = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
         if upstream.shape != logits.shape:
             raise ShapeError(
@@ -215,7 +216,11 @@ class GradientSet:
 
 @dataclass
 class SgdState:
-    """Momentum velocity buffers, lazily shaped to the network."""
+    """Momentum velocity buffers, zero-initialized on the first step.
+
+    A state belongs to one network shape; widening the output needs a fresh
+    state.
+    """
 
     vw: list[np.ndarray] = field(default_factory=list)
     vb: list[np.ndarray] = field(default_factory=list)
@@ -224,21 +229,17 @@ class SgdState:
         if len(self.vw) != net.depth:
             self.vw = [np.zeros_like(l.w) for l in net.layers]
             self.vb = [np.zeros_like(l.b) for l in net.layers]
-        else:
-            # output widening grows the last layer mid-run
-            for i, l in enumerate(net.layers):
-                if self.vw[i].shape != l.w.shape:
-                    grown = np.zeros_like(l.w)
-                    grown[: self.vw[i].shape[0], : self.vw[i].shape[1]] = self.vw[i]
-                    self.vw[i] = grown
-                if self.vb[i].shape != l.b.shape:
-                    grown = np.zeros_like(l.b)
-                    grown[: self.vb[i].shape[0]] = self.vb[i]
-                    self.vb[i] = grown
+        elif self.vw[-1].shape != net.layers[-1].w.shape:
+            raise ShapeError("velocity buffers do not match the output layer; "
+                             "use a fresh SgdState after widening")
 
 
-def build_net(in_dim: int, hidden: list[int], num_classes: int, seed: int) -> DenseNet:
-    """He-uniform initialized MLP: ReLU hidden layers, identity logit layer."""
+def build_net(in_dim: int, hidden: list[int], num_classes: int,
+              seed: int | list[int]) -> DenseNet:
+    """He-uniform initialized MLP: ReLU hidden layers, identity logit layer.
+
+    seed is passed to np.random.default_rng as is: an int or an entropy list.
+    """
     rng = np.random.default_rng(seed)
     dims = [in_dim] + list(hidden) + [num_classes]
     layers = []
@@ -262,11 +263,14 @@ def sgd_step(net: DenseNet, grads: GradientSet, cfg: SgdConfig, state: SgdState)
             raise ShapeError(f"gradient shape mismatch at layer {i}")
         if cfg.weight_decay:
             gw = gw + cfg.weight_decay * layer.w
-        state.vw[i] = cfg.momentum * state.vw[i] + gw
-        state.vb[i] = cfg.momentum * state.vb[i] + gb
+        vw, vb = state.vw[i], state.vb[i]
+        vw *= cfg.momentum
+        vw += gw
+        vb *= cfg.momentum
+        vb += gb
         if layer.mask is not None:
-            state.vw[i] *= layer.mask
-        layer.w -= cfg.learning_rate * state.vw[i]
-        layer.b -= cfg.learning_rate * state.vb[i]
+            vw *= layer.mask
+        layer.w -= cfg.learning_rate * vw
+        layer.b -= cfg.learning_rate * vb
         if layer.mask is not None:
             layer.w *= layer.mask

@@ -28,6 +28,14 @@ class PartitionPlan:
     old_out: dict[int, np.ndarray] = field(default_factory=dict)
     new_out: dict[int, np.ndarray] = field(default_factory=dict)
     shared_layers: set[int] = field(default_factory=set)
+    groups: CrossGroups | None = None     # cut selectors, set by make_plan
+
+    def cut_groups(self, net: DenseNet) -> CrossGroups:
+        """The plan's cross groups, checked against net's weight shapes."""
+        for li, (on, _) in self.groups.per_layer.items():
+            if li >= net.depth or on.shape != net.layers[li].w.shape:
+                raise ShapeError(f"plan cross groups do not fit layer {li}")
+        return self.groups
 
     def is_partitioned(self, layer: int) -> bool:
         return layer >= self.split_index and layer not in self.shared_layers
@@ -83,7 +91,8 @@ def make_plan(net: DenseNet, split_index: int, c_old: int, c_new: int, rho: floa
     Hidden-layer allocation follows |old| : |new| = rho*c_old : (1-rho)*c_old + c_new,
     rounded half-up on the new share and clamped so both groups keep at least
     one node. A layer whose new share falls below one node stays shared. The
-    final layer is always split by class ownership.
+    final layer is always split by class ownership. The cross groups of the
+    plan are computed once here, from net's shapes.
     """
     depth = net.depth
     if not (0 <= split_index < depth):
@@ -114,6 +123,7 @@ def make_plan(net: DenseNet, split_index: int, c_old: int, c_new: int, rho: floa
     last = depth - 1
     plan.old_out[last] = np.arange(0, c_old, dtype=np.int64)
     plan.new_out[last] = np.arange(c_old, c_old + c_new, dtype=np.int64)
+    plan.groups = cross_groups(plan, net)
     return plan
 
 
@@ -154,7 +164,11 @@ def disconnect(net: DenseNet, groups: CrossGroups) -> None:
 
 
 def bridge_reconnect(net: DenseNet, groups: CrossGroups) -> None:
-    """Restore mask bits at previously disconnected positions, weights at 0.0."""
+    """Restore mask bits at previously disconnected positions, weights at 0.0.
+
+    A layer whose mask is all ones afterwards drops it (mask = None), which
+    computes the same values without the masking work.
+    """
     for li, (on, no) in groups.per_layer.items():
         layer = net.layers[li]
         cut = on | no
@@ -162,6 +176,8 @@ def bridge_reconnect(net: DenseNet, groups: CrossGroups) -> None:
             raise ValueError(f"layer {li}: reconnecting positions that were never disconnected")
         layer.mask[cut] = 1.0
         layer.w[cut] = 0.0
+        if (layer.mask == 1.0).all():
+            layer.mask = None
 
 
 def extract_subnet(net: DenseNet, plan: PartitionPlan, side: str) -> DenseNet:

@@ -1,10 +1,15 @@
 """Tests for the command-line interface and the experiment runner."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import splitbridge
 from splitbridge.cli import cli_main
 from splitbridge.data import load_csv
 from splitbridge.net import DenseNet
@@ -82,6 +87,24 @@ class TestRunner:
         # byte-identical artifacts on rerun
         assert (out1 / "rows.jsonl").read_bytes() == (out2 / "rows.jsonl").read_bytes()
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
+
+    @pytest.mark.parametrize("scheme", ["sb", "std", "ce", "dd"])
+    def test_cell_identical_across_hash_seeds(self, tmp_path, scheme):
+        # str hashing is salted per process; no stream may depend on it
+        src = str(Path(splitbridge.__file__).resolve().parents[1])
+        code = ("import sys; from splitbridge.runner import run_experiment; "
+                f"run_experiment({TINY_BENCH!r}, {scheme!r}, 2, 0, {TINY_CONFIG!r}, "
+                "out_dir=sys.argv[1])")
+        outputs = []
+        for hash_seed in ("1", "3"):
+            out = tmp_path / hash_seed
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src,
+                   "OPENBLAS_NUM_THREADS": "1"}
+            subprocess.run([sys.executable, "-c", code, str(out)], env=env, check=True,
+                           timeout=300)
+            outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert outputs[0] == outputs[1]
+        assert "manifest.json" in outputs[0] and "step2.ckpt" in outputs[0]
 
     def test_matrix_records_failures(self, tmp_path):
         matrix = {

@@ -219,6 +219,32 @@ class TestRunSequence:
                 assert np.array_equal(la.b, lb.b)
             assert ra.report.to_dict() == rb.report.to_dict()
 
+    def test_one_forward_per_step_and_one_cut_per_split(self, monkeypatch):
+        from splitbridge import engine, metrics, partition
+        from splitbridge.net import DenseNet
+
+        counts = dict.fromkeys(["forward", "step", "eval", "teacher", "cut"], 0)
+
+        def counting(key, fn):
+            def wrapped(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(DenseNet, "forward_cached",
+                            counting("forward", DenseNet.forward_cached))
+        monkeypatch.setattr(engine, "sgd_step", counting("step", engine.sgd_step))
+        monkeypatch.setattr(metrics, "evaluate", counting("eval", metrics.evaluate))
+        monkeypatch.setattr(TeacherSnapshot, "soft_labels",
+                            counting("teacher", TeacherSnapshot.soft_labels))
+        monkeypatch.setattr(partition, "cross_groups",
+                            counting("cut", partition.cross_groups))
+        seq = small_sequence(num_classes=6, num_tasks=3)
+        run_sequence(seq, SchemeConfig(scheme="sb", **FAST))
+        assert counts["step"] > 0 and counts["eval"] == 3
+        assert counts["forward"] == counts["step"] + counts["eval"] + counts["teacher"]
+        assert counts["cut"] == 2    # one per split phase
+
     def test_seed_changes_outcome(self):
         seq = small_sequence()
         a = run_sequence(seq, SchemeConfig(seed=0, **FAST))

@@ -88,6 +88,15 @@ class TestBackward:
         with pytest.raises(ShapeError):
             net.backward(np.ones((2, 3)), np.ones((2, 3)))
 
+    def test_cached_forward_gives_identical_gradients(self, rng):
+        net = make_random_net(rng, [5, 6, 6, 3], mask_layers=(1,))
+        x = rng.standard_normal((7, 5))
+        upstream = rng.standard_normal((7, 3))
+        fresh = net.backward(x, upstream)
+        cached = net.backward(x, upstream, net.forward_cached(x))
+        for a, b in zip(fresh.wgrads + fresh.bgrads, cached.wgrads + cached.bgrads):
+            assert a.tobytes() == b.tobytes()
+
 
 class TestSgdStep:
     def test_plain_update_definition(self, rng):
@@ -124,6 +133,15 @@ class TestSgdStep:
             grads = net.backward(np.ones((1, 2)), np.ones((1, 2)))
             sgd_step(net, grads, cfg, state)
         assert net.layers[0].w[0, 0] == 0.0
+
+    def test_state_rejects_widened_output(self, rng):
+        net = make_random_net(rng, [2, 3, 2])
+        cfg = SgdConfig(epochs=1)
+        state = SgdState()
+        sgd_step(net, net.backward(np.ones((1, 2)), np.ones((1, 2))), cfg, state)
+        net.widen_output(1)
+        with pytest.raises(ShapeError, match="fresh SgdState"):
+            sgd_step(net, net.backward(np.ones((1, 2)), np.ones((1, 3))), cfg, state)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -181,6 +199,20 @@ class TestCheckpoint:
                 assert b.mask is None
             else:
                 assert np.array_equal(a.mask, b.mask)
+
+    def test_round_trip_without_masks(self, rng, tmp_path):
+        net = make_random_net(rng, [3, 4, 2])
+        path = tmp_path / "net.ckpt"
+        net.save(path)
+        # header, then per layer a 10-byte header, weights and biases only
+        params = sum(l.w.size + l.b.size for l in net.layers)
+        assert path.stat().st_size == 12 + 10 * net.depth + 8 * params
+        loaded = DenseNet.load(path)
+        for a, b in zip(net.layers, loaded.layers):
+            assert b.mask is None
+            assert a.w.tobytes() == b.w.tobytes()
+            assert a.b.tobytes() == b.b.tobytes()
+            assert a.activation == b.activation
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"

@@ -104,6 +104,21 @@ class TestCrossGroups:
         within = n_old_in * 2 + n_new_in * 2
         assert int(on.sum() + no.sum()) + within == 6 * 4
 
+    def test_plan_caches_groups(self):
+        net = widened_net()
+        plan = make_plan(net, 1, 2, 2, 1.0)
+        fresh = cross_groups(plan, net)
+        assert plan.cut_groups(net) is plan.groups
+        assert plan.groups.per_layer.keys() == fresh.per_layer.keys()
+        for li, (on, no) in fresh.per_layer.items():
+            assert np.array_equal(plan.groups.per_layer[li][0], on)
+            assert np.array_equal(plan.groups.per_layer[li][1], no)
+
+    def test_cached_groups_reject_other_shapes(self):
+        plan = make_plan(widened_net(), 1, 2, 2, 1.0)
+        with pytest.raises(ShapeError):
+            plan.cut_groups(widened_net(hidden=(8, 8, 6)))
+
     def test_first_partitioned_layer_contributes_nothing(self):
         net = widened_net()
         plan = make_plan(net, 1, 2, 2, 1.0)
@@ -179,6 +194,23 @@ class TestBridgeReconnect:
             sgd_step(net, grads, SgdConfig(learning_rate=0.5, momentum=0.0, epochs=1), SgdState())
         cross_vals = [net.layers[li].w[on | no] for li, (on, no) in groups.per_layer.items()]
         assert any(np.any(v != 0.0) for v in cross_vals)
+
+    def test_full_reconnect_drops_masks(self, rng):
+        net, _, groups = self._setup()
+        x = rng.standard_normal((100, 4))
+        before = net.forward(x)
+        bridge_reconnect(net, groups)
+        for li in groups.per_layer:
+            assert net.layers[li].mask is None
+        assert np.array_equal(net.forward(x), before)
+
+    def test_partial_mask_kept(self):
+        net, _, groups = self._setup()
+        li = max(groups.per_layer)
+        net.layers[li].mask[0, 0] = 0.0
+        net.layers[li].w[0, 0] = 0.0
+        bridge_reconnect(net, groups)
+        assert net.layers[li].mask is not None and net.layers[li].mask[0, 0] == 0.0
 
     def test_reconnect_then_disconnect_restores(self, rng):
         net, _, groups = self._setup()
