@@ -63,14 +63,18 @@ def main():
     # isolation check: pushing hard on the new branch cannot move old logits
     probe = np.random.default_rng(9).standard_normal((50, seq.feature_dim))
     old_logits = net.forward(probe)[:, :4]
-    for li, cols in plan.new_out.items():
-        net.layers[li].w[:, cols] += 1.0
-        net.layers[li].w *= net.layers[li].mask
+    # (the first partitioned layer reads the shared trunk: nothing is cut, no mask)
+    def shove(delta):
+        for li, cols in plan.new_out.items():
+            layer = net.layers[li]
+            layer.w[:, cols] += delta
+            if layer.mask is not None:
+                layer.w *= layer.mask
+
+    shove(1.0)
     moved = np.abs(net.forward(probe)[:, :4] - old_logits).max()
     print(f"  old logits moved by {moved} after shoving every new-branch weight")
-    for li, cols in plan.new_out.items():
-        net.layers[li].w[:, cols] -= 1.0
-        net.layers[li].w *= net.layers[li].mask
+    shove(-1.0)
 
     # reconnecting at zero must not change a single bit of any logit
     from splitbridge.partition import bridge_reconnect

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import runner
-from .data import save_csv
+from .data import gen_synthetic, save_csv
 from .metrics import evaluate
 from .net import DenseNet
 
@@ -44,27 +44,24 @@ def _add_override_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--memory-size", type=int)
 
 
-def _apply_overrides(cfg: dict, args) -> dict:
-    cfg = dict(cfg)
-    cfg.setdefault("config", {})
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.scheme is not None:
-        cfg["scheme"] = args.scheme
-    if args.tasks is not None:
-        cfg["tasks"] = args.tasks
-    for flag, key in (("rho", "rho"), ("gamma", "gamma"), ("tau", "tau")):
+def _apply_overrides(cfg: dict, args, matrix: bool = False) -> dict:
+    """Merge the override flags into a run config, or into a matrix config,
+    where --seed/--scheme/--tasks replace the seeds/schemes/task_counts axes."""
+    cfg = {**cfg, "config": dict(cfg.get("config", {}))}
+    for flag, axis in (("seed", "seeds"), ("scheme", "schemes"), ("tasks", "task_counts")):
+        v = getattr(args, flag)
+        if v is not None:
+            cfg.update({axis: [v]} if matrix else {flag: v})
+    for flag, key in (("rho", "rho"), ("gamma", "gamma"), ("tau", "tau"),
+                      ("memory_size", "memory_capacity")):
         v = getattr(args, flag)
         if v is not None:
             cfg["config"][key] = v
-    if args.memory_size is not None:
-        cfg["config"]["memory_capacity"] = args.memory_size
     return cfg
 
 
 def _cmd_run(args) -> int:
-    cfg = _load_config(args.config) if args.config else {}
-    cfg = _apply_overrides(cfg, args)
+    cfg = _apply_overrides(_load_config(args.config) if args.config else {}, args)
     bench = {**runner.DEFAULT_BENCHMARK, **cfg.get("benchmark", {})}
     manifest = runner.run_experiment(
         bench,
@@ -84,20 +81,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    matrix = _load_config(args.config)
-    if args.seed is not None:
-        matrix["seeds"] = [args.seed]
-    if args.scheme is not None:
-        matrix["schemes"] = [args.scheme]
-    if args.tasks is not None:
-        matrix["task_counts"] = [args.tasks]
-    matrix.setdefault("config", {})
-    for flag, key in (("rho", "rho"), ("gamma", "gamma"), ("tau", "tau")):
-        v = getattr(args, flag)
-        if v is not None:
-            matrix["config"][key] = v
-    if args.memory_size is not None:
-        matrix["config"]["memory_capacity"] = args.memory_size
+    matrix = _apply_overrides(_load_config(args.config), args, matrix=True)
     code = runner.run_matrix(matrix, args.out)
     print(f"wrote {Path(args.out) / 'rows.jsonl'} and summary.csv")
     return code
@@ -116,8 +100,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    from .data import gen_synthetic
-
     train, test = gen_synthetic(
         num_classes=args.classes,
         feature_dim=args.dim,

@@ -4,6 +4,8 @@ CSV loaders, and the seeded class-to-task split."""
 from __future__ import annotations
 
 import csv
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -92,12 +94,13 @@ def gen_synthetic(
     return draw(train_per_class), draw(test_per_class)
 
 
-def _read_exact(f, n: int, what: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
-        raise ValueError(f"truncated IDX file: needed {n} bytes for {what} "
-                         f"at offset {f.tell() - len(buf)}")
-    return buf
+def read_exact(f, n: int, what: str) -> bytes:
+    """Read exactly n bytes of `what` from the binary file f, or raise
+    ValueError naming the offset; n is checked against the file size first."""
+    if n > os.fstat(f.fileno()).st_size - f.tell():
+        raise ValueError(f"truncated file {f.name}: needed {n} bytes for {what} "
+                         f"at offset {f.tell()}")
+    return f.read(n)
 
 
 def load_idx(images_path, labels_path) -> LabeledDataset:
@@ -107,19 +110,19 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
     must agree.
     """
     with open(images_path, "rb") as f:
-        magic, count = struct.unpack(">II", _read_exact(f, 8, "image header"))
+        magic, count = struct.unpack(">II", read_exact(f, 8, "image header"))
         if magic != IDX_IMAGES_MAGIC:
             raise ValueError(f"bad image magic 0x{magic:08x} at offset 0")
-        rows, cols = struct.unpack(">II", _read_exact(f, 8, "image dims"))
-        raw = _read_exact(f, count * rows * cols, "pixel data")
+        rows, cols = struct.unpack(">II", read_exact(f, 8, "image dims"))
+        raw = read_exact(f, count * rows * cols, "pixel data")
         if f.read(1):
             raise ValueError("trailing bytes after pixel data")
         pixels = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
     with open(labels_path, "rb") as f:
-        magic, lcount = struct.unpack(">II", _read_exact(f, 8, "label header"))
+        magic, lcount = struct.unpack(">II", read_exact(f, 8, "label header"))
         if magic != IDX_LABELS_MAGIC:
             raise ValueError(f"bad label magic 0x{magic:08x} at offset 0")
-        labels = np.frombuffer(_read_exact(f, lcount, "label data"), dtype=np.uint8)
+        labels = np.frombuffer(read_exact(f, lcount, "label data"), dtype=np.uint8)
         if f.read(1):
             raise ValueError("trailing bytes after label data")
     if count != lcount:
@@ -158,8 +161,13 @@ def load_csv(path) -> LabeledDataset:
             raise ValueError("CSV header must start with 'label'")
         xs, ys = [], []
         for row in reader:
+            if len(row) != len(header):
+                raise ValueError(f"{path} line {reader.line_num}: {len(row)} fields, "
+                                 f"header has {len(header)}")
             ys.append(int(row[0]))
             xs.append([float(v) for v in row[1:]])
+            if not all(map(math.isfinite, xs[-1])):
+                raise ValueError(f"{path} line {reader.line_num}: non-finite feature value")
     y = np.array(ys, dtype=np.int64)
     return LabeledDataset(np.array(xs), y, int(y.max()) + 1 if y.size else 0)
 

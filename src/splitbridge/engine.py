@@ -4,12 +4,12 @@ and double-distillation baselines, exemplar memory, and teacher snapshots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import losses, metrics, partition
-from .data import LabeledDataset, Task, TaskSequence
+from .data import LabeledDataset, TaskSequence
 from .losses import TaskRange, lambda_schedule
 from .net import DenseNet, SgdConfig, SgdState, build_net, sgd_step
 
@@ -21,13 +21,8 @@ class ExemplarMemory:
     """Fixed-capacity rehearsal store of previously seen labeled samples."""
 
     capacity: int
-    x: np.ndarray = None
-    y: np.ndarray = None
-
-    def __post_init__(self):
-        if self.x is None:
-            self.x = np.zeros((0, 0))
-            self.y = np.zeros(0, dtype=np.int64)
+    x: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    y: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     def __len__(self) -> int:
         return self.y.shape[0]
@@ -43,8 +38,7 @@ class TeacherSnapshot:
 
     @classmethod
     def of(cls, net: DenseNet, tau: float) -> "TeacherSnapshot":
-        frozen = net.clone()
-        return cls(frozen, tau, TaskRange(0, frozen.num_classes))
+        return cls(net.clone(), tau, TaskRange(0, net.num_classes))
 
     def soft_labels(self, x: np.ndarray) -> np.ndarray:
         return losses.softmax(self.net.forward(x), self.tau)
@@ -78,50 +72,49 @@ class SchemeConfig:
         if self.tau <= 0 or self.rho <= 0 or self.gamma < 0:
             raise ValueError("need tau > 0, rho > 0, gamma >= 0")
 
-    def sgd(self, epochs: int, lr: float | None = None) -> SgdConfig:
-        return SgdConfig(
-            learning_rate=lr if lr is not None else self.learning_rate,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-            batch_size=self.batch_size,
-            epochs=epochs,
-        )
 
+def _fit(net, x, cfg: SchemeConfig, epochs: int, stream, loss, lr=None, penalty=None) -> None:
+    """The one training loop: seeded minibatch SGD over the rows of x.
 
-def _train(net, x, cfg: SgdConfig, rng, batch_loss, weight_penalty=None) -> None:
-    """Generic seeded minibatch loop.
-
-    batch_loss(logits, idx) returns (value, grad wrt logits) for the batch
-    selected by idx; weight_penalty(net) optionally returns (value, per-layer
-    weight grads) added each step.
+    Batches are drawn from default_rng([cfg.seed, *stream]), stream = (step,
+    tag). loss(logits, idx) returns the batch's LossValue; penalty(net)
+    optionally returns (value, per-layer weight grads) added each step.
     """
+    sgd = SgdConfig(learning_rate=cfg.learning_rate if lr is None else lr,
+                    momentum=cfg.momentum, weight_decay=cfg.weight_decay,
+                    batch_size=cfg.batch_size, epochs=epochs)
+    rng = np.random.default_rng([cfg.seed, *stream])
     n = x.shape[0]
     state = SgdState()
-    for _ in range(cfg.epochs):
+    for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             xb = x[idx]
             cache = net.forward_cached(xb)
-            _, grad = batch_loss(cache[0], idx)
-            grads = net.backward(xb, grad, cache)
-            if weight_penalty is not None:
-                _, wgrads = weight_penalty(net)
-                grads.add_weight_grads(wgrads)
-            sgd_step(net, grads, cfg, state)
+            grads = net.backward(xb, loss(cache[0], idx).grad_logits, cache)
+            if penalty is not None:
+                grads.add_weight_grads(penalty(net)[1])
+            sgd_step(net, grads, sgd, state)
+
+
+def _composite(teacher: TeacherSnapshot, x, y, num_classes: int, tau: float, lam=None):
+    """The loss lam * KD(teacher, old range) + (1 - lam) * CE over the rows of
+    (x, y), for _fit. lam defaults to the c_old / (c_old + c_new) schedule."""
+    old_range = teacher.class_range
+    if lam is None:
+        lam = lambda_schedule(old_range.width, num_classes - old_range.width)
+    soft = teacher.soft_labels(x)
+    return lambda logits, idx: losses.std_composite_loss(
+        logits, y[idx], soft[idx], old_range, lam, tau)
 
 
 def run_first_task(net: DenseNet, d1: LabeledDataset, cfg: SchemeConfig) -> DenseNet:
     """Plain CE training on the first task's data."""
     if len(d1) == 0:
         raise ValueError("first task dataset is empty")
-    rng = np.random.default_rng([cfg.seed, 0, 0])
-
-    def batch_loss(logits, idx):
-        lv = losses.ce_loss(logits, d1.y[idx])
-        return lv.value, lv.grad_logits
-
-    _train(net, d1.x, cfg.sgd(cfg.epochs_first), rng, batch_loss)
+    _fit(net, d1.x, cfg, cfg.epochs_first, (0, 0),
+         lambda logits, idx: losses.ce_loss(logits, d1.y[idx]))
     return net
 
 
@@ -129,13 +122,10 @@ def _pool(d_t: LabeledDataset, mem: ExemplarMemory):
     """Training pool D_t with M_t appended; is_new flags the D_t rows."""
     if len(mem) == 0:
         x, y = d_t.x, d_t.y
-        is_new = np.ones(len(d_t), dtype=bool)
     else:
         x = np.vstack([d_t.x, mem.x])
         y = np.concatenate([d_t.y, mem.y])
-        is_new = np.zeros(x.shape[0], dtype=bool)
-        is_new[: len(d_t)] = True
-    return x, y, is_new
+    return x, y, np.arange(len(y)) < len(d_t)
 
 
 def run_split_phase(
@@ -155,45 +145,33 @@ def run_split_phase(
 
     Returns (net, plan, groups, diagnostics).
     """
-    c_old = teacher.class_range.width
-    c_new = net.num_classes - c_old
-    if c_old == 0:
-        raise ValueError("split phase requires at least one old class")
     old_range = teacher.class_range
-    new_range = TaskRange(c_old, c_old + c_new)
-
-    plan = partition.make_plan(net, cfg.split_index, c_old, c_new, cfg.rho)
+    c_old = old_range.width
+    new_range = TaskRange(c_old, net.num_classes)
+    plan = partition.make_plan(net, cfg.split_index, c_old, new_range.width, cfg.rho)
     x, y, is_new = _pool(d_t, mem)
     soft = teacher.soft_labels(x)
 
-    def batch_loss(logits, idx):
+    def kd_lce(logits, idx):
         kd = losses.kd_loss(logits, soft[idx], old_range, cfg.tau)
         sel = is_new[idx]
-        grad = kd.grad_logits.copy()
-        value = kd.value
-        if sel.any():
-            lce = losses.lce_loss(logits[sel], y[idx][sel], new_range)
-            grad[sel] += lce.grad_logits
-            value += lce.value
-        return value, grad
+        if not sel.any():
+            return kd
+        lce = losses.lce_loss(logits[sel], y[idx][sel], new_range)
+        kd.grad_logits[sel] += lce.grad_logits
+        return losses.LossValue(kd.value + lce.value, kd.grad_logits)
 
     diagnostics = {"cross_norm_start": losses.cross_frobenius(net, plan)}
-
     penalty = None
     if cfg.gamma > 0:
         penalty = lambda n: losses.sparsify_penalty(n, plan, cfg.gamma)
-    rng = np.random.default_rng([cfg.seed, step, 1])
-    _train(net, x, cfg.sgd(cfg.epochs_sparsify, cfg.sparsify_learning_rate), rng,
-           batch_loss, weight_penalty=penalty)
-
+    _fit(net, x, cfg, cfg.epochs_sparsify, (step, 1), kd_lce,
+         lr=cfg.sparsify_learning_rate, penalty=penalty)
     diagnostics["cross_norm_at_disconnect"] = losses.cross_frobenius(net, plan)
 
-    groups = plan.groups
-    partition.disconnect(net, groups)
-
-    rng = np.random.default_rng([cfg.seed, step, 2])
-    _train(net, x, cfg.sgd(cfg.epochs_branched), rng, batch_loss)
-    return net, plan, groups, diagnostics
+    partition.disconnect(net, plan.groups)
+    _fit(net, x, cfg, cfg.epochs_branched, (step, 2), kd_lce)
+    return net, plan, plan.groups, diagnostics
 
 
 def run_bridge_phase(
@@ -210,23 +188,12 @@ def run_bridge_phase(
     The KD teacher is the shared-trunk-plus-old-branch subnetwork, frozen
     before any bridge update.
     """
-    c_old = plan.c_old
-    c_new = plan.c_new
-    old_range = TaskRange(0, c_old)
-    teacher = TeacherSnapshot(partition.extract_subnet(net, plan, "old"), cfg.tau, old_range)
-
+    teacher = TeacherSnapshot(partition.extract_subnet(net, plan, "old"), cfg.tau,
+                              TaskRange(0, plan.c_old))
     partition.bridge_reconnect(net, groups)
-
-    lam = lambda_schedule(c_old, c_new)
     x, y, _ = _pool(d_t, mem)
-    soft = teacher.soft_labels(x)
-
-    def batch_loss(logits, idx):
-        lv = losses.std_composite_loss(logits, y[idx], soft[idx], old_range, lam, cfg.tau)
-        return lv.value, lv.grad_logits
-
-    rng = np.random.default_rng([cfg.seed, step, 3])
-    _train(net, x, cfg.sgd(cfg.epochs_bridge), rng, batch_loss)
+    _fit(net, x, cfg, cfg.epochs_bridge, (step, 3),
+         _composite(teacher, x, y, net.num_classes, cfg.tau))
     return net
 
 
@@ -240,20 +207,9 @@ def run_std_step(
     lam: float | None = None,
 ) -> DenseNet:
     """Single-phase composite-loss training (the standard KD-based scheme)."""
-    c_old = teacher.class_range.width
-    c_new = net.num_classes - c_old
-    if lam is None:
-        lam = lambda_schedule(c_old, c_new)
     x, y, _ = _pool(d_t, mem)
-    soft = teacher.soft_labels(x)
-    old_range = teacher.class_range
-
-    def batch_loss(logits, idx):
-        lv = losses.std_composite_loss(logits, y[idx], soft[idx], old_range, lam, cfg.tau)
-        return lv.value, lv.grad_logits
-
-    rng = np.random.default_rng([cfg.seed, step, 1])
-    _train(net, x, cfg.sgd(cfg.epochs_std), rng, batch_loss)
+    _fit(net, x, cfg, cfg.epochs_std, (step, 1),
+         _composite(teacher, x, y, net.num_classes, cfg.tau, lam))
     return net
 
 
@@ -266,13 +222,8 @@ def run_ce_step(
 ) -> DenseNet:
     """CE-only ablation: plain cross entropy over the pool, no distillation."""
     x, y, _ = _pool(d_t, mem)
-
-    def batch_loss(logits, idx):
-        lv = losses.ce_loss(logits, y[idx])
-        return lv.value, lv.grad_logits
-
-    rng = np.random.default_rng([cfg.seed, step, 1])
-    _train(net, x, cfg.sgd(cfg.epochs_std), rng, batch_loss)
+    _fit(net, x, cfg, cfg.epochs_std, (step, 1),
+         lambda logits, idx: losses.ce_loss(logits, y[idx]))
     return net
 
 
@@ -288,38 +239,29 @@ def run_dd_step(
     then merge via two KD losses (old teacher over old logits, new teacher
     over new logits) mixed against CE with the usual schedule. The extra
     network is dropped when the step returns."""
-    c_old = teacher_old.class_range.width
-    c_new = net.num_classes - c_old
     old_range = teacher_old.class_range
-    new_range = TaskRange(c_old, c_old + c_new)
+    c_old = old_range.width
+    new_range = TaskRange(c_old, net.num_classes)
 
-    aux = build_net(net.in_dim, list(cfg.hidden), c_new, seed=[cfg.seed, step, 5])
+    aux = build_net(net.in_dim, list(cfg.hidden), new_range.width, seed=[cfg.seed, step, 5])
     local_labels = d_t.y - c_old
+    _fit(aux, d_t.x, cfg, cfg.epochs_std, (step, 4),
+         lambda logits, idx: losses.ce_loss(logits, local_labels[idx]))
 
-    def aux_loss(logits, idx):
-        lv = losses.ce_loss(logits, local_labels[idx])
-        return lv.value, lv.grad_logits
-
-    rng = np.random.default_rng([cfg.seed, step, 4])
-    _train(aux, d_t.x, cfg.sgd(cfg.epochs_std), rng, aux_loss)
-    teacher_new = TeacherSnapshot(aux, cfg.tau, new_range)
-
-    lam = lambda_schedule(c_old, c_new)
+    lam = lambda_schedule(c_old, new_range.width)
     x, y, _ = _pool(d_t, mem)
     soft_old = teacher_old.soft_labels(x)
-    soft_new = teacher_new.soft_labels(x)
+    soft_new = TeacherSnapshot(aux, cfg.tau, new_range).soft_labels(x)
 
-    def batch_loss(logits, idx):
+    def double_kd(logits, idx):
         kd_o = losses.kd_loss(logits, soft_old[idx], old_range, cfg.tau)
         kd_n = losses.kd_loss(logits, soft_new[idx], new_range, cfg.tau)
         ce = losses.ce_loss(logits, y[idx])
-        value = lam * 0.5 * (kd_o.value + kd_n.value) + (1 - lam) * ce.value
-        grad = (lam * 0.5 * (kd_o.grad_logits + kd_n.grad_logits)
-                + (1 - lam) * ce.grad_logits)
-        return value, grad
+        return losses.LossValue(
+            lam * 0.5 * (kd_o.value + kd_n.value) + (1 - lam) * ce.value,
+            lam * 0.5 * (kd_o.grad_logits + kd_n.grad_logits) + (1 - lam) * ce.grad_logits)
 
-    rng = np.random.default_rng([cfg.seed, step, 1])
-    _train(net, x, cfg.sgd(cfg.epochs_std), rng, batch_loss)
+    _fit(net, x, cfg, cfg.epochs_std, (step, 1), double_kd)
     return net
 
 

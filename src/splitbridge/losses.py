@@ -151,9 +151,10 @@ def sparsify_penalty(net, plan, gamma: float):
 
     value = gamma * sum over partitioned layers of the Frobenius norms of the
     old-to-new and new-to-old submatrices. Returns (LossValue-style value,
-    per-layer weight gradient arrays or None). Gradient of each group is
-    gamma * w / ||W_group||_F with the norm floored at 1e-8, so entries are
-    driven toward exactly zero; within-partition weights get zero gradient.
+    per-layer weight gradient arrays, None for a layer without cross weights).
+    Gradient of each group is gamma * w / ||W_group||_F with the norm floored
+    at 1e-8, so entries are driven toward exactly zero; within-partition
+    weights get zero gradient.
     """
     groups = plan.cut_groups(net)
     value = 0.0
@@ -162,11 +163,10 @@ def sparsify_penalty(net, plan, gamma: float):
         w = net.layers[li].w
         g = np.zeros_like(w)
         for m in (on_mask, no_mask):
-            if not m.any():
-                continue
-            norm = float(np.sqrt((w[m] ** 2).sum()))
+            v = w[m]
+            norm = float(np.sqrt((v ** 2).sum()))
             value += norm
-            g[m] = w[m] / max(norm, _NORM_EPS)
+            g[m] = v / max(norm, _NORM_EPS)
         grads[li] = gamma * g
     return float(gamma * value), grads
 

@@ -4,7 +4,7 @@ block-restricted argmax. Inference is raw argmax with no balancing."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -24,18 +24,8 @@ class EvalReport:
     block_confusion: list[list[int]] = field(default_factory=lambda: [[0, 0], [0, 0]])
 
     def to_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "overall_acc": self.overall_acc,
-            "old_acc": self.old_acc,
-            "new_acc": self.new_acc,
-            "intra_old_acc": self.intra_old_acc,
-            "intra_new_acc": self.intra_new_acc,
-            "per_task_acc": self.per_task_acc,
-            "n_old": self.n_old,
-            "n_new": self.n_new,
-            "block_confusion": self.block_confusion,
-        }
+        """JSON-ready record; the keys follow the field order."""
+        return asdict(self)
 
 
 def _acc(pred: np.ndarray, truth: np.ndarray) -> float:

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import read_exact
+
 RELU = "relu"
 IDENTITY = "identity"
 
@@ -147,11 +149,6 @@ class DenseNet:
         """Deep copy; mutations on either side do not affect the other."""
         return copy.deepcopy(self)
 
-    def apply_masks(self) -> None:
-        for layer in self.layers:
-            if layer.mask is not None:
-                layer.w *= layer.mask
-
     def widen_output(self, extra: int) -> None:
         """Append `extra` zero-initialized logit columns to the final layer.
 
@@ -182,22 +179,28 @@ class DenseNet:
 
     @classmethod
     def load(cls, path) -> "DenseNet":
+        """Read a save() checkpoint; a truncated or padded file raises ValueError."""
         with open(path, "rb") as f:
             magic = f.read(4)
             if magic != CHECKPOINT_MAGIC:
                 raise ValueError(f"bad checkpoint magic {magic!r} at offset 0")
-            depth, num_classes = struct.unpack("<II", f.read(8))
+            depth, num_classes = struct.unpack("<II", read_exact(f, 8, "checkpoint header"))
             layers = []
-            for _ in range(depth):
-                in_dim, out_dim, act, has_mask = struct.unpack("<IIBB", f.read(10))
-                w = np.frombuffer(f.read(8 * in_dim * out_dim), dtype="<f8")
-                w = w.reshape(in_dim, out_dim).copy()
-                b = np.frombuffer(f.read(8 * out_dim), dtype="<f8").copy()
+            for i in range(depth):
+                in_dim, out_dim, act, has_mask = struct.unpack(
+                    "<IIBB", read_exact(f, 10, f"layer {i} header"))
+                w = np.frombuffer(read_exact(f, 8 * in_dim * out_dim, f"layer {i} weights"),
+                                  dtype="<f8").reshape(in_dim, out_dim).copy()
+                b = np.frombuffer(read_exact(f, 8 * out_dim, f"layer {i} bias"),
+                                  dtype="<f8").copy()
                 mask = None
                 if has_mask:
-                    mask = np.frombuffer(f.read(in_dim * out_dim), dtype=np.uint8)
+                    mask = np.frombuffer(read_exact(f, in_dim * out_dim, f"layer {i} mask"),
+                                         dtype=np.uint8)
                     mask = mask.reshape(in_dim, out_dim).astype(np.float64)
                 layers.append(Layer(w, b, RELU if act else IDENTITY, mask))
+            if f.read(1):
+                raise ValueError(f"trailing bytes after layer {depth - 1} at offset {f.tell() - 1}")
         return cls(layers, num_classes)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .net import DenseNet, Layer, IDENTITY, ShapeError
+from .net import DenseNet, Layer, ShapeError
 
 
 @dataclass
@@ -73,12 +73,9 @@ class PartitionPlan:
 
 @dataclass
 class CrossGroups:
-    """Per layer: boolean selectors of the old-to-new and new-to-old weights."""
+    """Per layer with cross weights: selectors of the old-to-new and new-to-old ones."""
 
     per_layer: dict[int, tuple[np.ndarray, np.ndarray]]
-
-    def total_count(self) -> int:
-        return sum(int(a.sum() + b.sum()) for a, b in self.per_layer.values())
 
 
 def _round_half_up(x: float) -> int:
@@ -133,17 +130,18 @@ def cross_groups(plan: PartitionPlan, net: DenseNet) -> CrossGroups:
     for li in range(plan.split_index, plan.depth):
         if not plan.is_partitioned(li):
             continue
-        layer = net.layers[li]
         in_old, in_new = plan.input_groups(li)
+        if not in_old.size:
+            continue  # inputs from the shared trunk: no weight crosses
+        layer = net.layers[li]
         out_old = plan.old_out[li]
         out_new = plan.new_out[li]
         if out_old.size and out_old.max() >= layer.out_dim:
             raise ShapeError(f"plan group exceeds layer {li} width")
         on = np.zeros(layer.w.shape, dtype=bool)
         no = np.zeros(layer.w.shape, dtype=bool)
-        if in_old.size:
-            on[np.ix_(in_old, out_new)] = True
-            no[np.ix_(in_new, out_old)] = True
+        on[np.ix_(in_old, out_new)] = True
+        no[np.ix_(in_new, out_old)] = True
         per_layer[li] = (on, no)
     return CrossGroups(per_layer)
 
@@ -185,8 +183,7 @@ def extract_subnet(net: DenseNet, plan: PartitionPlan, side: str) -> DenseNet:
 
     The result maps inputs to that side's sub-logits only; its outputs equal
     the corresponding slice of the parent's logits whenever the parent is
-    disconnected under `plan`. Use copy_back_subnet to push trained parameters
-    into the parent.
+    disconnected under `plan`.
     """
     if side not in ("old", "new"):
         raise ValueError("side must be 'old' or 'new'")
@@ -210,22 +207,3 @@ def extract_subnet(net: DenseNet, plan: PartitionPlan, side: str) -> DenseNet:
         layers.append(Layer(w, b, layer.activation, mask))
     num_out = layers[-1].out_dim
     return DenseNet(layers, num_out)
-
-
-def copy_back_subnet(sub: DenseNet, net: DenseNet, plan: PartitionPlan, side: str) -> None:
-    """Write a subnet's parameters back into their positions in the parent."""
-    if side not in ("old", "new"):
-        raise ValueError("side must be 'old' or 'new'")
-    groups_of = plan.old_out if side == "old" else plan.new_out
-    for li, (sub_layer, layer) in enumerate(zip(sub.layers, net.layers)):
-        if not plan.is_partitioned(li):
-            layer.w[...] = sub_layer.w
-            layer.b[...] = sub_layer.b
-            continue
-        in_old, in_new = plan.input_groups(li)
-        in_idx = (in_old if side == "old" else in_new)
-        if in_idx.size == 0:
-            in_idx = np.arange(layer.in_dim, dtype=np.int64)
-        out_idx = groups_of[li]
-        layer.w[np.ix_(in_idx, out_idx)] = sub_layer.w
-        layer.b[out_idx] = sub_layer.b

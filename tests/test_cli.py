@@ -174,6 +174,27 @@ class TestCli:
         assert cli_main(["matrix", "--config", str(p), "--out", str(out)]) == 0
         assert (out / "rows.jsonl").exists()
 
+    def test_matrix_overrides_reach_cells(self, tmp_path):
+        p = tmp_path / "matrix.json"
+        p.write_text(json.dumps({
+            "benchmark": TINY_BENCH, "schemes": ["sb", "std"], "task_counts": [1, 2],
+            "seeds": [0, 1], "config": {**TINY_CONFIG, "memory_capacity": 12, "tau": 3.0},
+        }))
+        out = tmp_path / "out"
+        code = cli_main(["matrix", "--config", str(p), "--out", str(out), "--seed", "5",
+                         "--scheme", "ce", "--tasks", "2", "--rho", "1.2",
+                         "--memory-size", "7"])
+        assert code == 0
+        assert sorted(d.name for d in out.iterdir() if d.is_dir()) == ["ce_t2_s5"]
+        m = json.loads((out / "ce_t2_s5" / "manifest.json").read_text())
+        assert (m["scheme"], m["tasks"], m["seed"]) == ("ce", 2, 5)
+        assert m["config"]["seed"] == 5 and m["config"]["scheme"] == "ce"
+        assert m["config"]["rho"] == 1.2
+        assert m["config"]["memory_capacity"] == 7
+        # keys the flags leave alone keep the file's values
+        assert m["config"]["tau"] == 3.0
+        assert m["config"]["epochs_std"] == TINY_CONFIG["epochs_std"]
+
     def test_gen_data_deterministic(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):

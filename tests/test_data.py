@@ -173,6 +173,20 @@ class TestCsv:
         with pytest.raises(ValueError, match="header"):
             load_csv(p)
 
+    @pytest.mark.parametrize("bad_row", ["1,0.5", "1,0.5,0.25,0.125", ""])
+    def test_ragged_row_names_line(self, tmp_path, bad_row):
+        p = tmp_path / "ragged.csv"
+        p.write_text(f"label,f0,f1\n0,1.0,2.0\n{bad_row}\n1,3.0,4.0\n")
+        with pytest.raises(ValueError, match="line 3: .* fields, header has 3"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_line(self, tmp_path, value):
+        p = tmp_path / "nonfinite.csv"
+        p.write_text(f"label,f0,f1\n0,1.0,2.0\n1,3.0,4.0\n1,{value},4.0\n")
+        with pytest.raises(ValueError, match="line 4: non-finite"):
+            load_csv(p)
+
 
 class TestSplitTasks:
     def test_identity_seed_fixture(self):

@@ -1,7 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from splitbridge.net import (
+    CHECKPOINT_MAGIC,
     DenseNet,
     Layer,
     SgdConfig,
@@ -213,6 +216,38 @@ class TestCheckpoint:
             assert a.w.tobytes() == b.w.tobytes()
             assert a.b.tobytes() == b.b.tobytes()
             assert a.activation == b.activation
+
+    @pytest.mark.parametrize("cut, part", [
+        (9, "checkpoint header"),
+        (20, "layer 0 header"),
+        (40, "layer 0 weights"),
+        (155, "layer 0 mask"),
+        (-8, "layer 1 bias"),       # only the last bias value of the logit layer
+    ])
+    def test_truncated_rejected(self, rng, tmp_path, cut, part):
+        net = make_random_net(rng, [3, 4, 3], mask_layers=(0,))
+        path = tmp_path / "net.ckpt"
+        net.save(path)
+        path.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(ValueError, match=f"truncated .* for {part} at offset"):
+            DenseNet.load(path)
+
+    def test_huge_declared_layer_rejected(self, tmp_path):
+        # the size check comes before any read, so nothing of that size is allocated
+        path = tmp_path / "huge.ckpt"
+        dims = struct.pack("<IIBB", 2**32 - 1, 2**32 - 1, 0, 0)
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, 2**32 - 1) + dims)
+        with pytest.raises(ValueError, match="truncated.*layer 0 weights at offset 22"):
+            DenseNet.load(path)
+
+    def test_trailing_bytes_rejected(self, rng, tmp_path):
+        net = make_random_net(rng, [3, 4, 3])
+        path = tmp_path / "net.ckpt"
+        net.save(path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes() + b"\x00" * 8)
+        with pytest.raises(ValueError, match=f"trailing bytes .* offset {size}"):
+            DenseNet.load(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"

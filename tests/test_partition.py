@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from splitbridge.net import ShapeError, build_net
 from splitbridge.partition import (
     bridge_reconnect,
-    copy_back_subnet,
     cross_groups,
     disconnect,
     extract_subnet,
@@ -82,7 +81,8 @@ class TestCrossGroups:
         net2 = build_net(4, [8, 8, 8], 60, 0)
         plan = make_plan(net2, 1, 50, 10, 1.4)
         groups = cross_groups(plan, net2)
-        assert groups.total_count() == 0
+        # the final layer reads a shared layer, so no weight crosses anywhere
+        assert groups.per_layer == {}
 
     def test_exhaustive_two_by_two(self):
         net = widened_net(hidden=(2, 2), in_dim=4, c_old=1, c_new=1)
@@ -120,11 +120,12 @@ class TestCrossGroups:
             plan.cut_groups(widened_net(hidden=(8, 8, 6)))
 
     def test_first_partitioned_layer_contributes_nothing(self):
+        # its inputs come from the shared trunk, so no weight of it crosses
         net = widened_net()
         plan = make_plan(net, 1, 2, 2, 1.0)
         groups = cross_groups(plan, net)
-        on, no = groups.per_layer[1]
-        assert on.sum() == 0 and no.sum() == 0
+        assert 1 not in groups.per_layer
+        assert sorted(groups.per_layer) == [2, 3]
 
 
 class TestDisconnect:
@@ -156,6 +157,11 @@ class TestDisconnect:
         sub = extract_subnet(net, plan, "old")
         x = rng.standard_normal((30, 4))
         assert np.allclose(net.forward(x)[:, :2], sub.forward(x), atol=1e-12, rtol=0)
+
+    def test_trunk_fed_layer_stays_unmasked(self):
+        net, plan, _ = self._setup()
+        assert net.layers[plan.split_index].mask is None
+        assert all(net.layers[li].mask is not None for li in (2, 3))
 
     def test_idempotent(self):
         net, plan, groups = self._setup()
@@ -257,14 +263,6 @@ class TestExtractSubnet:
         x = rng.standard_normal((20, 4))
         assert np.allclose(sub.forward(x), net.forward(x)[:, 2:], atol=1e-12, rtol=0)
 
-    def test_shared_trunk_copy_back_visibility(self):
-        net, plan = self._setup()
-        old_side = extract_subnet(net, plan, "old")
-        old_side.layers[0].w += 0.5
-        copy_back_subnet(old_side, net, plan, "old")
-        new_side = extract_subnet(net, plan, "new")
-        assert np.array_equal(new_side.layers[0].w, old_side.layers[0].w)
-
     def test_all_layers_shared_new_side(self):
         net = build_net(4, [8, 8], 12, 0)
         plan = make_plan(net, 1, 10, 2, 1.4)
@@ -294,8 +292,10 @@ class TestPartitionClassification:
         for li in range(1, net.depth):
             if not plan.is_partitioned(li):
                 continue
-            on, no = groups.per_layer[li]
             in_old, in_new = plan.input_groups(li)
+            assert (li in groups.per_layer) == bool(in_old.size)
+            empty = np.zeros(net.layers[li].w.shape, dtype=bool)
+            on, no = groups.per_layer.get(li, (empty, empty))
             out_old, out_new = plan.old_out[li], plan.new_out[li]
             within = np.zeros(net.layers[li].w.shape, dtype=bool)
             if in_old.size:
