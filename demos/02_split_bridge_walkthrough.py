@@ -29,6 +29,7 @@ from splitbridge.engine import (
 from splitbridge.losses import cross_frobenius
 from splitbridge.metrics import evaluate
 from splitbridge.net import build_net
+from splitbridge.partition import bridge_reconnect, disconnect
 
 
 def main():
@@ -63,29 +64,26 @@ def main():
     # isolation check: pushing hard on the new branch cannot move old logits
     probe = np.random.default_rng(9).standard_normal((50, seq.feature_dim))
     old_logits = net.forward(probe)[:, :4]
-    # (the first partitioned layer reads the shared trunk: nothing is cut, no mask)
+    # (columns also hold cut weights, so the cut is re-applied after each shove)
     def shove(delta):
         for li, cols in plan.new_out.items():
-            layer = net.layers[li]
-            layer.w[:, cols] += delta
-            if layer.mask is not None:
-                layer.w *= layer.mask
+            net.layers[li].w[:, cols] += delta
+        disconnect(net, groups)
 
     shove(1.0)
     moved = np.abs(net.forward(probe)[:, :4] - old_logits).max()
     print(f"  old logits moved by {moved} after shoving every new-branch weight")
     shove(-1.0)
 
-    # reconnecting at zero must not change a single bit of any logit
-    from splitbridge.partition import bridge_reconnect
-
+    # reconnecting at zero must not change a single bit of any logit;
+    # bridge_reconnect raises if any cut weight is not exactly 0.0
     branched = net.forward(probe)
     preview = net.clone()
     bridge_reconnect(preview, groups)
     print("\nbridge phase: cut weights re-enabled at zero, composite loss trained")
     print(f"  zero-bridge logits bit-identical to branched logits: "
           f"{np.array_equal(preview.forward(probe), branched)}")
-    run_bridge_phase(net, plan, groups, seq.tasks[1].train, mem, cfg, step=2)
+    run_bridge_phase(net, plan, seq.tasks[1].train, mem, cfg, step=2)
 
     rep = evaluate(net, [t.test for t in seq.tasks], 2)
     print(f"\nfinal step-2 metrics over all 8 classes:")

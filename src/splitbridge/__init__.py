@@ -1,9 +1,9 @@
 """Split-and-Bridge class-incremental learning on small dense networks.
 
 Library layout:
-  net        dense MLP engine: forward, manual backprop, masks, momentum SGD
+  net        dense MLP engine: forward, manual backprop, momentum SGD
   losses     CE, temperature KD, localized CE, composite mix, sparsity penalty
-  partition  adaptive split plans, disconnection, zero-init reconnection
+  partition  adaptive split plans, disconnection, the zero-bridge check
   engine     incremental loop, exemplar memory, teacher snapshots, baselines
   data       synthetic / IDX / CSV datasets and task splits
   metrics    five-way accuracy decomposition

@@ -164,8 +164,11 @@ def load_csv(path) -> LabeledDataset:
             if len(row) != len(header):
                 raise ValueError(f"{path} line {reader.line_num}: {len(row)} fields, "
                                  f"header has {len(header)}")
-            ys.append(int(row[0]))
-            xs.append([float(v) for v in row[1:]])
+            try:
+                ys.append(int(row[0]))
+                xs.append([float(v) for v in row[1:]])
+            except ValueError as exc:
+                raise ValueError(f"{path} line {reader.line_num}: {exc}") from None
             if not all(map(math.isfinite, xs[-1])):
                 raise ValueError(f"{path} line {reader.line_num}: non-finite feature value")
     y = np.array(ys, dtype=np.int64)

@@ -73,16 +73,16 @@ class SchemeConfig:
             raise ValueError("need tau > 0, rho > 0, gamma >= 0")
 
 
-def _fit(net, x, cfg: SchemeConfig, epochs: int, stream, loss, lr=None, penalty=None) -> None:
+def _fit(net, x, cfg: SchemeConfig, epochs: int, stream, loss, lr=None, on_grads=None) -> None:
     """The one training loop: seeded minibatch SGD over the rows of x.
 
     Batches are drawn from default_rng([cfg.seed, *stream]), stream = (step,
-    tag). loss(logits, idx) returns the batch's LossValue; penalty(net)
-    optionally returns (value, per-layer weight grads) added each step.
+    tag). loss(logits, idx) returns the batch's LossValue; on_grads(net,
+    grads), if given, edits the GradientSet in place before each update.
     """
     sgd = SgdConfig(learning_rate=cfg.learning_rate if lr is None else lr,
                     momentum=cfg.momentum, weight_decay=cfg.weight_decay,
-                    batch_size=cfg.batch_size, epochs=epochs)
+                    batch_size=cfg.batch_size)
     rng = np.random.default_rng([cfg.seed, *stream])
     n = x.shape[0]
     state = SgdState()
@@ -93,8 +93,8 @@ def _fit(net, x, cfg: SchemeConfig, epochs: int, stream, loss, lr=None, penalty=
             xb = x[idx]
             cache = net.forward_cached(xb)
             grads = net.backward(xb, loss(cache[0], idx).grad_logits, cache)
-            if penalty is not None:
-                grads.add_weight_grads(penalty(net)[1])
+            if on_grads is not None:
+                on_grads(net, grads)
             sgd_step(net, grads, sgd, state)
 
 
@@ -140,8 +140,10 @@ def run_split_phase(
 
     Stage 1 minimizes KD (old logits, all pool samples) + LCE (new logits,
     new-task samples) + the sparsity penalty on the full network. Stage 2
-    disconnects and minimizes KD + LCE on the branched network. The teacher
-    is the previous-step model in both stages.
+    disconnects and minimizes KD + LCE on the branched network, zeroing the
+    cut weights' gradients each step: as the weights and the fresh velocities
+    start at 0.0, weight decay and momentum keep them there exactly. The
+    teacher is the previous-step model in both stages.
 
     Returns (net, plan, groups, diagnostics).
     """
@@ -161,23 +163,26 @@ def run_split_phase(
         kd.grad_logits[sel] += lce.grad_logits
         return losses.LossValue(kd.value + lce.value, kd.grad_logits)
 
+    cuts = plan.groups.cuts()
+
+    def zero_cut(net, grads):
+        for li, cut in cuts:
+            grads.wgrads[li][cut] = 0.0
+
     diagnostics = {"cross_norm_start": losses.cross_frobenius(net, plan)}
-    penalty = None
-    if cfg.gamma > 0:
-        penalty = lambda n: losses.sparsify_penalty(n, plan, cfg.gamma)
+    penalty = lambda n, g: g.add_weight_grads(losses.sparsify_penalty(n, plan, cfg.gamma)[1])
     _fit(net, x, cfg, cfg.epochs_sparsify, (step, 1), kd_lce,
-         lr=cfg.sparsify_learning_rate, penalty=penalty)
+         lr=cfg.sparsify_learning_rate, on_grads=penalty if cfg.gamma > 0 else None)
     diagnostics["cross_norm_at_disconnect"] = losses.cross_frobenius(net, plan)
 
     partition.disconnect(net, plan.groups)
-    _fit(net, x, cfg, cfg.epochs_branched, (step, 2), kd_lce)
+    _fit(net, x, cfg, cfg.epochs_branched, (step, 2), kd_lce, on_grads=zero_cut)
     return net, plan, plan.groups, diagnostics
 
 
 def run_bridge_phase(
     net: DenseNet,
     plan: partition.PartitionPlan,
-    groups: partition.CrossGroups,
     d_t: LabeledDataset,
     mem: ExemplarMemory,
     cfg: SchemeConfig,
@@ -185,12 +190,13 @@ def run_bridge_phase(
 ) -> DenseNet:
     """Re-enable the cut weights at zero and train the composite loss.
 
-    The KD teacher is the shared-trunk-plus-old-branch subnetwork, frozen
-    before any bridge update.
+    bridge_reconnect checks that the cut weights are exactly 0.0, so the
+    bridge starts from the branched network's logits. The KD teacher is the
+    shared-trunk-plus-old-branch subnetwork, frozen before any bridge update.
     """
     teacher = TeacherSnapshot(partition.extract_subnet(net, plan, "old"), cfg.tau,
                               TaskRange(0, plan.c_old))
-    partition.bridge_reconnect(net, groups)
+    partition.bridge_reconnect(net, plan.groups)
     x, y, _ = _pool(d_t, mem)
     _fit(net, x, cfg, cfg.epochs_bridge, (step, 3),
          _composite(teacher, x, y, net.num_classes, cfg.tau))
@@ -340,9 +346,9 @@ def run_sequence(seq: TaskSequence, cfg: SchemeConfig) -> list[StepResult]:
             elif cfg.scheme == "dd":
                 run_dd_step(net, task.train, mem, teacher, cfg, t)
             else:
-                net, plan, groups, diagnostics = run_split_phase(
+                net, plan, _, diagnostics = run_split_phase(
                     net, task.train, mem, teacher, cfg, t)
-                run_bridge_phase(net, plan, groups, task.train, mem, cfg, t)
+                run_bridge_phase(net, plan, task.train, mem, cfg, t)
                 plan_summary = plan.summary()
         mem = update_exemplars(mem, task.train, cfg.seed + t, cfg.balanced_memory)
         report = metrics.evaluate(net, [tk.test for tk in seq.tasks[:t]], t)

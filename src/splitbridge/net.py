@@ -1,10 +1,7 @@
-"""Dense feed-forward network engine with manual backprop and connectivity masks.
+"""Dense feed-forward network engine with manual backprop and momentum SGD.
 
 All parameters are float64. A layer holds a weight matrix of shape
-(in_dim, out_dim), a bias vector of shape (out_dim,), and an optional
-binary mask of the same shape as the weights. A masked-out position
-(mask == 0) carries a weight of exactly 0.0 and stays 0.0 through every
-engine operation.
+(in_dim, out_dim) and a bias vector of shape (out_dim,).
 """
 
 from __future__ import annotations
@@ -31,12 +28,11 @@ class ShapeError(ValueError):
 
 @dataclass
 class Layer:
-    """One dense layer: out = act(x @ w + b), with an optional binary mask on w."""
+    """One dense layer: out = act(x @ w + b)."""
 
     w: np.ndarray
     b: np.ndarray
     activation: str
-    mask: np.ndarray | None = None
 
     @property
     def in_dim(self) -> int:
@@ -53,7 +49,6 @@ class SgdConfig:
     momentum: float = 0.9
     weight_decay: float = 0.0
     batch_size: int = 32
-    epochs: int = 40
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -64,8 +59,6 @@ class SgdConfig:
             raise ValueError("weight_decay must be non-negative")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be non-negative")
 
 
 class DenseNet:
@@ -120,8 +113,7 @@ class DenseNet:
         """Backpropagate d(loss)/d(logits) to per-parameter gradients.
 
         cache is the forward_cached(x) result for the current parameters;
-        without it the forward pass is recomputed. Gradients at masked-out
-        weight positions are exactly zero.
+        without it the forward pass is recomputed.
         """
         logits, inputs, preacts = self.forward_cached(x) if cache is None else cache
         upstream = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
@@ -136,10 +128,7 @@ class DenseNet:
             layer = self.layers[i]
             if layer.activation == RELU:
                 delta = delta * (preacts[i] > 0)
-            gw = inputs[i].T @ delta
-            if layer.mask is not None:
-                gw *= layer.mask
-            wgrads[i] = gw
+            wgrads[i] = inputs[i].T @ delta
             bgrads[i] = delta.sum(axis=0)
             if i > 0:
                 delta = delta @ layer.w.T
@@ -159,8 +148,6 @@ class DenseNet:
         last = self.layers[-1]
         last.w = np.hstack([last.w, np.zeros((last.in_dim, extra))])
         last.b = np.concatenate([last.b, np.zeros(extra)])
-        if last.mask is not None:
-            last.mask = np.hstack([last.mask, np.ones((last.in_dim, extra))])
         self.num_classes += extra
 
     def save(self, path) -> None:
@@ -170,16 +157,17 @@ class DenseNet:
             f.write(struct.pack("<II", self.depth, self.num_classes))
             for layer in self.layers:
                 act = 0 if layer.activation == IDENTITY else 1
-                has_mask = 1 if layer.mask is not None else 0
-                f.write(struct.pack("<IIBB", layer.in_dim, layer.out_dim, act, has_mask))
+                f.write(struct.pack("<IIBB", layer.in_dim, layer.out_dim, act, 0))
                 f.write(np.ascontiguousarray(layer.w, dtype="<f8").tobytes())
                 f.write(np.ascontiguousarray(layer.b, dtype="<f8").tobytes())
-                if layer.mask is not None:
-                    f.write(layer.mask.astype(np.uint8).tobytes())
 
     @classmethod
     def load(cls, path) -> "DenseNet":
-        """Read a save() checkpoint; a truncated or padded file raises ValueError."""
+        """Read a save() checkpoint; a truncated or padded file raises ValueError.
+
+        A legacy layer may carry a uint8 mask block after its bias. It is
+        read and dropped; a zero in it over a non-zero weight is rejected.
+        """
         with open(path, "rb") as f:
             magic = f.read(4)
             if magic != CHECKPOINT_MAGIC:
@@ -193,12 +181,12 @@ class DenseNet:
                                   dtype="<f8").reshape(in_dim, out_dim).copy()
                 b = np.frombuffer(read_exact(f, 8 * out_dim, f"layer {i} bias"),
                                   dtype="<f8").copy()
-                mask = None
                 if has_mask:
                     mask = np.frombuffer(read_exact(f, in_dim * out_dim, f"layer {i} mask"),
-                                         dtype=np.uint8)
-                    mask = mask.reshape(in_dim, out_dim).astype(np.float64)
-                layers.append(Layer(w, b, RELU if act else IDENTITY, mask))
+                                         dtype=np.uint8).reshape(in_dim, out_dim)
+                    if (w[mask == 0] != 0.0).any():
+                        raise ValueError(f"layer {i} mask zeros a non-zero weight")
+                layers.append(Layer(w, b, RELU if act else IDENTITY))
             if f.read(1):
                 raise ValueError(f"trailing bytes after layer {depth - 1} at offset {f.tell() - 1}")
         return cls(layers, num_classes)
@@ -257,7 +245,7 @@ def build_net(in_dim: int, hidden: list[int], num_classes: int,
 
 
 def sgd_step(net: DenseNet, grads: GradientSet, cfg: SgdConfig, state: SgdState) -> None:
-    """In-place momentum SGD update; masks are re-applied after the step."""
+    """In-place momentum SGD update."""
     state.ensure(net)
     for i, layer in enumerate(net.layers):
         gw = grads.wgrads[i]
@@ -271,9 +259,5 @@ def sgd_step(net: DenseNet, grads: GradientSet, cfg: SgdConfig, state: SgdState)
         vw += gw
         vb *= cfg.momentum
         vb += gb
-        if layer.mask is not None:
-            vw *= layer.mask
         layer.w -= cfg.learning_rate * vw
         layer.b -= cfg.learning_rate * vb
-        if layer.mask is not None:
-            layer.w *= layer.mask

@@ -1,6 +1,6 @@
 """Network partitioning: the adaptive split plan, cross-partition weight
-groups, explicit disconnection into a shared trunk plus two branches, and
-zero-initialized reconnection.
+groups, disconnection into a shared trunk plus two branches by zeroing the
+cut weights, and the zero-bridge check at reconnection.
 
 Layers are indexed 0-based. A plan covers layers split_index .. depth-1;
 within each partitioned layer the old group takes the low output indices and
@@ -77,6 +77,10 @@ class CrossGroups:
 
     per_layer: dict[int, tuple[np.ndarray, np.ndarray]]
 
+    def cuts(self) -> list[tuple[int, np.ndarray]]:
+        """(layer, selector of every cross weight) for each layer with cross weights."""
+        return [(li, on | no) for li, (on, no) in self.per_layer.items()]
+
 
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
@@ -147,35 +151,28 @@ def cross_groups(plan: PartitionPlan, net: DenseNet) -> CrossGroups:
 
 
 def disconnect(net: DenseNet, groups: CrossGroups) -> None:
-    """Zero every cross-partition weight and clear its mask bit, in place.
+    """Zero every cross-partition weight, in place.
 
     Afterwards the network computes the branched form: no path connects the
-    old branch to the new branch above the shared trunk. Idempotent.
+    old branch to the new branch above the shared trunk. Training keeps it
+    that way only if the cut weights' gradients are zeroed too. Idempotent.
     """
-    for li, (on, no) in groups.per_layer.items():
-        layer = net.layers[li]
-        if layer.mask is None:
-            layer.mask = np.ones_like(layer.w)
-        cut = on | no
-        layer.w[cut] = 0.0
-        layer.mask[cut] = 0.0
+    for li, cut in groups.cuts():
+        net.layers[li].w[cut] = 0.0
 
 
 def bridge_reconnect(net: DenseNet, groups: CrossGroups) -> None:
-    """Restore mask bits at previously disconnected positions, weights at 0.0.
+    """Check the zero-bridge invariant before the cut weights train again.
 
-    A layer whose mask is all ones afterwards drops it (mask = None), which
-    computes the same values without the masking work.
+    The cut weights re-enter the network at exactly 0.0, so reconnecting
+    changes no logit; nothing is written. Raises ValueError naming the
+    layer if a cut weight is not exactly 0.0.
     """
-    for li, (on, no) in groups.per_layer.items():
-        layer = net.layers[li]
-        cut = on | no
-        if layer.mask is None or (layer.mask[cut] != 0.0).any():
-            raise ValueError(f"layer {li}: reconnecting positions that were never disconnected")
-        layer.mask[cut] = 1.0
-        layer.w[cut] = 0.0
-        if (layer.mask == 1.0).all():
-            layer.mask = None
+    for li, cut in groups.cuts():
+        bad = np.count_nonzero(net.layers[li].w[cut])
+        if bad:
+            raise ValueError(f"layer {li}: {bad} cut weights are not exactly 0.0 at "
+                             "reconnection (never disconnected, or trained while cut)")
 
 
 def extract_subnet(net: DenseNet, plan: PartitionPlan, side: str) -> DenseNet:
@@ -191,8 +188,7 @@ def extract_subnet(net: DenseNet, plan: PartitionPlan, side: str) -> DenseNet:
     layers = []
     for li, layer in enumerate(net.layers):
         if not plan.is_partitioned(li):
-            layers.append(Layer(layer.w.copy(), layer.b.copy(), layer.activation,
-                                None if layer.mask is None else layer.mask.copy()))
+            layers.append(Layer(layer.w.copy(), layer.b.copy(), layer.activation))
             continue
         in_old, in_new = plan.input_groups(li)
         in_idx = (in_old if side == "old" else in_new)
@@ -200,10 +196,6 @@ def extract_subnet(net: DenseNet, plan: PartitionPlan, side: str) -> DenseNet:
             in_idx = np.arange(layer.in_dim, dtype=np.int64)
         out_idx = groups_of[li]
         w = layer.w[np.ix_(in_idx, out_idx)].copy()
-        b = layer.b[out_idx].copy()
-        mask = None
-        if layer.mask is not None:
-            mask = layer.mask[np.ix_(in_idx, out_idx)].copy()
-        layers.append(Layer(w, b, layer.activation, mask))
+        layers.append(Layer(w, layer.b[out_idx].copy(), layer.activation))
     num_out = layers[-1].out_dim
     return DenseNet(layers, num_out)

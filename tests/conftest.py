@@ -9,18 +9,14 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def make_random_net(rng, dims, mask_layers=(), scale=0.5):
+def make_random_net(rng, dims, scale=0.5):
     """Hand-built net with random weights; ReLU hidden, identity output."""
     layers = []
     for i in range(len(dims) - 1):
         w = scale * rng.standard_normal((dims[i], dims[i + 1]))
         b = scale * rng.standard_normal(dims[i + 1])
         act = RELU if i < len(dims) - 2 else IDENTITY
-        mask = None
-        if i in mask_layers:
-            mask = (rng.random(w.shape) > 0.3).astype(float)
-            w *= mask
-        layers.append(Layer(w, b, act, mask))
+        layers.append(Layer(w, b, act))
     return DenseNet(layers, dims[-1])
 
 

@@ -15,6 +15,7 @@ from splitbridge.data import load_csv
 from splitbridge.net import DenseNet
 from splitbridge.runner import (
     DEFAULT_BENCHMARK,
+    WORKERS_ENV,
     build_config,
     make_benchmark,
     run_experiment,
@@ -87,6 +88,25 @@ class TestRunner:
         # byte-identical artifacts on rerun
         assert (out1 / "rows.jsonl").read_bytes() == (out2 / "rows.jsonl").read_bytes()
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
+
+    def test_process_pool_matches_serial(self, tmp_path, monkeypatch):
+        matrix = {
+            "benchmark": TINY_BENCH,
+            "schemes": ["sb", "std", "ce", "dd"],
+            "task_counts": [2],
+            "seeds": [0, 1],
+            "config": TINY_CONFIG,
+        }
+        outputs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv(WORKERS_ENV, workers)
+            out = tmp_path / workers
+            assert run_matrix(matrix, out) == 0
+            outputs.append({str(f.relative_to(out)): f.read_bytes()
+                            for f in sorted(out.rglob("*")) if f.is_file()})
+        assert outputs[0] == outputs[1]
+        # rows.jsonl, summary.csv, then a manifest and two checkpoints per cell
+        assert len(outputs[0]) == 2 + 8 * 3
 
     @pytest.mark.parametrize("scheme", ["sb", "std", "ce", "dd"])
     def test_cell_identical_across_hash_seeds(self, tmp_path, scheme):

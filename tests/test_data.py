@@ -173,18 +173,26 @@ class TestCsv:
         with pytest.raises(ValueError, match="header"):
             load_csv(p)
 
-    @pytest.mark.parametrize("bad_row", ["1,0.5", "1,0.5,0.25,0.125", ""])
-    def test_ragged_row_names_line(self, tmp_path, bad_row):
+    @pytest.mark.parametrize("bad_row, error", [
+        ("1,0.5", ".* fields, header has 3"),
+        ("1,0.5,0.25,0.125", ".* fields, header has 3"),
+        ("", ".* fields, header has 3"),
+        ("abc,0.5,0.25", "invalid literal for int"),
+    ], ids=["1,0.5", "1,0.5,0.25,0.125", "", "abc,0.5,0.25"])
+    def test_ragged_row_names_line(self, tmp_path, bad_row, error):
         p = tmp_path / "ragged.csv"
         p.write_text(f"label,f0,f1\n0,1.0,2.0\n{bad_row}\n1,3.0,4.0\n")
-        with pytest.raises(ValueError, match="line 3: .* fields, header has 3"):
+        with pytest.raises(ValueError, match=f"ragged.csv line 3: {error}"):
             load_csv(p)
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_value_names_line(self, tmp_path, value):
+    @pytest.mark.parametrize("value, error", [
+        ("nan", "non-finite"), ("inf", "non-finite"), ("-inf", "non-finite"),
+        ("x1", "could not convert string to float: 'x1'"),
+    ], ids=["nan", "inf", "-inf", "x1"])
+    def test_non_finite_value_names_line(self, tmp_path, value, error):
         p = tmp_path / "nonfinite.csv"
         p.write_text(f"label,f0,f1\n0,1.0,2.0\n1,3.0,4.0\n1,{value},4.0\n")
-        with pytest.raises(ValueError, match="line 4: non-finite"):
+        with pytest.raises(ValueError, match=f"nonfinite.csv line 4: {error}"):
             load_csv(p)
 
 

@@ -10,6 +10,7 @@ from splitbridge.engine import (
     ExemplarMemory,
     SchemeConfig,
     TeacherSnapshot,
+    run_bridge_phase,
     run_ce_step,
     run_first_task,
     run_sequence,
@@ -19,6 +20,7 @@ from splitbridge.engine import (
 )
 from splitbridge.losses import TaskRange
 from splitbridge.net import build_net
+from splitbridge.partition import bridge_reconnect
 
 FAST = dict(
     epochs_first=8, epochs_sparsify=4, epochs_branched=4,
@@ -153,6 +155,30 @@ class TestSplitPhase:
         d = LabeledDataset(np.zeros((4, 4)), [0, 0, 1, 1], 2)
         with pytest.raises(ValueError):
             run_split_phase(net, d, ExemplarMemory(0), teacher, cfg, step=2)
+
+    def test_cut_stays_exactly_zero_under_decay_and_momentum(self):
+        # the branched phase zeros the cut's gradients; weight decay and
+        # momentum must not move a cut weight off +0.0 either
+        seq = small_sequence()
+        cfg = SchemeConfig(**FAST, weight_decay=1e-2, momentum=0.9)
+        net = build_net(seq.feature_dim, list(cfg.hidden), 2, seed=0)
+        run_first_task(net, seq.tasks[0].train, cfg)
+        teacher = TeacherSnapshot.of(net, cfg.tau)
+        net.widen_output(2)
+        mem = update_exemplars(ExemplarMemory(cfg.memory_capacity), seq.tasks[0].train, 1)
+        net, plan, groups, _ = run_split_phase(net, seq.tasks[1].train, mem, teacher, cfg, 2)
+        assert groups is plan.groups and groups.per_layer
+        for li, (on, no) in groups.per_layer.items():
+            cut = net.layers[li].w[on | no]
+            assert cut.tobytes() == np.zeros_like(cut).tobytes()
+            assert np.count_nonzero(net.layers[li].w[~(on | no)]) > 0
+        x = seq.tasks[1].test.x
+        branched = net.forward(x)
+        bridge_reconnect(net, groups)
+        assert net.forward(x).tobytes() == branched.tobytes()
+        run_bridge_phase(net, plan, seq.tasks[1].train, mem, cfg, 2)
+        assert any(np.any(net.layers[li].w[on | no] != 0.0)
+                   for li, (on, no) in groups.per_layer.items())
 
     def test_zero_width_class_window_rejected(self):
         with pytest.raises(ValueError, match="range"):

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -19,19 +20,30 @@ from splitbridge.net import (
 from conftest import make_random_net
 
 
-def identity_net(mask=None):
-    return DenseNet([Layer(np.eye(2), np.zeros(2), IDENTITY, mask)], 2)
+def identity_net():
+    return DenseNet([Layer(np.eye(2), np.zeros(2), IDENTITY)], 2)
+
+
+def legacy_checkpoint(net, path, mask_layers, rng):
+    """Write net in the old layout, where a layer could carry a uint8 mask
+    block after its bias; the masked-out weights are zeroed first."""
+    with open(path, "wb") as f:
+        f.write(CHECKPOINT_MAGIC + struct.pack("<II", net.depth, net.num_classes))
+        for i, layer in enumerate(net.layers):
+            act = 0 if layer.activation == IDENTITY else 1
+            f.write(struct.pack("<IIBB", layer.in_dim, layer.out_dim, act, i in mask_layers))
+            mask = None
+            if i in mask_layers:
+                mask = (rng.random(layer.w.shape) > 0.3).astype(np.uint8)
+                layer.w *= mask
+            f.write(layer.w.astype("<f8").tobytes() + layer.b.astype("<f8").tobytes())
+            if mask is not None:
+                f.write(mask.tobytes())
 
 
 class TestForward:
     def test_identity_passthrough(self):
         net = identity_net()
-        out = net.forward(np.array([[3.0, -1.0]]))
-        assert np.array_equal(out, [[3.0, -1.0]])
-
-    def test_mask_on_zero_offdiagonals(self):
-        mask = np.array([[1.0, 0.0], [0.0, 1.0]])
-        net = identity_net(mask)
         out = net.forward(np.array([[3.0, -1.0]]))
         assert np.array_equal(out, [[3.0, -1.0]])
 
@@ -78,21 +90,53 @@ class TestBackward:
             assert_close_rel(grads.wgrads[i], fw[i])
             assert_close_rel(grads.bgrads[i], fb[i])
 
-    def test_masked_positions_zero_gradient(self, rng):
-        net = make_random_net(rng, [3, 4, 2], mask_layers=(0, 1))
-        x = rng.standard_normal((4, 3))
-        grads = net.backward(x, np.ones((4, 2)))
-        for layer, gw in zip(net.layers, grads.wgrads):
-            if layer.mask is not None:
-                assert np.all(gw[layer.mask == 0] == 0.0)
-
     def test_shape_mismatch(self, rng):
         net = make_random_net(rng, [3, 2])
         with pytest.raises(ShapeError):
             net.backward(np.ones((2, 3)), np.ones((2, 3)))
 
+    def test_masked_positions_zero_gradient(self, monkeypatch):
+        # the cut weights carry no mask: the branched phase zeros their
+        # gradient before each update, so every gradient sgd_step receives
+        # after disconnect is exactly 0.0 on the cut
+        from splitbridge import engine, partition
+        from splitbridge.data import gen_synthetic, split_tasks
+
+        train, test = gen_synthetic(4, 6, 40, 20, seed=0, mean_radius=4.0)
+        seq = split_tasks(train, test, 2, seed=0)
+        cfg = engine.SchemeConfig(epochs_first=4, epochs_sparsify=2, epochs_branched=2,
+                                  hidden=(12, 12), split_index=1, memory_capacity=20)
+        net = build_net(seq.feature_dim, list(cfg.hidden), 2, seed=0)
+        engine.run_first_task(net, seq.tasks[0].train, cfg)
+        teacher = engine.TeacherSnapshot.of(net, cfg.tau)
+        net.widen_output(2)
+        mem = engine.update_exemplars(engine.ExemplarMemory(cfg.memory_capacity),
+                                      seq.tasks[0].train, 1)
+        seen = {"cut": False, "before": [], "after": []}
+        disconnect, step = partition.disconnect, engine.sgd_step
+
+        def record_disconnect(n, groups):
+            seen["cut"] = True
+            return disconnect(n, groups)
+
+        def record_step(n, grads, sgd, state):
+            phase = "after" if seen["cut"] else "before"
+            seen[phase].append([g.copy() for g in grads.wgrads])
+            return step(n, grads, sgd, state)
+
+        monkeypatch.setattr(partition, "disconnect", record_disconnect)
+        monkeypatch.setattr(engine, "sgd_step", record_step)
+        _, _, groups, _ = engine.run_split_phase(net, seq.tasks[1].train, mem, teacher, cfg, 2)
+        cuts = groups.cuts()
+        assert cuts and seen["before"] and seen["after"]
+        assert any(np.any(gw[li][cut] != 0.0) for gw in seen["before"] for li, cut in cuts)
+        for gw in seen["after"]:
+            for li, cut in cuts:
+                assert np.all(gw[li][cut] == 0.0)
+                assert np.any(gw[li][~cut] != 0.0)
+
     def test_cached_forward_gives_identical_gradients(self, rng):
-        net = make_random_net(rng, [5, 6, 6, 3], mask_layers=(1,))
+        net = make_random_net(rng, [5, 6, 6, 3])
         x = rng.standard_normal((7, 5))
         upstream = rng.standard_normal((7, 3))
         fresh = net.backward(x, upstream)
@@ -108,7 +152,7 @@ class TestSgdStep:
         g = rng.standard_normal((2, 2))
         grads = net.backward(np.zeros((1, 2)), np.zeros((1, 2)))
         grads.wgrads[0] = g
-        cfg = SgdConfig(learning_rate=0.1, momentum=0.0, epochs=1)
+        cfg = SgdConfig(learning_rate=0.1, momentum=0.0)
         sgd_step(net, grads, cfg, SgdState())
         assert np.allclose(net.layers[0].w, w0 - 0.1 * g, atol=1e-15)
 
@@ -116,7 +160,7 @@ class TestSgdStep:
         net = make_random_net(rng, [2, 2])
         w0 = net.layers[0].w.copy()
         g = rng.standard_normal((2, 2))
-        cfg = SgdConfig(learning_rate=0.1, momentum=0.9, epochs=1)
+        cfg = SgdConfig(learning_rate=0.1, momentum=0.9)
         state = SgdState()
         for _ in range(2):
             grads = net.backward(np.zeros((1, 2)), np.zeros((1, 2)))
@@ -127,19 +171,24 @@ class TestSgdStep:
         assert np.allclose(net.layers[0].w, expected, atol=1e-15)
 
     def test_masked_position_stays_zero_under_weight_decay(self, rng):
-        net = make_random_net(rng, [2, 2], mask_layers=(0,))
-        net.layers[0].mask[0, 0] = 0.0
+        # a cut weight is +0.0 and its gradient is zeroed before each update
+        # (as in the branched phase): weight decay and momentum keep it there
+        net = make_random_net(rng, [2, 2])
         net.layers[0].w[0, 0] = 0.0
-        cfg = SgdConfig(learning_rate=0.1, momentum=0.9, weight_decay=0.01, epochs=1)
+        w0 = net.layers[0].w.copy()
+        cfg = SgdConfig(learning_rate=0.1, momentum=0.9, weight_decay=0.01)
         state = SgdState()
         for _ in range(3):
             grads = net.backward(np.ones((1, 2)), np.ones((1, 2)))
+            assert grads.wgrads[0][0, 0] != 0.0
+            grads.wgrads[0][0, 0] = 0.0
             sgd_step(net, grads, cfg, state)
-        assert net.layers[0].w[0, 0] == 0.0
+        assert net.layers[0].w[0, 0].tobytes() == np.float64(0.0).tobytes()
+        assert np.all(net.layers[0].w.ravel()[1:] != w0.ravel()[1:])
 
     def test_state_rejects_widened_output(self, rng):
         net = make_random_net(rng, [2, 3, 2])
-        cfg = SgdConfig(epochs=1)
+        cfg = SgdConfig()
         state = SgdState()
         sgd_step(net, net.backward(np.ones((1, 2)), np.ones((1, 2))), cfg, state)
         net.widen_output(1)
@@ -190,7 +239,7 @@ class TestWiden:
 
 class TestCheckpoint:
     def test_round_trip(self, rng, tmp_path):
-        net = make_random_net(rng, [3, 4, 2], mask_layers=(1,))
+        net = make_random_net(rng, [3, 4, 2])
         path = tmp_path / "net.ckpt"
         net.save(path)
         loaded = DenseNet.load(path)
@@ -198,10 +247,6 @@ class TestCheckpoint:
             assert np.array_equal(a.w, b.w)
             assert np.array_equal(a.b, b.b)
             assert a.activation == b.activation
-            if a.mask is None:
-                assert b.mask is None
-            else:
-                assert np.array_equal(a.mask, b.mask)
 
     def test_round_trip_without_masks(self, rng, tmp_path):
         net = make_random_net(rng, [3, 4, 2])
@@ -212,7 +257,6 @@ class TestCheckpoint:
         assert path.stat().st_size == 12 + 10 * net.depth + 8 * params
         loaded = DenseNet.load(path)
         for a, b in zip(net.layers, loaded.layers):
-            assert b.mask is None
             assert a.w.tobytes() == b.w.tobytes()
             assert a.b.tobytes() == b.b.tobytes()
             assert a.activation == b.activation
@@ -225,11 +269,35 @@ class TestCheckpoint:
         (-8, "layer 1 bias"),       # only the last bias value of the logit layer
     ])
     def test_truncated_rejected(self, rng, tmp_path, cut, part):
-        net = make_random_net(rng, [3, 4, 3], mask_layers=(0,))
+        net = make_random_net(rng, [3, 4, 3])
         path = tmp_path / "net.ckpt"
-        net.save(path)
+        legacy_checkpoint(net, path, {0}, rng)
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(ValueError, match=f"truncated .* for {part} at offset"):
+            DenseNet.load(path)
+
+    def test_legacy_mask_block_dropped_on_load(self, rng, tmp_path):
+        net = make_random_net(rng, [3, 4, 3])
+        path = tmp_path / "legacy.ckpt"
+        legacy_checkpoint(net, path, {0, 1}, rng)
+        loaded = DenseNet.load(path)
+        for a, b in zip(net.layers, loaded.layers):
+            assert a.w.tobytes() == b.w.tobytes()
+            assert a.b.tobytes() == b.b.tobytes()
+            assert a.activation == b.activation
+        assert [f.name for f in dataclasses.fields(Layer)] == ["w", "b", "activation"]
+
+    def test_legacy_mask_over_nonzero_weight_rejected(self, rng, tmp_path):
+        net = make_random_net(rng, [3, 4, 3])
+        path = tmp_path / "legacy.ckpt"
+        legacy_checkpoint(net, path, {1}, rng)
+        raw = bytearray(path.read_bytes())
+        # layer 1's mask block is the last 12 bytes: clear a bit over a kept weight
+        kept = raw.index(1, len(raw) - 12)
+        assert net.layers[1].w.flat[kept - (len(raw) - 12)] != 0.0
+        raw[kept] = 0
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="layer 1 mask zeros a non-zero weight"):
             DenseNet.load(path)
 
     def test_huge_declared_layer_rejected(self, tmp_path):

@@ -137,7 +137,7 @@ class TestDisconnect:
         return net, plan, groups
 
     def test_new_branch_cannot_touch_old_logits(self, rng):
-        net, plan, _ = self._setup()
+        net, plan, groups = self._setup()
         x = rng.standard_normal((50, 4))
         before = net.forward(x)[:, :2]
         for li in range(plan.split_index, net.depth):
@@ -145,10 +145,9 @@ class TestDisconnect:
             _, in_new = plan.input_groups(li)
             out_new = plan.new_out[li]
             layer.w[:, out_new] += 1.0
-            if layer.mask is not None:
-                layer.w *= layer.mask
             if in_new.size:
                 layer.b[out_new] += 1.0
+        disconnect(net, groups)  # the shove also reached the cut weights
         after = net.forward(x)[:, :2]
         assert np.array_equal(before, after)
 
@@ -159,9 +158,16 @@ class TestDisconnect:
         assert np.allclose(net.forward(x)[:, :2], sub.forward(x), atol=1e-12, rtol=0)
 
     def test_trunk_fed_layer_stays_unmasked(self):
-        net, plan, _ = self._setup()
-        assert net.layers[plan.split_index].mask is None
-        assert all(net.layers[li].mask is not None for li in (2, 3))
+        net = widened_net()
+        plan = make_plan(net, 1, 2, 2, 1.0)
+        before = net.clone()
+        disconnect(net, plan.groups)
+        li = plan.split_index
+        assert net.layers[li].w.tobytes() == before.layers[li].w.tobytes()
+        for li in (2, 3):
+            on, no = plan.groups.per_layer[li]
+            assert np.all(net.layers[li].w[on | no] == 0.0)
+            assert not np.array_equal(net.layers[li].w, before.layers[li].w)
 
     def test_idempotent(self):
         net, plan, groups = self._setup()
@@ -197,26 +203,19 @@ class TestBridgeReconnect:
         for _ in range(3):
             lv = ce_loss(net.forward(x), y)
             grads = net.backward(x, lv.grad_logits)
-            sgd_step(net, grads, SgdConfig(learning_rate=0.5, momentum=0.0, epochs=1), SgdState())
+            sgd_step(net, grads, SgdConfig(learning_rate=0.5, momentum=0.0), SgdState())
         cross_vals = [net.layers[li].w[on | no] for li, (on, no) in groups.per_layer.items()]
         assert any(np.any(v != 0.0) for v in cross_vals)
 
-    def test_full_reconnect_drops_masks(self, rng):
-        net, _, groups = self._setup()
-        x = rng.standard_normal((100, 4))
-        before = net.forward(x)
-        bridge_reconnect(net, groups)
-        for li in groups.per_layer:
-            assert net.layers[li].mask is None
-        assert np.array_equal(net.forward(x), before)
-
-    def test_partial_mask_kept(self):
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_nonzero_cut_weight_rejected(self, side):
+        # a single trained cut weight, however small, breaks the zero bridge
         net, _, groups = self._setup()
         li = max(groups.per_layer)
-        net.layers[li].mask[0, 0] = 0.0
-        net.layers[li].w[0, 0] = 0.0
-        bridge_reconnect(net, groups)
-        assert net.layers[li].mask is not None and net.layers[li].mask[0, 0] == 0.0
+        cut = groups.per_layer[li][side]
+        net.layers[li].w[tuple(np.argwhere(cut)[0])] = 1e-300
+        with pytest.raises(ValueError, match=f"layer {li}: 1 cut weights are not exactly 0.0"):
+            bridge_reconnect(net, groups)
 
     def test_reconnect_then_disconnect_restores(self, rng):
         net, _, groups = self._setup()
@@ -225,8 +224,6 @@ class TestBridgeReconnect:
         disconnect(net, groups)
         for a, b in zip(net.layers, snap.layers):
             assert np.array_equal(a.w, b.w)
-            assert np.array_equal(a.mask if a.mask is not None else np.zeros(0),
-                                  b.mask if b.mask is not None else np.zeros(0))
 
     def test_reconnect_never_disconnected_errors(self):
         net = widened_net()
