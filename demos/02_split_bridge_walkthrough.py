@@ -20,13 +20,12 @@ from splitbridge.data import gen_synthetic, split_tasks
 from splitbridge.engine import (
     ExemplarMemory,
     SchemeConfig,
-    TeacherSnapshot,
     run_bridge_phase,
     run_first_task,
     run_split_phase,
     update_exemplars,
 )
-from splitbridge.losses import cross_frobenius
+from splitbridge.losses import cross_frobenius, softmax
 from splitbridge.metrics import evaluate
 from splitbridge.net import build_net
 from splitbridge.partition import bridge_reconnect, disconnect
@@ -48,11 +47,16 @@ def main():
 
     mem = update_exemplars(ExemplarMemory(cfg.memory_capacity),
                            seq.tasks[0].train, cfg.seed + 1)
-    teacher = TeacherSnapshot.of(net, cfg.tau)
+    # the training pool is task 2's data plus the exemplars; the task-1
+    # model's soft labels on it, taken before the output layer widens, are
+    # the only teacher the split phase reads
+    d2 = seq.tasks[1].train
+    x, y = np.vstack([d2.x, mem.x]), np.concatenate([d2.y, mem.y])
+    is_new = np.arange(len(y)) < len(d2)
+    soft = softmax(net.forward(x), cfg.tau)
     net.widen_output(4)
 
-    net, plan, groups, diag = run_split_phase(
-        net, seq.tasks[1].train, mem, teacher, cfg, step=2)
+    net, plan, groups, diag = run_split_phase(net, x, y, is_new, soft, cfg, step=2)
     print(f"\nsplit phase (layers {plan.split_index}..{plan.depth - 1} partitioned):")
     for li in sorted(plan.old_out):
         print(f"  layer {li}: {plan.old_out[li].size} old nodes, "
@@ -83,7 +87,7 @@ def main():
     print("\nbridge phase: cut weights re-enabled at zero, composite loss trained")
     print(f"  zero-bridge logits bit-identical to branched logits: "
           f"{np.array_equal(preview.forward(probe), branched)}")
-    run_bridge_phase(net, plan, seq.tasks[1].train, mem, cfg, step=2)
+    run_bridge_phase(net, plan, x, y, cfg, step=2)
 
     rep = evaluate(net, [t.test for t in seq.tasks], 2)
     print(f"\nfinal step-2 metrics over all 8 classes:")

@@ -156,9 +156,9 @@ def save_csv(ds: LabeledDataset, path) -> None:
 def load_csv(path) -> LabeledDataset:
     with open(path, newline="") as f:
         reader = csv.reader(f)
-        header = next(reader)
+        header = next(reader, [])     # an empty file has no header row
         if not header or header[0] != "label":
-            raise ValueError("CSV header must start with 'label'")
+            raise ValueError(f"{path}: CSV header must start with 'label'")
         xs, ys = [], []
         for row in reader:
             if len(row) != len(header):

@@ -1,5 +1,6 @@
 """Incremental training engine: the split/bridge loop plus the STD, CE-only,
-and double-distillation baselines, exemplar memory, and teacher snapshots.
+and double-distillation baselines, and exemplar memory. A teacher enters a
+phase only as its soft labels on the training pool.
 """
 
 from __future__ import annotations
@@ -29,22 +30,6 @@ class ExemplarMemory:
 
 
 @dataclass
-class TeacherSnapshot:
-    """Frozen network used to produce tempered soft labels over its class range."""
-
-    net: DenseNet
-    tau: float
-    class_range: TaskRange
-
-    @classmethod
-    def of(cls, net: DenseNet, tau: float) -> "TeacherSnapshot":
-        return cls(net.clone(), tau, TaskRange(0, net.num_classes))
-
-    def soft_labels(self, x: np.ndarray) -> np.ndarray:
-        return losses.softmax(self.net.forward(x), self.tau)
-
-
-@dataclass
 class SchemeConfig:
     scheme: str = "sb"
     tau: float = 2.0
@@ -71,6 +56,12 @@ class SchemeConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         if self.tau <= 0 or self.rho <= 0 or self.gamma < 0:
             raise ValueError("need tau > 0, rho > 0, gamma >= 0")
+        for name in ("epochs_first", "epochs_sparsify", "epochs_branched", "epochs_bridge",
+                     "epochs_std", "memory_capacity"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
 
 
 def _fit(net, x, cfg: SchemeConfig, epochs: int, stream, loss, lr=None, on_grads=None) -> None:
@@ -81,8 +72,7 @@ def _fit(net, x, cfg: SchemeConfig, epochs: int, stream, loss, lr=None, on_grads
     grads), if given, edits the GradientSet in place before each update.
     """
     sgd = SgdConfig(learning_rate=cfg.learning_rate if lr is None else lr,
-                    momentum=cfg.momentum, weight_decay=cfg.weight_decay,
-                    batch_size=cfg.batch_size)
+                    momentum=cfg.momentum, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng([cfg.seed, *stream])
     n = x.shape[0]
     state = SgdState()
@@ -98,13 +88,13 @@ def _fit(net, x, cfg: SchemeConfig, epochs: int, stream, loss, lr=None, on_grads
             sgd_step(net, grads, sgd, state)
 
 
-def _composite(teacher: TeacherSnapshot, x, y, num_classes: int, tau: float, lam=None):
-    """The loss lam * KD(teacher, old range) + (1 - lam) * CE over the rows of
-    (x, y), for _fit. lam defaults to the c_old / (c_old + c_new) schedule."""
-    old_range = teacher.class_range
+def _composite(soft, y, num_classes: int, tau: float, lam=None):
+    """The loss lam * KD(soft, old range) + (1 - lam) * CE over the pool rows,
+    for _fit. The old range is soft's columns; lam defaults to the
+    c_old / (c_old + c_new) schedule."""
+    old_range = TaskRange(0, soft.shape[1])
     if lam is None:
         lam = lambda_schedule(old_range.width, num_classes - old_range.width)
-    soft = teacher.soft_labels(x)
     return lambda logits, idx: losses.std_composite_loss(
         logits, y[idx], soft[idx], old_range, lam, tau)
 
@@ -130,9 +120,10 @@ def _pool(d_t: LabeledDataset, mem: ExemplarMemory):
 
 def run_split_phase(
     net: DenseNet,
-    d_t: LabeledDataset,
-    mem: ExemplarMemory,
-    teacher: TeacherSnapshot,
+    x: np.ndarray,
+    y: np.ndarray,
+    is_new: np.ndarray,
+    soft: np.ndarray,
     cfg: SchemeConfig,
     step: int,
 ):
@@ -142,17 +133,16 @@ def run_split_phase(
     new-task samples) + the sparsity penalty on the full network. Stage 2
     disconnects and minimizes KD + LCE on the branched network, zeroing the
     cut weights' gradients each step: as the weights and the fresh velocities
-    start at 0.0, weight decay and momentum keep them there exactly. The
-    teacher is the previous-step model in both stages.
+    start at 0.0, weight decay and momentum keep them there exactly. soft
+    holds the previous-step model's soft labels on the pool (x, y), read by
+    KD in both stages; is_new flags the new-task rows.
 
     Returns (net, plan, groups, diagnostics).
     """
-    old_range = teacher.class_range
-    c_old = old_range.width
+    c_old = soft.shape[1]
+    old_range = TaskRange(0, c_old)
     new_range = TaskRange(c_old, net.num_classes)
     plan = partition.make_plan(net, cfg.split_index, c_old, new_range.width, cfg.rho)
-    x, y, is_new = _pool(d_t, mem)
-    soft = teacher.soft_labels(x)
 
     def kd_lce(logits, idx):
         kd = losses.kd_loss(logits, soft[idx], old_range, cfg.tau)
@@ -183,8 +173,8 @@ def run_split_phase(
 def run_bridge_phase(
     net: DenseNet,
     plan: partition.PartitionPlan,
-    d_t: LabeledDataset,
-    mem: ExemplarMemory,
+    x: np.ndarray,
+    y: np.ndarray,
     cfg: SchemeConfig,
     step: int,
 ) -> DenseNet:
@@ -194,40 +184,36 @@ def run_bridge_phase(
     bridge starts from the branched network's logits. The KD teacher is the
     shared-trunk-plus-old-branch subnetwork, frozen before any bridge update.
     """
-    teacher = TeacherSnapshot(partition.extract_subnet(net, plan, "old"), cfg.tau,
-                              TaskRange(0, plan.c_old))
+    soft = losses.softmax(partition.extract_subnet(net, plan, "old").forward(x), cfg.tau)
     partition.bridge_reconnect(net, plan.groups)
-    x, y, _ = _pool(d_t, mem)
     _fit(net, x, cfg, cfg.epochs_bridge, (step, 3),
-         _composite(teacher, x, y, net.num_classes, cfg.tau))
+         _composite(soft, y, net.num_classes, cfg.tau))
     return net
 
 
 def run_std_step(
     net: DenseNet,
-    d_t: LabeledDataset,
-    mem: ExemplarMemory,
-    teacher: TeacherSnapshot,
+    x: np.ndarray,
+    y: np.ndarray,
+    soft: np.ndarray,
     cfg: SchemeConfig,
     step: int,
     lam: float | None = None,
 ) -> DenseNet:
     """Single-phase composite-loss training (the standard KD-based scheme)."""
-    x, y, _ = _pool(d_t, mem)
     _fit(net, x, cfg, cfg.epochs_std, (step, 1),
-         _composite(teacher, x, y, net.num_classes, cfg.tau, lam))
+         _composite(soft, y, net.num_classes, cfg.tau, lam))
     return net
 
 
 def run_ce_step(
     net: DenseNet,
-    d_t: LabeledDataset,
-    mem: ExemplarMemory,
+    x: np.ndarray,
+    y: np.ndarray,
     cfg: SchemeConfig,
     step: int,
 ) -> DenseNet:
     """CE-only ablation: plain cross entropy over the pool, no distillation."""
-    x, y, _ = _pool(d_t, mem)
     _fit(net, x, cfg, cfg.epochs_std, (step, 1),
          lambda logits, idx: losses.ce_loss(logits, y[idx]))
     return net
@@ -235,29 +221,28 @@ def run_ce_step(
 
 def run_dd_step(
     net: DenseNet,
-    d_t: LabeledDataset,
-    mem: ExemplarMemory,
-    teacher_old: TeacherSnapshot,
+    x: np.ndarray,
+    y: np.ndarray,
+    is_new: np.ndarray,
+    soft_old: np.ndarray,
     cfg: SchemeConfig,
     step: int,
 ) -> DenseNet:
-    """Double distillation: train a throwaway network on the new task alone,
-    then merge via two KD losses (old teacher over old logits, new teacher
-    over new logits) mixed against CE with the usual schedule. The extra
-    network is dropped when the step returns."""
-    old_range = teacher_old.class_range
-    c_old = old_range.width
+    """Double distillation: train a throwaway network on the new-task rows
+    alone, then merge via two KD losses (old soft labels over old logits, the
+    throwaway's over new logits) mixed against CE with the usual schedule.
+    The extra network is dropped when the step returns."""
+    c_old = soft_old.shape[1]
+    old_range = TaskRange(0, c_old)
     new_range = TaskRange(c_old, net.num_classes)
 
     aux = build_net(net.in_dim, list(cfg.hidden), new_range.width, seed=[cfg.seed, step, 5])
-    local_labels = d_t.y - c_old
-    _fit(aux, d_t.x, cfg, cfg.epochs_std, (step, 4),
+    local_labels = y[is_new] - c_old
+    _fit(aux, x[is_new], cfg, cfg.epochs_std, (step, 4),
          lambda logits, idx: losses.ce_loss(logits, local_labels[idx]))
 
     lam = lambda_schedule(c_old, new_range.width)
-    x, y, _ = _pool(d_t, mem)
-    soft_old = teacher_old.soft_labels(x)
-    soft_new = TeacherSnapshot(aux, cfg.tau, new_range).soft_labels(x)
+    soft_new = losses.softmax(aux.forward(x), cfg.tau)
 
     def double_kd(logits, idx):
         kd_o = losses.kd_loss(logits, soft_old[idx], old_range, cfg.tau)
@@ -322,8 +307,10 @@ def run_sequence(seq: TaskSequence, cfg: SchemeConfig) -> list[StepResult]:
     """Run the full incremental loop for the configured scheme.
 
     The first task is always trained by CE; later tasks follow the scheme.
-    The exemplar memory is updated after every task and the model is
-    evaluated once per task.
+    Each later step builds its pool (task data plus memory) once and, unless
+    the scheme is ce, the previous model's soft labels on it before the
+    output layer widens. The exemplar memory is updated after every task and
+    the model is evaluated once per task.
     """
     for t in seq.tasks:
         if t.classes.size == 0:
@@ -337,18 +324,18 @@ def run_sequence(seq: TaskSequence, cfg: SchemeConfig) -> list[StepResult]:
         if t == 1:
             run_first_task(net, task.train, cfg)
         else:
-            teacher = TeacherSnapshot.of(net, cfg.tau)
+            x, y, is_new = _pool(task.train, mem)
+            soft = None if cfg.scheme == "ce" else losses.softmax(net.forward(x), cfg.tau)
             net.widen_output(task.classes.size)
             if cfg.scheme == "ce":
-                run_ce_step(net, task.train, mem, cfg, t)
+                run_ce_step(net, x, y, cfg, t)
             elif cfg.scheme == "std":
-                run_std_step(net, task.train, mem, teacher, cfg, t)
+                run_std_step(net, x, y, soft, cfg, t)
             elif cfg.scheme == "dd":
-                run_dd_step(net, task.train, mem, teacher, cfg, t)
+                run_dd_step(net, x, y, is_new, soft, cfg, t)
             else:
-                net, plan, _, diagnostics = run_split_phase(
-                    net, task.train, mem, teacher, cfg, t)
-                run_bridge_phase(net, plan, task.train, mem, cfg, t)
+                net, plan, _, diagnostics = run_split_phase(net, x, y, is_new, soft, cfg, t)
+                run_bridge_phase(net, plan, x, y, cfg, t)
                 plan_summary = plan.summary()
         mem = update_exemplars(mem, task.train, cfg.seed + t, cfg.balanced_memory)
         report = metrics.evaluate(net, [tk.test for tk in seq.tasks[:t]], t)

@@ -48,7 +48,6 @@ class SgdConfig:
     learning_rate: float = 0.1
     momentum: float = 0.9
     weight_decay: float = 0.0
-    batch_size: int = 32
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -57,8 +56,6 @@ class SgdConfig:
             raise ValueError("momentum must lie in [0, 1)")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be non-negative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
 
 
 class DenseNet:
@@ -177,6 +174,9 @@ class DenseNet:
             for i in range(depth):
                 in_dim, out_dim, act, has_mask = struct.unpack(
                     "<IIBB", read_exact(f, 10, f"layer {i} header"))
+                if act > 1 or has_mask > 1:
+                    raise ValueError(f"layer {i} header: activation id {act} and has-mask "
+                                     f"flag {has_mask} must each be 0 or 1")
                 w = np.frombuffer(read_exact(f, 8 * in_dim * out_dim, f"layer {i} weights"),
                                   dtype="<f8").reshape(in_dim, out_dim).copy()
                 b = np.frombuffer(read_exact(f, 8 * out_dim, f"layer {i} bias"),

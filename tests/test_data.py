@@ -173,6 +173,12 @@ class TestCsv:
         with pytest.raises(ValueError, match="header"):
             load_csv(p)
 
+    def test_empty_file_names_path(self, tmp_path):
+        p = tmp_path / "empty.csv"
+        p.write_text("")
+        with pytest.raises(ValueError, match="empty.csv: CSV header must start with 'label'"):
+            load_csv(p)
+
     @pytest.mark.parametrize("bad_row, error", [
         ("1,0.5", ".* fields, header has 3"),
         ("1,0.5,0.25,0.125", ".* fields, header has 3"),

@@ -9,7 +9,7 @@ from splitbridge.engine import (
     SCHEMES,
     ExemplarMemory,
     SchemeConfig,
-    TeacherSnapshot,
+    _pool,
     run_bridge_phase,
     run_ce_step,
     run_first_task,
@@ -18,7 +18,7 @@ from splitbridge.engine import (
     run_std_step,
     update_exemplars,
 )
-from splitbridge.losses import TaskRange
+from splitbridge.losses import TaskRange, softmax
 from splitbridge.net import build_net
 from splitbridge.partition import bridge_reconnect
 
@@ -39,9 +39,15 @@ class TestSchemeConfig:
         with pytest.raises(ValueError, match="scheme"):
             SchemeConfig(scheme="nope")
 
-    @pytest.mark.parametrize("kw", [{"tau": 0.0}, {"rho": -1.0}, {"gamma": -0.1}])
+    @pytest.mark.parametrize("kw", [
+        {"tau": 0.0}, {"rho": -1.0}, {"gamma": -0.1},
+        {"epochs_first": -1}, {"epochs_sparsify": -1}, {"epochs_branched": -1},
+        {"epochs_bridge": -1}, {"epochs_std": -3}, {"memory_capacity": -1},
+        {"batch_size": 0},
+    ])
     def test_bad_numbers(self, kw):
-        with pytest.raises(ValueError):
+        (field,) = kw
+        with pytest.raises(ValueError, match=field):
             SchemeConfig(**kw)
 
     def test_all_schemes_accepted(self):
@@ -63,23 +69,6 @@ class TestFirstTask:
         net = build_net(4, list(cfg.hidden), 2, seed=0)
         with pytest.raises(ValueError, match="empty"):
             run_first_task(net, LabeledDataset(np.zeros((0, 4)), [], 2), cfg)
-
-
-class TestTeacherSnapshot:
-    def test_frozen_copy(self):
-        net = build_net(3, [5], 2, seed=1)
-        teacher = TeacherSnapshot.of(net, tau=2.0)
-        x = np.random.default_rng(0).standard_normal((4, 3))
-        before = teacher.soft_labels(x)
-        net.layers[0].w += 1.0
-        assert np.array_equal(teacher.soft_labels(x), before)
-
-    def test_soft_labels_are_distributions(self):
-        net = build_net(3, [5], 4, seed=1)
-        teacher = TeacherSnapshot.of(net, tau=3.0)
-        p = teacher.soft_labels(np.random.default_rng(1).standard_normal((6, 3)))
-        assert p.shape == (6, 4)
-        assert np.allclose(p.sum(axis=1), 1.0)
 
 
 class TestExemplarMemory:
@@ -148,13 +137,13 @@ class TestExemplarMemory:
 
 class TestSplitPhase:
     def test_requires_new_classes(self):
-        # teacher already covers every output, so there is nothing to split
+        # the soft labels already cover every output, so there is nothing to split
         cfg = SchemeConfig(**FAST)
         net = build_net(4, list(cfg.hidden), 2, seed=0)
-        teacher = TeacherSnapshot.of(net, cfg.tau)
         d = LabeledDataset(np.zeros((4, 4)), [0, 0, 1, 1], 2)
+        x, y, is_new = _pool(d, ExemplarMemory(0))
         with pytest.raises(ValueError):
-            run_split_phase(net, d, ExemplarMemory(0), teacher, cfg, step=2)
+            run_split_phase(net, x, y, is_new, softmax(net.forward(x), cfg.tau), cfg, step=2)
 
     def test_cut_stays_exactly_zero_under_decay_and_momentum(self):
         # the branched phase zeros the cut's gradients; weight decay and
@@ -163,20 +152,21 @@ class TestSplitPhase:
         cfg = SchemeConfig(**FAST, weight_decay=1e-2, momentum=0.9)
         net = build_net(seq.feature_dim, list(cfg.hidden), 2, seed=0)
         run_first_task(net, seq.tasks[0].train, cfg)
-        teacher = TeacherSnapshot.of(net, cfg.tau)
-        net.widen_output(2)
         mem = update_exemplars(ExemplarMemory(cfg.memory_capacity), seq.tasks[0].train, 1)
-        net, plan, groups, _ = run_split_phase(net, seq.tasks[1].train, mem, teacher, cfg, 2)
+        x, y, is_new = _pool(seq.tasks[1].train, mem)
+        soft = softmax(net.forward(x), cfg.tau)
+        net.widen_output(2)
+        net, plan, groups, _ = run_split_phase(net, x, y, is_new, soft, cfg, 2)
         assert groups is plan.groups and groups.per_layer
         for li, (on, no) in groups.per_layer.items():
             cut = net.layers[li].w[on | no]
             assert cut.tobytes() == np.zeros_like(cut).tobytes()
             assert np.count_nonzero(net.layers[li].w[~(on | no)]) > 0
-        x = seq.tasks[1].test.x
-        branched = net.forward(x)
+        probe = seq.tasks[1].test.x
+        branched = net.forward(probe)
         bridge_reconnect(net, groups)
-        assert net.forward(x).tobytes() == branched.tobytes()
-        run_bridge_phase(net, plan, seq.tasks[1].train, mem, cfg, 2)
+        assert net.forward(probe).tobytes() == branched.tobytes()
+        run_bridge_phase(net, plan, x, y, cfg, 2)
         assert any(np.any(net.layers[li].w[on | no] != 0.0)
                    for li, (on, no) in groups.per_layer.items())
 
@@ -191,19 +181,18 @@ class TestStdReduction:
         # so both schemes must trace bitwise-identical weight trajectories
         seq = small_sequence()
         cfg = SchemeConfig(**FAST)
-        task2 = seq.tasks[1]
-        mem = ExemplarMemory(0)
+        x, y, _ = _pool(seq.tasks[1].train, ExemplarMemory(0))
 
         def trained(step_fn):
             net = build_net(seq.feature_dim, list(cfg.hidden), 2, seed=5)
             run_first_task(net, seq.tasks[0].train, cfg)
-            teacher = TeacherSnapshot.of(net, cfg.tau)
+            soft = softmax(net.forward(x), cfg.tau)
             net.widen_output(2)
-            step_fn(net, teacher)
+            step_fn(net, soft)
             return net
 
-        a = trained(lambda n, t: run_std_step(n, task2.train, mem, t, cfg, 2, lam=0.0))
-        b = trained(lambda n, t: run_ce_step(n, task2.train, mem, cfg, 2))
+        a = trained(lambda n, soft: run_std_step(n, x, y, soft, cfg, 2, lam=0.0))
+        b = trained(lambda n, soft: run_ce_step(n, x, y, cfg, 2))
         for la, lb in zip(a.layers, b.layers):
             assert np.array_equal(la.w, lb.w)
             assert np.array_equal(la.b, lb.b)
@@ -249,7 +238,7 @@ class TestRunSequence:
         from splitbridge import engine, metrics, partition
         from splitbridge.net import DenseNet
 
-        counts = dict.fromkeys(["forward", "step", "eval", "teacher", "cut"], 0)
+        counts = dict.fromkeys(["forward_cached", "step", "eval", "forward", "cut"], 0)
 
         def counting(key, fn):
             def wrapped(*args, **kwargs):
@@ -258,18 +247,38 @@ class TestRunSequence:
             return wrapped
 
         monkeypatch.setattr(DenseNet, "forward_cached",
-                            counting("forward", DenseNet.forward_cached))
+                            counting("forward_cached", DenseNet.forward_cached))
         monkeypatch.setattr(engine, "sgd_step", counting("step", engine.sgd_step))
         monkeypatch.setattr(metrics, "evaluate", counting("eval", metrics.evaluate))
-        monkeypatch.setattr(TeacherSnapshot, "soft_labels",
-                            counting("teacher", TeacherSnapshot.soft_labels))
+        monkeypatch.setattr(DenseNet, "forward", counting("forward", DenseNet.forward))
         monkeypatch.setattr(partition, "cross_groups",
                             counting("cut", partition.cross_groups))
         seq = small_sequence(num_classes=6, num_tasks=3)
         run_sequence(seq, SchemeConfig(scheme="sb", **FAST))
         assert counts["step"] > 0 and counts["eval"] == 3
-        assert counts["forward"] == counts["step"] + counts["eval"] + counts["teacher"]
+        assert counts["forward_cached"] == counts["step"] + counts["forward"]
+        # one per evaluation, plus per split step the soft labels of the
+        # previous model and of the old branch for the bridge
+        assert counts["forward"] == counts["eval"] + 2 * 2
         assert counts["cut"] == 2    # one per split phase
+
+        # ce distils nothing: no forward pass beyond its steps and evaluations
+        counts.update(dict.fromkeys(counts, 0))
+        run_sequence(seq, SchemeConfig(scheme="ce", **FAST))
+        assert counts["step"] > 0 and counts["eval"] == 3
+        assert counts["forward"] == counts["eval"]
+        assert counts["forward_cached"] == counts["step"] + counts["eval"]
+
+    def test_one_clone_per_step(self, monkeypatch):
+        # the only copy of the network a step makes is its StepResult checkpoint
+        from splitbridge.net import DenseNet
+
+        calls = []
+        clone = DenseNet.clone
+        monkeypatch.setattr(DenseNet, "clone", lambda net: calls.append(1) or clone(net))
+        results = run_sequence(small_sequence(num_classes=6, num_tasks=3),
+                               SchemeConfig(scheme="sb", **FAST))
+        assert len(results) == 3 and len(calls) == 3
 
     def test_seed_changes_outcome(self):
         seq = small_sequence()

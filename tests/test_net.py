@@ -108,10 +108,11 @@ class TestBackward:
                                   hidden=(12, 12), split_index=1, memory_capacity=20)
         net = build_net(seq.feature_dim, list(cfg.hidden), 2, seed=0)
         engine.run_first_task(net, seq.tasks[0].train, cfg)
-        teacher = engine.TeacherSnapshot.of(net, cfg.tau)
-        net.widen_output(2)
         mem = engine.update_exemplars(engine.ExemplarMemory(cfg.memory_capacity),
                                       seq.tasks[0].train, 1)
+        x, y, is_new = engine._pool(seq.tasks[1].train, mem)
+        soft = engine.losses.softmax(net.forward(x), cfg.tau)
+        net.widen_output(2)
         seen = {"cut": False, "before": [], "after": []}
         disconnect, step = partition.disconnect, engine.sgd_step
 
@@ -126,7 +127,7 @@ class TestBackward:
 
         monkeypatch.setattr(partition, "disconnect", record_disconnect)
         monkeypatch.setattr(engine, "sgd_step", record_step)
-        _, _, groups, _ = engine.run_split_phase(net, seq.tasks[1].train, mem, teacher, cfg, 2)
+        _, _, groups, _ = engine.run_split_phase(net, x, y, is_new, soft, cfg, 2)
         cuts = groups.cuts()
         assert cuts and seen["before"] and seen["after"]
         assert any(np.any(gw[li][cut] != 0.0) for gw in seen["before"] for li, cut in cuts)
@@ -200,8 +201,6 @@ class TestSgdStep:
             SgdConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             SgdConfig(momentum=1.0)
-        with pytest.raises(ValueError):
-            SgdConfig(batch_size=0)
 
 
 class TestClone:
@@ -274,6 +273,24 @@ class TestCheckpoint:
         legacy_checkpoint(net, path, {0}, rng)
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(ValueError, match=f"truncated .* for {part} at offset"):
+            DenseNet.load(path)
+
+    @pytest.mark.parametrize("layer, byte, value", [
+        (0, 8, 7),      # activation id
+        (0, 9, 9),      # has-mask flag
+        (1, 8, 2),
+        (1, 9, 2),
+    ])
+    def test_bad_header_byte_rejected(self, rng, tmp_path, layer, byte, value):
+        net = make_random_net(rng, [3, 4, 3])
+        path = tmp_path / "net.ckpt"
+        net.save(path)
+        # a layer header is in_dim, out_dim (uint32 each), activation id, has-mask flag
+        start = 12 + sum(10 + 8 * (l.w.size + l.b.size) for l in net.layers[:layer])
+        raw = bytearray(path.read_bytes())
+        raw[start + byte] = value
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=f"layer {layer} header: .* must each be 0 or 1"):
             DenseNet.load(path)
 
     def test_legacy_mask_block_dropped_on_load(self, rng, tmp_path):
