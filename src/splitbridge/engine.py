@@ -54,14 +54,19 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        if self.tau <= 0 or self.rho <= 0 or self.gamma < 0:
+        if not (self.tau > 0 and self.rho > 0 and self.gamma >= 0):  # NaN fails too
             raise ValueError("need tau > 0, rho > 0, gamma >= 0")
         for name in ("epochs_first", "epochs_sparsify", "epochs_branched", "epochs_bridge",
-                     "epochs_std", "memory_capacity"):
-            if getattr(self, name) < 0:
+                     "epochs_std", "memory_capacity", "weight_decay"):
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        for name in ("learning_rate", "sparsify_learning_rate", "batch_size"):
+            if getattr(self, name) is not None and not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if min(self.hidden, default=1) < 1:
+            raise ValueError(f"hidden widths must be at least 1, got {tuple(self.hidden)}")
 
 
 def _fit(net, x, cfg: SchemeConfig, epochs: int, stream, loss, lr=None, on_grads=None) -> None:
@@ -159,11 +164,15 @@ def run_split_phase(
         for li, cut in cuts:
             grads.wgrads[li][cut] = 0.0
 
-    diagnostics = {"cross_norm_start": losses.cross_frobenius(net, plan)}
-    penalty = lambda n, g: g.add_weight_grads(losses.sparsify_penalty(n, plan, cfg.gamma)[1])
+    def penalty(net, grads):
+        for li, g in enumerate(losses.sparsify_penalty(net, plan, cfg.gamma)[1]):
+            if g is not None:
+                grads.wgrads[li] += g
+
+    diagnostics = {"cross_norm_start": losses.sparsify_penalty(net, plan, 1.0)[0]}
     _fit(net, x, cfg, cfg.epochs_sparsify, (step, 1), kd_lce,
          lr=cfg.sparsify_learning_rate, on_grads=penalty if cfg.gamma > 0 else None)
-    diagnostics["cross_norm_at_disconnect"] = losses.cross_frobenius(net, plan)
+    diagnostics["cross_norm_at_disconnect"] = losses.sparsify_penalty(net, plan, 1.0)[0]
 
     partition.disconnect(net, plan.groups)
     _fit(net, x, cfg, cfg.epochs_branched, (step, 2), kd_lce, on_grads=zero_cut)
@@ -184,7 +193,7 @@ def run_bridge_phase(
     bridge starts from the branched network's logits. The KD teacher is the
     shared-trunk-plus-old-branch subnetwork, frozen before any bridge update.
     """
-    soft = losses.softmax(partition.extract_subnet(net, plan, "old").forward(x), cfg.tau)
+    soft = losses.softmax(partition.extract_subnet(net, plan).forward(x), cfg.tau)
     partition.bridge_reconnect(net, plan.groups)
     _fit(net, x, cfg, cfg.epochs_bridge, (step, 3),
          _composite(soft, y, net.num_classes, cfg.tau))

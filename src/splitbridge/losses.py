@@ -150,16 +150,16 @@ def sparsify_penalty(net, plan, gamma: float):
     """Group-norm penalty on cross-partition weights.
 
     value = gamma * sum over partitioned layers of the Frobenius norms of the
-    old-to-new and new-to-old submatrices. Returns (LossValue-style value,
-    per-layer weight gradient arrays, None for a layer without cross weights).
+    old-to-new and new-to-old submatrices in plan.groups (at gamma = 1, the
+    cross-partition norm). Returns (LossValue-style value, per-layer weight
+    gradient arrays, None for a layer without cross weights).
     Gradient of each group is gamma * w / ||W_group||_F with the norm floored
     at 1e-8, so entries are driven toward exactly zero; within-partition
     weights get zero gradient.
     """
-    groups = plan.cut_groups(net)
     value = 0.0
     grads: list[np.ndarray | None] = [None] * net.depth
-    for li, (on_mask, no_mask) in groups.per_layer.items():
+    for li, (on_mask, no_mask) in plan.groups.per_layer.items():
         w = net.layers[li].w
         g = np.zeros_like(w)
         for m in (on_mask, no_mask):
@@ -169,9 +169,3 @@ def sparsify_penalty(net, plan, gamma: float):
             g[m] = v / max(norm, _NORM_EPS)
         grads[li] = gamma * g
     return float(gamma * value), grads
-
-
-def cross_frobenius(net, plan) -> float:
-    """Summed cross-partition Frobenius norms (the penalty at gamma = 1)."""
-    value, _ = sparsify_penalty(net, plan, 1.0)
-    return value

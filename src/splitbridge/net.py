@@ -162,8 +162,8 @@ class DenseNet:
     def load(cls, path) -> "DenseNet":
         """Read a save() checkpoint; a truncated or padded file raises ValueError.
 
-        A legacy layer may carry a uint8 mask block after its bias. It is
-        read and dropped; a zero in it over a non-zero weight is rejected.
+        Each layer header keeps a has-mask flag byte, which must be 0: no
+        layer carries a mask block.
         """
         with open(path, "rb") as f:
             magic = f.read(4)
@@ -174,18 +174,13 @@ class DenseNet:
             for i in range(depth):
                 in_dim, out_dim, act, has_mask = struct.unpack(
                     "<IIBB", read_exact(f, 10, f"layer {i} header"))
-                if act > 1 or has_mask > 1:
-                    raise ValueError(f"layer {i} header: activation id {act} and has-mask "
-                                     f"flag {has_mask} must each be 0 or 1")
+                if act > 1 or has_mask:
+                    raise ValueError(f"layer {i} header: activation id {act} must be 0 or 1 "
+                                     f"and has-mask flag {has_mask} must be 0")
                 w = np.frombuffer(read_exact(f, 8 * in_dim * out_dim, f"layer {i} weights"),
                                   dtype="<f8").reshape(in_dim, out_dim).copy()
                 b = np.frombuffer(read_exact(f, 8 * out_dim, f"layer {i} bias"),
                                   dtype="<f8").copy()
-                if has_mask:
-                    mask = np.frombuffer(read_exact(f, in_dim * out_dim, f"layer {i} mask"),
-                                         dtype=np.uint8).reshape(in_dim, out_dim)
-                    if (w[mask == 0] != 0.0).any():
-                        raise ValueError(f"layer {i} mask zeros a non-zero weight")
                 layers.append(Layer(w, b, RELU if act else IDENTITY))
             if f.read(1):
                 raise ValueError(f"trailing bytes after layer {depth - 1} at offset {f.tell() - 1}")
@@ -198,11 +193,6 @@ class GradientSet:
 
     wgrads: list[np.ndarray]
     bgrads: list[np.ndarray]
-
-    def add_weight_grads(self, extra: list[np.ndarray | None]) -> None:
-        for i, g in enumerate(extra):
-            if g is not None:
-                self.wgrads[i] = self.wgrads[i] + g
 
 
 @dataclass

@@ -30,13 +30,6 @@ class PartitionPlan:
     shared_layers: set[int] = field(default_factory=set)
     groups: CrossGroups | None = None     # cut selectors, set by make_plan
 
-    def cut_groups(self, net: DenseNet) -> CrossGroups:
-        """The plan's cross groups, checked against net's weight shapes."""
-        for li, (on, _) in self.groups.per_layer.items():
-            if li >= net.depth or on.shape != net.layers[li].w.shape:
-                raise ShapeError(f"plan cross groups do not fit layer {li}")
-        return self.groups
-
     def is_partitioned(self, layer: int) -> bool:
         return layer >= self.split_index and layer not in self.shared_layers
 
@@ -175,26 +168,23 @@ def bridge_reconnect(net: DenseNet, groups: CrossGroups) -> None:
                              "reconnection (never disconnected, or trained while cut)")
 
 
-def extract_subnet(net: DenseNet, plan: PartitionPlan, side: str) -> DenseNet:
-    """Standalone copy of the shared trunk plus one branch.
+def extract_subnet(net: DenseNet, plan: PartitionPlan) -> DenseNet:
+    """Standalone copy of the shared trunk plus the old branch: the bridge
+    phase's distillation teacher.
 
-    The result maps inputs to that side's sub-logits only; its outputs equal
-    the corresponding slice of the parent's logits whenever the parent is
-    disconnected under `plan`.
+    The result maps inputs to the old-class logits only; they equal the
+    parent's old-class logits whenever the parent is disconnected under
+    `plan`.
     """
-    if side not in ("old", "new"):
-        raise ValueError("side must be 'old' or 'new'")
-    groups_of = plan.old_out if side == "old" else plan.new_out
     layers = []
     for li, layer in enumerate(net.layers):
         if not plan.is_partitioned(li):
             layers.append(Layer(layer.w.copy(), layer.b.copy(), layer.activation))
             continue
-        in_old, in_new = plan.input_groups(li)
-        in_idx = (in_old if side == "old" else in_new)
+        in_idx = plan.input_groups(li)[0]
         if in_idx.size == 0:
             in_idx = np.arange(layer.in_dim, dtype=np.int64)
-        out_idx = groups_of[li]
+        out_idx = plan.old_out[li]
         w = layer.w[np.ix_(in_idx, out_idx)].copy()
         layers.append(Layer(w, layer.b[out_idx].copy(), layer.activation))
     num_out = layers[-1].out_dim

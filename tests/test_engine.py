@@ -43,7 +43,11 @@ class TestSchemeConfig:
         {"tau": 0.0}, {"rho": -1.0}, {"gamma": -0.1},
         {"epochs_first": -1}, {"epochs_sparsify": -1}, {"epochs_branched": -1},
         {"epochs_bridge": -1}, {"epochs_std": -3}, {"memory_capacity": -1},
-        {"batch_size": 0},
+        {"batch_size": 0}, {"learning_rate": 0.0}, {"sparsify_learning_rate": -1.0},
+        {"sparsify_learning_rate": 0.0}, {"momentum": 1.0}, {"momentum": -0.1},
+        {"weight_decay": -1.0}, {"hidden": (0, 4)}, {"hidden": (-2,)},
+        {"learning_rate": float("nan")}, {"weight_decay": float("nan")},
+        {"tau": float("nan")}, {"gamma": float("nan")},
     ])
     def test_bad_numbers(self, kw):
         (field,) = kw

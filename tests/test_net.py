@@ -24,23 +24,6 @@ def identity_net():
     return DenseNet([Layer(np.eye(2), np.zeros(2), IDENTITY)], 2)
 
 
-def legacy_checkpoint(net, path, mask_layers, rng):
-    """Write net in the old layout, where a layer could carry a uint8 mask
-    block after its bias; the masked-out weights are zeroed first."""
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC + struct.pack("<II", net.depth, net.num_classes))
-        for i, layer in enumerate(net.layers):
-            act = 0 if layer.activation == IDENTITY else 1
-            f.write(struct.pack("<IIBB", layer.in_dim, layer.out_dim, act, i in mask_layers))
-            mask = None
-            if i in mask_layers:
-                mask = (rng.random(layer.w.shape) > 0.3).astype(np.uint8)
-                layer.w *= mask
-            f.write(layer.w.astype("<f8").tobytes() + layer.b.astype("<f8").tobytes())
-            if mask is not None:
-                f.write(mask.tobytes())
-
-
 class TestForward:
     def test_identity_passthrough(self):
         net = identity_net()
@@ -259,18 +242,18 @@ class TestCheckpoint:
             assert a.w.tobytes() == b.w.tobytes()
             assert a.b.tobytes() == b.b.tobytes()
             assert a.activation == b.activation
+        assert [f.name for f in dataclasses.fields(Layer)] == ["w", "b", "activation"]
 
     @pytest.mark.parametrize("cut, part", [
         (9, "checkpoint header"),
         (20, "layer 0 header"),
         (40, "layer 0 weights"),
-        (155, "layer 0 mask"),
         (-8, "layer 1 bias"),       # only the last bias value of the logit layer
     ])
     def test_truncated_rejected(self, rng, tmp_path, cut, part):
         net = make_random_net(rng, [3, 4, 3])
         path = tmp_path / "net.ckpt"
-        legacy_checkpoint(net, path, {0}, rng)
+        net.save(path)
         path.write_bytes(path.read_bytes()[:cut])
         with pytest.raises(ValueError, match=f"truncated .* for {part} at offset"):
             DenseNet.load(path)
@@ -280,6 +263,7 @@ class TestCheckpoint:
         (0, 9, 9),      # has-mask flag
         (1, 8, 2),
         (1, 9, 2),
+        (1, 9, 1),      # no layer carries a mask block
     ])
     def test_bad_header_byte_rejected(self, rng, tmp_path, layer, byte, value):
         net = make_random_net(rng, [3, 4, 3])
@@ -290,31 +274,8 @@ class TestCheckpoint:
         raw = bytearray(path.read_bytes())
         raw[start + byte] = value
         path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match=f"layer {layer} header: .* must each be 0 or 1"):
-            DenseNet.load(path)
-
-    def test_legacy_mask_block_dropped_on_load(self, rng, tmp_path):
-        net = make_random_net(rng, [3, 4, 3])
-        path = tmp_path / "legacy.ckpt"
-        legacy_checkpoint(net, path, {0, 1}, rng)
-        loaded = DenseNet.load(path)
-        for a, b in zip(net.layers, loaded.layers):
-            assert a.w.tobytes() == b.w.tobytes()
-            assert a.b.tobytes() == b.b.tobytes()
-            assert a.activation == b.activation
-        assert [f.name for f in dataclasses.fields(Layer)] == ["w", "b", "activation"]
-
-    def test_legacy_mask_over_nonzero_weight_rejected(self, rng, tmp_path):
-        net = make_random_net(rng, [3, 4, 3])
-        path = tmp_path / "legacy.ckpt"
-        legacy_checkpoint(net, path, {1}, rng)
-        raw = bytearray(path.read_bytes())
-        # layer 1's mask block is the last 12 bytes: clear a bit over a kept weight
-        kept = raw.index(1, len(raw) - 12)
-        assert net.layers[1].w.flat[kept - (len(raw) - 12)] != 0.0
-        raw[kept] = 0
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match="layer 1 mask zeros a non-zero weight"):
+        with pytest.raises(ValueError, match=f"layer {layer} header: activation id "
+                           r"\d+ must be 0 or 1 and has-mask flag \d+ must be 0"):
             DenseNet.load(path)
 
     def test_huge_declared_layer_rejected(self, tmp_path):

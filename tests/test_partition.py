@@ -108,16 +108,10 @@ class TestCrossGroups:
         net = widened_net()
         plan = make_plan(net, 1, 2, 2, 1.0)
         fresh = cross_groups(plan, net)
-        assert plan.cut_groups(net) is plan.groups
         assert plan.groups.per_layer.keys() == fresh.per_layer.keys()
         for li, (on, no) in fresh.per_layer.items():
             assert np.array_equal(plan.groups.per_layer[li][0], on)
             assert np.array_equal(plan.groups.per_layer[li][1], no)
-
-    def test_cached_groups_reject_other_shapes(self):
-        plan = make_plan(widened_net(), 1, 2, 2, 1.0)
-        with pytest.raises(ShapeError):
-            plan.cut_groups(widened_net(hidden=(8, 8, 6)))
 
     def test_first_partitioned_layer_contributes_nothing(self):
         # its inputs come from the shared trunk, so no weight of it crosses
@@ -136,24 +130,35 @@ class TestDisconnect:
         disconnect(net, groups)
         return net, plan, groups
 
+    @staticmethod
+    def _shove(net, plan, groups, branch_out):
+        # every weight into and bias of the branch's nodes, in each partitioned layer
+        for li in range(plan.split_index, net.depth):
+            net.layers[li].w[:, branch_out[li]] += 1.0
+            net.layers[li].b[branch_out[li]] += 1.0
+        disconnect(net, groups)  # the shove also reached the cut weights
+
     def test_new_branch_cannot_touch_old_logits(self, rng):
         net, plan, groups = self._setup()
         x = rng.standard_normal((50, 4))
         before = net.forward(x)[:, :2]
-        for li in range(plan.split_index, net.depth):
-            layer = net.layers[li]
-            _, in_new = plan.input_groups(li)
-            out_new = plan.new_out[li]
-            layer.w[:, out_new] += 1.0
-            if in_new.size:
-                layer.b[out_new] += 1.0
-        disconnect(net, groups)  # the shove also reached the cut weights
-        after = net.forward(x)[:, :2]
-        assert np.array_equal(before, after)
+        self._shove(net, plan, groups, plan.new_out)
+        assert np.array_equal(before, net.forward(x)[:, :2])
+
+    def test_old_branch_cannot_touch_new_logits(self, rng):
+        net, plan, groups = self._setup()
+        # widen_output zero-fills the new-class columns; without weights there
+        # the new logits would read nothing from the network
+        net.layers[-1].w[:, 2:] = rng.standard_normal((net.layers[-1].in_dim, 2))
+        disconnect(net, groups)
+        x = rng.standard_normal((50, 4))
+        before = net.forward(x)[:, 2:]
+        self._shove(net, plan, groups, plan.old_out)
+        assert np.array_equal(before, net.forward(x)[:, 2:])
 
     def test_full_net_old_slice_equals_subnet(self, rng):
         net, plan, _ = self._setup()
-        sub = extract_subnet(net, plan, "old")
+        sub = extract_subnet(net, plan)
         x = rng.standard_normal((30, 4))
         assert np.allclose(net.forward(x)[:, :2], sub.forward(x), atol=1e-12, rtol=0)
 
@@ -243,35 +248,20 @@ class TestExtractSubnet:
 
     def test_old_side_paired_comparison(self, rng):
         net, plan = self._setup()
-        sub = extract_subnet(net, plan, "old")
+        sub = extract_subnet(net, plan)
         for _ in range(100):
             x = rng.standard_normal((1, 4))
             # differently shaped matmuls may reorder float sums
             assert np.allclose(sub.forward(x), net.forward(x)[:, :2], atol=1e-12, rtol=0)
 
-    def test_new_side_width(self):
-        net, plan = self._setup()
-        sub = extract_subnet(net, plan, "new")
-        assert sub.num_classes == 2
-
-    def test_new_side_paired_comparison(self, rng):
-        net, plan = self._setup()
-        sub = extract_subnet(net, plan, "new")
-        x = rng.standard_normal((20, 4))
-        assert np.allclose(sub.forward(x), net.forward(x)[:, 2:], atol=1e-12, rtol=0)
-
-    def test_all_layers_shared_new_side(self):
+    def test_all_layers_shared_old_side(self):
+        # every hidden layer stays shared, so only the logit layer is sliced
         net = build_net(4, [8, 8], 12, 0)
         plan = make_plan(net, 1, 10, 2, 1.4)
-        sub = extract_subnet(net, plan, "new")
-        assert sub.num_classes == 2
+        sub = extract_subnet(net, plan)
+        assert sub.num_classes == 10
         x = np.random.default_rng(0).standard_normal((5, 4))
-        assert np.allclose(sub.forward(x), net.forward(x)[:, 10:], atol=1e-12, rtol=0)
-
-    def test_bad_side(self):
-        net, plan = self._setup()
-        with pytest.raises(ValueError):
-            extract_subnet(net, plan, "both")
+        assert np.allclose(sub.forward(x), net.forward(x)[:, :10], atol=1e-12, rtol=0)
 
 
 class TestPartitionClassification:
