@@ -24,7 +24,7 @@ from .losses import (
     std_composite_loss,
 )
 from .metrics import EvalReport, average_incremental_accuracy, evaluate
-from .net import DenseNet, Layer, SgdConfig, build_net, sgd_step
+from .net import DenseNet, Layer, build_net, sgd_step
 from .partition import (
     CrossGroups,
     PartitionPlan,

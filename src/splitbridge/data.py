@@ -184,8 +184,8 @@ def split_tasks(
     """Permute classes by seed, chunk into equal groups, remap labels so task t
     owns the contiguous global block [t*k, (t+1)*k)."""
     c = train.num_classes
-    if c % num_tasks != 0:
-        raise ValueError(f"{c} classes not divisible into {num_tasks} tasks")
+    if num_tasks < 1 or c % num_tasks != 0:
+        raise ValueError(f"num_tasks must be a positive divisor of {c} classes, got {num_tasks}")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(c)
     remap = {int(orig): new for new, orig in enumerate(perm)}

@@ -12,7 +12,7 @@ import numpy as np
 from . import losses, metrics, partition
 from .data import LabeledDataset, TaskSequence
 from .losses import TaskRange, lambda_schedule
-from .net import DenseNet, SgdConfig, SgdState, build_net, sgd_step
+from .net import DenseNet, GradientSet, build_net, sgd_step
 
 SCHEMES = ("sb", "std", "ce", "dd")
 
@@ -75,12 +75,12 @@ def _fit(net, x, cfg: SchemeConfig, epochs: int, stream, loss, lr=None, on_grads
     Batches are drawn from default_rng([cfg.seed, *stream]), stream = (step,
     tag). loss(logits, idx) returns the batch's LossValue; on_grads(net,
     grads), if given, edits the GradientSet in place before each update.
+    Each call starts from zero momentum.
     """
-    sgd = SgdConfig(learning_rate=cfg.learning_rate if lr is None else lr,
-                    momentum=cfg.momentum, weight_decay=cfg.weight_decay)
+    lr = cfg.learning_rate if lr is None else lr
     rng = np.random.default_rng([cfg.seed, *stream])
     n = x.shape[0]
-    state = SgdState()
+    velocity = GradientSet.zeros(net)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
@@ -90,7 +90,7 @@ def _fit(net, x, cfg: SchemeConfig, epochs: int, stream, loss, lr=None, on_grads
             grads = net.backward(xb, loss(cache[0], idx).grad_logits, cache)
             if on_grads is not None:
                 on_grads(net, grads)
-            sgd_step(net, grads, sgd, state)
+            sgd_step(net, grads, velocity, lr, cfg.momentum, cfg.weight_decay)
 
 
 def _composite(soft, y, num_classes: int, tau: float, lam=None):

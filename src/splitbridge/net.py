@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import copy
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,21 +41,6 @@ class Layer:
     @property
     def out_dim(self) -> int:
         return self.w.shape[1]
-
-
-@dataclass
-class SgdConfig:
-    learning_rate: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if not (0.0 <= self.momentum < 1.0):
-            raise ValueError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise ValueError("weight_decay must be non-negative")
 
 
 class DenseNet:
@@ -189,30 +174,15 @@ class DenseNet:
 
 @dataclass
 class GradientSet:
-    """Per-layer weight and bias gradients, shapes mirroring a DenseNet."""
+    """Per-layer weight and bias gradients, or sgd_step's velocity; shapes mirror a DenseNet."""
 
     wgrads: list[np.ndarray]
     bgrads: list[np.ndarray]
 
-
-@dataclass
-class SgdState:
-    """Momentum velocity buffers, zero-initialized on the first step.
-
-    A state belongs to one network shape; widening the output needs a fresh
-    state.
-    """
-
-    vw: list[np.ndarray] = field(default_factory=list)
-    vb: list[np.ndarray] = field(default_factory=list)
-
-    def ensure(self, net: DenseNet) -> None:
-        if len(self.vw) != net.depth:
-            self.vw = [np.zeros_like(l.w) for l in net.layers]
-            self.vb = [np.zeros_like(l.b) for l in net.layers]
-        elif self.vw[-1].shape != net.layers[-1].w.shape:
-            raise ShapeError("velocity buffers do not match the output layer; "
-                             "use a fresh SgdState after widening")
+    @classmethod
+    def zeros(cls, net: DenseNet) -> "GradientSet":
+        return cls([np.zeros_like(l.w) for l in net.layers],
+                   [np.zeros_like(l.b) for l in net.layers])
 
 
 def build_net(in_dim: int, hidden: list[int], num_classes: int,
@@ -234,20 +204,22 @@ def build_net(in_dim: int, hidden: list[int], num_classes: int,
     return DenseNet(layers, num_classes)
 
 
-def sgd_step(net: DenseNet, grads: GradientSet, cfg: SgdConfig, state: SgdState) -> None:
-    """In-place momentum SGD update."""
-    state.ensure(net)
+def sgd_step(net: DenseNet, grads: GradientSet, velocity: GradientSet, lr: float,
+             momentum: float, weight_decay: float) -> None:
+    """In-place momentum SGD update. velocity holds the momentum buffers,
+    updated in place: start from GradientSet.zeros(net); one built before
+    widen_output raises ShapeError."""
     for i, layer in enumerate(net.layers):
         gw = grads.wgrads[i]
         gb = grads.bgrads[i]
-        if gw.shape != layer.w.shape or gb.shape != layer.b.shape:
-            raise ShapeError(f"gradient shape mismatch at layer {i}")
-        if cfg.weight_decay:
-            gw = gw + cfg.weight_decay * layer.w
-        vw, vb = state.vw[i], state.vb[i]
-        vw *= cfg.momentum
+        vw, vb = velocity.wgrads[i], velocity.bgrads[i]
+        if not (gw.shape == vw.shape == layer.w.shape and gb.shape == vb.shape == layer.b.shape):
+            raise ShapeError(f"gradient or velocity shape mismatch at layer {i}")
+        if weight_decay:
+            gw = gw + weight_decay * layer.w
+        vw *= momentum
         vw += gw
-        vb *= cfg.momentum
+        vb *= momentum
         vb += gb
-        layer.w -= cfg.learning_rate * vw
-        layer.b -= cfg.learning_rate * vb
+        layer.w -= lr * vw
+        layer.b -= lr * vb

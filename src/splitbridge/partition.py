@@ -25,13 +25,12 @@ class PartitionPlan:
     rho: float
     c_old: int
     c_new: int
-    old_out: dict[int, np.ndarray] = field(default_factory=dict)
+    old_out: dict[int, np.ndarray] = field(default_factory=dict)  # partitioned layers only
     new_out: dict[int, np.ndarray] = field(default_factory=dict)
-    shared_layers: set[int] = field(default_factory=set)
     groups: CrossGroups | None = None     # cut selectors, set by make_plan
 
     def is_partitioned(self, layer: int) -> bool:
-        return layer >= self.split_index and layer not in self.shared_layers
+        return layer in self.old_out
 
     def input_groups(self, layer: int):
         """Old/new input-node groups of `layer` (output groups of layer-1).
@@ -40,7 +39,7 @@ class PartitionPlan:
         first partitioned layer.
         """
         prev = layer - 1
-        if prev < self.split_index or prev in self.shared_layers:
+        if prev not in self.old_out:
             empty = np.array([], dtype=np.int64)
             return empty, empty
         return self.old_out[prev], self.new_out[prev]
@@ -55,7 +54,7 @@ class PartitionPlan:
             "layers": [
                 {
                     "layer": li,
-                    "shared": li in self.shared_layers,
+                    "shared": li not in self.old_out,
                     "old_size": int(self.old_out[li].size) if li in self.old_out else None,
                     "new_size": int(self.new_out[li].size) if li in self.new_out else None,
                 }
@@ -109,8 +108,7 @@ def make_plan(net: DenseNet, split_index: int, c_old: int, c_new: int, rho: floa
             raise ValueError(f"layer {li} has zero width")
         n_new = _round_half_up(width * max(0.0, new_share) / (old_share + max(0.0, new_share)))
         if n_new < 1:
-            plan.shared_layers.add(li)
-            continue
+            continue  # stays shared: in neither old_out nor new_out
         n_new = min(n_new, width - 1)
         plan.old_out[li] = np.arange(0, width - n_new, dtype=np.int64)
         plan.new_out[li] = np.arange(width - n_new, width, dtype=np.int64)

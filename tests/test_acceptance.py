@@ -136,7 +136,7 @@ def test_criterion_2_allocation_formulas():
             net = build_net(4, [width], c_old + c_new, seed=0)
             plan = make_plan(net, 0, c_old, c_new, rho)
             if expect is None:
-                assert 0 in plan.shared_layers
+                assert not plan.is_partitioned(0)
                 assert 0 not in plan.new_out
             else:
                 assert plan.new_out[0].size == expect

@@ -247,6 +247,12 @@ class TestSplitTasks:
         with pytest.raises(ValueError):
             split_tasks(train, test, 3, seed=0)
 
+    @pytest.mark.parametrize("num_tasks", [0, -2])
+    def test_non_positive_task_count(self, num_tasks):
+        train, test = gen_synthetic(4, 4, 5, 3, seed=0)
+        with pytest.raises(ValueError, match=f"num_tasks .* got {num_tasks}$"):
+            split_tasks(train, test, num_tasks, seed=0)
+
     def test_sequence_properties(self):
         train, test = gen_synthetic(6, 7, 5, 3, seed=0)
         seq = split_tasks(train, test, 2, seed=4)

@@ -9,6 +9,7 @@ from splitbridge.engine import (
     SCHEMES,
     ExemplarMemory,
     SchemeConfig,
+    _fit,
     _pool,
     run_bridge_phase,
     run_ce_step,
@@ -18,7 +19,7 @@ from splitbridge.engine import (
     run_std_step,
     update_exemplars,
 )
-from splitbridge.losses import TaskRange, softmax
+from splitbridge.losses import TaskRange, ce_loss, softmax
 from splitbridge.net import build_net
 from splitbridge.partition import bridge_reconnect
 
@@ -137,6 +138,40 @@ class TestExemplarMemory:
         p = 5 / 20
         sigma = np.sqrt(1000 * p * (1 - p))
         assert np.all(np.abs(hits - 1000 * p) < 3 * sigma)
+
+
+class TestFit:
+    def test_each_call_starts_from_zero_momentum(self):
+        # two consecutive phases on one net against a hand-written momentum
+        # loop whose velocity starts at zero in each call
+        seq = small_sequence()
+        d = seq.tasks[0].train
+        cfg = SchemeConfig(**FAST, weight_decay=1e-2)
+        calls = [((1, 1), None), ((1, 2), 0.02)]
+        net = build_net(seq.feature_dim, list(cfg.hidden), 2, seed=0)
+        ref = net.clone()
+        for stream, lr in calls:
+            _fit(net, d.x, cfg, 3, stream, lambda logits, idx: ce_loss(logits, d.y[idx]), lr=lr)
+
+        for stream, lr in calls:
+            lr = cfg.learning_rate if lr is None else lr
+            vel = [(np.zeros_like(l.w), np.zeros_like(l.b)) for l in ref.layers]
+            rng = np.random.default_rng([cfg.seed, *stream])
+            for _ in range(3):
+                order = rng.permutation(len(d))
+                for start in range(0, len(d), cfg.batch_size):
+                    idx = order[start : start + cfg.batch_size]
+                    xb, yb = d.x[idx], d.y[idx]
+                    grads = ref.backward(xb, ce_loss(ref.forward(xb), yb).grad_logits)
+                    for i, layer in enumerate(ref.layers):
+                        gw = grads.wgrads[i] + cfg.weight_decay * layer.w
+                        vel[i] = (cfg.momentum * vel[i][0] + gw,
+                                  cfg.momentum * vel[i][1] + grads.bgrads[i])
+                        layer.w = layer.w - lr * vel[i][0]
+                        layer.b = layer.b - lr * vel[i][1]
+        for la, lb in zip(net.layers, ref.layers):
+            assert la.w.tobytes() == lb.w.tobytes()
+            assert la.b.tobytes() == lb.b.tobytes()
 
 
 class TestSplitPhase:
@@ -283,6 +318,24 @@ class TestRunSequence:
         results = run_sequence(small_sequence(num_classes=6, num_tasks=3),
                                SchemeConfig(scheme="sb", **FAST))
         assert len(results) == 3 and len(calls) == 3
+
+    def test_balanced_memory_reaches_the_draw(self, monkeypatch):
+        # capacity 12 divides by the 2, 4 and 6 classes seen after each task
+        from splitbridge import engine
+
+        memories = []
+        update = engine.update_exemplars
+        monkeypatch.setattr(engine, "update_exemplars",
+                            lambda *a: memories.append(update(*a)) or memories[-1])
+        seq = small_sequence(num_classes=6, num_tasks=3)
+        fast = dict(FAST, memory_capacity=12)
+        balanced = run_sequence(seq, SchemeConfig(balanced_memory=True, **fast))
+        assert len(memories) == 3
+        for mem in memories:
+            classes, counts = np.unique(mem.y, return_counts=True)
+            assert np.all(counts == 12 // classes.size)
+        uniform = run_sequence(seq, SchemeConfig(**fast))
+        assert [r.report.to_dict() for r in balanced] != [r.report.to_dict() for r in uniform]
 
     def test_seed_changes_outcome(self):
         seq = small_sequence()

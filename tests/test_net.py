@@ -7,9 +7,8 @@ import pytest
 from splitbridge.net import (
     CHECKPOINT_MAGIC,
     DenseNet,
+    GradientSet,
     Layer,
-    SgdConfig,
-    SgdState,
     ShapeError,
     IDENTITY,
     RELU,
@@ -103,10 +102,10 @@ class TestBackward:
             seen["cut"] = True
             return disconnect(n, groups)
 
-        def record_step(n, grads, sgd, state):
+        def record_step(n, grads, *args):
             phase = "after" if seen["cut"] else "before"
             seen[phase].append([g.copy() for g in grads.wgrads])
-            return step(n, grads, sgd, state)
+            return step(n, grads, *args)
 
         monkeypatch.setattr(partition, "disconnect", record_disconnect)
         monkeypatch.setattr(engine, "sgd_step", record_step)
@@ -136,21 +135,19 @@ class TestSgdStep:
         g = rng.standard_normal((2, 2))
         grads = net.backward(np.zeros((1, 2)), np.zeros((1, 2)))
         grads.wgrads[0] = g
-        cfg = SgdConfig(learning_rate=0.1, momentum=0.0)
-        sgd_step(net, grads, cfg, SgdState())
+        sgd_step(net, grads, GradientSet.zeros(net), 0.1, 0.0, 0.0)
         assert np.allclose(net.layers[0].w, w0 - 0.1 * g, atol=1e-15)
 
     def test_two_step_momentum_oracle(self, rng):
         net = make_random_net(rng, [2, 2])
         w0 = net.layers[0].w.copy()
         g = rng.standard_normal((2, 2))
-        cfg = SgdConfig(learning_rate=0.1, momentum=0.9)
-        state = SgdState()
+        velocity = GradientSet.zeros(net)
         for _ in range(2):
             grads = net.backward(np.zeros((1, 2)), np.zeros((1, 2)))
             grads.wgrads[0] = g.copy()
             grads.bgrads[0] = np.zeros(2)
-            sgd_step(net, grads, cfg, state)
+            sgd_step(net, grads, velocity, 0.1, 0.9, 0.0)
         expected = w0 - 0.1 * g - 0.1 * (g + 0.9 * g)
         assert np.allclose(net.layers[0].w, expected, atol=1e-15)
 
@@ -160,30 +157,25 @@ class TestSgdStep:
         net = make_random_net(rng, [2, 2])
         net.layers[0].w[0, 0] = 0.0
         w0 = net.layers[0].w.copy()
-        cfg = SgdConfig(learning_rate=0.1, momentum=0.9, weight_decay=0.01)
-        state = SgdState()
+        velocity = GradientSet.zeros(net)
         for _ in range(3):
             grads = net.backward(np.ones((1, 2)), np.ones((1, 2)))
             assert grads.wgrads[0][0, 0] != 0.0
             grads.wgrads[0][0, 0] = 0.0
-            sgd_step(net, grads, cfg, state)
+            sgd_step(net, grads, velocity, 0.1, 0.9, 0.01)
         assert net.layers[0].w[0, 0].tobytes() == np.float64(0.0).tobytes()
         assert np.all(net.layers[0].w.ravel()[1:] != w0.ravel()[1:])
 
     def test_state_rejects_widened_output(self, rng):
+        # a velocity built before widen_output is stale for the logit layer
         net = make_random_net(rng, [2, 3, 2])
-        cfg = SgdConfig()
-        state = SgdState()
-        sgd_step(net, net.backward(np.ones((1, 2)), np.ones((1, 2))), cfg, state)
+        velocity = GradientSet.zeros(net)
+        sgd_step(net, net.backward(np.ones((1, 2)), np.ones((1, 2))), velocity, 0.1, 0.9, 0.0)
         net.widen_output(1)
-        with pytest.raises(ShapeError, match="fresh SgdState"):
-            sgd_step(net, net.backward(np.ones((1, 2)), np.ones((1, 3))), cfg, state)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SgdConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            SgdConfig(momentum=1.0)
+        grads = net.backward(np.ones((1, 2)), np.ones((1, 3)))
+        with pytest.raises(ShapeError, match="velocity shape mismatch at layer 1$"):
+            sgd_step(net, grads, velocity, 0.1, 0.9, 0.0)
+        sgd_step(net, grads, GradientSet.zeros(net), 0.1, 0.9, 0.0)  # a fresh one steps
 
 
 class TestClone:

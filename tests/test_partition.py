@@ -29,7 +29,7 @@ class TestMakePlan:
         # new share (1 - 1.4) * 50 + 10 = -10 < 1
         net = build_net(4, [32, 32], 60, 0)
         plan = make_plan(net, 1, 50, 10, 1.4)
-        assert 1 in plan.shared_layers
+        assert 1 not in plan.old_out
         assert not plan.is_partitioned(1)
 
     def test_rounded_allocation(self):
@@ -50,7 +50,7 @@ class TestMakePlan:
         net = widened_net()
         plan = make_plan(net, 1, 2, 2, 1.2)
         for li in range(plan.split_index, net.depth):
-            if li in plan.shared_layers:
+            if li not in plan.old_out:
                 continue
             old, new = plan.old_out[li], plan.new_out[li]
             assert np.intersect1d(old, new).size == 0
@@ -199,7 +199,7 @@ class TestBridgeReconnect:
 
     def test_bridge_weights_learn_after_step(self, rng):
         from splitbridge.losses import ce_loss
-        from splitbridge.net import SgdConfig, SgdState, sgd_step
+        from splitbridge.net import GradientSet, sgd_step
 
         net, _, groups = self._setup()
         bridge_reconnect(net, groups)
@@ -208,7 +208,7 @@ class TestBridgeReconnect:
         for _ in range(3):
             lv = ce_loss(net.forward(x), y)
             grads = net.backward(x, lv.grad_logits)
-            sgd_step(net, grads, SgdConfig(learning_rate=0.5, momentum=0.0), SgdState())
+            sgd_step(net, grads, GradientSet.zeros(net), 0.5, 0.0, 0.0)
         cross_vals = [net.layers[li].w[on | no] for li, (on, no) in groups.per_layer.items()]
         assert any(np.any(v != 0.0) for v in cross_vals)
 
