@@ -191,7 +191,7 @@ def cli_main(argv=None) -> int:
         return exc.code if exc.code is not None else 0
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:  # ValueError: bad values, ShapeError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

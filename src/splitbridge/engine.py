@@ -165,9 +165,7 @@ def run_split_phase(
             grads.wgrads[li][cut] = 0.0
 
     def penalty(net, grads):
-        for li, g in enumerate(losses.sparsify_penalty(net, plan, cfg.gamma)[1]):
-            if g is not None:
-                grads.wgrads[li] += g
+        losses.sparsify_penalty(net, plan, cfg.gamma, into=grads)
 
     diagnostics = {"cross_norm_start": losses.sparsify_penalty(net, plan, 1.0)[0]}
     _fit(net, x, cfg, cfg.epochs_sparsify, (step, 1), kd_lce,

@@ -146,26 +146,32 @@ def lambda_schedule(c_old: int, c_new: int) -> float:
     return c_old / (c_old + c_new)
 
 
-def sparsify_penalty(net, plan, gamma: float):
+def sparsify_penalty(net, plan, gamma: float, into=None):
     """Group-norm penalty on cross-partition weights.
 
     value = gamma * sum over partitioned layers of the Frobenius norms of the
     old-to-new and new-to-old submatrices in plan.groups (at gamma = 1, the
-    cross-partition norm). Returns (LossValue-style value, per-layer weight
-    gradient arrays, None for a layer without cross weights).
+    cross-partition norm). Returns (value, per-layer weight gradient arrays,
+    None for a layer without cross weights). With into, a GradientSet of net,
+    the gradient is added into into.wgrads in place instead, touching only the
+    cross weights, and the second element is None.
     Gradient of each group is gamma * w / ||W_group||_F with the norm floored
     at 1e-8, so entries are driven toward exactly zero; within-partition
     weights get zero gradient.
     """
     value = 0.0
-    grads: list[np.ndarray | None] = [None] * net.depth
-    for li, (on_mask, no_mask) in plan.groups.per_layer.items():
+    grads: list[np.ndarray | None] | None = None if into is not None else [None] * net.depth
+    for li, groups in plan.groups.flat.items():
         w = net.layers[li].w
-        g = np.zeros_like(w)
-        for m in (on_mask, no_mask):
-            v = w[m]
+        if into is not None:
+            g = into.wgrads[li].reshape(-1)
+        else:
+            g = np.zeros(w.size)
+            grads[li] = g.reshape(w.shape)
+        w = w.reshape(-1)
+        for idx in groups:
+            v = w[idx]
             norm = float(np.sqrt((v ** 2).sum()))
             value += norm
-            g[m] = v / max(norm, _NORM_EPS)
-        grads[li] = gamma * g
+            g[idx] += gamma * (v / max(norm, _NORM_EPS))
     return float(gamma * value), grads

@@ -1,12 +1,14 @@
 """Dense feed-forward network engine with manual backprop and momentum SGD.
 
 All parameters are float64. A layer holds a weight matrix of shape
-(in_dim, out_dim) and a bias vector of shape (out_dim,).
+(in_dim, out_dim) and a bias vector of shape (out_dim,). A network keeps
+every parameter in one flat buffer, every layer's weights first and then
+every layer's biases; gradients and velocities use the same layout, so an
+SGD step is a few whole-buffer operations.
 """
 
 from __future__ import annotations
 
-import copy
 import struct
 from dataclasses import dataclass
 
@@ -43,8 +45,31 @@ class Layer:
         return self.w.shape[1]
 
 
+def _views(flat: np.ndarray, layout: tuple) -> tuple[tuple, tuple]:
+    """Per-layer weight and bias views of flat: all weights first, then all
+    biases, layer by layer. layout holds each layer's (in_dim, out_dim)."""
+    ws, bs, off = [], [], 0
+    for shape in layout:
+        size = shape[0] * shape[1]
+        ws.append(flat[off : off + size].reshape(shape))
+        off += size
+    for _, out_dim in layout:
+        bs.append(flat[off : off + out_dim])
+        off += out_dim
+    return tuple(ws), tuple(bs)
+
+
 class DenseNet:
-    """Ordered dense layers ending in an identity-activation logit layer."""
+    """Ordered dense layers ending in an identity-activation logit layer.
+
+    The parameters live in one float64 buffer, `params`: every layer's
+    weights in layer order, then every layer's biases. Each `layer.w` and
+    `layer.b` is a view into it, and `layout` holds the layers' weight
+    shapes. The constructor copies the given layers' values into a fresh
+    buffer. Write parameters in place (`layer.w[...] = ...`); a rebound
+    `layer.w` or `layer.b` is no longer part of `params`, and sgd_step
+    raises ShapeError for it.
+    """
 
     def __init__(self, layers: list[Layer], num_classes: int):
         if not layers:
@@ -59,8 +84,22 @@ class DenseNet:
             raise ValueError("final layer must use the identity activation")
         if layers[-1].out_dim != num_classes:
             raise ShapeError("final out_dim must equal num_classes")
-        self.layers = layers
+        for i, layer in enumerate(layers):
+            if np.shape(layer.b) != (layer.out_dim,):
+                raise ShapeError(f"layer {i} bias shape {np.shape(layer.b)} != ({layer.out_dim},)")
         self.num_classes = num_classes
+        self._pack(layers)
+
+    def _pack(self, layers: list[Layer]) -> None:
+        """Copy the layers' values into a fresh params buffer and view them."""
+        self.layout = tuple(layer.w.shape for layer in layers)
+        self.n_weights = sum(i * o for i, o in self.layout)
+        self.params = np.empty(self.n_weights + sum(o for _, o in self.layout))
+        ws, bs = _views(self.params, self.layout)
+        for layer, w, b in zip(layers, ws, bs):
+            w[...] = layer.w
+            b[...] = layer.b
+        self.layers = [Layer(w, b, layer.activation) for layer, w, b in zip(layers, ws, bs)]
 
     @property
     def in_dim(self) -> int:
@@ -103,33 +142,37 @@ class DenseNet:
             raise ShapeError(
                 f"upstream shape {upstream.shape} != logits shape {logits.shape}"
             )
-        wgrads = [None] * self.depth
-        bgrads = [None] * self.depth
+        grads = GradientSet(np.empty_like(self.params), self.layout)
+        wgrads, bgrads = grads.wgrads, grads.bgrads
         delta = upstream
         for i in range(self.depth - 1, -1, -1):
             layer = self.layers[i]
             if layer.activation == RELU:
                 delta = delta * (preacts[i] > 0)
-            wgrads[i] = inputs[i].T @ delta
-            bgrads[i] = delta.sum(axis=0)
+            np.matmul(inputs[i].T, delta, out=wgrads[i])
+            delta.sum(axis=0, out=bgrads[i])
             if i > 0:
                 delta = delta @ layer.w.T
-        return GradientSet(wgrads, bgrads)
+        return grads
 
     def clone(self) -> "DenseNet":
-        """Deep copy; mutations on either side do not affect the other."""
-        return copy.deepcopy(self)
+        """Copy with its own params buffer; mutations on either side do not
+        affect the other."""
+        return DenseNet(self.layers, self.num_classes)
 
     def widen_output(self, extra: int) -> None:
         """Append `extra` zero-initialized logit columns to the final layer.
 
-        Old-class logits are unchanged for every input.
+        Old-class logits are unchanged for every input. The parameters move
+        to a new params buffer, so a GradientSet built before (a velocity)
+        no longer fits and sgd_step rejects it.
         """
         if extra < 1:
             raise ValueError("extra must be at least 1")
         last = self.layers[-1]
-        last.w = np.hstack([last.w, np.zeros((last.in_dim, extra))])
-        last.b = np.concatenate([last.b, np.zeros(extra)])
+        widened = Layer(np.hstack([last.w, np.zeros((last.in_dim, extra))]),
+                        np.concatenate([last.b, np.zeros(extra)]), last.activation)
+        self._pack(self.layers[:-1] + [widened])
         self.num_classes += extra
 
     def save(self, path) -> None:
@@ -163,26 +206,41 @@ class DenseNet:
                     raise ValueError(f"layer {i} header: activation id {act} must be 0 or 1 "
                                      f"and has-mask flag {has_mask} must be 0")
                 w = np.frombuffer(read_exact(f, 8 * in_dim * out_dim, f"layer {i} weights"),
-                                  dtype="<f8").reshape(in_dim, out_dim).copy()
-                b = np.frombuffer(read_exact(f, 8 * out_dim, f"layer {i} bias"),
-                                  dtype="<f8").copy()
+                                  dtype="<f8").reshape(in_dim, out_dim)
+                b = np.frombuffer(read_exact(f, 8 * out_dim, f"layer {i} bias"), dtype="<f8")
                 layers.append(Layer(w, b, RELU if act else IDENTITY))
             if f.read(1):
                 raise ValueError(f"trailing bytes after layer {depth - 1} at offset {f.tell() - 1}")
         return cls(layers, num_classes)
 
 
-@dataclass
 class GradientSet:
-    """Per-layer weight and bias gradients, or sgd_step's velocity; shapes mirror a DenseNet."""
+    """Per-layer weight and bias gradients, or sgd_step's velocity.
 
-    wgrads: list[np.ndarray]
-    bgrads: list[np.ndarray]
+    `flat` is one buffer in its network's params layout, and `layout` is
+    that network's layout. `wgrads` and `bgrads` are tuples of views into
+    flat, so edit them in place (`grads.wgrads[i][...] = g`); rebinding an
+    entry raises TypeError.
+    """
+
+    __slots__ = ("flat", "layout", "_w", "_b")
+
+    def __init__(self, flat: np.ndarray, layout: tuple):
+        self.flat = flat
+        self.layout = layout
+        self._w, self._b = _views(flat, layout)
+
+    @property
+    def wgrads(self) -> tuple[np.ndarray, ...]:
+        return self._w
+
+    @property
+    def bgrads(self) -> tuple[np.ndarray, ...]:
+        return self._b
 
     @classmethod
     def zeros(cls, net: DenseNet) -> "GradientSet":
-        return cls([np.zeros_like(l.w) for l in net.layers],
-                   [np.zeros_like(l.b) for l in net.layers])
+        return cls(np.zeros_like(net.params), net.layout)
 
 
 def build_net(in_dim: int, hidden: list[int], num_classes: int,
@@ -206,20 +264,31 @@ def build_net(in_dim: int, hidden: list[int], num_classes: int,
 
 def sgd_step(net: DenseNet, grads: GradientSet, velocity: GradientSet, lr: float,
              momentum: float, weight_decay: float) -> None:
-    """In-place momentum SGD update. velocity holds the momentum buffers,
-    updated in place: start from GradientSet.zeros(net); one built before
-    widen_output raises ShapeError."""
+    """In-place momentum SGD update over the whole params buffer.
+
+    Per entry: v = momentum * v + (g + weight_decay * w), then w -= lr * v;
+    weight decay applies to weights only. velocity holds the momentum
+    buffers, updated in place: start from GradientSet.zeros(net). Raises
+    ShapeError naming the layer when grads or velocity do not fit net's
+    layout (as for a velocity built before widen_output), or when a
+    layer's w or b is no longer a view of net.params.
+    """
+    p, g, v = net.params, grads.flat, velocity.flat
     for i, layer in enumerate(net.layers):
-        gw = grads.wgrads[i]
-        gb = grads.bgrads[i]
-        vw, vb = velocity.wgrads[i], velocity.bgrads[i]
-        if not (gw.shape == vw.shape == layer.w.shape and gb.shape == vb.shape == layer.b.shape):
-            raise ShapeError(f"gradient or velocity shape mismatch at layer {i}")
-        if weight_decay:
-            gw = gw + weight_decay * layer.w
-        vw *= momentum
-        vw += gw
-        vb *= momentum
-        vb += gb
-        layer.w -= lr * vw
-        layer.b -= lr * vb
+        if layer.w.base is not p or layer.b.base is not p:
+            raise ShapeError(f"layer {i} weights or biases are not views of net.params "
+                             "(rebound instead of written in place)")
+    if not grads.layout == velocity.layout == net.layout:
+        i = next((i for i, shape in enumerate(net.layout)
+                  if not grads.layout[i:i + 1] == velocity.layout[i:i + 1] == (shape,)), net.depth)
+        raise ShapeError(f"gradient or velocity shape mismatch at layer {i}")
+    nw = net.n_weights
+    v *= momentum
+    if weight_decay:
+        decayed = weight_decay * p[:nw]
+        decayed += g[:nw]
+        v[:nw] += decayed
+        v[nw:] += g[nw:]
+    else:
+        v += g
+    p -= lr * v

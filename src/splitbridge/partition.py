@@ -65,9 +65,19 @@ class PartitionPlan:
 
 @dataclass
 class CrossGroups:
-    """Per layer with cross weights: selectors of the old-to-new and new-to-old ones."""
+    """Per layer with cross weights: selectors of the old-to-new and new-to-old ones.
+
+    per_layer holds boolean (on, no) selectors of the layer's weight matrix;
+    flat holds the same groups as indices into the flattened matrix
+    (np.flatnonzero of each selector, in the same order).
+    """
 
     per_layer: dict[int, tuple[np.ndarray, np.ndarray]]
+    flat: dict[int, tuple[np.ndarray, np.ndarray]] = field(init=False)
+
+    def __post_init__(self):
+        self.flat = {li: (np.flatnonzero(on), np.flatnonzero(no))
+                     for li, (on, no) in self.per_layer.items()}
 
     def cuts(self) -> list[tuple[int, np.ndarray]]:
         """(layer, selector of every cross weight) for each layer with cross weights."""
@@ -177,13 +187,11 @@ def extract_subnet(net: DenseNet, plan: PartitionPlan) -> DenseNet:
     layers = []
     for li, layer in enumerate(net.layers):
         if not plan.is_partitioned(li):
-            layers.append(Layer(layer.w.copy(), layer.b.copy(), layer.activation))
+            layers.append(layer)
             continue
         in_idx = plan.input_groups(li)[0]
         if in_idx.size == 0:
             in_idx = np.arange(layer.in_dim, dtype=np.int64)
         out_idx = plan.old_out[li]
-        w = layer.w[np.ix_(in_idx, out_idx)].copy()
-        layers.append(Layer(w, layer.b[out_idx].copy(), layer.activation))
-    num_out = layers[-1].out_dim
-    return DenseNet(layers, num_out)
+        layers.append(Layer(layer.w[np.ix_(in_idx, out_idx)], layer.b[out_idx], layer.activation))
+    return DenseNet(layers, layers[-1].out_dim)

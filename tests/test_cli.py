@@ -250,3 +250,13 @@ class TestCli:
 
     def test_missing_config_exit_1(self, tmp_path, capsys):
         assert cli_main(["run", "--config", str(tmp_path / "nope.json")]) == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--tasks", "0"], "num_tasks must be a positive divisor"),
+        (["--rho", "-1", "--tasks", "2"], "rho > 0"),
+    ])
+    def test_bad_value_exit_1_one_line(self, capsys, argv, message):
+        assert cli_main(["run", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1 and "Traceback" not in err

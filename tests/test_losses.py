@@ -281,6 +281,20 @@ class TestSparsifyPenalty:
             g = grads[i] if grads[i] is not None else np.zeros_like(net.layers[i].w)
             assert_close_rel(g, fw[i])
 
+    def test_into_adds_the_dense_gradient(self, rng):
+        # the training path adds in place; it must equal adding the dense
+        # per-layer arrays, byte for byte
+        net, plan = self._net_and_plan(rng)
+        grads = net.backward(rng.standard_normal((5, 4)), rng.standard_normal((5, 4)))
+        expected = [w.copy() for w in grads.wgrads]
+        value, dense = sparsify_penalty(net, plan, 0.3)
+        for li, g in enumerate(dense):
+            if g is not None:
+                expected[li] += g
+        assert sparsify_penalty(net, plan, 0.3, into=grads) == (value, None)
+        for got, want in zip(grads.wgrads, expected):
+            assert got.tobytes() == want.tobytes()
+
     def test_invariant_to_within_partition_changes(self, rng):
         from splitbridge.partition import cross_groups
 

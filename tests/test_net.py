@@ -134,7 +134,7 @@ class TestSgdStep:
         w0 = net.layers[0].w.copy()
         g = rng.standard_normal((2, 2))
         grads = net.backward(np.zeros((1, 2)), np.zeros((1, 2)))
-        grads.wgrads[0] = g
+        grads.wgrads[0][...] = g
         sgd_step(net, grads, GradientSet.zeros(net), 0.1, 0.0, 0.0)
         assert np.allclose(net.layers[0].w, w0 - 0.1 * g, atol=1e-15)
 
@@ -145,8 +145,8 @@ class TestSgdStep:
         velocity = GradientSet.zeros(net)
         for _ in range(2):
             grads = net.backward(np.zeros((1, 2)), np.zeros((1, 2)))
-            grads.wgrads[0] = g.copy()
-            grads.bgrads[0] = np.zeros(2)
+            grads.wgrads[0][...] = g
+            grads.bgrads[0][...] = 0.0
             sgd_step(net, grads, velocity, 0.1, 0.9, 0.0)
         expected = w0 - 0.1 * g - 0.1 * (g + 0.9 * g)
         assert np.allclose(net.layers[0].w, expected, atol=1e-15)
@@ -176,6 +176,98 @@ class TestSgdStep:
         with pytest.raises(ShapeError, match="velocity shape mismatch at layer 1$"):
             sgd_step(net, grads, velocity, 0.1, 0.9, 0.0)
         sgd_step(net, grads, GradientSet.zeros(net), 0.1, 0.9, 0.0)  # a fresh one steps
+
+
+    def test_three_layer_bitwise_oracle(self, rng):
+        # the whole-buffer update against the per-layer formula, written out:
+        # v = m * v + (g + wd * w), then w -= lr * v; biases take no decay
+        net = make_random_net(rng, [3, 5, 4, 2])
+        lr, m, wd = 0.05, 0.9, 1e-4
+        ref_w = [l.w.copy() for l in net.layers]
+        ref_b = [l.b.copy() for l in net.layers]
+        vel_w = [np.zeros_like(w) for w in ref_w]
+        vel_b = [np.zeros_like(b) for b in ref_b]
+        velocity = GradientSet.zeros(net)
+        for _ in range(3):
+            grads = net.backward(rng.standard_normal((4, 3)), rng.standard_normal((4, 2)))
+            for i in range(net.depth):
+                vel_w[i] = m * vel_w[i] + (grads.wgrads[i] + wd * ref_w[i])
+                vel_b[i] = m * vel_b[i] + grads.bgrads[i]
+                ref_w[i] = ref_w[i] - lr * vel_w[i]
+                ref_b[i] = ref_b[i] - lr * vel_b[i]
+            sgd_step(net, grads, velocity, lr, m, wd)
+        for i, layer in enumerate(net.layers):
+            assert layer.w.tobytes() == ref_w[i].tobytes()
+            assert layer.b.tobytes() == ref_b[i].tobytes()
+            assert velocity.wgrads[i].tobytes() == vel_w[i].tobytes()
+            assert velocity.bgrads[i].tobytes() == vel_b[i].tobytes()
+
+    def test_rebound_gradient_entry_rejected(self, rng):
+        net = make_random_net(rng, [2, 2])
+        grads = net.backward(np.ones((1, 2)), np.ones((1, 2)))
+        with pytest.raises(TypeError):
+            grads.wgrads[0] = np.zeros((2, 2))
+        with pytest.raises(AttributeError):
+            grads.bgrads = (np.zeros(2),)
+
+    @pytest.mark.parametrize("attr", ["w", "b"])
+    def test_rebound_parameter_rejected(self, rng, attr):
+        net = make_random_net(rng, [2, 3, 2])
+        layer = net.layers[1]
+        setattr(layer, attr, getattr(layer, attr).copy())
+        grads = net.backward(np.ones((1, 2)), np.ones((1, 2)))
+        with pytest.raises(ShapeError, match="layer 1 weights or biases are not views"):
+            sgd_step(net, grads, GradientSet.zeros(net), 0.1, 0.9, 0.0)
+
+
+def assert_packed(net):
+    """Every layer's w and b is a view of net.params, in the flat layout:
+    all weights in layer order, then all biases."""
+    for layer in net.layers:
+        assert layer.w.base is net.params and layer.b.base is net.params
+    flat = np.concatenate([l.w.ravel() for l in net.layers] + [l.b for l in net.layers])
+    assert flat.tobytes() == net.params.tobytes()
+    assert net.layout == tuple(l.w.shape for l in net.layers)
+
+
+class TestFlatParams:
+    def test_every_constructor_packs(self, rng, tmp_path):
+        from splitbridge.partition import disconnect, extract_subnet, make_plan
+
+        net = build_net(4, [6, 6], 3, seed=0)
+        assert_packed(net)
+        net.save(tmp_path / "net.ckpt")
+        assert_packed(DenseNet.load(tmp_path / "net.ckpt"))
+        assert_packed(net.clone())
+        net.widen_output(2)
+        assert_packed(net)
+        plan = make_plan(net, 1, 3, 2, 1.0)
+        disconnect(net, plan.groups)
+        assert_packed(extract_subnet(net, plan))
+
+    def test_clone_buffer_independent(self, rng):
+        net = make_random_net(rng, [3, 4, 2])
+        before = net.params.copy()
+        clone = net.clone()
+        assert not np.shares_memory(clone.params, net.params)
+        clone.params += 1.0
+        clone.layers[0].w[0, 0] = 7.0
+        assert net.params.tobytes() == before.tobytes()
+        assert_packed(clone)
+
+    def test_bias_shape_checked_before_packing(self):
+        # packing would broadcast a short bias into the buffer without a word
+        with pytest.raises(ShapeError, match=r"layer 0 bias shape \(1,\) != \(2,\)"):
+            DenseNet([Layer(np.eye(2), np.zeros(1), IDENTITY)], 2)
+
+    def test_gradients_share_the_layout(self, rng):
+        net = make_random_net(rng, [3, 4, 2])
+        grads = net.backward(rng.standard_normal((5, 3)), rng.standard_normal((5, 2)))
+        assert grads.layout == net.layout and grads.flat.shape == net.params.shape
+        for w, b in zip(grads.wgrads, grads.bgrads):
+            assert w.base is grads.flat and b.base is grads.flat
+        flat = np.concatenate([w.ravel() for w in grads.wgrads] + list(grads.bgrads))
+        assert flat.tobytes() == grads.flat.tobytes()
 
 
 class TestClone:
