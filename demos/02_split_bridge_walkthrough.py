@@ -42,7 +42,7 @@ def main():
 
     net = build_net(seq.feature_dim, list(cfg.hidden), 4, cfg.seed)
     run_first_task(net, seq.tasks[0].train, cfg)
-    rep = evaluate(net, [seq.tasks[0].test], 1)
+    rep = evaluate(net, seq.tasks[:1], 1)
     print(f"task 1 trained: accuracy {rep.overall_acc:.3f} on 4 classes")
 
     mem = update_exemplars(ExemplarMemory(cfg.memory_capacity),
@@ -64,7 +64,7 @@ def main():
     print(f"  cross-partition norm {diag['cross_norm_start']:.2f} -> "
           f"{diag['cross_norm_at_disconnect']:.2f} after sparsification")
     # the penalty at gamma = 1 is the summed cross-partition Frobenius norm
-    cross_norm, _ = sparsify_penalty(net, plan, 1.0)
+    cross_norm = sparsify_penalty(net, plan, 1.0)
     print(f"  cross norm after disconnect: {cross_norm:.4f} (exactly 0)")
 
     # isolation check: pushing hard on the new branch cannot move old logits
@@ -91,7 +91,7 @@ def main():
           f"{np.array_equal(preview.forward(probe), branched)}")
     run_bridge_phase(net, plan, x, y, cfg, step=2)
 
-    rep = evaluate(net, [t.test for t in seq.tasks], 2)
+    rep = evaluate(net, seq.tasks, 2)
     print(f"\nfinal step-2 metrics over all 8 classes:")
     print(f"  overall {rep.overall_acc:.3f}  old {rep.old_acc:.3f}  "
           f"new {rep.new_acc:.3f}")

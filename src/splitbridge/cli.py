@@ -25,13 +25,9 @@ def _load_config(path) -> dict:
         with open(path) as f:
             return json.load(f)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
+        raise ValueError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config parse error in {path} at line {exc.lineno}: {exc.msg}")
-
-
-class ConfigError(Exception):
-    pass
+        raise ValueError(f"config parse error in {path} at line {exc.lineno}: {exc.msg}")
 
 
 def _add_override_flags(p: argparse.ArgumentParser) -> None:
@@ -94,7 +90,7 @@ def _cmd_eval(args) -> int:
         bench.update(_load_config(args.config).get("benchmark", {}))
     seq = runner.make_benchmark(bench, args.tasks)
     step = args.step if args.step is not None else args.tasks
-    report = evaluate(net, [t.test for t in seq.tasks[:step]], step)
+    report = evaluate(net, seq.tasks[:step], step)
     print(json.dumps(report.to_dict(), indent=2))
     return 0
 
@@ -191,7 +187,7 @@ def cli_main(argv=None) -> int:
         return exc.code if exc.code is not None else 0
     try:
         return args.fn(args)
-    except (ConfigError, ValueError) as exc:  # ValueError: bad values, ShapeError included
+    except ValueError as exc:  # bad config files and values, ShapeError included
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

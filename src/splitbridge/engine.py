@@ -93,13 +93,12 @@ def _fit(net, x, cfg: SchemeConfig, epochs: int, stream, loss, lr=None, on_grads
             sgd_step(net, grads, velocity, lr, cfg.momentum, cfg.weight_decay)
 
 
-def _composite(soft, y, num_classes: int, tau: float, lam=None):
+def _composite(soft, y, num_classes: int, tau: float):
     """The loss lam * KD(soft, old range) + (1 - lam) * CE over the pool rows,
-    for _fit. The old range is soft's columns; lam defaults to the
+    for _fit. The old range is soft's columns; lam is the
     c_old / (c_old + c_new) schedule."""
     old_range = TaskRange(0, soft.shape[1])
-    if lam is None:
-        lam = lambda_schedule(old_range.width, num_classes - old_range.width)
+    lam = lambda_schedule(old_range.width, num_classes - old_range.width)
     return lambda logits, idx: losses.std_composite_loss(
         logits, y[idx], soft[idx], old_range, lam, tau)
 
@@ -158,19 +157,16 @@ def run_split_phase(
         kd.grad_logits[sel] += lce.grad_logits
         return losses.LossValue(kd.value + lce.value, kd.grad_logits)
 
-    cuts = plan.groups.cuts()
-
     def zero_cut(net, grads):
-        for li, cut in cuts:
-            grads.wgrads[li][cut] = 0.0
+        plan.groups.zero(grads.wgrads)
 
     def penalty(net, grads):
         losses.sparsify_penalty(net, plan, cfg.gamma, into=grads)
 
-    diagnostics = {"cross_norm_start": losses.sparsify_penalty(net, plan, 1.0)[0]}
+    diagnostics = {"cross_norm_start": losses.sparsify_penalty(net, plan, 1.0)}
     _fit(net, x, cfg, cfg.epochs_sparsify, (step, 1), kd_lce,
          lr=cfg.sparsify_learning_rate, on_grads=penalty if cfg.gamma > 0 else None)
-    diagnostics["cross_norm_at_disconnect"] = losses.sparsify_penalty(net, plan, 1.0)[0]
+    diagnostics["cross_norm_at_disconnect"] = losses.sparsify_penalty(net, plan, 1.0)
 
     partition.disconnect(net, plan.groups)
     _fit(net, x, cfg, cfg.epochs_branched, (step, 2), kd_lce, on_grads=zero_cut)
@@ -205,11 +201,10 @@ def run_std_step(
     soft: np.ndarray,
     cfg: SchemeConfig,
     step: int,
-    lam: float | None = None,
 ) -> DenseNet:
     """Single-phase composite-loss training (the standard KD-based scheme)."""
     _fit(net, x, cfg, cfg.epochs_std, (step, 1),
-         _composite(soft, y, net.num_classes, cfg.tau, lam))
+         _composite(soft, y, net.num_classes, cfg.tau))
     return net
 
 
@@ -288,7 +283,7 @@ def update_exemplars(mem: ExemplarMemory, d_t: LabeledDataset, seed: int,
         quota = mem.capacity // classes.size
         keep_parts = []
         for c in classes:
-            rows = np.flatnonzero(y == c)
+            rows = np.nonzero(y == c)[0]
             take = min(quota, rows.size)
             keep_parts.append(rng.choice(rows, size=take, replace=False))
         keep = np.concatenate(keep_parts)
@@ -345,6 +340,6 @@ def run_sequence(seq: TaskSequence, cfg: SchemeConfig) -> list[StepResult]:
                 run_bridge_phase(net, plan, x, y, cfg, t)
                 plan_summary = plan.summary()
         mem = update_exemplars(mem, task.train, cfg.seed + t, cfg.balanced_memory)
-        report = metrics.evaluate(net, [tk.test for tk in seq.tasks[:t]], t)
+        report = metrics.evaluate(net, seq.tasks[:t], t)
         results.append(StepResult(t, net.clone(), report, plan_summary, diagnostics))
     return results

@@ -94,13 +94,20 @@ def report_from_predictions(
     )
 
 
-def evaluate(net, test_sets: list, step: int) -> EvalReport:
-    """Evaluate a network on the test sets of tasks 1..step."""
-    if len(test_sets) != step:
-        raise ValueError(f"need one test set per task 1..{step}, got {len(test_sets)}")
-    xs = np.vstack([ts.x for ts in test_sets])
-    ys = np.concatenate([ts.y for ts in test_sets])
-    blocks = [np.unique(ts.y) for ts in test_sets]
+def evaluate(net, tasks: list, step: int) -> EvalReport:
+    """Evaluate a network on the test sets of tasks 1..step.
+
+    Each task's class block is its Task.classes, whether or not every class
+    has test rows. A task with an empty test set raises ValueError naming it.
+    """
+    if len(tasks) != step:
+        raise ValueError(f"need one test set per task 1..{step}, got {len(tasks)}")
+    for t, task in enumerate(tasks, start=1):
+        if len(task.test) == 0:
+            raise ValueError(f"task {t} has an empty test set")
+    xs = np.vstack([task.test.x for task in tasks])
+    ys = np.concatenate([task.test.y for task in tasks])
+    blocks = [task.classes for task in tasks]
     logits = net.forward(xs)
     if logits.shape[1] < int(blocks[-1][-1]) + 1:
         raise ValueError("network output narrower than the class range under test")

@@ -114,21 +114,19 @@ class DenseNet:
         return self.forward_cached(x)[0]
 
     def forward_cached(self, x: np.ndarray):
-        """Forward pass that also returns per-layer inputs and pre-activations."""
+        """Forward pass that also returns each layer's input: (logits, inputs)."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.in_dim:
             raise ShapeError(
                 f"input dim {x.shape[1]} != layer 0 in_dim {self.in_dim}"
             )
         inputs = []
-        preacts = []
         h = x
         for layer in self.layers:
             inputs.append(h)
             z = h @ layer.w + layer.b
-            preacts.append(z)
             h = np.maximum(z, 0.0) if layer.activation == RELU else z
-        return h, inputs, preacts
+        return h, inputs
 
     def backward(self, x: np.ndarray, upstream: np.ndarray, cache=None) -> "GradientSet":
         """Backpropagate d(loss)/d(logits) to per-parameter gradients.
@@ -136,7 +134,7 @@ class DenseNet:
         cache is the forward_cached(x) result for the current parameters;
         without it the forward pass is recomputed.
         """
-        logits, inputs, preacts = self.forward_cached(x) if cache is None else cache
+        logits, inputs = self.forward_cached(x) if cache is None else cache
         upstream = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
         if upstream.shape != logits.shape:
             raise ShapeError(
@@ -148,7 +146,8 @@ class DenseNet:
         for i in range(self.depth - 1, -1, -1):
             layer = self.layers[i]
             if layer.activation == RELU:
-                delta = delta * (preacts[i] > 0)
+                # a ReLU layer's output is the next input; relu(z) > 0 exactly where z > 0
+                delta = delta * (inputs[i + 1] > 0)
             np.matmul(inputs[i].T, delta, out=wgrads[i])
             delta.sum(axis=0, out=bgrads[i])
             if i > 0:

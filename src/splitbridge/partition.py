@@ -5,7 +5,10 @@ cut weights, and the zero-bridge check at reconnection.
 Layers are indexed 0-based. A plan covers layers split_index .. depth-1;
 within each partitioned layer the old group takes the low output indices and
 the new group the high ones, and the final layer is split by class ownership
-(old classes low, new classes high).
+(old classes low, new classes high). The groups are contiguous, so the cut of
+a layer whose inputs are partitioned is two rectangular blocks of its weight
+matrix: with a the old input width and b the old output width, w[:a, b:]
+(old to new) and w[a:, :b] (new to old).
 """
 
 from __future__ import annotations
@@ -27,22 +30,10 @@ class PartitionPlan:
     c_new: int
     old_out: dict[int, np.ndarray] = field(default_factory=dict)  # partitioned layers only
     new_out: dict[int, np.ndarray] = field(default_factory=dict)
-    groups: CrossGroups | None = None     # cut selectors, set by make_plan
+    groups: CrossGroups | None = None     # cut blocks, set by make_plan
 
     def is_partitioned(self, layer: int) -> bool:
         return layer in self.old_out
-
-    def input_groups(self, layer: int):
-        """Old/new input-node groups of `layer` (output groups of layer-1).
-
-        Empty when the previous layer belongs to the shared trunk, as for the
-        first partitioned layer.
-        """
-        prev = layer - 1
-        if prev not in self.old_out:
-            empty = np.array([], dtype=np.int64)
-            return empty, empty
-        return self.old_out[prev], self.new_out[prev]
 
     def summary(self) -> dict:
         """JSON-ready record for the run manifest."""
@@ -65,23 +56,34 @@ class PartitionPlan:
 
 @dataclass
 class CrossGroups:
-    """Per layer with cross weights: selectors of the old-to-new and new-to-old ones.
+    """Per layer with cross weights: the old-to-new and new-to-old blocks.
 
-    per_layer holds boolean (on, no) selectors of the layer's weight matrix;
-    flat holds the same groups as indices into the flattened matrix
-    (np.flatnonzero of each selector, in the same order).
+    blocks[li] is the pair ((rows, cols), (rows, cols)) of slices that select
+    w[:a, b:] and w[a:, :b] of the layer's weight matrix, with a the old input
+    width and b the old output width. Each slice carries its stop, so the
+    pair also gives the matrix shape. per_layer derives the boolean view.
     """
 
-    per_layer: dict[int, tuple[np.ndarray, np.ndarray]]
-    flat: dict[int, tuple[np.ndarray, np.ndarray]] = field(init=False)
+    blocks: dict[int, tuple[tuple[slice, slice], tuple[slice, slice]]]
 
-    def __post_init__(self):
-        self.flat = {li: (np.flatnonzero(on), np.flatnonzero(no))
-                     for li, (on, no) in self.per_layer.items()}
+    @property
+    def per_layer(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Boolean (on, no) selectors of each layer's weight matrix, built
+        afresh from blocks on every read."""
+        view = {}
+        for li, (on_block, no_block) in self.blocks.items():
+            shape = (no_block[0].stop, on_block[1].stop)
+            on, no = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
+            on[on_block] = True
+            no[no_block] = True
+            view[li] = (on, no)
+        return view
 
-    def cuts(self) -> list[tuple[int, np.ndarray]]:
-        """(layer, selector of every cross weight) for each layer with cross weights."""
-        return [(li, on | no) for li, (on, no) in self.per_layer.items()]
+    def zero(self, mats) -> None:
+        """Zero both cut blocks of each layer's matrix in mats (weights or gradients), in place."""
+        for li, pair in self.blocks.items():
+            for block in pair:
+                mats[li][block] = 0.0
 
 
 def _round_half_up(x: float) -> int:
@@ -93,9 +95,10 @@ def make_plan(net: DenseNet, split_index: int, c_old: int, c_new: int, rho: floa
 
     Hidden-layer allocation follows |old| : |new| = rho*c_old : (1-rho)*c_old + c_new,
     rounded half-up on the new share and clamped so both groups keep at least
-    one node. A layer whose new share falls below one node stays shared. The
-    final layer is always split by class ownership. The cross groups of the
-    plan are computed once here, from net's shapes.
+    one node. A layer whose new share falls below one node stays shared, and
+    so does every layer below it: the trunk reaches up to the last shared
+    layer. The final layer is always split by class ownership. The cross
+    groups of the plan are computed once here, from net's shapes.
     """
     depth = net.depth
     if not (0 <= split_index < depth):
@@ -118,6 +121,8 @@ def make_plan(net: DenseNet, split_index: int, c_old: int, c_new: int, rho: floa
             raise ValueError(f"layer {li} has zero width")
         n_new = _round_half_up(width * max(0.0, new_share) / (old_share + max(0.0, new_share)))
         if n_new < 1:
+            plan.old_out.clear()  # the layers below join the shared trunk too
+            plan.new_out.clear()
             continue  # stays shared: in neither old_out nor new_out
         n_new = min(n_new, width - 1)
         plan.old_out[li] = np.arange(0, width - n_new, dtype=np.int64)
@@ -130,25 +135,29 @@ def make_plan(net: DenseNet, split_index: int, c_old: int, c_new: int, rho: floa
 
 
 def cross_groups(plan: PartitionPlan, net: DenseNet) -> CrossGroups:
-    """Enumerate the weights connecting opposite partitions in each layer."""
-    per_layer = {}
+    """The two cut blocks of each partitioned layer whose inputs are partitioned.
+
+    Raises ShapeError naming the layer unless the plan's old and new output
+    groups of each partitioned layer together cover its out_dim exactly. The
+    input widths then match as well: a layer's in_dim is the previous
+    layer's out_dim.
+    """
+    if net.depth != plan.depth:
+        raise ShapeError(f"plan covers {plan.depth} layers, net has {net.depth}")
+    blocks = {}
     for li in range(plan.split_index, plan.depth):
         if not plan.is_partitioned(li):
             continue
-        in_old, in_new = plan.input_groups(li)
-        if not in_old.size:
+        in_dim, out_dim = net.layers[li].w.shape
+        b = plan.old_out[li].size
+        n_out = b + plan.new_out[li].size
+        if n_out != out_dim:
+            raise ShapeError(f"layer {li}: plan groups cover {n_out} outputs, not {out_dim}")
+        if not plan.is_partitioned(li - 1):
             continue  # inputs from the shared trunk: no weight crosses
-        layer = net.layers[li]
-        out_old = plan.old_out[li]
-        out_new = plan.new_out[li]
-        if out_old.size and out_old.max() >= layer.out_dim:
-            raise ShapeError(f"plan group exceeds layer {li} width")
-        on = np.zeros(layer.w.shape, dtype=bool)
-        no = np.zeros(layer.w.shape, dtype=bool)
-        on[np.ix_(in_old, out_new)] = True
-        no[np.ix_(in_new, out_old)] = True
-        per_layer[li] = (on, no)
-    return CrossGroups(per_layer)
+        a = plan.old_out[li - 1].size
+        blocks[li] = ((slice(0, a), slice(b, out_dim)), (slice(a, in_dim), slice(0, b)))
+    return CrossGroups(blocks)
 
 
 def disconnect(net: DenseNet, groups: CrossGroups) -> None:
@@ -158,8 +167,7 @@ def disconnect(net: DenseNet, groups: CrossGroups) -> None:
     old branch to the new branch above the shared trunk. Training keeps it
     that way only if the cut weights' gradients are zeroed too. Idempotent.
     """
-    for li, cut in groups.cuts():
-        net.layers[li].w[cut] = 0.0
+    groups.zero([layer.w for layer in net.layers])
 
 
 def bridge_reconnect(net: DenseNet, groups: CrossGroups) -> None:
@@ -169,8 +177,8 @@ def bridge_reconnect(net: DenseNet, groups: CrossGroups) -> None:
     changes no logit; nothing is written. Raises ValueError naming the
     layer if a cut weight is not exactly 0.0.
     """
-    for li, cut in groups.cuts():
-        bad = np.count_nonzero(net.layers[li].w[cut])
+    for li, pair in groups.blocks.items():
+        bad = sum(np.count_nonzero(net.layers[li].w[block]) for block in pair)
         if bad:
             raise ValueError(f"layer {li}: {bad} cut weights are not exactly 0.0 at "
                              "reconnection (never disconnected, or trained while cut)")
@@ -182,16 +190,16 @@ def extract_subnet(net: DenseNet, plan: PartitionPlan) -> DenseNet:
 
     The result maps inputs to the old-class logits only; they equal the
     parent's old-class logits whenever the parent is disconnected under
-    `plan`.
+    `plan`. Each partitioned layer contributes its block w[:a, :b], with b its
+    old output width and a the previous layer's old output width, or the full
+    in_dim when the layer reads the shared trunk.
     """
     layers = []
     for li, layer in enumerate(net.layers):
         if not plan.is_partitioned(li):
             layers.append(layer)
             continue
-        in_idx = plan.input_groups(li)[0]
-        if in_idx.size == 0:
-            in_idx = np.arange(layer.in_dim, dtype=np.int64)
-        out_idx = plan.old_out[li]
-        layers.append(Layer(layer.w[np.ix_(in_idx, out_idx)], layer.b[out_idx], layer.activation))
+        a = plan.old_out[li - 1].size if plan.is_partitioned(li - 1) else layer.in_dim
+        b = plan.old_out[li].size
+        layers.append(Layer(layer.w[:a, :b], layer.b[:b], layer.activation))
     return DenseNet(layers, layers[-1].out_dim)

@@ -15,7 +15,7 @@ from splitbridge import losses, partition, runner
 from splitbridge.data import gen_synthetic
 from splitbridge.engine import SchemeConfig
 from splitbridge.losses import TaskRange, lambda_schedule
-from splitbridge.net import build_net
+from splitbridge.net import GradientSet, build_net
 from splitbridge.partition import bridge_reconnect, cross_groups, disconnect, make_plan
 from splitbridge.metrics import report_from_predictions
 
@@ -103,11 +103,13 @@ def test_criterion_1_gradient_suite(rng):
             for layer in net.layers:
                 layer.w += 0.3 * rng.standard_normal(layer.w.shape)
             plan = make_plan(net, 1, 2, 2, 1.0)
-            _, wgrads = losses.sparsify_penalty(net, plan, 0.01)
+            grads = GradientSet.zeros(net)
+            losses.sparsify_penalty(net, plan, 0.01, into=grads)
             fd_w, _ = finite_diff_param_grads(
-                net, lambda n: losses.sparsify_penalty(n, plan, 0.01)[0])
-            for g, f in zip(wgrads, fd_w):
-                if g is None:
+                net, lambda n: losses.sparsify_penalty(n, plan, 0.01))
+            for li, (g, f) in enumerate(zip(grads.wgrads, fd_w)):
+                if li not in plan.groups.blocks:
+                    assert not g.any()
                     assert np.abs(f).max() < 1e-7
                 else:
                     assert_close_rel(g, f)
@@ -253,15 +255,15 @@ def test_criterion_6_sparsification_efficacy(rng):
         # within-partition edits leave the penalty value exactly unchanged
         net = build_net(4, [8, 8], 4, seed=1)
         plan = make_plan(net, 1, 2, 2, 1.0)
-        before = losses.sparsify_penalty(net, plan, 1e-2)[0]
+        before = losses.sparsify_penalty(net, plan, 1e-2)
         for li, layer in enumerate(net.layers):
             out_old = plan.old_out.get(li)
-            in_old, _ = plan.input_groups(li)
-            if out_old is None or in_old.size == 0:
+            in_old = plan.old_out.get(li - 1)
+            if out_old is None or in_old is None:
                 continue
             layer.w[np.ix_(in_old, out_old)] += rng.standard_normal(
                 (in_old.size, out_old.size))
-        assert losses.sparsify_penalty(net, plan, 1e-2)[0] == before
+        assert losses.sparsify_penalty(net, plan, 1e-2) == before
 
 
 def test_criterion_7_matrix_determinism(tmp_path):

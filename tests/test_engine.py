@@ -12,16 +12,16 @@ from splitbridge.engine import (
     _fit,
     _pool,
     run_bridge_phase,
-    run_ce_step,
     run_first_task,
     run_sequence,
     run_split_phase,
     run_std_step,
     update_exemplars,
 )
-from splitbridge.losses import TaskRange, ce_loss, softmax
+from splitbridge import losses
+from splitbridge.losses import TaskRange, ce_loss, lambda_schedule, softmax
 from splitbridge.net import build_net
-from splitbridge.partition import bridge_reconnect
+from splitbridge.partition import bridge_reconnect, disconnect, make_plan
 
 FAST = dict(
     epochs_first=8, epochs_sparsify=4, epochs_branched=4,
@@ -215,26 +215,31 @@ class TestSplitPhase:
 
 
 class TestStdReduction:
-    def test_lambda_zero_matches_ce(self):
-        # with the mixing weight forced to 0 the composite update is plain CE,
-        # so both schemes must trace bitwise-identical weight trajectories
-        seq = small_sequence()
+    def test_composite_lambda_is_the_schedule(self, monkeypatch):
+        # std and the bridge phase mix KD against CE with the scheduled weight
+        # c_old / (c_old + c_new); nothing else sets it
+        seq = small_sequence(num_classes=6, num_tasks=3)
         cfg = SchemeConfig(**FAST)
-        x, y, _ = _pool(seq.tasks[1].train, ExemplarMemory(0))
+        x, y, _ = _pool(seq.tasks[2].train, ExemplarMemory(0))
+        composite = losses.std_composite_loss
+        seen = {"std": [], "bridge": []}
+        phase = "std"
 
-        def trained(step_fn):
-            net = build_net(seq.feature_dim, list(cfg.hidden), 2, seed=5)
-            run_first_task(net, seq.tasks[0].train, cfg)
-            soft = softmax(net.forward(x), cfg.tau)
-            net.widen_output(2)
-            step_fn(net, soft)
-            return net
+        def record(logits, labels, teacher, old_range, lam, temperature):
+            seen[phase].append(lam)
+            return composite(logits, labels, teacher, old_range, lam, temperature)
 
-        a = trained(lambda n, soft: run_std_step(n, x, y, soft, cfg, 2, lam=0.0))
-        b = trained(lambda n, soft: run_ce_step(n, x, y, cfg, 2))
-        for la, lb in zip(a.layers, b.layers):
-            assert np.array_equal(la.w, lb.w)
-            assert np.array_equal(la.b, lb.b)
+        monkeypatch.setattr(losses, "std_composite_loss", record)
+        net = build_net(seq.feature_dim, list(cfg.hidden), 4, seed=5)
+        soft = softmax(net.forward(x), cfg.tau)
+        net.widen_output(2)
+        run_std_step(net, x, y, soft, cfg, 3)
+        phase = "bridge"
+        plan = make_plan(net, cfg.split_index, 4, 2, cfg.rho)
+        disconnect(net, plan.groups)
+        run_bridge_phase(net, plan, x, y, cfg, 3)
+        assert seen["std"] and seen["bridge"]
+        assert set(seen["std"]) == set(seen["bridge"]) == {lambda_schedule(4, 2)}
 
 
 class TestRunSequence:

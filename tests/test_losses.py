@@ -12,6 +12,7 @@ from splitbridge.losses import (
     sparsify_penalty,
     std_composite_loss,
 )
+from splitbridge.net import GradientSet
 from splitbridge.partition import make_plan
 from conftest import assert_close_rel, finite_diff_logit_grad, make_random_net
 
@@ -246,7 +247,7 @@ class TestSparsifyPenalty:
         net, plan = self._net_and_plan(rng)
         for li, (on, no) in cross_groups(plan, net).per_layer.items():
             net.layers[li].w[on | no] = 0.0
-        value, _ = sparsify_penalty(net, plan, 0.1)
+        value = sparsify_penalty(net, plan, 0.1, into=GradientSet.zeros(net))
         assert value == 0.0
 
     def test_single_weight_group(self):
@@ -260,38 +261,39 @@ class TestSparsifyPenalty:
         ]
         net = DenseNet(layers, 2)
         plan = make_plan(net, 1, 1, 1, 1.0)
-        value, grads = sparsify_penalty(net, plan, 0.1)
+        grads = GradientSet.zeros(net)
+        value = sparsify_penalty(net, plan, 0.1, into=grads)
         assert abs(value - 0.1 * (3.0 + 0.5)) < 1e-14
-        assert abs(grads[2][0, 1] - 0.1) < 1e-9
-        assert abs(grads[2][1, 0] - 0.1) < 1e-9
-        assert grads[2][0, 0] == 0.0 and grads[2][1, 1] == 0.0
+        assert abs(grads.wgrads[2][0, 1] - 0.1) < 1e-9
+        assert abs(grads.wgrads[2][1, 0] - 0.1) < 1e-9
+        assert grads.wgrads[2][0, 0] == 0.0 and grads.wgrads[2][1, 1] == 0.0
 
     def test_gradient_matches_finite_differences(self, rng):
         net, plan = self._net_and_plan(rng)
 
         def value_of(n):
-            v, _ = sparsify_penalty(n, plan, 0.3)
-            return v
+            return sparsify_penalty(n, plan, 0.3)
 
-        _, grads = sparsify_penalty(net, plan, 0.3)
+        grads = GradientSet.zeros(net)
+        sparsify_penalty(net, plan, 0.3, into=grads)
         from conftest import finite_diff_param_grads
 
         fw, _ = finite_diff_param_grads(net, value_of)
         for i in range(net.depth):
-            g = grads[i] if grads[i] is not None else np.zeros_like(net.layers[i].w)
-            assert_close_rel(g, fw[i])
+            assert_close_rel(grads.wgrads[i], fw[i])
 
     def test_into_adds_the_dense_gradient(self, rng):
         # the training path adds in place; it must equal adding the dense
-        # per-layer arrays, byte for byte
+        # per-layer arrays of the boolean-selector form, byte for byte
         net, plan = self._net_and_plan(rng)
         grads = net.backward(rng.standard_normal((5, 4)), rng.standard_normal((5, 4)))
         expected = [w.copy() for w in grads.wgrads]
-        value, dense = sparsify_penalty(net, plan, 0.3)
-        for li, g in enumerate(dense):
-            if g is not None:
-                expected[li] += g
-        assert sparsify_penalty(net, plan, 0.3, into=grads) == (value, None)
+        value = sparsify_penalty(net, plan, 0.3)
+        for li, selectors in plan.groups.per_layer.items():
+            for sel in selectors:
+                v = net.layers[li].w[sel]
+                expected[li][sel] += 0.3 * (v / max(float(np.sqrt((v ** 2).sum())), 1e-8))
+        assert sparsify_penalty(net, plan, 0.3, into=grads) == value
         for got, want in zip(grads.wgrads, expected):
             assert got.tobytes() == want.tobytes()
 
@@ -299,7 +301,7 @@ class TestSparsifyPenalty:
         from splitbridge.partition import cross_groups
 
         net, plan = self._net_and_plan(rng)
-        before, _ = sparsify_penalty(net, plan, 0.2)
+        before = sparsify_penalty(net, plan, 0.2)
         groups = cross_groups(plan, net)
         for li, layer in enumerate(net.layers):
             if li in groups.per_layer:
@@ -308,5 +310,5 @@ class TestSparsifyPenalty:
                 layer.w[within] += rng.standard_normal(int(within.sum()))
             else:
                 layer.w += 1.0
-        after, _ = sparsify_penalty(net, plan, 0.2)
+        after = sparsify_penalty(net, plan, 0.2)
         assert before == after

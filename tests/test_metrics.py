@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitbridge.data import LabeledDataset
+from splitbridge.data import LabeledDataset, Task
 from splitbridge.metrics import (
     EvalReport,
     average_incremental_accuracy,
@@ -115,6 +115,12 @@ class TestReportFromPredictions:
         assert sum(rep.block_confusion[1]) == rep.n_new
 
 
+def task_with_test(classes, labels, num_classes=4):
+    """A task owning `classes` whose test set holds one zero row per label."""
+    test = LabeledDataset(np.zeros((len(labels), 3)), labels, num_classes)
+    return Task(np.asarray(classes), test, test)
+
+
 class TestEvaluate:
     class _Net:
         def __init__(self, out):
@@ -124,22 +130,43 @@ class TestEvaluate:
             return np.tile(self.out, (x.shape[0], 1))
 
     def test_wrong_number_of_test_sets(self):
-        ds = LabeledDataset(np.zeros((2, 3)), [0, 1], 2)
+        task = task_with_test([0, 1], [0, 1], 2)
         with pytest.raises(ValueError, match="test set"):
-            evaluate(self._Net(np.zeros(2)), [ds], step=2)
+            evaluate(self._Net(np.zeros(2)), [task], step=2)
 
     def test_narrow_network(self):
-        ds = LabeledDataset(np.zeros((2, 3)), [2, 3], 4)
+        task = task_with_test([2, 3], [2, 3])
         with pytest.raises(ValueError, match="narrower"):
-            evaluate(self._Net(np.zeros(2)), [ds], step=1)
+            evaluate(self._Net(np.zeros(2)), [task], step=1)
 
     def test_constant_predictor(self):
-        old = LabeledDataset(np.zeros((4, 3)), [0, 0, 1, 1], 4)
-        new = LabeledDataset(np.zeros((4, 3)), [2, 2, 3, 3], 4)
+        old = task_with_test([0, 1], [0, 0, 1, 1])
+        new = task_with_test([2, 3], [2, 2, 3, 3])
         rep = evaluate(self._Net(np.array([0.0, 1.0, 3.0, 2.0])), [old, new], step=2)
         assert rep.overall_acc == pytest.approx(2 / 8)
         assert rep.old_acc == 0.0
         assert rep.new_acc == pytest.approx(2 / 4)
+
+    @pytest.mark.parametrize("present, out", [
+        (3, [0.0, 0.0, 5.0, 1.0]),  # lowest class of the new task has no test rows
+        (2, [0.0, 0.0, 1.0, 5.0]),  # highest class of the new task has no test rows
+    ])
+    def test_blocks_are_the_task_classes(self, present, out):
+        # the new block is classes 2..3 whatever the test labels hold, so the
+        # restricted argmax over it, and the prediction's block, are both wrong
+        old = task_with_test([0, 1], [0, 1])
+        new = task_with_test([2, 3], [present] * 3)
+        rep = evaluate(self._Net(np.array(out)), [old, new], step=2)
+        assert rep.intra_new_acc == 0.0
+        assert rep.new_acc == 0.0
+        assert rep.block_confusion == [[0, 2], [0, 3]]
+        assert (rep.n_old, rep.n_new) == (2, 3)
+
+    def test_empty_test_set_names_the_task(self):
+        old = task_with_test([0, 1], [0, 1])
+        new = task_with_test([2, 3], [])
+        with pytest.raises(ValueError, match="task 2 has an empty test set"):
+            evaluate(self._Net(np.zeros(4)), [old, new], step=2)
 
 
 class TestAverageIncrementalAccuracy:

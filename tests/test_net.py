@@ -110,7 +110,7 @@ class TestBackward:
         monkeypatch.setattr(partition, "disconnect", record_disconnect)
         monkeypatch.setattr(engine, "sgd_step", record_step)
         _, _, groups, _ = engine.run_split_phase(net, x, y, is_new, soft, cfg, 2)
-        cuts = groups.cuts()
+        cuts = [(li, on | no) for li, (on, no) in groups.per_layer.items()]
         assert cuts and seen["before"] and seen["after"]
         assert any(np.any(gw[li][cut] != 0.0) for gw in seen["before"] for li, cut in cuts)
         for gw in seen["after"]:

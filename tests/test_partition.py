@@ -279,7 +279,8 @@ class TestPartitionClassification:
         for li in range(1, net.depth):
             if not plan.is_partitioned(li):
                 continue
-            in_old, in_new = plan.input_groups(li)
+            empty = np.array([], dtype=np.int64)
+            in_old, in_new = plan.old_out.get(li - 1, empty), plan.new_out.get(li - 1, empty)
             assert (li in groups.per_layer) == bool(in_old.size)
             empty = np.zeros(net.layers[li].w.shape, dtype=bool)
             on, no = groups.per_layer.get(li, (empty, empty))
@@ -293,3 +294,74 @@ class TestPartitionClassification:
             overlap = (on & no) | (on & within) | (no & within)
             assert not overlap.any()
             assert (on | no | within).all()
+
+
+def _ix_selectors(plan, li, shape):
+    """The old-to-new and new-to-old selectors of layer li, built from the
+    plan's index groups."""
+    on, no = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
+    on[np.ix_(plan.old_out[li - 1], plan.new_out[li])] = True
+    no[np.ix_(plan.new_out[li - 1], plan.old_out[li])] = True
+    return on, no
+
+
+def _check_slice_encoding(split_index, hidden, rho, c_old, c_new, seed):
+    net = build_net(3, hidden, c_old + c_new, seed)
+    for layer in net.layers:
+        layer.w += np.sign(layer.w) + (layer.w == 0.0)  # no weight is 0.0 before the cut
+    plan = make_plan(net, split_index, c_old, c_new, rho)
+    fed = [li for li in plan.old_out if plan.is_partitioned(li - 1)]
+    assert sorted(plan.groups.per_layer) == sorted(fed)
+    for li, (on, no) in plan.groups.per_layer.items():
+        want_on, want_no = _ix_selectors(plan, li, net.layers[li].w.shape)
+        assert np.array_equal(on, want_on) and np.array_equal(no, want_no)
+
+    before = net.clone()
+    disconnect(net, plan.groups)
+    for li, (layer, old) in enumerate(zip(net.layers, before.layers)):
+        cut = np.zeros(layer.w.shape, dtype=bool)
+        if li in fed:
+            cut = np.logical_or(*_ix_selectors(plan, li, layer.w.shape))
+        assert np.all(layer.w[cut] == 0.0)
+        assert layer.w[~cut].tobytes() == old.w[~cut].tobytes()
+
+    sub = extract_subnet(net, plan)
+    for li, (layer, got) in enumerate(zip(net.layers, sub.layers)):
+        rows = np.arange(layer.in_dim)
+        cols = plan.old_out.get(li, np.arange(layer.out_dim))
+        if li in fed:
+            rows = plan.old_out[li - 1]
+        assert got.w.tobytes() == layer.w[np.ix_(rows, cols)].tobytes()
+        assert got.b.tobytes() == layer.b[cols].tobytes()
+
+
+class TestSliceEncoding:
+    @given(st.integers(0, 3), st.lists(st.integers(1, 12), min_size=2, max_size=4),
+           st.floats(0.5, 2.0), st.integers(1, 6), st.integers(1, 6), st.integers(0, 100))
+    @settings(max_examples=60, deadline=None)
+    def test_blocks_match_the_index_groups(self, split_index, hidden, rho, c_old, c_new, seed):
+        split_index = min(split_index, len(hidden))
+        _check_slice_encoding(split_index, hidden, rho, c_old, c_new, seed)
+
+    @pytest.mark.parametrize("split_index", [0, 1])
+    def test_shared_middle_layer(self, split_index):
+        # new share 0.5 of 6: the 4-wide layer 1 rounds to no new node and
+        # stays shared, and so does layer 0 below it; layer 2 reads the whole
+        # trunk, and only the logit layer has cross weights
+        hidden, c_old, c_new, rho = [16, 4, 16], 5, 1, 1.1
+        net = build_net(3, hidden, c_old + c_new, 0)
+        plan = make_plan(net, split_index, c_old, c_new, rho)
+        assert sorted(plan.old_out) == [2, 3]
+        assert sorted(plan.groups.per_layer) == [3]
+        _check_slice_encoding(split_index, hidden, rho, c_old, c_new, 0)
+
+    @pytest.mark.parametrize("hidden", [[6, 6, 6], [10, 10, 10]])
+    def test_other_width_net_rejected(self, hidden):
+        plan = make_plan(build_net(4, [8, 8, 8], 4, 0), 1, 2, 2, 1.0)
+        with pytest.raises(ShapeError, match="layer 1: plan groups cover 8 outputs"):
+            cross_groups(plan, build_net(4, hidden, 4, 0))
+
+    def test_other_depth_net_rejected(self):
+        plan = make_plan(build_net(4, [8, 8, 8], 4, 0), 1, 2, 2, 1.0)
+        with pytest.raises(ShapeError, match="plan covers 4 layers"):
+            cross_groups(plan, build_net(4, [8, 8], 4, 0))
