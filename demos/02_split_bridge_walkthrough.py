@@ -36,7 +36,7 @@ def main():
     seq = split_tasks(train, test, 2, seed=1)
     cfg = SchemeConfig(
         scheme="sb", hidden=(16, 16, 16, 16), split_index=2,
-        sparsify_learning_rate=0.05, epochs_sparsify=60,
+        epochs_sparsify=60,
         memory_capacity=24, seed=0,
     )
 

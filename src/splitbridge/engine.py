@@ -31,6 +31,10 @@ class ExemplarMemory:
 
 @dataclass
 class SchemeConfig:
+    """One run's settings; every phase trains with the one SGD setup. A value out
+    of range, a non-integer seed, epoch count, memory, batch size, split_index or
+    hidden width, or a split_index outside [0, len(hidden)] raises a ValueError naming it."""
+
     scheme: str = "sb"
     tau: float = 2.0
     gamma: float = 1e-2
@@ -38,14 +42,12 @@ class SchemeConfig:
     split_index: int = 2          # first partitioned layer of the MLP
     hidden: tuple[int, ...] = (16, 16, 16, 16)
     memory_capacity: int = 24
-    balanced_memory: bool = False
     epochs_first: int = 30
     epochs_sparsify: int = 30
     epochs_branched: int = 40
     epochs_bridge: int = 40
     epochs_std: int = 30
     learning_rate: float = 0.05
-    sparsify_learning_rate: float | None = None
     momentum: float = 0.9
     weight_decay: float = 1e-4
     batch_size: int = 32
@@ -54,30 +56,35 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
+        counts = ("epochs_first", "epochs_sparsify", "epochs_branched", "epochs_bridge",
+                  "epochs_std", "memory_capacity")
+        for name in counts + ("batch_size", "split_index", "seed"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not (self.tau > 0 and self.rho > 0 and self.gamma >= 0):  # NaN fails too
             raise ValueError("need tau > 0, rho > 0, gamma >= 0")
-        for name in ("epochs_first", "epochs_sparsify", "epochs_branched", "epochs_bridge",
-                     "epochs_std", "memory_capacity", "weight_decay"):
+        for name in counts + ("weight_decay",):
             if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        for name in ("learning_rate", "sparsify_learning_rate", "batch_size"):
-            if getattr(self, name) is not None and not getattr(self, name) > 0:
+        for name in ("learning_rate", "batch_size"):
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if min(self.hidden, default=1) < 1:
-            raise ValueError(f"hidden widths must be at least 1, got {tuple(self.hidden)}")
+        if not all(isinstance(w, (int, np.integer)) and w >= 1 for w in self.hidden):
+            raise ValueError(f"hidden widths must be integers >= 1, got {tuple(self.hidden)}")
+        if not 0 <= self.split_index <= len(self.hidden):
+            raise ValueError(f"split_index {self.split_index} not in [0, {len(self.hidden)}]")
 
 
-def _fit(net, x, cfg: SchemeConfig, epochs: int, stream, loss, lr=None, on_grads=None) -> None:
+def _fit(net, x, cfg: SchemeConfig, epochs: int, stream, loss, on_grads=None) -> None:
     """The one training loop: seeded minibatch SGD over the rows of x.
 
     Batches are drawn from default_rng([cfg.seed, *stream]), stream = (step,
     tag). loss(logits, idx) returns the batch's LossValue; on_grads(net,
     grads), if given, edits the GradientSet in place before each update.
-    Each call starts from zero momentum.
+    Every call trains at cfg.learning_rate and starts from zero momentum.
     """
-    lr = cfg.learning_rate if lr is None else lr
     rng = np.random.default_rng([cfg.seed, *stream])
     n = x.shape[0]
     velocity = GradientSet.zeros(net)
@@ -90,7 +97,7 @@ def _fit(net, x, cfg: SchemeConfig, epochs: int, stream, loss, lr=None, on_grads
             grads = net.backward(xb, loss(cache[0], idx).grad_logits, cache)
             if on_grads is not None:
                 on_grads(net, grads)
-            sgd_step(net, grads, velocity, lr, cfg.momentum, cfg.weight_decay)
+            sgd_step(net, grads, velocity, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
 
 
 def _composite(soft, y, num_classes: int, tau: float):
@@ -165,7 +172,7 @@ def run_split_phase(
 
     diagnostics = {"cross_norm_start": losses.sparsify_penalty(net, plan, 1.0)}
     _fit(net, x, cfg, cfg.epochs_sparsify, (step, 1), kd_lce,
-         lr=cfg.sparsify_learning_rate, on_grads=penalty if cfg.gamma > 0 else None)
+         on_grads=penalty if cfg.gamma > 0 else None)
     diagnostics["cross_norm_at_disconnect"] = losses.sparsify_penalty(net, plan, 1.0)
 
     partition.disconnect(net, plan.groups)
@@ -258,40 +265,17 @@ def run_dd_step(
     return net
 
 
-def update_exemplars(mem: ExemplarMemory, d_t: LabeledDataset, seed: int,
-                     balanced: bool = False) -> ExemplarMemory:
-    """Next-step memory: a seeded random capacity-sized subset of M_t and D_t.
-
-    Uniform sampling without replacement by default; the balanced variant
-    takes an equal per-class quota first and fills the remainder uniformly.
-    """
-    if mem.capacity == 0:
-        return ExemplarMemory(0)
+def update_exemplars(mem: ExemplarMemory, d_t: LabeledDataset, seed: int) -> ExemplarMemory:
+    """Next-step memory: a seeded uniform draw of capacity rows of M_t and D_t,
+    without replacement (all rows when they fit, none at capacity 0)."""
     if len(mem) == 0:
         x, y = d_t.x, d_t.y
     else:
         x = np.vstack([mem.x, d_t.x])
         y = np.concatenate([mem.y, d_t.y])
     n = y.shape[0]
-    if n <= mem.capacity:
-        return ExemplarMemory(mem.capacity, x.copy(), y.copy())
     rng = np.random.default_rng([seed, n])
-    if not balanced:
-        keep = rng.choice(n, size=mem.capacity, replace=False)
-    else:
-        classes = np.unique(y)
-        quota = mem.capacity // classes.size
-        keep_parts = []
-        for c in classes:
-            rows = np.nonzero(y == c)[0]
-            take = min(quota, rows.size)
-            keep_parts.append(rng.choice(rows, size=take, replace=False))
-        keep = np.concatenate(keep_parts)
-        rest = np.setdiff1d(np.arange(n), keep)
-        short = mem.capacity - keep.size
-        if short > 0 and rest.size:
-            keep = np.concatenate([keep, rng.choice(rest, size=min(short, rest.size),
-                                                    replace=False)])
+    keep = rng.choice(n, size=min(n, mem.capacity), replace=False)
     keep.sort()
     return ExemplarMemory(mem.capacity, x[keep], y[keep])
 
@@ -339,7 +323,7 @@ def run_sequence(seq: TaskSequence, cfg: SchemeConfig) -> list[StepResult]:
                 net, plan, _, diagnostics = run_split_phase(net, x, y, is_new, soft, cfg, t)
                 run_bridge_phase(net, plan, x, y, cfg, t)
                 plan_summary = plan.summary()
-        mem = update_exemplars(mem, task.train, cfg.seed + t, cfg.balanced_memory)
+        mem = update_exemplars(mem, task.train, cfg.seed + t)
         report = metrics.evaluate(net, seq.tasks[:t], t)
         results.append(StepResult(t, net.clone(), report, plan_summary, diagnostics))
     return results

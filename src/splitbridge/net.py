@@ -283,11 +283,8 @@ def sgd_step(net: DenseNet, grads: GradientSet, velocity: GradientSet, lr: float
         raise ShapeError(f"gradient or velocity shape mismatch at layer {i}")
     nw = net.n_weights
     v *= momentum
-    if weight_decay:
-        decayed = weight_decay * p[:nw]
-        decayed += g[:nw]
-        v[:nw] += decayed
-        v[nw:] += g[nw:]
-    else:
-        v += g
+    decayed = weight_decay * p[:nw]
+    decayed += g[:nw]
+    v[:nw] += decayed
+    v[nw:] += g[nw:]
     p -= lr * v

@@ -94,10 +94,10 @@ def make_plan(net: DenseNet, split_index: int, c_old: int, c_new: int, rho: floa
     """Allocate old/new node groups for layers split_index..depth-1.
 
     Hidden-layer allocation follows |old| : |new| = rho*c_old : (1-rho)*c_old + c_new,
-    rounded half-up on the new share and clamped so both groups keep at least
-    one node. A layer whose new share falls below one node stays shared, and
-    so does every layer below it: the trunk reaches up to the last shared
-    layer. The final layer is always split by class ownership. The cross
+    rounded half-up on the new share and clamped so the old group keeps at
+    least one node. A layer left with no new node (a 1-wide one, too) stays
+    shared, and so does every layer below it: the trunk reaches up to the last
+    shared layer. The final layer is always split by class ownership. The cross
     groups of the plan are computed once here, from net's shapes.
     """
     depth = net.depth
@@ -120,11 +120,11 @@ def make_plan(net: DenseNet, split_index: int, c_old: int, c_new: int, rho: floa
         if width < 1:
             raise ValueError(f"layer {li} has zero width")
         n_new = _round_half_up(width * max(0.0, new_share) / (old_share + max(0.0, new_share)))
+        n_new = min(n_new, width - 1)
         if n_new < 1:
             plan.old_out.clear()  # the layers below join the shared trunk too
             plan.new_out.clear()
             continue  # stays shared: in neither old_out nor new_out
-        n_new = min(n_new, width - 1)
         plan.old_out[li] = np.arange(0, width - n_new, dtype=np.int64)
         plan.new_out[li] = np.arange(width - n_new, width, dtype=np.int64)
     last = depth - 1

@@ -240,8 +240,7 @@ def test_criterion_5_multi_task_split_bridge_advantage():
 
 def test_criterion_6_sparsification_efficacy(rng):
     bench = {**runner.DEFAULT_BENCHMARK, "mean_radius": 4.0}
-    base = {"hidden": [16, 16, 16, 16], "learning_rate": 0.05,
-            "sparsify_learning_rate": 0.05, "weight_decay": 1e-4,
+    base = {"hidden": [16, 16, 16, 16], "learning_rate": 0.05, "weight_decay": 1e-4,
             "epochs_sparsify": 60, "epochs_branched": 5, "epochs_bridge": 5}
     with _Gate(6, "penalty shrinks cross-partition weights") as gate:
         norms = {}

@@ -254,8 +254,15 @@ class TestCli:
     @pytest.mark.parametrize("argv, message", [
         (["--tasks", "0"], "num_tasks must be a positive divisor"),
         (["--rho", "-1", "--tasks", "2"], "rho > 0"),
+        (["--tasks", "2", "--config", {"config": {"batch_size": 2.5}}],
+         "batch_size must be an integer"),
     ])
-    def test_bad_value_exit_1_one_line(self, capsys, argv, message):
+    def test_bad_value_exit_1_one_line(self, tmp_path, capsys, argv, message):
+        argv = list(argv)
+        for i, arg in enumerate(argv):
+            if isinstance(arg, dict):  # a config, passed as a file
+                (tmp_path / "cfg.json").write_text(json.dumps(arg))
+                argv[i] = str(tmp_path / "cfg.json")
         assert cli_main(["run", *argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err

@@ -1,6 +1,8 @@
 """Tests for the incremental training engine, exemplar memory, and the
 scheme-level reduction properties."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -44,16 +46,23 @@ class TestSchemeConfig:
         {"tau": 0.0}, {"rho": -1.0}, {"gamma": -0.1},
         {"epochs_first": -1}, {"epochs_sparsify": -1}, {"epochs_branched": -1},
         {"epochs_bridge": -1}, {"epochs_std": -3}, {"memory_capacity": -1},
-        {"batch_size": 0}, {"learning_rate": 0.0}, {"sparsify_learning_rate": -1.0},
-        {"sparsify_learning_rate": 0.0}, {"momentum": 1.0}, {"momentum": -0.1},
+        {"batch_size": 0}, {"learning_rate": 0.0}, {"momentum": 1.0}, {"momentum": -0.1},
         {"weight_decay": -1.0}, {"hidden": (0, 4)}, {"hidden": (-2,)},
         {"learning_rate": float("nan")}, {"weight_decay": float("nan")},
         {"tau": float("nan")}, {"gamma": float("nan")},
+        {"split_index": 5}, {"split_index": -1}, {"split_index": 1.0},
+        {"batch_size": 2.5}, {"epochs_first": 3.0}, {"epochs_bridge": "4"},
+        {"memory_capacity": 24.0}, {"hidden": (8, 2.5)}, {"seed": 2.5},
     ])
     def test_bad_numbers(self, kw):
         (field,) = kw
         with pytest.raises(ValueError, match=field):
             SchemeConfig(**kw)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SchemeConfig(batch_size=np.int64(8), split_index=np.int32(4),
+                           hidden=tuple(np.array([6, 6, 6, 6])), memory_capacity=np.uint8(0))
+        assert cfg.batch_size == 8 and cfg.split_index == len(cfg.hidden)
 
     def test_all_schemes_accepted(self):
         for s in SCHEMES:
@@ -115,16 +124,6 @@ class TestExemplarMemory:
         mem = update_exemplars(mem, d2, seed=2)
         assert len(mem) == 12
 
-    def test_balanced_quota(self):
-        # 4 classes, capacity 12: balanced selection takes 3 per class
-        rng = np.random.default_rng(0)
-        y = np.repeat(np.arange(4), 25)
-        d = LabeledDataset(rng.standard_normal((100, 3)), y, 4)
-        mem = update_exemplars(ExemplarMemory(12), d, seed=3, balanced=True)
-        assert len(mem) == 12
-        counts = np.bincount(mem.y, minlength=4)
-        assert np.array_equal(counts, [3, 3, 3, 3])
-
     def test_uniform_sampling_statistics(self):
         # each of 20 candidates should be kept with probability 5/20; over
         # 1000 seeded draws the count stays within 3 sigma of the binomial
@@ -147,14 +146,14 @@ class TestFit:
         seq = small_sequence()
         d = seq.tasks[0].train
         cfg = SchemeConfig(**FAST, weight_decay=1e-2)
-        calls = [((1, 1), None), ((1, 2), 0.02)]
+        calls = [((1, 1), cfg), ((1, 2), dataclasses.replace(cfg, learning_rate=0.02))]
         net = build_net(seq.feature_dim, list(cfg.hidden), 2, seed=0)
         ref = net.clone()
-        for stream, lr in calls:
-            _fit(net, d.x, cfg, 3, stream, lambda logits, idx: ce_loss(logits, d.y[idx]), lr=lr)
+        for stream, call_cfg in calls:
+            _fit(net, d.x, call_cfg, 3, stream, lambda logits, idx: ce_loss(logits, d.y[idx]))
 
-        for stream, lr in calls:
-            lr = cfg.learning_rate if lr is None else lr
+        for stream, call_cfg in calls:
+            lr = call_cfg.learning_rate
             vel = [(np.zeros_like(l.w), np.zeros_like(l.b)) for l in ref.layers]
             rng = np.random.default_rng([cfg.seed, *stream])
             for _ in range(3):
@@ -323,24 +322,6 @@ class TestRunSequence:
         results = run_sequence(small_sequence(num_classes=6, num_tasks=3),
                                SchemeConfig(scheme="sb", **FAST))
         assert len(results) == 3 and len(calls) == 3
-
-    def test_balanced_memory_reaches_the_draw(self, monkeypatch):
-        # capacity 12 divides by the 2, 4 and 6 classes seen after each task
-        from splitbridge import engine
-
-        memories = []
-        update = engine.update_exemplars
-        monkeypatch.setattr(engine, "update_exemplars",
-                            lambda *a: memories.append(update(*a)) or memories[-1])
-        seq = small_sequence(num_classes=6, num_tasks=3)
-        fast = dict(FAST, memory_capacity=12)
-        balanced = run_sequence(seq, SchemeConfig(balanced_memory=True, **fast))
-        assert len(memories) == 3
-        for mem in memories:
-            classes, counts = np.unique(mem.y, return_counts=True)
-            assert np.all(counts == 12 // classes.size)
-        uniform = run_sequence(seq, SchemeConfig(**fast))
-        assert [r.report.to_dict() for r in balanced] != [r.report.to_dict() for r in uniform]
 
     def test_seed_changes_outcome(self):
         seq = small_sequence()

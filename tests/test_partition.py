@@ -355,6 +355,15 @@ class TestSliceEncoding:
         assert sorted(plan.groups.per_layer) == [3]
         _check_slice_encoding(split_index, hidden, rho, c_old, c_new, 0)
 
+    def test_one_wide_layer_stays_shared(self):
+        # the 1-wide layer 1 has no node to give the new group, so it stays
+        # shared with layer 0 below it; layer 2 reads the whole trunk
+        plan = make_plan(build_net(4, [8, 1, 8], 4, 0), 0, 2, 2, 1.0)
+        assert [(l["layer"], l["shared"], l["new_size"]) for l in plan.summary()["layers"]] == [
+            (0, True, None), (1, True, None), (2, False, 4), (3, False, 2)]
+        assert sorted(plan.groups.per_layer) == [3]
+        _check_slice_encoding(0, [8, 1, 8], 1.0, 2, 2, 0)
+
     @pytest.mark.parametrize("hidden", [[6, 6, 6], [10, 10, 10]])
     def test_other_width_net_rejected(self, hidden):
         plan = make_plan(build_net(4, [8, 8, 8], 4, 0), 1, 2, 2, 1.0)
