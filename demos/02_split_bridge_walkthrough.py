@@ -18,14 +18,14 @@ import numpy as np
 
 from splitbridge.data import gen_synthetic, split_tasks
 from splitbridge.engine import (
-    ExemplarMemory,
+    Pool,
     SchemeConfig,
     run_bridge_phase,
     run_first_task,
     run_split_phase,
     update_exemplars,
 )
-from splitbridge.losses import softmax, sparsify_penalty
+from splitbridge.losses import sparsify_penalty
 from splitbridge.metrics import evaluate
 from splitbridge.net import build_net
 from splitbridge.partition import bridge_reconnect, disconnect
@@ -45,18 +45,15 @@ def main():
     rep = evaluate(net, seq.tasks[:1], 1)
     print(f"task 1 trained: accuracy {rep.overall_acc:.3f} on 4 classes")
 
-    mem = update_exemplars(ExemplarMemory(cfg.memory_capacity),
-                           seq.tasks[0].train, cfg.seed + 1)
+    d1 = seq.tasks[0].train
+    mem = update_exemplars(d1.subset(slice(0, 0)), d1, cfg.memory_capacity, cfg.seed + 1)
     # the training pool is task 2's data plus the exemplars; the task-1
     # model's soft labels on it, taken before the output layer widens, are
     # the only teacher the split phase reads
-    d2 = seq.tasks[1].train
-    x, y = np.vstack([d2.x, mem.x]), np.concatenate([d2.y, mem.y])
-    is_new = np.arange(len(y)) < len(d2)
-    soft = softmax(net.forward(x), cfg.tau)
+    pool = Pool.build(seq.tasks[1], mem, net, cfg)
     net.widen_output(4)
 
-    net, plan, groups, diag = run_split_phase(net, x, y, is_new, soft, cfg, step=2)
+    net, plan, groups, diag = run_split_phase(net, pool, cfg, step=2)
     print(f"\nsplit phase (layers {plan.split_index}..{plan.depth - 1} partitioned):")
     for li in sorted(plan.old_out):
         print(f"  layer {li}: {plan.old_out[li].size} old nodes, "
@@ -89,7 +86,7 @@ def main():
     print("\nbridge phase: cut weights re-enabled at zero, composite loss trained")
     print(f"  zero-bridge logits bit-identical to branched logits: "
           f"{np.array_equal(preview.forward(probe), branched)}")
-    run_bridge_phase(net, plan, x, y, cfg, step=2)
+    run_bridge_phase(net, plan, pool, cfg, step=2)
 
     rep = evaluate(net, seq.tasks, 2)
     print(f"\nfinal step-2 metrics over all 8 classes:")

@@ -4,7 +4,7 @@ Library layout:
   net        dense MLP engine: forward, manual backprop, momentum SGD
   losses     CE, temperature KD, localized CE, composite mix, sparsity penalty
   partition  adaptive split plans, disconnection, the zero-bridge check
-  engine     incremental loop, exemplar memory, baselines
+  engine     incremental loop over one Pool per step, exemplar memory, baselines
   data       synthetic / IDX / CSV datasets and task splits
   metrics    five-way accuracy decomposition
   runner     experiment sweeps with JSONL/CSV outputs
@@ -12,7 +12,7 @@ Library layout:
 """
 
 from .data import LabeledDataset, Task, TaskSequence, gen_synthetic, load_idx, split_tasks
-from .engine import ExemplarMemory, SchemeConfig, run_sequence, update_exemplars
+from .engine import SchemeConfig, run_sequence, update_exemplars
 from .losses import (
     TaskRange,
     ce_loss,

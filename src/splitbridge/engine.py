@@ -1,6 +1,7 @@
 """Incremental training engine: the split/bridge loop plus the STD, CE-only,
-and double-distillation baselines, and exemplar memory. A teacher enters a
-phase only as its soft labels on the training pool.
+and double-distillation baselines, and exemplar memory. Each step after the
+first trains on one Pool: the task's rows, the memory's, the previous model's
+soft labels on them and the old and new class windows.
 """
 
 from __future__ import annotations
@@ -10,30 +11,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import losses, metrics, partition
-from .data import LabeledDataset, TaskSequence
+from .data import LabeledDataset, Task, TaskSequence
 from .losses import TaskRange, lambda_schedule
 from .net import DenseNet, GradientSet, build_net, sgd_step
 
 SCHEMES = ("sb", "std", "ce", "dd")
 
 
-@dataclass
-class ExemplarMemory:
-    """Fixed-capacity rehearsal store of previously seen labeled samples."""
-
-    capacity: int
-    x: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-    y: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-
-    def __len__(self) -> int:
-        return self.y.shape[0]
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass
 class SchemeConfig:
     """One run's settings; every phase trains with the one SGD setup. A value out
-    of range, a non-integer seed, epoch count, memory, batch size, split_index or
-    hidden width, or a split_index outside [0, len(hidden)] raises a ValueError naming it."""
+    of range, a non-finite float, a non-integer (or bool) seed, epoch count,
+    memory, batch size, split_index or hidden width, or a split_index outside
+    [0, len(hidden)] raises a ValueError naming it."""
 
     scheme: str = "sb"
     tau: float = 2.0
@@ -59,9 +53,12 @@ class SchemeConfig:
         counts = ("epochs_first", "epochs_sparsify", "epochs_branched", "epochs_bridge",
                   "epochs_std", "memory_capacity")
         for name in counts + ("batch_size", "split_index", "seed"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
+            if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not (self.tau > 0 and self.rho > 0 and self.gamma >= 0):  # NaN fails too
+        for name in ("learning_rate", "tau", "gamma", "rho", "weight_decay"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not (self.tau > 0 and self.rho > 0 and self.gamma >= 0):
             raise ValueError("need tau > 0, rho > 0, gamma >= 0")
         for name in counts + ("weight_decay",):
             if not getattr(self, name) >= 0:
@@ -71,10 +68,37 @@ class SchemeConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if not all(isinstance(w, (int, np.integer)) and w >= 1 for w in self.hidden):
+        if not all(_is_int(w) and w >= 1 for w in self.hidden):
             raise ValueError(f"hidden widths must be integers >= 1, got {tuple(self.hidden)}")
         if not 0 <= self.split_index <= len(self.hidden):
             raise ValueError(f"split_index {self.split_index} not in [0, {len(self.hidden)}]")
+
+
+@dataclass(frozen=True)
+class Pool:
+    """One step's training pool: the task's rows, then the memory's (is_new
+    flags the task's), and the previous model's tempered soft labels on them
+    (None for ce). old and new are the class windows of the widened output."""
+
+    x: np.ndarray
+    y: np.ndarray
+    is_new: np.ndarray
+    soft: np.ndarray | None
+    old: TaskRange
+    new: TaskRange
+
+    @property
+    def lam(self) -> float:  # KD's weight against CE, c_old / (c_old + c_new)
+        return lambda_schedule(self.old.width, self.new.width)
+
+    @classmethod
+    def build(cls, task: Task, mem: LabeledDataset, net: DenseNet, cfg: SchemeConfig) -> Pool:
+        """The pool of task's step; call before net's output widens."""
+        d_t, c_old = task.train, net.num_classes
+        x = np.vstack([d_t.x, mem.x])
+        soft = None if cfg.scheme == "ce" else losses.softmax(net.forward(x), cfg.tau)
+        return cls(x, np.concatenate([d_t.y, mem.y]), np.arange(len(x)) < len(d_t), soft,
+                   TaskRange(0, c_old), TaskRange(c_old, c_old + task.classes.size))
 
 
 def _fit(net, x, cfg: SchemeConfig, epochs: int, stream, loss, on_grads=None) -> None:
@@ -100,67 +124,48 @@ def _fit(net, x, cfg: SchemeConfig, epochs: int, stream, loss, on_grads=None) ->
             sgd_step(net, grads, velocity, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
 
 
-def _composite(soft, y, num_classes: int, tau: float):
-    """The loss lam * KD(soft, old range) + (1 - lam) * CE over the pool rows,
-    for _fit. The old range is soft's columns; lam is the
-    c_old / (c_old + c_new) schedule."""
-    old_range = TaskRange(0, soft.shape[1])
-    lam = lambda_schedule(old_range.width, num_classes - old_range.width)
+def _ce(y):
+    """Plain cross entropy against the labels y, for _fit."""
+    return lambda logits, idx: losses.ce_loss(logits, y[idx])
+
+
+def _composite(pool: Pool, soft, tau: float):
+    """The loss lam * KD(soft, old window) + (1 - lam) * CE over the pool rows,
+    for _fit."""
+    y, old, lam = pool.y, pool.old, pool.lam
     return lambda logits, idx: losses.std_composite_loss(
-        logits, y[idx], soft[idx], old_range, lam, tau)
+        logits, y[idx], soft[idx], old, lam, tau)
 
 
 def run_first_task(net: DenseNet, d1: LabeledDataset, cfg: SchemeConfig) -> DenseNet:
     """Plain CE training on the first task's data."""
     if len(d1) == 0:
         raise ValueError("first task dataset is empty")
-    _fit(net, d1.x, cfg, cfg.epochs_first, (0, 0),
-         lambda logits, idx: losses.ce_loss(logits, d1.y[idx]))
+    _fit(net, d1.x, cfg, cfg.epochs_first, (0, 0), _ce(d1.y))
     return net
 
 
-def _pool(d_t: LabeledDataset, mem: ExemplarMemory):
-    """Training pool D_t with M_t appended; is_new flags the D_t rows."""
-    if len(mem) == 0:
-        x, y = d_t.x, d_t.y
-    else:
-        x = np.vstack([d_t.x, mem.x])
-        y = np.concatenate([d_t.y, mem.y])
-    return x, y, np.arange(len(y)) < len(d_t)
-
-
-def run_split_phase(
-    net: DenseNet,
-    x: np.ndarray,
-    y: np.ndarray,
-    is_new: np.ndarray,
-    soft: np.ndarray,
-    cfg: SchemeConfig,
-    step: int,
-):
+def run_split_phase(net: DenseNet, pool: Pool, cfg: SchemeConfig, step: int):
     """Sparsify cross-partition weights, disconnect, then train the branches.
 
     Stage 1 minimizes KD (old logits, all pool samples) + LCE (new logits,
     new-task samples) + the sparsity penalty on the full network. Stage 2
     disconnects and minimizes KD + LCE on the branched network, zeroing the
     cut weights' gradients each step: as the weights and the fresh velocities
-    start at 0.0, weight decay and momentum keep them there exactly. soft
-    holds the previous-step model's soft labels on the pool (x, y), read by
-    KD in both stages; is_new flags the new-task rows.
+    start at 0.0, weight decay and momentum keep them there exactly. KD reads
+    the pool's soft labels in both stages.
 
     Returns (net, plan, groups, diagnostics).
     """
-    c_old = soft.shape[1]
-    old_range = TaskRange(0, c_old)
-    new_range = TaskRange(c_old, net.num_classes)
-    plan = partition.make_plan(net, cfg.split_index, c_old, new_range.width, cfg.rho)
+    x, y, is_new, soft, old, new = pool.x, pool.y, pool.is_new, pool.soft, pool.old, pool.new
+    plan = partition.make_plan(net, cfg.split_index, old.width, new.width, cfg.rho)
 
     def kd_lce(logits, idx):
-        kd = losses.kd_loss(logits, soft[idx], old_range, cfg.tau)
+        kd = losses.kd_loss(logits, soft[idx], old, cfg.tau)
         sel = is_new[idx]
         if not sel.any():
             return kd
-        lce = losses.lce_loss(logits[sel], y[idx][sel], new_range)
+        lce = losses.lce_loss(logits[sel], y[idx][sel], new)
         kd.grad_logits[sel] += lce.grad_logits
         return losses.LossValue(kd.value + lce.value, kd.grad_logits)
 
@@ -180,82 +185,45 @@ def run_split_phase(
     return net, plan, plan.groups, diagnostics
 
 
-def run_bridge_phase(
-    net: DenseNet,
-    plan: partition.PartitionPlan,
-    x: np.ndarray,
-    y: np.ndarray,
-    cfg: SchemeConfig,
-    step: int,
-) -> DenseNet:
+def run_bridge_phase(net: DenseNet, plan: partition.PartitionPlan, pool: Pool,
+                     cfg: SchemeConfig, step: int) -> DenseNet:
     """Re-enable the cut weights at zero and train the composite loss.
 
     bridge_reconnect checks that the cut weights are exactly 0.0, so the
     bridge starts from the branched network's logits. The KD teacher is the
     shared-trunk-plus-old-branch subnetwork, frozen before any bridge update.
     """
-    soft = losses.softmax(partition.extract_subnet(net, plan).forward(x), cfg.tau)
+    soft = losses.softmax(partition.extract_subnet(net, plan).forward(pool.x), cfg.tau)
     partition.bridge_reconnect(net, plan.groups)
-    _fit(net, x, cfg, cfg.epochs_bridge, (step, 3),
-         _composite(soft, y, net.num_classes, cfg.tau))
+    _fit(net, pool.x, cfg, cfg.epochs_bridge, (step, 3), _composite(pool, soft, cfg.tau))
     return net
 
 
-def run_std_step(
-    net: DenseNet,
-    x: np.ndarray,
-    y: np.ndarray,
-    soft: np.ndarray,
-    cfg: SchemeConfig,
-    step: int,
-) -> DenseNet:
+def run_std_step(net: DenseNet, pool: Pool, cfg: SchemeConfig, step: int) -> DenseNet:
     """Single-phase composite-loss training (the standard KD-based scheme)."""
-    _fit(net, x, cfg, cfg.epochs_std, (step, 1),
-         _composite(soft, y, net.num_classes, cfg.tau))
+    _fit(net, pool.x, cfg, cfg.epochs_std, (step, 1), _composite(pool, pool.soft, cfg.tau))
     return net
 
 
-def run_ce_step(
-    net: DenseNet,
-    x: np.ndarray,
-    y: np.ndarray,
-    cfg: SchemeConfig,
-    step: int,
-) -> DenseNet:
+def run_ce_step(net: DenseNet, pool: Pool, cfg: SchemeConfig, step: int) -> DenseNet:
     """CE-only ablation: plain cross entropy over the pool, no distillation."""
-    _fit(net, x, cfg, cfg.epochs_std, (step, 1),
-         lambda logits, idx: losses.ce_loss(logits, y[idx]))
+    _fit(net, pool.x, cfg, cfg.epochs_std, (step, 1), _ce(pool.y))
     return net
 
 
-def run_dd_step(
-    net: DenseNet,
-    x: np.ndarray,
-    y: np.ndarray,
-    is_new: np.ndarray,
-    soft_old: np.ndarray,
-    cfg: SchemeConfig,
-    step: int,
-) -> DenseNet:
+def run_dd_step(net: DenseNet, pool: Pool, cfg: SchemeConfig, step: int) -> DenseNet:
     """Double distillation: train a throwaway network on the new-task rows
     alone, then merge via two KD losses (old soft labels over old logits, the
     throwaway's over new logits) mixed against CE with the usual schedule.
     The extra network is dropped when the step returns."""
-    c_old = soft_old.shape[1]
-    old_range = TaskRange(0, c_old)
-    new_range = TaskRange(c_old, net.num_classes)
-
-    aux = build_net(net.in_dim, list(cfg.hidden), new_range.width, seed=[cfg.seed, step, 5])
-    local_labels = y[is_new] - c_old
-    _fit(aux, x[is_new], cfg, cfg.epochs_std, (step, 4),
-         lambda logits, idx: losses.ce_loss(logits, local_labels[idx]))
-
-    lam = lambda_schedule(c_old, new_range.width)
+    x, y, soft_old, old, new, lam = pool.x, pool.y, pool.soft, pool.old, pool.new, pool.lam
+    aux = build_net(net.in_dim, list(cfg.hidden), new.width, seed=[cfg.seed, step, 5])
+    _fit(aux, x[pool.is_new], cfg, cfg.epochs_std, (step, 4), _ce(y[pool.is_new] - new.start))
     soft_new = losses.softmax(aux.forward(x), cfg.tau)
 
     def double_kd(logits, idx):
-        kd_o = losses.kd_loss(logits, soft_old[idx], old_range, cfg.tau)
-        kd_n = losses.kd_loss(logits, soft_new[idx], new_range, cfg.tau)
+        kd_o = losses.kd_loss(logits, soft_old[idx], old, cfg.tau)
+        kd_n = losses.kd_loss(logits, soft_new[idx], new, cfg.tau)
         ce = losses.ce_loss(logits, y[idx])
         return losses.LossValue(
             lam * 0.5 * (kd_o.value + kd_n.value) + (1 - lam) * ce.value,
@@ -265,19 +233,15 @@ def run_dd_step(
     return net
 
 
-def update_exemplars(mem: ExemplarMemory, d_t: LabeledDataset, seed: int) -> ExemplarMemory:
-    """Next-step memory: a seeded uniform draw of capacity rows of M_t and D_t,
+def update_exemplars(mem: LabeledDataset, d_t: LabeledDataset, capacity: int,
+                     seed: int) -> LabeledDataset:
+    """Next-step memory: a seeded uniform draw of capacity rows of [mem; d_t],
     without replacement (all rows when they fit, none at capacity 0)."""
-    if len(mem) == 0:
-        x, y = d_t.x, d_t.y
-    else:
-        x = np.vstack([mem.x, d_t.x])
-        y = np.concatenate([mem.y, d_t.y])
-    n = y.shape[0]
-    rng = np.random.default_rng([seed, n])
-    keep = rng.choice(n, size=min(n, mem.capacity), replace=False)
+    n = len(mem) + len(d_t)
+    keep = np.random.default_rng([seed, n]).choice(n, size=min(n, capacity), replace=False)
     keep.sort()
-    return ExemplarMemory(mem.capacity, x[keep], y[keep])
+    return LabeledDataset(np.vstack([mem.x, d_t.x])[keep],
+                          np.concatenate([mem.y, d_t.y])[keep], d_t.num_classes)
 
 
 @dataclass
@@ -292,38 +256,33 @@ class StepResult:
 def run_sequence(seq: TaskSequence, cfg: SchemeConfig) -> list[StepResult]:
     """Run the full incremental loop for the configured scheme.
 
-    The first task is always trained by CE; later tasks follow the scheme.
-    Each later step builds its pool (task data plus memory) once and, unless
-    the scheme is ce, the previous model's soft labels on it before the
-    output layer widens. The exemplar memory is updated after every task and
-    the model is evaluated once per task.
+    The first task is always trained by CE; later tasks follow the scheme,
+    each on one Pool built before the output layer widens. The exemplar
+    memory, a LabeledDataset that starts empty, is updated after every task
+    and the model is evaluated once per task. The runners are looked up at
+    call time, so a wrapper set on this module sees every call.
     """
     for t in seq.tasks:
         if t.classes.size == 0:
             raise ValueError("task with zero classes")
-    mem = ExemplarMemory(cfg.memory_capacity)
+    mem = seq.tasks[0].train.subset(slice(0, 0))
     net = build_net(seq.feature_dim, list(cfg.hidden), seq.tasks[0].classes.size, cfg.seed)
     results = []
     for t, task in enumerate(seq.tasks, start=1):
-        plan_summary = None
-        diagnostics = {}
+        plan_summary, diagnostics = None, {}
         if t == 1:
             run_first_task(net, task.train, cfg)
         else:
-            x, y, is_new = _pool(task.train, mem)
-            soft = None if cfg.scheme == "ce" else losses.softmax(net.forward(x), cfg.tau)
+            pool = Pool.build(task, mem, net, cfg)
             net.widen_output(task.classes.size)
-            if cfg.scheme == "ce":
-                run_ce_step(net, x, y, cfg, t)
-            elif cfg.scheme == "std":
-                run_std_step(net, x, y, soft, cfg, t)
-            elif cfg.scheme == "dd":
-                run_dd_step(net, x, y, is_new, soft, cfg, t)
-            else:
-                net, plan, _, diagnostics = run_split_phase(net, x, y, is_new, soft, cfg, t)
-                run_bridge_phase(net, plan, x, y, cfg, t)
+            if cfg.scheme == "sb":
+                net, plan, _, diagnostics = run_split_phase(net, pool, cfg, t)
+                run_bridge_phase(net, plan, pool, cfg, t)
                 plan_summary = plan.summary()
-        mem = update_exemplars(mem, task.train, cfg.seed + t)
+            else:
+                step = {"std": run_std_step, "ce": run_ce_step, "dd": run_dd_step}[cfg.scheme]
+                step(net, pool, cfg, t)
+        mem = update_exemplars(mem, task.train, cfg.memory_capacity, cfg.seed + t)
         report = metrics.evaluate(net, seq.tasks[:t], t)
         results.append(StepResult(t, net.clone(), report, plan_summary, diagnostics))
     return results

@@ -90,10 +90,9 @@ class TestBackward:
                                   hidden=(12, 12), split_index=1, memory_capacity=20)
         net = build_net(seq.feature_dim, list(cfg.hidden), 2, seed=0)
         engine.run_first_task(net, seq.tasks[0].train, cfg)
-        mem = engine.update_exemplars(engine.ExemplarMemory(cfg.memory_capacity),
-                                      seq.tasks[0].train, 1)
-        x, y, is_new = engine._pool(seq.tasks[1].train, mem)
-        soft = engine.losses.softmax(net.forward(x), cfg.tau)
+        d1 = seq.tasks[0].train
+        mem = engine.update_exemplars(d1.subset(slice(0, 0)), d1, cfg.memory_capacity, 1)
+        pool = engine.Pool.build(seq.tasks[1], mem, net, cfg)
         net.widen_output(2)
         seen = {"cut": False, "before": [], "after": []}
         disconnect, step = partition.disconnect, engine.sgd_step
@@ -109,7 +108,7 @@ class TestBackward:
 
         monkeypatch.setattr(partition, "disconnect", record_disconnect)
         monkeypatch.setattr(engine, "sgd_step", record_step)
-        _, _, groups, _ = engine.run_split_phase(net, x, y, is_new, soft, cfg, 2)
+        _, _, groups, _ = engine.run_split_phase(net, pool, cfg, 2)
         cuts = [(li, on | no) for li, (on, no) in groups.per_layer.items()]
         assert cuts and seen["before"] and seen["after"]
         assert any(np.any(gw[li][cut] != 0.0) for gw in seen["before"] for li, cut in cuts)
