@@ -6,13 +6,14 @@ soft labels on them and the old and new class windows.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import losses, metrics, partition
 from .data import LabeledDataset, Task, TaskSequence
-from .losses import TaskRange, lambda_schedule
+from .losses import TaskRange, _ce_grad, _composite_grad, _kd_grad, _softmax, lambda_schedule
 from .net import DenseNet, GradientSet, build_net, sgd_step
 
 SCHEMES = ("sb", "std", "ce", "dd")
@@ -25,9 +26,9 @@ def _is_int(v) -> bool:
 @dataclass
 class SchemeConfig:
     """One run's settings; every phase trains with the one SGD setup. A value out
-    of range, a non-finite float, a non-integer (or bool) seed, epoch count,
-    memory, batch size, split_index or hidden width, or a split_index outside
-    [0, len(hidden)] raises a ValueError naming it."""
+    of range, a float field that is not a finite number (None, "2"), a
+    non-integer (or bool) count, seed, batch size, split_index or hidden width,
+    or a split_index outside [0, len(hidden)] raises a ValueError naming it."""
 
     scheme: str = "sb"
     tau: float = 2.0
@@ -55,9 +56,11 @@ class SchemeConfig:
         for name in counts + ("batch_size", "split_index", "seed"):
             if not _is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("learning_rate", "tau", "gamma", "rho", "weight_decay"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("learning_rate", "tau", "gamma", "rho", "weight_decay", "momentum"):
+            v = getattr(self, name)  # an int too big for a float64 is not finite either
+            if not (np.isfinite(v) if isinstance(v, (float, np.floating))
+                    else _is_int(v) and abs(v) <= sys.float_info.max):
+                raise ValueError(f"{name} must be a finite number, got {v!r}")
         if not (self.tau > 0 and self.rho > 0 and self.gamma >= 0):
             raise ValueError("need tau > 0, rho > 0, gamma >= 0")
         for name in counts + ("weight_decay",):
@@ -101,40 +104,71 @@ class Pool:
                    TaskRange(0, c_old), TaskRange(c_old, c_old + task.classes.size))
 
 
-def _fit(net, x, cfg: SchemeConfig, epochs: int, stream, loss, on_grads=None) -> None:
+def _fit(net, x, cfg: SchemeConfig, epochs: int, stream, grad, on_grads=None) -> None:
     """The one training loop: seeded minibatch SGD over the rows of x.
 
     Batches are drawn from default_rng([cfg.seed, *stream]), stream = (step,
-    tag). loss(logits, idx) returns the batch's LossValue; on_grads(net,
-    grads), if given, edits the GradientSet in place before each update.
+    tag). grad(logits, idx) returns the batch's d(loss)/d(logits), no loss
+    value. backward writes into one GradientSet per call, beside the velocity;
+    on_grads(net, grads), if given, edits it in place before each update.
     Every call trains at cfg.learning_rate and starts from zero momentum.
     """
     rng = np.random.default_rng([cfg.seed, *stream])
     n = x.shape[0]
-    velocity = GradientSet.zeros(net)
+    velocity, grads = GradientSet.zeros(net), GradientSet.zeros(net)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             xb = x[idx]
             cache = net.forward_cached(xb)
-            grads = net.backward(xb, loss(cache[0], idx).grad_logits, cache)
+            net.backward(xb, grad(cache[0], idx), cache, out=grads)
             if on_grads is not None:
                 on_grads(net, grads)
             sgd_step(net, grads, velocity, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
 
 
 def _ce(y):
-    """Plain cross entropy against the labels y, for _fit."""
-    return lambda logits, idx: losses.ce_loss(logits, y[idx])
+    """The gradient of plain cross entropy against the labels y, for _fit."""
+    return lambda logits, idx: _ce_grad(_softmax(logits, 1.0), y[idx])
 
 
 def _composite(pool: Pool, soft, tau: float):
-    """The loss lam * KD(soft, old window) + (1 - lam) * CE over the pool rows,
-    for _fit."""
-    y, old, lam = pool.y, pool.old, pool.lam
-    return lambda logits, idx: losses.std_composite_loss(
-        logits, y[idx], soft[idx], old, lam, tau)
+    """The gradient of lam * KD(soft, old window) + (1 - lam) * CE over the
+    pool rows, for _fit."""
+    y, old, lam = pool.y, pool.old.slice(), pool.lam
+    return lambda logits, idx: _composite_grad(
+        _kd_grad(_softmax(logits[:, old], tau), soft[idx], tau),
+        _ce_grad(_softmax(logits, 1.0), y[idx]), old, lam)
+
+
+def _kd_lce(pool: Pool, tau: float):
+    """The gradient of KD (old window, every row) + LCE (new window, new-task rows), for _fit."""
+    y, is_new, soft = pool.y, pool.is_new, pool.soft
+    old, new, start = pool.old.slice(), pool.new.slice(), pool.new.start
+
+    def grad(logits, idx):
+        g = np.zeros_like(logits)
+        g[:, old] = _kd_grad(_softmax(logits[:, old], tau), soft[idx], tau)
+        sel = is_new[idx]  # the kernels take a batch without new rows too
+        g[sel, new] = _ce_grad(_softmax(logits[sel, new], 1.0), y[idx[sel]] - start)
+        return g
+    return grad
+
+
+def _double_kd(pool: Pool, soft_new, tau: float):
+    """The gradient of lam * mean(KD(soft labels, old window), KD(soft_new, new
+    window)) + (1 - lam) * CE over the pool rows, for _fit."""
+    y, soft_old, lam, old, new = pool.y, pool.soft, pool.lam, pool.old.slice(), pool.new.slice()
+
+    def grad(logits, idx):
+        g = np.zeros_like(logits)
+        g[:, old] = _kd_grad(_softmax(logits[:, old], tau), soft_old[idx], tau)
+        g[:, new] = _kd_grad(_softmax(logits[:, new], tau), soft_new[idx], tau)
+        g *= lam * 0.5
+        g += (1 - lam) * _ce_grad(_softmax(logits, 1.0), y[idx])
+        return g
+    return grad
 
 
 def run_first_task(net: DenseNet, d1: LabeledDataset, cfg: SchemeConfig) -> DenseNet:
@@ -157,17 +191,8 @@ def run_split_phase(net: DenseNet, pool: Pool, cfg: SchemeConfig, step: int):
 
     Returns (net, plan, groups, diagnostics).
     """
-    x, y, is_new, soft, old, new = pool.x, pool.y, pool.is_new, pool.soft, pool.old, pool.new
-    plan = partition.make_plan(net, cfg.split_index, old.width, new.width, cfg.rho)
-
-    def kd_lce(logits, idx):
-        kd = losses.kd_loss(logits, soft[idx], old, cfg.tau)
-        sel = is_new[idx]
-        if not sel.any():
-            return kd
-        lce = losses.lce_loss(logits[sel], y[idx][sel], new)
-        kd.grad_logits[sel] += lce.grad_logits
-        return losses.LossValue(kd.value + lce.value, kd.grad_logits)
+    x, kd_lce = pool.x, _kd_lce(pool, cfg.tau)
+    plan = partition.make_plan(net, cfg.split_index, pool.old.width, pool.new.width, cfg.rho)
 
     def zero_cut(net, grads):
         plan.groups.zero(grads.wgrads)
@@ -216,20 +241,11 @@ def run_dd_step(net: DenseNet, pool: Pool, cfg: SchemeConfig, step: int) -> Dens
     alone, then merge via two KD losses (old soft labels over old logits, the
     throwaway's over new logits) mixed against CE with the usual schedule.
     The extra network is dropped when the step returns."""
-    x, y, soft_old, old, new, lam = pool.x, pool.y, pool.soft, pool.old, pool.new, pool.lam
+    x, y, new = pool.x, pool.y, pool.new
     aux = build_net(net.in_dim, list(cfg.hidden), new.width, seed=[cfg.seed, step, 5])
     _fit(aux, x[pool.is_new], cfg, cfg.epochs_std, (step, 4), _ce(y[pool.is_new] - new.start))
     soft_new = losses.softmax(aux.forward(x), cfg.tau)
-
-    def double_kd(logits, idx):
-        kd_o = losses.kd_loss(logits, soft_old[idx], old, cfg.tau)
-        kd_n = losses.kd_loss(logits, soft_new[idx], new, cfg.tau)
-        ce = losses.ce_loss(logits, y[idx])
-        return losses.LossValue(
-            lam * 0.5 * (kd_o.value + kd_n.value) + (1 - lam) * ce.value,
-            lam * 0.5 * (kd_o.grad_logits + kd_n.grad_logits) + (1 - lam) * ce.grad_logits)
-
-    _fit(net, x, cfg, cfg.epochs_std, (step, 1), double_kd)
+    _fit(net, x, cfg, cfg.epochs_std, (step, 1), _double_kd(pool, soft_new, cfg.tau))
     return net
 
 

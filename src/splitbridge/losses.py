@@ -4,6 +4,8 @@ the analytic gradient so training never relies on numeric differentiation.
 
 All batch losses are batch means, so the composite mixing weight combines
 like-scaled quantities. Probabilities are floored at 1e-12 inside logs.
+The gradients come from unchecked kernels on float64 batches or logit slices;
+the public losses check their arguments and wrap them, training calls them.
 """
 
 from __future__ import annotations
@@ -41,6 +43,36 @@ class LossValue:
     grad_logits: np.ndarray
 
 
+def _softmax(z: np.ndarray, temperature: float) -> np.ndarray:
+    """Unchecked: softmax(z / temperature) along the last axis, a new array."""
+    z = z / temperature
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
+def _ce_grad(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Unchecked: a batch's softmax p becomes d(mean CE)/d(logits), in place."""
+    p[np.arange(len(p)), labels] -= 1.0
+    p /= len(p)
+    return p
+
+
+def _kd_grad(q: np.ndarray, teacher_probs: np.ndarray, temperature: float) -> np.ndarray:
+    """Unchecked: a batch's tempered softmax q becomes d(mean KD)/d(window logits), in place."""
+    q -= teacher_probs
+    q /= temperature * len(q)
+    return q
+
+
+def _composite_grad(kd_grad: np.ndarray, ce_grad: np.ndarray, window: slice, lam: float):
+    """Unchecked: ce_grad becomes lam * kd_grad (on window) + (1 - lam) * ce_grad, in place."""
+    ce_grad *= 1.0 - lam
+    np.add(lam * kd_grad, ce_grad[:, window], out=ce_grad[:, window])
+    return ce_grad
+
+
 def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     """Tempered softmax along the last axis, stabilized by max subtraction."""
     logits = np.asarray(logits, dtype=np.float64)
@@ -48,10 +80,7 @@ def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
         raise ValueError("softmax of empty logits")
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    z = logits / temperature
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    return _softmax(logits, temperature)
 
 
 def _as_batch(logits: np.ndarray) -> np.ndarray:
@@ -69,17 +98,11 @@ def ce_loss(logits: np.ndarray, labels: np.ndarray) -> LossValue:
         raise ValueError(f"label out of range [0, {c})")
     p = softmax(logits)
     value = -np.log(np.maximum(p[np.arange(n), labels], _LOG_FLOOR)).mean()
-    grad = p.copy()
-    grad[np.arange(n), labels] -= 1.0
-    return LossValue(float(value), grad / n)
+    return LossValue(float(value), _ce_grad(p, labels))
 
 
-def kd_loss(
-    logits: np.ndarray,
-    teacher_probs: np.ndarray,
-    task_range: TaskRange,
-    temperature: float,
-) -> LossValue:
+def kd_loss(logits: np.ndarray, teacher_probs: np.ndarray, task_range: TaskRange,
+            temperature: float) -> LossValue:
     """Distillation cross entropy over task_range sub-logits only.
 
     teacher_probs are the teacher's already-tempered soft labels over the same
@@ -90,15 +113,12 @@ def kd_loss(
     if task_range.stop > logits.shape[1]:
         raise ValueError("task range exceeds logit width")
     if teacher_probs.shape != (logits.shape[0], task_range.width):
-        raise ValueError(
-            f"teacher output shape {teacher_probs.shape} does not match "
-            f"batch x range width ({logits.shape[0]}, {task_range.width})"
-        )
-    n = logits.shape[0]
+        raise ValueError(f"teacher output shape {teacher_probs.shape} does not match "
+                         f"batch x range width ({logits.shape[0]}, {task_range.width})")
     q = softmax(logits[:, task_range.slice()], temperature)
     value = -(teacher_probs * np.log(np.maximum(q, _LOG_FLOOR))).sum(axis=1).mean()
     grad = np.zeros_like(logits)
-    grad[:, task_range.slice()] = (q - teacher_probs) / (temperature * n)
+    grad[:, task_range.slice()] = _kd_grad(q, teacher_probs, temperature)
     return LossValue(float(value), grad)
 
 
@@ -120,23 +140,16 @@ def lce_loss(logits: np.ndarray, labels: np.ndarray, task_range: TaskRange) -> L
     return LossValue(local.value, grad)
 
 
-def std_composite_loss(
-    logits: np.ndarray,
-    labels: np.ndarray,
-    teacher_probs: np.ndarray,
-    old_range: TaskRange,
-    lam: float,
-    temperature: float,
-) -> LossValue:
+def std_composite_loss(logits: np.ndarray, labels: np.ndarray, teacher_probs: np.ndarray,
+                       old_range: TaskRange, lam: float, temperature: float) -> LossValue:
     """lam * KD(old range) + (1 - lam) * CE(all classes)."""
     if not (0.0 <= lam <= 1.0):
         raise ValueError("mixing weight must lie in [0, 1]")
     kd = kd_loss(logits, teacher_probs, old_range, temperature)
     ce = ce_loss(logits, labels)
-    return LossValue(
-        lam * kd.value + (1.0 - lam) * ce.value,
-        lam * kd.grad_logits + (1.0 - lam) * ce.grad_logits,
-    )
+    window = old_range.slice()
+    return LossValue(lam * kd.value + (1.0 - lam) * ce.value,
+                     _composite_grad(kd.grad_logits[:, window], ce.grad_logits, window, lam))
 
 
 def lambda_schedule(c_old: int, c_new: int) -> float:

@@ -117,9 +117,7 @@ class DenseNet:
         """Forward pass that also returns each layer's input: (logits, inputs)."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.in_dim:
-            raise ShapeError(
-                f"input dim {x.shape[1]} != layer 0 in_dim {self.in_dim}"
-            )
+            raise ShapeError(f"input dim {x.shape[1]} != layer 0 in_dim {self.in_dim}")
         inputs = []
         h = x
         for layer in self.layers:
@@ -128,19 +126,22 @@ class DenseNet:
             h = np.maximum(z, 0.0) if layer.activation == RELU else z
         return h, inputs
 
-    def backward(self, x: np.ndarray, upstream: np.ndarray, cache=None) -> "GradientSet":
+    def backward(self, x: np.ndarray, upstream: np.ndarray, cache=None,
+                 out: "GradientSet | None" = None) -> "GradientSet":
         """Backpropagate d(loss)/d(logits) to per-parameter gradients.
 
         cache is the forward_cached(x) result for the current parameters;
-        without it the forward pass is recomputed.
+        without it the forward pass is recomputed. The gradients overwrite and
+        return out, a GradientSet in this network's layout (ShapeError for
+        another, as one built before widen_output), or else a new one.
         """
         logits, inputs = self.forward_cached(x) if cache is None else cache
         upstream = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
         if upstream.shape != logits.shape:
-            raise ShapeError(
-                f"upstream shape {upstream.shape} != logits shape {logits.shape}"
-            )
-        grads = GradientSet(np.empty_like(self.params), self.layout)
+            raise ShapeError(f"upstream shape {upstream.shape} != logits shape {logits.shape}")
+        if out is not None and out.layout != self.layout:
+            raise ShapeError(f"out layout {out.layout} != network layout {self.layout}")
+        grads = GradientSet(np.empty_like(self.params), self.layout) if out is None else out
         wgrads, bgrads = grads.wgrads, grads.bgrads
         delta = upstream
         for i in range(self.depth - 1, -1, -1):

@@ -256,6 +256,10 @@ class TestCli:
         (["--rho", "-1", "--tasks", "2"], "rho > 0"),
         (["--tasks", "2", "--config", {"config": {"batch_size": 2.5}}],
          "batch_size must be an integer"),
+        (["--tasks", "2", "--config", {"config": {"tau": "2"}}],
+         "tau must be a finite number"),
+        (["--tasks", "2", "--config", {"config": {"learning_rate": None}}],
+         "learning_rate must be a finite number"),
     ])
     def test_bad_value_exit_1_one_line(self, tmp_path, capsys, argv, message):
         argv = list(argv)

@@ -11,7 +11,11 @@ from splitbridge.engine import (
     SCHEMES,
     Pool,
     SchemeConfig,
+    _ce,
+    _composite,
+    _double_kd,
     _fit,
+    _kd_lce,
     run_bridge_phase,
     run_first_task,
     run_sequence,
@@ -19,8 +23,10 @@ from splitbridge.engine import (
     run_std_step,
     update_exemplars,
 )
-from splitbridge import losses
-from splitbridge.losses import TaskRange, ce_loss, lambda_schedule
+from splitbridge import engine, losses
+from splitbridge.losses import (
+    TaskRange, ce_loss, kd_loss, lambda_schedule, lce_loss, std_composite_loss,
+)
 from splitbridge.net import build_net
 from splitbridge.partition import bridge_reconnect, disconnect, make_plan
 
@@ -55,6 +61,8 @@ class TestSchemeConfig:
         {"batch_size": True}, {"hidden": (True, 4)}, {"seed": False},
         {"learning_rate": float("inf")}, {"tau": float("inf")}, {"gamma": float("inf")},
         {"rho": float("inf")}, {"weight_decay": float("inf")},
+        {"tau": "2"}, {"learning_rate": None}, {"momentum": "0.9"}, {"gamma": True},
+        {"weight_decay": [1e-4]}, {"rho": 10 ** 400},
     ])
     def test_bad_numbers(self, kw):
         (field,) = kw
@@ -158,7 +166,8 @@ class TestFit:
         net = build_net(seq.feature_dim, list(cfg.hidden), 2, seed=0)
         ref = net.clone()
         for stream, call_cfg in calls:
-            _fit(net, d.x, call_cfg, 3, stream, lambda logits, idx: ce_loss(logits, d.y[idx]))
+            _fit(net, d.x, call_cfg, 3, stream,
+                 lambda logits, idx: ce_loss(logits, d.y[idx]).grad_logits)
 
         for stream, call_cfg in calls:
             lr = call_cfg.learning_rate
@@ -179,6 +188,75 @@ class TestFit:
         for la, lb in zip(net.layers, ref.layers):
             assert la.w.tobytes() == lb.w.tobytes()
             assert la.b.tobytes() == lb.b.tobytes()
+
+
+class TestFusedGradients:
+    """Each phase's gradient closure is bitwise equal to the composition of
+    the public losses it stands for, on random logits."""
+
+    C_OLD, C_NEW, TAU = 4, 6, 2.0   # 10 outputs: softmax sums over more than 8 terms
+
+    def _pool(self, rng, n=37):
+        is_new = rng.random(n) < 0.5
+        y = np.where(is_new, rng.integers(self.C_OLD, self.C_OLD + self.C_NEW, n),
+                     rng.integers(0, self.C_OLD, n))
+        soft = losses.softmax(3.0 * rng.standard_normal((n, self.C_OLD)), self.TAU)
+        return Pool(rng.standard_normal((n, 3)), y, is_new, soft, TaskRange(0, self.C_OLD),
+                    TaskRange(self.C_OLD, self.C_OLD + self.C_NEW))
+
+    def _batches(self, rng, pool):
+        # a full batch of 16, the ragged last batch of 5 and a batch without new rows
+        order = rng.permutation(len(pool.x))
+        batches = [order[:16], order[32:], np.flatnonzero(~pool.is_new)[:7]]
+        assert len(batches[1]) == 5 and not pool.is_new[batches[2]].any()
+        assert pool.is_new[batches[0]].any() and not pool.is_new[batches[0]].all()
+        return [(idx, 4.0 * rng.standard_normal((len(idx), self.C_OLD + self.C_NEW)))
+                for idx in batches]
+
+    def _check(self, grad, reference, rng, pool):
+        for idx, logits in self._batches(rng, pool):
+            before = logits.copy()
+            want = reference(logits, idx)
+            got = grad(logits, idx)
+            assert got.shape == logits.shape
+            assert got.tobytes() == want.tobytes()
+            assert logits.tobytes() == before.tobytes()
+
+    def test_ce(self, rng):
+        pool = self._pool(rng)
+        self._check(_ce(pool.y), lambda z, idx: ce_loss(z, pool.y[idx]).grad_logits, rng, pool)
+
+    def test_composite(self, rng):
+        pool = self._pool(rng)
+        y, soft, old, lam, tau = pool.y, pool.soft, pool.old, pool.lam, self.TAU
+        self._check(_composite(pool, soft, tau), lambda z, idx: std_composite_loss(
+            z, y[idx], soft[idx], old, lam, tau).grad_logits, rng, pool)
+        # the same bytes as the composition it replaced
+        self._check(_composite(pool, soft, tau), lambda z, idx: (
+            lam * kd_loss(z, soft[idx], old, tau).grad_logits
+            + (1.0 - lam) * ce_loss(z, y[idx]).grad_logits), rng, pool)
+
+    def test_kd_lce(self, rng):
+        pool = self._pool(rng)
+
+        def reference(z, idx):
+            g = kd_loss(z, pool.soft[idx], pool.old, self.TAU).grad_logits
+            sel = pool.is_new[idx]
+            if sel.any():
+                g[sel] += lce_loss(z[sel], pool.y[idx][sel], pool.new).grad_logits
+            return g
+        self._check(_kd_lce(pool, self.TAU), reference, rng, pool)
+
+    def test_double_kd(self, rng):
+        pool = self._pool(rng)
+        soft_new = losses.softmax(rng.standard_normal((len(pool.x), self.C_NEW)), self.TAU)
+        lam, tau = pool.lam, self.TAU
+
+        def reference(z, idx):
+            kd_o = kd_loss(z, pool.soft[idx], pool.old, tau).grad_logits
+            kd_n = kd_loss(z, soft_new[idx], pool.new, tau).grad_logits
+            return lam * 0.5 * (kd_o + kd_n) + (1 - lam) * ce_loss(z, pool.y[idx]).grad_logits
+        self._check(_double_kd(pool, soft_new, tau), reference, rng, pool)
 
 
 class TestSplitPhase:
@@ -227,15 +305,15 @@ class TestStdReduction:
         # c_old / (c_old + c_new); nothing else sets it
         seq = small_sequence(num_classes=6, num_tasks=3)
         cfg = SchemeConfig(**FAST)
-        composite = losses.std_composite_loss
+        composite = engine._composite_grad
         seen = {"std": [], "bridge": []}
         phase = "std"
 
-        def record(logits, labels, teacher, old_range, lam, temperature):
+        def record(kd_grad, ce_grad, window, lam):
             seen[phase].append(lam)
-            return composite(logits, labels, teacher, old_range, lam, temperature)
+            return composite(kd_grad, ce_grad, window, lam)
 
-        monkeypatch.setattr(losses, "std_composite_loss", record)
+        monkeypatch.setattr(engine, "_composite_grad", record)
         net = build_net(seq.feature_dim, list(cfg.hidden), 4, seed=5)
         pool = Pool.build(seq.tasks[2], empty_memory(seq.tasks[2].train), net, cfg)
         net.widen_output(2)

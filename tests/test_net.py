@@ -117,6 +117,21 @@ class TestBackward:
                 assert np.all(gw[li][cut] == 0.0)
                 assert np.any(gw[li][~cut] != 0.0)
 
+    def test_out_buffer_filled_and_returned(self, rng):
+        net = make_random_net(rng, [5, 6, 6, 3])
+        x = rng.standard_normal((7, 5))
+        upstream = rng.standard_normal((7, 3))
+        g = GradientSet(np.full_like(net.params, np.nan), net.layout)  # every entry rewritten
+        assert net.backward(x, upstream, out=g) is g
+        assert g.flat.tobytes() == net.backward(x, upstream).flat.tobytes()
+
+    def test_out_buffer_built_before_widening_rejected(self, rng):
+        net = make_random_net(rng, [5, 6, 3])
+        g = GradientSet.zeros(net)
+        net.widen_output(2)
+        with pytest.raises(ShapeError, match="layout"):
+            net.backward(np.ones((2, 5)), np.ones((2, 5)), out=g)
+
     def test_cached_forward_gives_identical_gradients(self, rng):
         net = make_random_net(rng, [5, 6, 6, 3])
         x = rng.standard_normal((7, 5))
