@@ -25,10 +25,10 @@ def _is_int(v) -> bool:
 
 @dataclass
 class SchemeConfig:
-    """One run's settings; every phase trains with the one SGD setup. A value out
-    of range, a float field that is not a finite number (None, "2"), a
-    non-integer (or bool) count, seed, batch size, split_index or hidden width,
-    or a split_index outside [0, len(hidden)] raises a ValueError naming it."""
+    """One run's settings; every phase trains with the one SGD setup. A value out of
+    range, a float field that is not a finite number (None, "2"), a non-integer (or bool)
+    count, seed, batch size, split_index or hidden width, a hidden that is not a list
+    (5, "32") or a split_index outside [0, len(hidden)] raises a ValueError naming it."""
 
     scheme: str = "sb"
     tau: float = 2.0
@@ -71,8 +71,11 @@ class SchemeConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if not isinstance(self.hidden, (list, tuple)):
+            raise ValueError(f"hidden must be a list of widths, got {self.hidden!r}")
+        self.hidden = tuple(self.hidden)
         if not all(_is_int(w) and w >= 1 for w in self.hidden):
-            raise ValueError(f"hidden widths must be integers >= 1, got {tuple(self.hidden)}")
+            raise ValueError(f"hidden widths must be integers >= 1, got {self.hidden}")
         if not 0 <= self.split_index <= len(self.hidden):
             raise ValueError(f"split_index {self.split_index} not in [0, {len(self.hidden)}]")
 
@@ -109,13 +112,14 @@ def _fit(net, x, cfg: SchemeConfig, epochs: int, stream, grad, on_grads=None) ->
 
     Batches are drawn from default_rng([cfg.seed, *stream]), stream = (step,
     tag). grad(logits, idx) returns the batch's d(loss)/d(logits), no loss
-    value. backward writes into one GradientSet per call, beside the velocity;
-    on_grads(net, grads), if given, edits it in place before each update.
-    Every call trains at cfg.learning_rate and starts from zero momentum.
+    value. backward and sgd_step write into one gradient set and one scratch
+    buffer per call, beside the velocity; on_grads(net, grads), if given,
+    edits the gradients in place before each update. Every call trains at
+    cfg.learning_rate and starts from zero momentum.
     """
     rng = np.random.default_rng([cfg.seed, *stream])
     n = x.shape[0]
-    velocity, grads = GradientSet.zeros(net), GradientSet.zeros(net)
+    velocity, grads, buf = GradientSet.zeros(net), GradientSet.zeros(net), np.empty_like(net.params)
     for _ in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
@@ -125,7 +129,7 @@ def _fit(net, x, cfg: SchemeConfig, epochs: int, stream, grad, on_grads=None) ->
             net.backward(xb, grad(cache[0], idx), cache, out=grads)
             if on_grads is not None:
                 on_grads(net, grads)
-            sgd_step(net, grads, velocity, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
+            sgd_step(net, grads, velocity, cfg.learning_rate, cfg.momentum, cfg.weight_decay, buf)
 
 
 def _ce(y):

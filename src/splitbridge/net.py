@@ -122,8 +122,10 @@ class DenseNet:
         h = x
         for layer in self.layers:
             inputs.append(h)
-            z = h @ layer.w + layer.b
-            h = np.maximum(z, 0.0) if layer.activation == RELU else z
+            h = h @ layer.w  # a fresh array: the bias and ReLU go in place
+            h += layer.b
+            if layer.activation == RELU:
+                np.maximum(h, 0.0, out=h)
         return h, inputs
 
     def backward(self, x: np.ndarray, upstream: np.ndarray, cache=None,
@@ -147,10 +149,11 @@ class DenseNet:
         for i in range(self.depth - 1, -1, -1):
             layer = self.layers[i]
             if layer.activation == RELU:
-                # a ReLU layer's output is the next input; relu(z) > 0 exactly where z > 0
-                delta = delta * (inputs[i + 1] > 0)
+                # a ReLU layer's output is the next input; relu(z) > 0 exactly where z > 0.
+                # The logit layer is identity, so delta is the fresh product from above
+                delta *= inputs[i + 1] > 0
             np.matmul(inputs[i].T, delta, out=wgrads[i])
-            delta.sum(axis=0, out=bgrads[i])
+            np.add.reduce(delta, axis=0, out=bgrads[i])
             if i > 0:
                 delta = delta @ layer.w.T
         return grads
@@ -263,15 +266,16 @@ def build_net(in_dim: int, hidden: list[int], num_classes: int,
 
 
 def sgd_step(net: DenseNet, grads: GradientSet, velocity: GradientSet, lr: float,
-             momentum: float, weight_decay: float) -> None:
+             momentum: float, weight_decay: float, buf: np.ndarray | None = None) -> None:
     """In-place momentum SGD update over the whole params buffer.
 
     Per entry: v = momentum * v + (g + weight_decay * w), then w -= lr * v;
     weight decay applies to weights only. velocity holds the momentum
-    buffers, updated in place: start from GradientSet.zeros(net). Raises
-    ShapeError naming the layer when grads or velocity do not fit net's
-    layout (as for a velocity built before widen_output), or when a
-    layer's w or b is no longer a view of net.params.
+    buffers, updated in place: start from GradientSet.zeros(net). buf, a
+    float64 array shaped like net.params (a fresh one if None), takes the
+    intermediates. Raises ShapeError naming the layer when grads or velocity
+    do not fit net's layout (as for a velocity built before widen_output),
+    when a layer's w or b is no longer a view of net.params, or for a misfit buf.
     """
     p, g, v = net.params, grads.flat, velocity.flat
     for i, layer in enumerate(net.layers):
@@ -282,10 +286,14 @@ def sgd_step(net: DenseNet, grads: GradientSet, velocity: GradientSet, lr: float
         i = next((i for i, shape in enumerate(net.layout)
                   if not grads.layout[i:i + 1] == velocity.layout[i:i + 1] == (shape,)), net.depth)
         raise ShapeError(f"gradient or velocity shape mismatch at layer {i}")
+    buf = np.empty_like(p) if buf is None else buf
+    if not (isinstance(buf, np.ndarray) and buf.shape == p.shape and buf.dtype == p.dtype):
+        raise ShapeError(f"buf must be a float64 array of shape {p.shape}, got {np.shape(buf)}")
     nw = net.n_weights
     v *= momentum
-    decayed = weight_decay * p[:nw]
-    decayed += g[:nw]
-    v[:nw] += decayed
+    np.multiply(p[:nw], weight_decay, out=buf[:nw])
+    buf[:nw] += g[:nw]
+    v[:nw] += buf[:nw]
     v[nw:] += g[nw:]
-    p -= lr * v
+    np.multiply(v, lr, out=buf)
+    p -= buf

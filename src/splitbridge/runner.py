@@ -65,11 +65,10 @@ def make_benchmark(bench: dict, num_tasks: int) -> databench.TaskSequence:
 
 
 def build_config(scheme: str, seed: int, overrides: dict | None = None) -> SchemeConfig:
-    overrides = dict(overrides or {})
-    if "hidden" in overrides:
-        overrides["hidden"] = tuple(overrides["hidden"])
-    known = {f.name for f in dataclasses.fields(SchemeConfig)}
-    unknown = set(overrides) - known
+    overrides = overrides or {}
+    for key in sorted({"scheme", "seed"} & overrides.keys()):
+        raise ValueError(f"{key!r} is set at the top level (a matrix: {key}s), not in 'config'")
+    unknown = overrides.keys() - {f.name for f in dataclasses.fields(SchemeConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return SchemeConfig(scheme=scheme, seed=seed, **overrides)

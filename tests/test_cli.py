@@ -260,6 +260,14 @@ class TestCli:
          "tau must be a finite number"),
         (["--tasks", "2", "--config", {"config": {"learning_rate": None}}],
          "learning_rate must be a finite number"),
+        (["--tasks", "2", "--config", {"config": {"scheme": "std"}}],
+         "'scheme' is set at the top level (a matrix: schemes), not in 'config'"),
+        (["--tasks", "2", "--config", {"config": {"seed": 3}}],
+         "'seed' is set at the top level (a matrix: seeds), not in 'config'"),
+        (["--tasks", "2", "--config", {"config": {"hidden": 5}}],
+         "hidden must be a list of widths, got 5"),
+        (["--tasks", "2", "--config", {"config": {"hidden": "32"}}],
+         "hidden must be a list of widths, got '32'"),
     ])
     def test_bad_value_exit_1_one_line(self, tmp_path, capsys, argv, message):
         argv = list(argv)

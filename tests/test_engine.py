@@ -62,7 +62,7 @@ class TestSchemeConfig:
         {"learning_rate": float("inf")}, {"tau": float("inf")}, {"gamma": float("inf")},
         {"rho": float("inf")}, {"weight_decay": float("inf")},
         {"tau": "2"}, {"learning_rate": None}, {"momentum": "0.9"}, {"gamma": True},
-        {"weight_decay": [1e-4]}, {"rho": 10 ** 400},
+        {"weight_decay": [1e-4]}, {"rho": 10 ** 400}, {"hidden": 5}, {"hidden": "32"},
     ])
     def test_bad_numbers(self, kw):
         (field,) = kw

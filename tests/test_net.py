@@ -1,5 +1,6 @@
 import dataclasses
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -132,6 +133,27 @@ class TestBackward:
         with pytest.raises(ShapeError, match="layout"):
             net.backward(np.ones((2, 5)), np.ones((2, 5)), out=g)
 
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_in_place_kernels_leave_inputs_and_cache_unchanged(self, rng, rows):
+        # the bias, ReLU and mask go in place on arrays the pass made itself
+        net = make_random_net(rng, [5, 6, 6, 3])
+        x = rng.standard_normal((rows, 5))
+        upstream = rng.standard_normal((rows, 3))
+        x0, up0 = x.tobytes(), upstream.tobytes()
+        cache = net.forward_cached(x)
+        assert x.tobytes() == x0 and cache[1][0] is x
+        saved = [a.tobytes() for a in (cache[0], *cache[1])]
+        first = net.backward(x, upstream, cache).flat.tobytes()
+        assert upstream.tobytes() == up0
+        assert [a.tobytes() for a in (cache[0], *cache[1])] == saved
+        assert net.backward(x, upstream, cache).flat.tobytes() == first
+        # the same bytes as the out-of-place formulas: z = h @ w + b, relu(z)
+        h = x
+        for layer in net.layers:
+            z = h @ layer.w + layer.b
+            h = np.maximum(z, 0.0) if layer.activation == RELU else z
+        assert h.tobytes() == cache[0].tobytes()
+
     def test_cached_forward_gives_identical_gradients(self, rng):
         net = make_random_net(rng, [5, 6, 6, 3])
         x = rng.standard_normal((7, 5))
@@ -232,6 +254,50 @@ class TestSgdStep:
         grads = net.backward(np.ones((1, 2)), np.ones((1, 2)))
         with pytest.raises(ShapeError, match="layer 1 weights or biases are not views"):
             sgd_step(net, grads, GradientSet.zeros(net), 0.1, 0.9, 0.0)
+
+
+class TestSgdStepBuffer:
+    """sgd_step with a caller-owned scratch buffer, as _fit passes one."""
+
+    def test_steps_allocate_nothing_the_size_of_the_network(self, rng):
+        net = build_net(16, [128, 128, 128, 128], 8, seed=0)  # 421,952 bytes of params
+        grads = net.backward(rng.standard_normal((32, 16)), rng.standard_normal((32, 8)))
+        velocity, buf = GradientSet.zeros(net), np.empty_like(net.params)
+        sgd_step(net, grads, velocity, 0.05, 0.9, 1e-4, buf)  # warm-up
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in range(3):
+                sgd_step(net, grads, velocity, 0.05, 0.9, 1e-4, buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 0.01 * net.params.nbytes
+
+    def test_same_bytes_with_and_without_buffer(self, rng):
+        a = make_random_net(rng, [5, 7, 6, 3])
+        b = a.clone()
+        va, vb = GradientSet.zeros(a), GradientSet.zeros(b)
+        buf = np.full_like(a.params, np.nan)  # every entry written before it is read
+        for _ in range(4):
+            x, up = rng.standard_normal((9, 5)), rng.standard_normal((9, 3))
+            sgd_step(a, a.backward(x, up), va, 0.05, 0.9, 1e-3)
+            sgd_step(b, b.backward(x, up), vb, 0.05, 0.9, 1e-3, buf)
+            assert a.params.tobytes() == b.params.tobytes()
+            assert va.flat.tobytes() == vb.flat.tobytes()
+
+    @pytest.mark.parametrize("bad", [
+        lambda p: np.empty(p.size - 1), lambda p: np.empty(p.size + 1),
+        lambda p: np.empty((1, p.size)), lambda p: np.empty(p.size, dtype=np.float32),
+        lambda p: list(p),
+    ])
+    def test_misfit_buffer_rejected(self, rng, bad):
+        net = make_random_net(rng, [3, 4, 2])
+        grads = net.backward(np.ones((1, 3)), np.ones((1, 2)))
+        before = net.params.tobytes()
+        with pytest.raises(ShapeError, match="buf must be a float64 array of shape"):
+            sgd_step(net, grads, GradientSet.zeros(net), 0.1, 0.9, 0.0, bad(net.params))
+        assert net.params.tobytes() == before
 
 
 def assert_packed(net):
