@@ -111,8 +111,11 @@ def _fit(net, x, cfg: SchemeConfig, epochs: int, stream, grad, on_grads=None) ->
     """The one training loop: seeded minibatch SGD over the rows of x.
 
     Batches are drawn from default_rng([cfg.seed, *stream]), stream = (step,
-    tag). grad(logits, idx) returns the batch's d(loss)/d(logits), no loss
-    value. backward and sgd_step write into one gradient set and one scratch
+    tag). grad is a phase loss: grad(logits, idx, parts=None) returns the
+    batch's d(loss)/d(logits) and leaves logits as they are; given a dict
+    parts, it also records its value components (ce, kd, lce, kd_new) and
+    their total, loss, from the same softmax. _fit passes no parts.
+    backward and sgd_step write into one gradient set and one scratch
     buffer per call, beside the velocity; on_grads(net, grads), if given,
     edits the gradients in place before each update. Every call trains at
     cfg.learning_rate and starts from zero momentum.
@@ -134,28 +137,41 @@ def _fit(net, x, cfg: SchemeConfig, epochs: int, stream, grad, on_grads=None) ->
 
 def _ce(y):
     """The gradient of plain cross entropy against the labels y, for _fit."""
-    return lambda logits, idx: _ce_grad(_softmax(logits, 1.0), y[idx])
+    def grad(logits, idx, parts=None):
+        g = _ce_grad(_softmax(logits, 1.0), y[idx], parts)
+        if parts is not None:
+            parts["loss"] = parts["ce"]
+        return g
+    return grad
 
 
 def _composite(pool: Pool, soft, tau: float):
     """The gradient of lam * KD(soft, old window) + (1 - lam) * CE over the
     pool rows, for _fit."""
     y, old, lam = pool.y, pool.old.slice(), pool.lam
-    return lambda logits, idx: _composite_grad(
-        _kd_grad(_softmax(logits[:, old], tau), soft[idx], tau),
-        _ce_grad(_softmax(logits, 1.0), y[idx]), old, lam)
+
+    def grad(logits, idx, parts=None):
+        g = _composite_grad(_kd_grad(_softmax(logits[:, old], tau), soft[idx], tau, parts),
+                            _ce_grad(_softmax(logits, 1.0), y[idx], parts), old, lam)
+        if parts is not None:
+            parts["loss"] = lam * parts["kd"] + (1.0 - lam) * parts["ce"]
+        return g
+    return grad
 
 
 def _kd_lce(pool: Pool, tau: float):
-    """The gradient of KD (old window, every row) + LCE (new window, new-task rows), for _fit."""
+    """The gradient of KD (old window, every row) + LCE (new window, new-task
+    rows; 0.0 on a batch without them), for _fit."""
     y, is_new, soft = pool.y, pool.is_new, pool.soft
     old, new, start = pool.old.slice(), pool.new.slice(), pool.new.start
 
-    def grad(logits, idx):
+    def grad(logits, idx, parts=None):
         g = np.zeros_like(logits)
-        g[:, old] = _kd_grad(_softmax(logits[:, old], tau), soft[idx], tau)
+        g[:, old] = _kd_grad(_softmax(logits[:, old], tau), soft[idx], tau, parts)
         sel = is_new[idx]  # the kernels take a batch without new rows too
-        g[sel, new] = _ce_grad(_softmax(logits[sel, new], 1.0), y[idx[sel]] - start)
+        g[sel, new] = _ce_grad(_softmax(logits[sel, new], 1.0), y[idx[sel]] - start, parts, "lce")
+        if parts is not None:
+            parts["loss"] = parts["kd"] + parts["lce"]
         return g
     return grad
 
@@ -165,12 +181,14 @@ def _double_kd(pool: Pool, soft_new, tau: float):
     window)) + (1 - lam) * CE over the pool rows, for _fit."""
     y, soft_old, lam, old, new = pool.y, pool.soft, pool.lam, pool.old.slice(), pool.new.slice()
 
-    def grad(logits, idx):
+    def grad(logits, idx, parts=None):
         g = np.zeros_like(logits)
-        g[:, old] = _kd_grad(_softmax(logits[:, old], tau), soft_old[idx], tau)
-        g[:, new] = _kd_grad(_softmax(logits[:, new], tau), soft_new[idx], tau)
+        g[:, old] = _kd_grad(_softmax(logits[:, old], tau), soft_old[idx], tau, parts)
+        g[:, new] = _kd_grad(_softmax(logits[:, new], tau), soft_new[idx], tau, parts, "kd_new")
         g *= lam * 0.5
-        g += (1 - lam) * _ce_grad(_softmax(logits, 1.0), y[idx])
+        g += (1 - lam) * _ce_grad(_softmax(logits, 1.0), y[idx], parts)
+        if parts is not None:
+            parts["loss"] = lam * 0.5 * (parts["kd"] + parts["kd_new"]) + (1 - lam) * parts["ce"]
         return g
     return grad
 

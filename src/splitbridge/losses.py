@@ -1,11 +1,13 @@
-"""Loss functions: CE, temperature KD, localized CE, the composite mix, and the
-cross-partition sparsity penalty. Every loss returns its value together with
-the analytic gradient so training never relies on numeric differentiation.
+"""Loss kernels: CE, temperature KD, the composite mix, and the cross-partition
+sparsity penalty. Training's phase losses (engine's _ce, _composite, _kd_lce and
+_double_kd) are built from these kernels, so it never relies on numeric
+differentiation.
 
 All batch losses are batch means, so the composite mixing weight combines
 like-scaled quantities. Probabilities are floored at 1e-12 inside logs.
-The gradients come from unchecked kernels on float64 batches or logit slices;
-the public losses check their arguments and wrap them, training calls them.
+The kernels are unchecked and work on float64 batches or logit slices; each
+turns a softmax into its gradient in place and, on request, records the loss
+value first. softmax is the checked entry point for soft labels.
 """
 
 from __future__ import annotations
@@ -37,12 +39,6 @@ class TaskRange:
         return slice(self.start, self.stop)
 
 
-@dataclass
-class LossValue:
-    value: float
-    grad_logits: np.ndarray
-
-
 def _softmax(z: np.ndarray, temperature: float) -> np.ndarray:
     """Unchecked: softmax(z / temperature) along the last axis, a new array."""
     z = z / temperature
@@ -52,15 +48,29 @@ def _softmax(z: np.ndarray, temperature: float) -> np.ndarray:
     return z
 
 
-def _ce_grad(p: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Unchecked: a batch's softmax p becomes d(mean CE)/d(logits), in place."""
-    p[np.arange(len(p)), labels] -= 1.0
+def _mean_nll(probs: np.ndarray, weights, n: int) -> float:
+    """sum(-weights * log(probs)) / n with probs floored; 0.0 for a batch of no rows."""
+    return float(np.sum(-weights * np.log(np.maximum(probs, _LOG_FLOOR))) / max(n, 1))
+
+
+def _ce_grad(p: np.ndarray, labels: np.ndarray, parts=None, key="ce") -> np.ndarray:
+    """Unchecked: a batch's softmax p becomes d(mean CE)/d(logits), in place.
+    Given a dict parts, parts[key] is first set to the mean CE."""
+    rows = np.arange(len(p))
+    if parts is not None:
+        parts[key] = _mean_nll(p[rows, labels], 1.0, len(p))
+    p[rows, labels] -= 1.0
     p /= len(p)
     return p
 
 
-def _kd_grad(q: np.ndarray, teacher_probs: np.ndarray, temperature: float) -> np.ndarray:
-    """Unchecked: a batch's tempered softmax q becomes d(mean KD)/d(window logits), in place."""
+def _kd_grad(q: np.ndarray, teacher_probs: np.ndarray, temperature: float, parts=None,
+             key="kd") -> np.ndarray:
+    """Unchecked: a batch's tempered softmax q becomes d(mean KD)/d(window logits), in
+    place. Given a dict parts, parts[key] is first set to the mean KD, the cross entropy
+    of q against teacher_probs."""
+    if parts is not None:
+        parts[key] = _mean_nll(q, teacher_probs, len(q))
     q -= teacher_probs
     q /= temperature * len(q)
     return q
@@ -81,75 +91,6 @@ def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     if temperature <= 0:
         raise ValueError("temperature must be positive")
     return _softmax(logits, temperature)
-
-
-def _as_batch(logits: np.ndarray) -> np.ndarray:
-    return np.atleast_2d(np.asarray(logits, dtype=np.float64))
-
-
-def ce_loss(logits: np.ndarray, labels: np.ndarray) -> LossValue:
-    """Mean cross entropy against integer class labels over all logits."""
-    logits = _as_batch(logits)
-    labels = np.asarray(labels, dtype=np.int64).ravel()
-    n, c = logits.shape
-    if labels.shape[0] != n:
-        raise ValueError("labels and logits disagree on batch size")
-    if labels.min() < 0 or labels.max() >= c:
-        raise ValueError(f"label out of range [0, {c})")
-    p = softmax(logits)
-    value = -np.log(np.maximum(p[np.arange(n), labels], _LOG_FLOOR)).mean()
-    return LossValue(float(value), _ce_grad(p, labels))
-
-
-def kd_loss(logits: np.ndarray, teacher_probs: np.ndarray, task_range: TaskRange,
-            temperature: float) -> LossValue:
-    """Distillation cross entropy over task_range sub-logits only.
-
-    teacher_probs are the teacher's already-tempered soft labels over the same
-    class window; gradient is zero at every logit outside the window.
-    """
-    logits = _as_batch(logits)
-    teacher_probs = _as_batch(teacher_probs)
-    if task_range.stop > logits.shape[1]:
-        raise ValueError("task range exceeds logit width")
-    if teacher_probs.shape != (logits.shape[0], task_range.width):
-        raise ValueError(f"teacher output shape {teacher_probs.shape} does not match "
-                         f"batch x range width ({logits.shape[0]}, {task_range.width})")
-    q = softmax(logits[:, task_range.slice()], temperature)
-    value = -(teacher_probs * np.log(np.maximum(q, _LOG_FLOOR))).sum(axis=1).mean()
-    grad = np.zeros_like(logits)
-    grad[:, task_range.slice()] = _kd_grad(q, teacher_probs, temperature)
-    return LossValue(float(value), grad)
-
-
-def lce_loss(logits: np.ndarray, labels: np.ndarray, task_range: TaskRange) -> LossValue:
-    """Cross entropy with softmax restricted to task_range sub-logits.
-
-    Every label must fall inside the range; logits outside it contribute
-    nothing to the value and receive exactly zero gradient.
-    """
-    logits = _as_batch(logits)
-    labels = np.asarray(labels, dtype=np.int64).ravel()
-    if task_range.stop > logits.shape[1]:
-        raise ValueError("task range exceeds logit width")
-    if labels.size and (labels.min() < task_range.start or labels.max() >= task_range.stop):
-        raise ValueError("lce_loss label outside the task range")
-    local = ce_loss(logits[:, task_range.slice()], labels - task_range.start)
-    grad = np.zeros_like(logits)
-    grad[:, task_range.slice()] = local.grad_logits
-    return LossValue(local.value, grad)
-
-
-def std_composite_loss(logits: np.ndarray, labels: np.ndarray, teacher_probs: np.ndarray,
-                       old_range: TaskRange, lam: float, temperature: float) -> LossValue:
-    """lam * KD(old range) + (1 - lam) * CE(all classes)."""
-    if not (0.0 <= lam <= 1.0):
-        raise ValueError("mixing weight must lie in [0, 1]")
-    kd = kd_loss(logits, teacher_probs, old_range, temperature)
-    ce = ce_loss(logits, labels)
-    window = old_range.slice()
-    return LossValue(lam * kd.value + (1.0 - lam) * ce.value,
-                     _composite_grad(kd.grad_logits[:, window], ce.grad_logits, window, lam))
 
 
 def lambda_schedule(c_old: int, c_new: int) -> float:

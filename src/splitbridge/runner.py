@@ -127,10 +127,11 @@ def run_matrix(matrix: dict, out_dir) -> int:
     Writes rows.jsonl (one row per cell and step), summary.csv (mean/std over
     seeds), and a per-cell directory with checkpoints and a manifest. Cell
     failures are recorded and the remaining cells continue; any failure makes
-    the exit code nonzero.
+    the exit code nonzero. SPLITBRIDGE_WORKERS (default 1) cells run at once,
+    at most one per cell; a value that is not an integer >= 1 raises a
+    ValueError before anything is written.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     bench = {**DEFAULT_BENCHMARK, **matrix.get("benchmark", {})}
     schemes = matrix["schemes"]
     task_counts = matrix["task_counts"]
@@ -138,6 +139,9 @@ def run_matrix(matrix: dict, out_dir) -> int:
     overrides = matrix.get("config", {})
     if not (schemes and task_counts and seeds):
         raise ValueError("matrix axes must be non-empty")
+    raw = os.environ.get(WORKERS_ENV, "1")
+    if not (raw.strip().isdecimal() and int(raw) >= 1):
+        raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}")
 
     jobs = []
     for scheme in schemes:
@@ -146,7 +150,8 @@ def run_matrix(matrix: dict, out_dir) -> int:
                 cell_dir = out_dir / f"{scheme}_t{tasks}_s{seed}"
                 jobs.append((bench, scheme, tasks, seed, overrides, cell_dir))
 
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    workers = min(int(raw), len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_cell, jobs))

@@ -60,6 +60,16 @@ def finite_diff_logit_grad(loss_of_logits, logits, step=1e-5):
     return g
 
 
+def phase_loss(grad, idx):
+    """The total loss of the phase-loss closure grad (one of engine's _ce,
+    _composite, _kd_lce, _double_kd) on the batch idx, as a function of the logits."""
+    def loss(logits):
+        parts = {}
+        grad(logits, idx, parts)
+        return parts["loss"]
+    return loss
+
+
 def assert_close_rel(analytic, numeric, rtol=1e-6, floor=1e-8):
     analytic = np.asarray(analytic)
     numeric = np.asarray(numeric)

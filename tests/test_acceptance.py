@@ -13,13 +13,15 @@ import pytest
 
 from splitbridge import losses, partition, runner
 from splitbridge.data import gen_synthetic
-from splitbridge.engine import SchemeConfig
+from splitbridge.engine import Pool, SchemeConfig, _ce, _composite, _double_kd, _kd_lce
 from splitbridge.losses import TaskRange, lambda_schedule
 from splitbridge.net import GradientSet, build_net
 from splitbridge.partition import bridge_reconnect, cross_groups, disconnect, make_plan
 from splitbridge.metrics import report_from_predictions
 
-from conftest import assert_close_rel, finite_diff_logit_grad, finite_diff_param_grads
+from conftest import (
+    assert_close_rel, finite_diff_logit_grad, finite_diff_param_grads, phase_loss,
+)
 
 
 _CAPFD = None
@@ -75,27 +77,24 @@ def test_criterion_1_gradient_suite(rng):
             n, c_old, c_new = 3 + trial % 3, 2 + trial % 2, 2
             c = c_old + c_new
             logits = rng.standard_normal((n, c))
-            labels = rng.integers(0, c, n)
             tau = 1.0 + rng.random() * 3
             # the teacher softmax spans exactly the old-class window
             teacher = losses.softmax(rng.standard_normal((n, c_old)), tau)
             old = TaskRange(0, c_old)
             new = TaskRange(c_old, c)
-            lam = lambda_schedule(c_old, c_new)
-            cases = [
-                (losses.ce_loss(logits, labels).grad_logits,
-                 lambda z: losses.ce_loss(z, labels).value),
-                (losses.kd_loss(logits, teacher, old, tau).grad_logits,
-                 lambda z: losses.kd_loss(z, teacher, old, tau).value),
-                (losses.lce_loss(logits, np.full(n, c_old), new).grad_logits,
-                 lambda z: losses.lce_loss(z, np.full(n, c_old), new).value),
-                (losses.std_composite_loss(logits, labels, teacher,
-                                           old, lam, tau).grad_logits,
-                 lambda z: losses.std_composite_loss(z, labels, teacher,
-                                                     old, lam, tau).value),
-            ]
-            for analytic, scalar in cases:
-                assert_close_rel(analytic, finite_diff_logit_grad(scalar, logits))
+            # the phase losses training runs; rows 0, 2, ... are new-task rows with
+            # new labels, the rest old rows, which alone make the no-new-rows batch
+            is_new = np.arange(n) % 2 == 0
+            labels = np.where(is_new, rng.integers(c_old, c, n), rng.integers(0, c_old, n))
+            soft_new = losses.softmax(rng.standard_normal((n, c_new)), tau)
+            pool = Pool(np.zeros((n, 1)), labels, is_new, teacher, old, new)
+            every, no_new = np.arange(n), np.flatnonzero(~is_new)
+            kd_lce = _kd_lce(pool, tau)
+            cases = [(_ce(labels), every), (_composite(pool, teacher, tau), every),
+                     (kd_lce, every), (kd_lce, no_new), (_double_kd(pool, soft_new, tau), every)]
+            for grad, idx in cases:
+                z = logits[idx]
+                assert_close_rel(grad(z, idx), finite_diff_logit_grad(phase_loss(grad, idx), z))
 
         # penalty gradients are taken over network weights, not logits
         for trial in range(20):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import splitbridge
+from splitbridge import runner
 from splitbridge.cli import cli_main
 from splitbridge.data import load_csv
 from splitbridge.net import DenseNet
@@ -108,6 +109,40 @@ class TestRunner:
         # rows.jsonl, summary.csv, then a manifest and two checkpoints per cell
         assert len(outputs[0]) == 2 + 8 * 3
 
+    @pytest.mark.parametrize("value", ["abc", "-3", "0", "2.5"])
+    def test_bad_workers_rejected_before_writing(self, tmp_path, monkeypatch, value):
+        monkeypatch.setenv(WORKERS_ENV, value)
+        matrix = {"benchmark": TINY_BENCH, "schemes": ["ce"], "task_counts": [2],
+                  "seeds": [0], "config": TINY_CONFIG}
+        with pytest.raises(ValueError, match=WORKERS_ENV):
+            run_matrix(matrix, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_workers_capped_at_cell_count(self, tmp_path, monkeypatch):
+        # a serial stand-in for the process pool: the test starts no process
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setenv(WORKERS_ENV, "64")
+        matrix = {"benchmark": TINY_BENCH, "schemes": ["ce"], "task_counts": [2],
+                  "seeds": [0, 1], "config": TINY_CONFIG}
+        assert run_matrix(matrix, tmp_path) == 0
+        assert requested == [2]
+        assert len((tmp_path / "rows.jsonl").read_text().splitlines()) == 4
+
     @pytest.mark.parametrize("scheme", ["sb", "std", "ce", "dd"])
     def test_cell_identical_across_hash_seeds(self, tmp_path, scheme):
         # str hashing is salted per process; no stream may depend on it
@@ -193,6 +228,16 @@ class TestCli:
         out = tmp_path / "out"
         assert cli_main(["matrix", "--config", str(p), "--out", str(out)]) == 0
         assert (out / "rows.jsonl").exists()
+
+    def test_matrix_bad_workers_one_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(WORKERS_ENV, "abc")
+        p = tmp_path / "matrix.json"
+        p.write_text(json.dumps({"benchmark": TINY_BENCH, "schemes": ["ce"],
+                                 "task_counts": [2], "seeds": [0], "config": TINY_CONFIG}))
+        assert cli_main(["matrix", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {WORKERS_ENV} must be an integer >= 1, got 'abc'\n"
+        assert not (tmp_path / "out").exists()
 
     def test_matrix_overrides_reach_cells(self, tmp_path):
         p = tmp_path / "matrix.json"

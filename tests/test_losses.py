@@ -1,20 +1,17 @@
+"""Tests for the loss kernels through the phase losses training runs (engine's
+_ce, _composite and _kd_lce), softmax, the mixing schedule and the penalty."""
+
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splitbridge.losses import (
-    TaskRange,
-    ce_loss,
-    kd_loss,
-    lambda_schedule,
-    lce_loss,
-    softmax,
-    sparsify_penalty,
-    std_composite_loss,
-)
+from splitbridge.engine import Pool, _ce, _composite, _kd_lce
+from splitbridge.losses import TaskRange, lambda_schedule, softmax, sparsify_penalty
 from splitbridge.net import GradientSet
 from splitbridge.partition import make_plan
-from conftest import assert_close_rel, finite_diff_logit_grad, make_random_net
+from conftest import assert_close_rel, finite_diff_logit_grad, make_random_net, phase_loss
 
 
 class TestSoftmax:
@@ -50,126 +47,136 @@ class TestSoftmax:
             softmax(np.zeros(3), 0.0)
 
 
+def evaluate(grad, logits, idx=None):
+    """A phase loss's gradient and value components on the batch of logits."""
+    parts = {}
+    g = grad(logits, np.arange(len(logits)) if idx is None else idx, parts)
+    return g, parts
+
+
+def kd_lce(soft, y, is_new, old, new, tau):
+    """_kd_lce over a pool whose rows are the batch's."""
+    n = len(is_new)
+    return _kd_lce(Pool(np.zeros((n, 1)), np.asarray(y), np.asarray(is_new), soft, old, new), tau)
+
+
+def kd_only(soft, width, tau):
+    """_kd_lce on a batch without new rows: KD over the old window
+    [0, soft's width) of width logits, and LCE 0.0."""
+    n, c_old = soft.shape
+    return kd_lce(soft, np.zeros(n, int), np.zeros(n, bool), TaskRange(0, c_old),
+                  TaskRange(c_old, width), tau)
+
+
+def composite(y, soft, old, lam, tau):
+    """_composite at any mixing weight lam, which a Pool derives from its windows."""
+    return _composite(SimpleNamespace(y=np.asarray(y), old=old, lam=lam), soft, tau)
+
+
 class TestCeLoss:
     def test_perfect_prediction(self):
-        logits = np.array([[50.0, 0.0]])
-        lv = ce_loss(logits, [0])
-        assert lv.value < 1e-12
+        _, parts = evaluate(_ce(np.array([0])), np.array([[50.0, 0.0]]))
+        assert parts["ce"] < 1e-12 and parts["loss"] == parts["ce"]
 
     def test_uniform_prediction(self):
-        logits = np.zeros((3, 4))
-        lv = ce_loss(logits, [0, 2, 3])
-        assert abs(lv.value - np.log(4)) < 1e-12
+        _, parts = evaluate(_ce(np.array([0, 2, 3])), np.zeros((3, 4)))
+        assert abs(parts["ce"] - np.log(4)) < 1e-12
 
     def test_gradient_matches_finite_differences(self, rng):
         logits = rng.standard_normal((5, 4))
-        labels = rng.integers(0, 4, size=5)
-        lv = ce_loss(logits, labels)
-        fd = finite_diff_logit_grad(lambda lg: ce_loss(lg, labels).value, logits)
-        assert_close_rel(lv.grad_logits, fd)
-
-    def test_label_out_of_range(self):
-        with pytest.raises(ValueError):
-            ce_loss(np.zeros((1, 3)), [3])
+        grad, idx = _ce(rng.integers(0, 4, size=5)), np.arange(5)
+        assert_close_rel(grad(logits, idx), finite_diff_logit_grad(phase_loss(grad, idx), logits))
 
 
 class TestKdLoss:
     def test_uniform_uniform(self):
-        logits = np.zeros((2, 2))
-        q_hat = np.full((2, 2), 0.5)
-        lv = kd_loss(logits, q_hat, TaskRange(0, 2), 2.0)
-        assert abs(lv.value - np.log(2)) < 1e-12
+        _, parts = evaluate(kd_only(np.full((2, 2), 0.5), 3, 2.0), np.zeros((2, 3)))
+        assert abs(parts["kd"] - np.log(2)) < 1e-12
+        assert parts["lce"] == 0.0 and parts["loss"] == parts["kd"]
 
     def test_zero_gradient_outside_range(self, rng):
         logits = rng.standard_normal((3, 5))
-        tr = TaskRange(0, 3)
         q_hat = softmax(rng.standard_normal((3, 3)), 2.0)
-        lv = kd_loss(logits, q_hat, tr, 2.0)
-        assert np.all(lv.grad_logits[:, 3:] == 0.0)
+        g, _ = evaluate(kd_only(q_hat, 5, 2.0), logits)
+        assert np.all(g[:, 3:] == 0.0)
 
     def test_minimum_at_teacher_distribution(self, rng):
         # descend on a 3-class toy; the optimum is q = q_hat with value
         # equal to the teacher entropy
         q_hat = softmax(rng.standard_normal((1, 3)), 1.0)
-        tr = TaskRange(0, 3)
-        logits = np.zeros((1, 3))
+        grad = kd_only(q_hat, 4, 1.0)
+        logits = np.zeros((1, 4))
         for _ in range(8000):
-            lv = kd_loss(logits, q_hat, tr, 1.0)
-            logits -= 5.0 * lv.grad_logits
+            logits -= 5.0 * evaluate(grad, logits)[0]
         entropy = -(q_hat * np.log(q_hat)).sum()
-        final = kd_loss(logits, q_hat, tr, 1.0)
-        assert abs(final.value - entropy) < 1e-6
-        assert np.allclose(softmax(logits), q_hat, atol=1e-4)
+        _, final = evaluate(grad, logits)
+        assert abs(final["kd"] - entropy) < 1e-6
+        assert np.allclose(softmax(logits[:, :3]), q_hat, atol=1e-4)
 
     def test_value_lower_bounded_by_entropy(self, rng):
         for _ in range(20):
             c = int(rng.integers(3, 6))
             q_hat = softmax(rng.standard_normal((1, c)), 2.0)
-            logits = rng.standard_normal((1, c))
-            lv = kd_loss(logits, q_hat, TaskRange(0, c), 2.0)
+            _, parts = evaluate(kd_only(q_hat, c + 1, 2.0), rng.standard_normal((1, c + 1)))
             entropy = -(q_hat * np.log(q_hat)).sum()
-            assert lv.value >= entropy - 1e-12
+            assert parts["kd"] >= entropy - 1e-12
 
     def test_gradient_matches_finite_differences(self, rng):
         logits = rng.standard_normal((4, 6))
-        tr = TaskRange(1, 4)
-        q_hat = softmax(rng.standard_normal((4, 3)), 2.0)
-        lv = kd_loss(logits, q_hat, tr, 2.0)
-        fd = finite_diff_logit_grad(lambda lg: kd_loss(lg, q_hat, tr, 2.0).value, logits)
-        assert_close_rel(lv.grad_logits, fd)
-
-    def test_range_mismatch(self):
-        with pytest.raises(ValueError, match="teacher"):
-            kd_loss(np.zeros((2, 4)), np.full((2, 3), 1 / 3), TaskRange(0, 2), 2.0)
+        grad, idx = kd_only(softmax(rng.standard_normal((4, 3)), 2.0), 6, 2.0), np.arange(4)
+        assert_close_rel(grad(logits, idx), finite_diff_logit_grad(phase_loss(grad, idx), logits))
 
 
 class TestLceLoss:
     def test_locality_example(self):
         # old-class logits are huge but ignored entirely
-        logits = np.array([[9.0, 9.0, 1.0, 1.0]])
-        lv = lce_loss(logits, [2], TaskRange(2, 4))
-        assert abs(lv.value - np.log(2)) < 1e-12
+        grad = kd_lce(np.full((1, 2), 0.5), [2], [True], TaskRange(0, 2), TaskRange(2, 4), 2.0)
+        _, parts = evaluate(grad, np.array([[9.0, 9.0, 1.0, 1.0]]))
+        assert abs(parts["lce"] - np.log(2)) < 1e-12
 
     def test_zero_gradient_at_old_logits(self):
+        # the old window's gradient is KD's alone, with or without the LCE row
         logits = np.array([[9.0, 9.0, 1.0, 2.0]])
-        lv = lce_loss(logits, [3], TaskRange(2, 4))
-        assert np.all(lv.grad_logits[:, :2] == 0.0)
+        soft, old, new = np.array([[0.3, 0.7]]), TaskRange(0, 2), TaskRange(2, 4)
+        g, _ = evaluate(kd_lce(soft, [3], [True], old, new, 2.0), logits)
+        g_kd, _ = evaluate(kd_lce(soft, [3], [False], old, new, 2.0), logits)
+        assert g[:, :2].tobytes() == g_kd[:, :2].tobytes()
+        assert np.any(g[:, 2:] != 0.0) and np.all(g_kd[:, 2:] == 0.0)
 
     def test_slicing_equivalence(self, rng):
         logits = rng.standard_normal((6, 7))
-        tr = TaskRange(3, 7)
         labels = rng.integers(3, 7, size=6)
-        lv = lce_loss(logits, labels, tr)
-        sliced = ce_loss(logits[:, 3:], labels - 3)
-        assert lv.value == sliced.value
-        assert np.array_equal(lv.grad_logits[:, 3:], sliced.grad_logits)
-
-    def test_label_outside_range(self):
-        with pytest.raises(ValueError):
-            lce_loss(np.zeros((1, 4)), [0], TaskRange(2, 4))
+        soft = softmax(rng.standard_normal((6, 3)), 2.0)
+        g, parts = evaluate(kd_lce(soft, labels, np.ones(6, bool), TaskRange(0, 3),
+                                   TaskRange(3, 7), 2.0), logits)
+        g_ce, sliced = evaluate(_ce(labels - 3), logits[:, 3:])
+        assert parts["lce"] == sliced["ce"]
+        assert np.array_equal(g[:, 3:], g_ce)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
     def test_invariant_to_outside_logits(self, seed):
         r = np.random.default_rng(seed)
         logits = r.standard_normal((3, 6))
-        tr = TaskRange(2, 5)
         labels = r.integers(2, 5, size=3)
-        a = lce_loss(logits, labels, tr)
+        grad = kd_lce(softmax(r.standard_normal((3, 2)), 2.0), labels, np.ones(3, bool),
+                      TaskRange(0, 2), TaskRange(2, 5), 2.0)
+        ga, a = evaluate(grad, logits)
         mutated = logits.copy()
         mutated[:, :2] = r.standard_normal((3, 2)) * 40
         mutated[:, 5:] = r.standard_normal((3, 1)) * 40
-        b = lce_loss(mutated, labels, tr)
-        assert a.value == b.value
-        assert np.array_equal(a.grad_logits[:, 2:5], b.grad_logits[:, 2:5])
+        gb, b = evaluate(grad, mutated)
+        assert a["lce"] == b["lce"]
+        assert np.array_equal(ga[:, 2:5], gb[:, 2:5])
 
     def test_gradient_matches_finite_differences(self, rng):
         logits = rng.standard_normal((5, 6))
-        tr = TaskRange(2, 6)
-        labels = rng.integers(2, 6, size=5)
-        lv = lce_loss(logits, labels, tr)
-        fd = finite_diff_logit_grad(lambda lg: lce_loss(lg, labels, tr).value, logits)
-        assert_close_rel(lv.grad_logits, fd)
+        is_new = np.array([True, False, True, True, False])
+        labels = np.where(is_new, rng.integers(2, 6, size=5), rng.integers(0, 2, size=5))
+        grad = kd_lce(softmax(rng.standard_normal((5, 2)), 2.0), labels, is_new,
+                      TaskRange(0, 2), TaskRange(2, 6), 2.0)
+        idx = np.arange(5)
+        assert_close_rel(grad(logits, idx), finite_diff_logit_grad(phase_loss(grad, idx), logits))
 
 
 class TestCompositeLoss:
@@ -182,24 +189,25 @@ class TestCompositeLoss:
 
     def test_lambda_zero_is_ce(self, rng):
         logits, labels, q_hat, tr = self._instance(rng)
-        lv = std_composite_loss(logits, labels, q_hat, tr, 0.0, 2.0)
-        ce = ce_loss(logits, labels)
-        assert lv.value == ce.value
-        assert np.array_equal(lv.grad_logits, ce.grad_logits)
+        g, parts = evaluate(composite(labels, q_hat, tr, 0.0, 2.0), logits)
+        g_ce, ce = evaluate(_ce(labels), logits)
+        assert parts["loss"] == ce["ce"]
+        assert np.array_equal(g, g_ce)
 
     def test_lambda_one_is_kd(self, rng):
         logits, labels, q_hat, tr = self._instance(rng)
-        lv = std_composite_loss(logits, labels, q_hat, tr, 1.0, 2.0)
-        kd = kd_loss(logits, q_hat, tr, 2.0)
-        assert lv.value == kd.value
-        assert np.array_equal(lv.grad_logits, kd.grad_logits)
+        g, parts = evaluate(composite(labels, q_hat, tr, 1.0, 2.0), logits)
+        g_kd, kd = evaluate(kd_only(q_hat, 6, 2.0), logits)
+        assert parts["loss"] == kd["kd"]
+        assert np.array_equal(g, g_kd)
 
     def test_half_is_mean_of_components(self, rng):
         logits, labels, q_hat, tr = self._instance(rng)
-        lv = std_composite_loss(logits, labels, q_hat, tr, 0.5, 2.0)
-        kd = kd_loss(logits, q_hat, tr, 2.0)
-        ce = ce_loss(logits, labels)
-        assert abs(lv.value - 0.5 * (kd.value + ce.value)) < 1e-14
+        _, parts = evaluate(composite(labels, q_hat, tr, 0.5, 2.0), logits)
+        _, kd = evaluate(kd_only(q_hat, 6, 2.0), logits)
+        _, ce = evaluate(_ce(labels), logits)
+        assert (parts["kd"], parts["ce"]) == (kd["kd"], ce["ce"])
+        assert abs(parts["loss"] - 0.5 * (kd["kd"] + ce["ce"])) < 1e-14
 
     @given(st.floats(0.0, 1.0))
     @settings(max_examples=25, deadline=None)
@@ -207,17 +215,11 @@ class TestCompositeLoss:
         r = np.random.default_rng(99)
         logits = r.standard_normal((3, 5))
         labels = r.integers(0, 5, size=3)
-        tr = TaskRange(0, 3)
         q_hat = softmax(r.standard_normal((3, 3)), 2.0)
-        lv = std_composite_loss(logits, labels, q_hat, tr, lam, 2.0)
-        kd = kd_loss(logits, q_hat, tr, 2.0)
-        ce = ce_loss(logits, labels)
-        assert abs(lv.value - (lam * kd.value + (1 - lam) * ce.value)) < 1e-12
-
-    def test_lambda_out_of_range(self, rng):
-        logits, labels, q_hat, tr = self._instance(rng)
-        with pytest.raises(ValueError):
-            std_composite_loss(logits, labels, q_hat, tr, 1.5, 2.0)
+        _, parts = evaluate(composite(labels, q_hat, TaskRange(0, 3), lam, 2.0), logits)
+        _, kd = evaluate(kd_only(q_hat, 5, 2.0), logits)
+        _, ce = evaluate(_ce(labels), logits)
+        assert abs(parts["loss"] - (lam * kd["kd"] + (1 - lam) * ce["ce"])) < 1e-12
 
 
 class TestLambdaSchedule:
