@@ -12,8 +12,8 @@ penalty's gradient is checked the same way over the cross-partition weights.
 import numpy as np
 
 from splitbridge import losses
+from splitbridge.data import TaskRange
 from splitbridge.engine import Pool, _ce, _composite, _double_kd, _kd_lce
-from splitbridge.losses import TaskRange
 from splitbridge.net import GradientSet, build_net
 from splitbridge.partition import make_plan
 

@@ -55,9 +55,9 @@ def main():
 
     net, plan, groups, diag = run_split_phase(net, pool, cfg, step=2)
     print(f"\nsplit phase (layers {plan.split_index}..{plan.depth - 1} partitioned):")
-    for li in sorted(plan.old_out):
-        print(f"  layer {li}: {plan.old_out[li].size} old nodes, "
-              f"{plan.new_out[li].size} new nodes")
+    for li in sorted(plan.old_size):
+        print(f"  layer {li}: {plan.old_size[li]} old nodes, "
+              f"{plan.new_size[li]} new nodes")
     print(f"  cross-partition norm {diag['cross_norm_start']:.2f} -> "
           f"{diag['cross_norm_at_disconnect']:.2f} after sparsification")
     # the penalty at gamma = 1 is the summed cross-partition Frobenius norm
@@ -69,8 +69,8 @@ def main():
     old_logits = net.forward(probe)[:, :4]
     # (columns also hold cut weights, so the cut is re-applied after each shove)
     def shove(delta):
-        for li, cols in plan.new_out.items():
-            net.layers[li].w[:, cols] += delta
+        for li, b in plan.old_size.items():  # the new group: every column from b on
+            net.layers[li].w[:, b:] += delta
         disconnect(net, groups)
 
     shove(1.0)

@@ -24,8 +24,6 @@ def _load_config(path) -> dict:
     try:
         with open(path) as f:
             return json.load(f)
-    except OSError as exc:
-        raise ValueError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ValueError(f"config parse error in {path} at line {exc.lineno}: {exc.msg}")
 
@@ -187,7 +185,7 @@ def cli_main(argv=None) -> int:
         return exc.code if exc.code is not None else 0
     try:
         return args.fn(args)
-    except ValueError as exc:  # bad config files and values, ShapeError included
+    except (ValueError, OSError) as exc:  # bad values (ShapeError too), unreadable files
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -36,15 +36,36 @@ class LabeledDataset:
         return LabeledDataset(self.x[idx], self.y[idx], self.num_classes)
 
 
+@dataclass(frozen=True)
+class TaskRange:
+    """Half-open class-index window [start, stop): the classes one task owns,
+    or a step's old or new logits. An empty window raises ValueError."""
+
+    start: int
+    stop: int
+
+    def __post_init__(self):
+        if not (0 <= self.start < self.stop):
+            raise ValueError(f"invalid task range [{self.start}, {self.stop})")
+
+    @property
+    def size(self) -> int:
+        return self.stop - self.start
+
+    def slice(self) -> slice:
+        return slice(self.start, self.stop)
+
+    def mask(self, labels: np.ndarray) -> np.ndarray:
+        """Boolean mask of the labels inside the window."""
+        return (labels >= self.start) & (labels < self.stop)
+
+
 @dataclass
 class Task:
-    """One incremental task: its class-index set and train/test data.
+    """One incremental task: the window of global (remapped) class indices
+    it owns, and its train/test data."""
 
-    Labels are in the global (remapped) index space; `classes` is the
-    contiguous block this task owns.
-    """
-
-    classes: np.ndarray
+    classes: TaskRange
     train: LabeledDataset
     test: LabeledDataset
 
@@ -198,9 +219,9 @@ def split_tasks(
     rtrain, rtest = remapped(train), remapped(test)
     tasks = []
     for t in range(num_tasks):
-        block = np.arange(t * per, (t + 1) * per, dtype=np.int64)
-        tr = rtrain.subset(np.isin(rtrain.y, block))
-        te = rtest.subset(np.isin(rtest.y, block))
+        block = TaskRange(t * per, (t + 1) * per)
+        tr = rtrain.subset(block.mask(rtrain.y))
+        te = rtest.subset(block.mask(rtest.y))
         tasks.append(Task(block, tr, te))
     return TaskSequence(tasks, remap)
 

@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import losses, metrics, partition
-from .data import LabeledDataset, Task, TaskSequence
-from .losses import TaskRange, _ce_grad, _composite_grad, _kd_grad, _softmax, lambda_schedule
+from .data import LabeledDataset, Task, TaskRange, TaskSequence
+from .losses import _ce_grad, _composite_grad, _kd_grad, _softmax, lambda_schedule
 from .net import DenseNet, GradientSet, build_net, sgd_step
 
 SCHEMES = ("sb", "std", "ce", "dd")
@@ -95,7 +95,7 @@ class Pool:
 
     @property
     def lam(self) -> float:  # KD's weight against CE, c_old / (c_old + c_new)
-        return lambda_schedule(self.old.width, self.new.width)
+        return lambda_schedule(self.old.size, self.new.size)
 
     @classmethod
     def build(cls, task: Task, mem: LabeledDataset, net: DenseNet, cfg: SchemeConfig) -> Pool:
@@ -214,7 +214,7 @@ def run_split_phase(net: DenseNet, pool: Pool, cfg: SchemeConfig, step: int):
     Returns (net, plan, groups, diagnostics).
     """
     x, kd_lce = pool.x, _kd_lce(pool, cfg.tau)
-    plan = partition.make_plan(net, cfg.split_index, pool.old.width, pool.new.width, cfg.rho)
+    plan = partition.make_plan(net, cfg.split_index, pool.old.size, pool.new.size, cfg.rho)
 
     def zero_cut(net, grads):
         plan.groups.zero(grads.wgrads)
@@ -264,7 +264,7 @@ def run_dd_step(net: DenseNet, pool: Pool, cfg: SchemeConfig, step: int) -> Dens
     throwaway's over new logits) mixed against CE with the usual schedule.
     The extra network is dropped when the step returns."""
     x, y, new = pool.x, pool.y, pool.new
-    aux = build_net(net.in_dim, list(cfg.hidden), new.width, seed=[cfg.seed, step, 5])
+    aux = build_net(net.in_dim, list(cfg.hidden), new.size, seed=[cfg.seed, step, 5])
     _fit(aux, x[pool.is_new], cfg, cfg.epochs_std, (step, 4), _ce(y[pool.is_new] - new.start))
     soft_new = losses.softmax(aux.forward(x), cfg.tau)
     _fit(net, x, cfg, cfg.epochs_std, (step, 1), _double_kd(pool, soft_new, cfg.tau))
@@ -300,9 +300,6 @@ def run_sequence(seq: TaskSequence, cfg: SchemeConfig) -> list[StepResult]:
     and the model is evaluated once per task. The runners are looked up at
     call time, so a wrapper set on this module sees every call.
     """
-    for t in seq.tasks:
-        if t.classes.size == 0:
-            raise ValueError("task with zero classes")
     mem = seq.tasks[0].train.subset(slice(0, 0))
     net = build_net(seq.feature_dim, list(cfg.hidden), seq.tasks[0].classes.size, cfg.seed)
     results = []

@@ -12,31 +12,10 @@ value first. softmax is the checked entry point for soft labels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 _LOG_FLOOR = 1e-12
 _NORM_EPS = 1e-8
-
-
-@dataclass(frozen=True)
-class TaskRange:
-    """Half-open class-index window [start, stop) of one task's logits."""
-
-    start: int
-    stop: int
-
-    def __post_init__(self):
-        if not (0 <= self.start < self.stop):
-            raise ValueError(f"invalid task range [{self.start}, {self.stop})")
-
-    @property
-    def width(self) -> int:
-        return self.stop - self.start
-
-    def slice(self) -> slice:
-        return slice(self.start, self.stop)
 
 
 def _softmax(z: np.ndarray, temperature: float) -> np.ndarray:

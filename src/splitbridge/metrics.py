@@ -8,6 +8,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .data import TaskRange
+
 
 @dataclass
 class EvalReport:
@@ -35,42 +37,38 @@ def _acc(pred: np.ndarray, truth: np.ndarray) -> float:
 def report_from_predictions(
     logits: np.ndarray,
     labels: np.ndarray,
-    task_blocks: list[np.ndarray],
+    task_blocks: list[TaskRange],
     step: int,
 ) -> EvalReport:
     """Build the five-metric report from logits over pooled test samples.
 
-    task_blocks lists each task's contiguous global class indices, in task
-    order; the last block is the "new" task of this step, everything before
-    it is pooled as "old".
+    task_blocks lists each task's class window, in task order; the last
+    block is the "new" task of this step, everything before it is pooled as
+    "old".
     """
     labels = np.asarray(labels, dtype=np.int64)
     new_block = task_blocks[-1]
-    old_hi = int(new_block[0])          # old classes are [0, old_hi)
-    new_hi = int(new_block[-1]) + 1
+    old_hi = new_block.start            # old classes are [0, old_hi)
     pred = logits.argmax(axis=1)
 
     is_old = labels < old_hi
-    is_new = (labels >= old_hi) & (labels < new_hi)
+    is_new = new_block.mask(labels)
     old_acc = _acc(pred[is_old], labels[is_old])
     new_acc = _acc(pred[is_new], labels[is_new])
     overall = _acc(pred, labels)
 
-    # restricted argmax within the old (resp. new) class block
-    if old_hi > 0 and is_old.any():
+    # restricted argmax within the old (resp. new) class block; _acc scores a
+    # block without rows 0.0, and step 1's old block [0, 0) has no columns
+    intra_old = 0.0
+    if old_hi > 0:
         intra_old_pred = logits[is_old][:, :old_hi].argmax(axis=1)
         intra_old = _acc(intra_old_pred, labels[is_old])
-    else:
-        intra_old = 0.0
-    if is_new.any():
-        intra_new_pred = old_hi + logits[is_new][:, old_hi:new_hi].argmax(axis=1)
-        intra_new = _acc(intra_new_pred, labels[is_new])
-    else:
-        intra_new = 0.0
+    intra_new_pred = old_hi + logits[is_new][:, new_block.slice()].argmax(axis=1)
+    intra_new = _acc(intra_new_pred, labels[is_new])
 
     per_task = []
     for block in task_blocks:
-        sel = np.isin(labels, block)
+        sel = block.mask(labels)
         per_task.append(_acc(pred[sel], labels[sel]))
 
     confusion = [[0, 0], [0, 0]]
@@ -109,7 +107,7 @@ def evaluate(net, tasks: list, step: int) -> EvalReport:
     ys = np.concatenate([task.test.y for task in tasks])
     blocks = [task.classes for task in tasks]
     logits = net.forward(xs)
-    if logits.shape[1] < int(blocks[-1][-1]) + 1:
+    if logits.shape[1] < blocks[-1].stop:
         raise ValueError("network output narrower than the class range under test")
     return report_from_predictions(logits, ys, blocks, step)
 

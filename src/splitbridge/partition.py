@@ -1,14 +1,14 @@
-"""Network partitioning: the adaptive split plan, cross-partition weight
-groups, disconnection into a shared trunk plus two branches by zeroing the
-cut weights, and the zero-bridge check at reconnection.
+"""Network partitioning: the adaptive split plan with its cut blocks,
+disconnection into a shared trunk plus two branches by zeroing the cut
+weights, and the zero-bridge check at reconnection.
 
 Layers are indexed 0-based. A plan covers layers split_index .. depth-1;
 within each partitioned layer the old group takes the low output indices and
 the new group the high ones, and the final layer is split by class ownership
-(old classes low, new classes high). The groups are contiguous, so the cut of
-a layer whose inputs are partitioned is two rectangular blocks of its weight
-matrix: with a the old input width and b the old output width, w[:a, b:]
-(old to new) and w[a:, :b] (new to old).
+(old classes low, new classes high). The groups are contiguous, so a plan
+keeps each group's width alone, and the cut of a layer whose inputs are
+partitioned is two blocks of its weight matrix: with a the old input width
+and b the old output width, w[:a, b:] (old to new) and w[a:, :b] (new to old).
 """
 
 from __future__ import annotations
@@ -26,28 +26,26 @@ class PartitionPlan:
     split_index: int            # first layer eligible for partitioning
     depth: int
     rho: float
-    c_old: int
-    c_new: int
-    old_out: dict[int, np.ndarray] = field(default_factory=dict)  # partitioned layers only
-    new_out: dict[int, np.ndarray] = field(default_factory=dict)
+    old_size: dict[int, int] = field(default_factory=dict)  # widths; partitioned layers only
+    new_size: dict[int, int] = field(default_factory=dict)
     groups: CrossGroups | None = None     # cut blocks, set by make_plan
 
     def is_partitioned(self, layer: int) -> bool:
-        return layer in self.old_out
+        return layer in self.old_size
 
     def summary(self) -> dict:
         """JSON-ready record for the run manifest."""
         return {
             "split_index": self.split_index,
             "rho": self.rho,
-            "c_old": self.c_old,
-            "c_new": self.c_new,
+            "c_old": self.old_size[self.depth - 1],  # the final layer splits by class
+            "c_new": self.new_size[self.depth - 1],
             "layers": [
                 {
                     "layer": li,
-                    "shared": li not in self.old_out,
-                    "old_size": int(self.old_out[li].size) if li in self.old_out else None,
-                    "new_size": int(self.new_out[li].size) if li in self.new_out else None,
+                    "shared": li not in self.old_size,
+                    "old_size": self.old_size.get(li),
+                    "new_size": self.new_size.get(li),
                 }
                 for li in range(self.split_index, self.depth)
             ],
@@ -97,8 +95,9 @@ def make_plan(net: DenseNet, split_index: int, c_old: int, c_new: int, rho: floa
     rounded half-up on the new share and clamped so the old group keeps at
     least one node. A layer left with no new node (a 1-wide one, too) stays
     shared, and so does every layer below it: the trunk reaches up to the last
-    shared layer. The final layer is always split by class ownership. The cross
-    groups of the plan are computed once here, from net's shapes.
+    shared layer. The final layer is always split by class ownership. The cut
+    blocks, plan.groups, are built once here from the group widths and net's
+    shapes; a layer that reads the shared trunk has none.
     """
     depth = net.depth
     if not (0 <= split_index < depth):
@@ -112,52 +111,30 @@ def make_plan(net: DenseNet, split_index: int, c_old: int, c_new: int, rho: floa
             f"net has {net.num_classes} outputs, expected c_old + c_new = {c_old + c_new}"
         )
 
-    plan = PartitionPlan(split_index, depth, rho, c_old, c_new)
+    plan = PartitionPlan(split_index, depth, rho)
     new_share = (1.0 - rho) * c_old + c_new
     old_share = rho * c_old
     for li in range(split_index, depth - 1):
         width = net.layers[li].out_dim
-        if width < 1:
-            raise ValueError(f"layer {li} has zero width")
         n_new = _round_half_up(width * max(0.0, new_share) / (old_share + max(0.0, new_share)))
         n_new = min(n_new, width - 1)
         if n_new < 1:
-            plan.old_out.clear()  # the layers below join the shared trunk too
-            plan.new_out.clear()
-            continue  # stays shared: in neither old_out nor new_out
-        plan.old_out[li] = np.arange(0, width - n_new, dtype=np.int64)
-        plan.new_out[li] = np.arange(width - n_new, width, dtype=np.int64)
-    last = depth - 1
-    plan.old_out[last] = np.arange(0, c_old, dtype=np.int64)
-    plan.new_out[last] = np.arange(c_old, c_old + c_new, dtype=np.int64)
-    plan.groups = cross_groups(plan, net)
-    return plan
+            plan.old_size.clear()  # the layers below join the shared trunk too
+            plan.new_size.clear()
+            continue  # stays shared: in neither old_size nor new_size
+        plan.old_size[li] = width - n_new
+        plan.new_size[li] = n_new
+    plan.old_size[depth - 1] = c_old
+    plan.new_size[depth - 1] = c_new
 
-
-def cross_groups(plan: PartitionPlan, net: DenseNet) -> CrossGroups:
-    """The two cut blocks of each partitioned layer whose inputs are partitioned.
-
-    Raises ShapeError naming the layer unless the plan's old and new output
-    groups of each partitioned layer together cover its out_dim exactly. The
-    input widths then match as well: a layer's in_dim is the previous
-    layer's out_dim.
-    """
-    if net.depth != plan.depth:
-        raise ShapeError(f"plan covers {plan.depth} layers, net has {net.depth}")
     blocks = {}
-    for li in range(plan.split_index, plan.depth):
-        if not plan.is_partitioned(li):
-            continue
-        in_dim, out_dim = net.layers[li].w.shape
-        b = plan.old_out[li].size
-        n_out = b + plan.new_out[li].size
-        if n_out != out_dim:
-            raise ShapeError(f"layer {li}: plan groups cover {n_out} outputs, not {out_dim}")
-        if not plan.is_partitioned(li - 1):
-            continue  # inputs from the shared trunk: no weight crosses
-        a = plan.old_out[li - 1].size
-        blocks[li] = ((slice(0, a), slice(b, out_dim)), (slice(a, in_dim), slice(0, b)))
-    return CrossGroups(blocks)
+    for li, b in plan.old_size.items():
+        if plan.is_partitioned(li - 1):  # else its inputs come from the shared trunk
+            a = plan.old_size[li - 1]
+            in_dim, out_dim = net.layers[li].w.shape
+            blocks[li] = ((slice(0, a), slice(b, out_dim)), (slice(a, in_dim), slice(0, b)))
+    plan.groups = CrossGroups(blocks)
+    return plan
 
 
 def disconnect(net: DenseNet, groups: CrossGroups) -> None:
@@ -199,7 +176,7 @@ def extract_subnet(net: DenseNet, plan: PartitionPlan) -> DenseNet:
         if not plan.is_partitioned(li):
             layers.append(layer)
             continue
-        a = plan.old_out[li - 1].size if plan.is_partitioned(li - 1) else layer.in_dim
-        b = plan.old_out[li].size
+        a = plan.old_size.get(li - 1, layer.in_dim)
+        b = plan.old_size[li]
         layers.append(Layer(layer.w[:a, :b], layer.b[:b], layer.activation))
     return DenseNet(layers, layers[-1].out_dim)

@@ -33,34 +33,38 @@ METRIC_KEYS = ("overall_acc", "old_acc", "new_acc", "intra_old_acc", "intra_new_
 
 
 def make_benchmark(bench: dict, num_tasks: int) -> databench.TaskSequence:
-    """Instantiate the configured dataset pair and split it into tasks."""
+    """Instantiate the configured dataset pair and split it into tasks. A key
+    the source needs and bench lacks raises a ValueError naming it."""
     source = bench.get("source", "synthetic")
-    if source == "synthetic":
-        train, test = databench.gen_synthetic(
-            num_classes=bench["num_classes"],
-            feature_dim=bench["feature_dim"],
-            train_per_class=bench["train_per_class"],
-            test_per_class=bench["test_per_class"],
-            seed=bench["data_seed"],
-            mean_radius=bench.get("mean_radius", 3.0),
-        )
-    elif source == "glyphs":
-        train, test = databench.gen_glyph_images(
-            num_classes=bench["num_classes"],
-            side=bench.get("side", 8),
-            train_per_class=bench["train_per_class"],
-            test_per_class=bench["test_per_class"],
-            seed=bench["data_seed"],
-            noise=bench.get("noise", 0.15),
-        )
-    elif source == "idx":
-        train = databench.load_idx(bench["train_images"], bench["train_labels"])
-        test = databench.load_idx(bench["test_images"], bench["test_labels"])
-    elif source == "csv":
-        train = databench.load_csv(bench["train_csv"])
-        test = databench.load_csv(bench["test_csv"])
-    else:
-        raise ValueError(f"unknown benchmark source {source!r}")
+    try:
+        if source == "synthetic":
+            train, test = databench.gen_synthetic(
+                num_classes=bench["num_classes"],
+                feature_dim=bench["feature_dim"],
+                train_per_class=bench["train_per_class"],
+                test_per_class=bench["test_per_class"],
+                seed=bench["data_seed"],
+                mean_radius=bench.get("mean_radius", 3.0),
+            )
+        elif source == "glyphs":
+            train, test = databench.gen_glyph_images(
+                num_classes=bench["num_classes"],
+                side=bench.get("side", 8),
+                train_per_class=bench["train_per_class"],
+                test_per_class=bench["test_per_class"],
+                seed=bench["data_seed"],
+                noise=bench.get("noise", 0.15),
+            )
+        elif source == "idx":
+            train = databench.load_idx(bench["train_images"], bench["train_labels"])
+            test = databench.load_idx(bench["test_images"], bench["test_labels"])
+        elif source == "csv":
+            train = databench.load_csv(bench["train_csv"])
+            test = databench.load_csv(bench["test_csv"])
+        else:
+            raise ValueError(f"unknown benchmark source {source!r}")
+    except KeyError as exc:
+        raise ValueError(f"benchmark source {source!r} needs the key {exc.args[0]!r}") from None
     return databench.split_tasks(train, test, num_tasks, bench.get("arrange_seed", 0))
 
 
@@ -127,18 +131,19 @@ def run_matrix(matrix: dict, out_dir) -> int:
     Writes rows.jsonl (one row per cell and step), summary.csv (mean/std over
     seeds), and a per-cell directory with checkpoints and a manifest. Cell
     failures are recorded and the remaining cells continue; any failure makes
-    the exit code nonzero. SPLITBRIDGE_WORKERS (default 1) cells run at once,
-    at most one per cell; a value that is not an integer >= 1 raises a
-    ValueError before anything is written.
+    the exit code nonzero. SPLITBRIDGE_WORKERS (an integer >= 1, default 1)
+    cells run at once, at most one per cell. A bad count, or a missing or empty
+    schemes, task_counts or seeds axis, raises a ValueError before any write.
     """
     out_dir = Path(out_dir)
     bench = {**DEFAULT_BENCHMARK, **matrix.get("benchmark", {})}
+    for axis in ("schemes", "task_counts", "seeds"):
+        if not matrix.get(axis):
+            raise ValueError(f"matrix config needs a non-empty {axis!r} list")
     schemes = matrix["schemes"]
     task_counts = matrix["task_counts"]
     seeds = matrix["seeds"]
     overrides = matrix.get("config", {})
-    if not (schemes and task_counts and seeds):
-        raise ValueError("matrix axes must be non-empty")
     raw = os.environ.get(WORKERS_ENV, "1")
     if not (raw.strip().isdecimal() and int(raw) >= 1):
         raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}")

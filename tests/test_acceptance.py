@@ -14,9 +14,10 @@ import pytest
 from splitbridge import losses, partition, runner
 from splitbridge.data import gen_synthetic
 from splitbridge.engine import Pool, SchemeConfig, _ce, _composite, _double_kd, _kd_lce
-from splitbridge.losses import TaskRange, lambda_schedule
+from splitbridge.data import TaskRange
+from splitbridge.losses import lambda_schedule
 from splitbridge.net import GradientSet, build_net
-from splitbridge.partition import bridge_reconnect, cross_groups, disconnect, make_plan
+from splitbridge.partition import bridge_reconnect, disconnect, make_plan
 from splitbridge.metrics import report_from_predictions
 
 from conftest import (
@@ -138,13 +139,12 @@ def test_criterion_2_allocation_formulas():
             plan = make_plan(net, 0, c_old, c_new, rho)
             if expect is None:
                 assert not plan.is_partitioned(0)
-                assert 0 not in plan.new_out
+                assert 0 not in plan.new_size
             else:
-                assert plan.new_out[0].size == expect
-                assert plan.old_out[0].size == width - expect
+                assert plan.new_size[0] == expect
+                assert plan.old_size[0] == width - expect
             # the final layer always splits by class ownership
-            assert np.array_equal(plan.old_out[1], np.arange(c_old))
-            assert np.array_equal(plan.new_out[1], np.arange(c_old, c_old + c_new))
+            assert (plan.old_size[1], plan.new_size[1]) == (c_old, c_new)
         gate.extra = f"{len(table)} cases"
 
 
@@ -154,18 +154,15 @@ def test_criterion_3_isolation_and_zero_bridge(rng):
         for layer in net.layers:
             layer.w += 0.2 * rng.standard_normal(layer.w.shape)
         plan = make_plan(net, 1, 3, 3, 1.0)
-        groups = cross_groups(plan, net)
+        groups = plan.groups
         disconnect(net, groups)
 
         x = rng.standard_normal((100, 5))
         old_before = net.forward(x)[:, :3]
-        for li in range(plan.split_index, plan.depth):
-            out_new = plan.new_out.get(li)
-            if out_new is None:
-                continue
+        for li, b in plan.old_size.items():  # the new nodes follow the b old ones
             layer = net.layers[li]
-            layer.w[:, out_new] += 1.0
-            layer.b[out_new] += 1.0
+            layer.w[:, b:] += 1.0
+            layer.b[b:] += 1.0
         disconnect(net, groups)  # the shove also reached the cut weights
         assert np.array_equal(net.forward(x)[:, :3], old_before)
 
@@ -255,12 +252,11 @@ def test_criterion_6_sparsification_efficacy(rng):
         plan = make_plan(net, 1, 2, 2, 1.0)
         before = losses.sparsify_penalty(net, plan, 1e-2)
         for li, layer in enumerate(net.layers):
-            out_old = plan.old_out.get(li)
-            in_old = plan.old_out.get(li - 1)
+            out_old = plan.old_size.get(li)
+            in_old = plan.old_size.get(li - 1)
             if out_old is None or in_old is None:
                 continue
-            layer.w[np.ix_(in_old, out_old)] += rng.standard_normal(
-                (in_old.size, out_old.size))
+            layer.w[:in_old, :out_old] += rng.standard_normal((in_old, out_old))
         assert losses.sparsify_penalty(net, plan, 1e-2) == before
 
 
@@ -292,7 +288,7 @@ def test_criterion_8_metric_identities():
             n = int(master.integers(1, 40))
             labels = master.integers(0, c_old + c_new, n)
             logits = master.standard_normal((n, c_old + c_new))
-            blocks = [np.arange(c_old), np.arange(c_old, c_old + c_new)]
+            blocks = [TaskRange(0, c_old), TaskRange(c_old, c_old + c_new)]
             rep = report_from_predictions(logits, labels, blocks, step=2)
             assert rep.intra_old_acc >= rep.old_acc
             assert rep.intra_new_acc >= rep.new_acc

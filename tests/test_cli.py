@@ -297,30 +297,48 @@ class TestCli:
         assert cli_main(["run", "--config", str(tmp_path / "nope.json")]) == 1
 
     @pytest.mark.parametrize("argv, message", [
-        (["--tasks", "0"], "num_tasks must be a positive divisor"),
-        (["--rho", "-1", "--tasks", "2"], "rho > 0"),
-        (["--tasks", "2", "--config", {"config": {"batch_size": 2.5}}],
+        (["run", "--tasks", "0"], "num_tasks must be a positive divisor"),
+        (["run", "--rho", "-1", "--tasks", "2"], "rho > 0"),
+        (["run", "--tasks", "2", "--config", {"config": {"batch_size": 2.5}}],
          "batch_size must be an integer"),
-        (["--tasks", "2", "--config", {"config": {"tau": "2"}}],
+        (["run", "--tasks", "2", "--config", {"config": {"tau": "2"}}],
          "tau must be a finite number"),
-        (["--tasks", "2", "--config", {"config": {"learning_rate": None}}],
+        (["run", "--tasks", "2", "--config", {"config": {"learning_rate": None}}],
          "learning_rate must be a finite number"),
-        (["--tasks", "2", "--config", {"config": {"scheme": "std"}}],
+        (["run", "--tasks", "2", "--config", {"config": {"scheme": "std"}}],
          "'scheme' is set at the top level (a matrix: schemes), not in 'config'"),
-        (["--tasks", "2", "--config", {"config": {"seed": 3}}],
+        (["run", "--tasks", "2", "--config", {"config": {"seed": 3}}],
          "'seed' is set at the top level (a matrix: seeds), not in 'config'"),
-        (["--tasks", "2", "--config", {"config": {"hidden": 5}}],
+        (["run", "--tasks", "2", "--config", {"config": {"hidden": 5}}],
          "hidden must be a list of widths, got 5"),
-        (["--tasks", "2", "--config", {"config": {"hidden": "32"}}],
+        (["run", "--tasks", "2", "--config", {"config": {"hidden": "32"}}],
          "hidden must be a list of widths, got '32'"),
+        (["matrix", "--out", "OUT", "--config", {"task_counts": [2], "seeds": [0]}],
+         "matrix config needs a non-empty 'schemes' list"),
+        (["run", "--tasks", "2", "--config", {"benchmark": {"source": "idx"}}],
+         "benchmark source 'idx' needs the key 'train_images'"),
+        (["run", "--tasks", "2", "--config", {"benchmark": {
+            "source": "idx", "train_images": "MISSING", "train_labels": "MISSING",
+            "test_images": "MISSING", "test_labels": "MISSING"}}],
+         "No such file or directory: 'MISSING'"),
+        (["run", "--tasks", "2", "--config", {"benchmark": {
+            "source": "csv", "train_csv": "MISSING", "test_csv": "MISSING"}}],
+         "No such file or directory: 'MISSING'"),
+        (["eval", "--checkpoint", "MISSING", "--tasks", "2"],
+         "No such file or directory: 'MISSING'"),
     ])
     def test_bad_value_exit_1_one_line(self, tmp_path, capsys, argv, message):
-        argv = list(argv)
+        # OUT and MISSING stand for an output directory and a file that does
+        # not exist; a dict is a config, passed as a file
+        missing, out = str(tmp_path / "missing"), str(tmp_path / "out")
+        argv = [{"OUT": out, "MISSING": missing}.get(arg, arg) if isinstance(arg, str) else arg
+                for arg in argv]
         for i, arg in enumerate(argv):
-            if isinstance(arg, dict):  # a config, passed as a file
-                (tmp_path / "cfg.json").write_text(json.dumps(arg))
+            if isinstance(arg, dict):
+                (tmp_path / "cfg.json").write_text(json.dumps(arg).replace("MISSING", missing))
                 argv[i] = str(tmp_path / "cfg.json")
-        assert cli_main(["run", *argv]) == 1
+        assert cli_main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ") and message.replace("MISSING", missing) in err
         assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "out").exists()   # nothing is written before the error

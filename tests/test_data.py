@@ -9,6 +9,7 @@ from splitbridge.data import (
     IDX_IMAGES_MAGIC,
     IDX_LABELS_MAGIC,
     LabeledDataset,
+    TaskRange,
     gen_glyph_images,
     gen_synthetic,
     load_csv,
@@ -208,7 +209,7 @@ class TestSplitTasks:
         seq = split_tasks(train, test, 4, seed=IDENTITY_PERM_SEED)
         assert len(seq.tasks) == 4
         for t, task in enumerate(seq.tasks):
-            assert np.array_equal(task.classes, [2 * t, 2 * t + 1])
+            assert task.classes == TaskRange(2 * t, 2 * t + 2)
             assert len(task.train) == 20
             assert len(task.test) == 10
         # identity permutation means labels survive remapping untouched
@@ -219,9 +220,32 @@ class TestSplitTasks:
         train, test = gen_synthetic(6, 4, 8, 4, seed=3)
         seq = split_tasks(train, test, 3, seed=11)
         for t, task in enumerate(seq.tasks):
-            assert np.array_equal(task.classes, [2 * t, 2 * t + 1])
-            assert np.all(np.isin(task.train.y, task.classes))
-            assert np.all(np.isin(task.test.y, task.classes))
+            assert task.classes == TaskRange(2 * t, 2 * t + 2)
+            owned = np.arange(task.classes.start, task.classes.stop)
+            assert np.all(np.isin(task.train.y, owned))
+            assert np.all(np.isin(task.test.y, owned))
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_synthetic(6, 4, 8, 4, seed=3),
+        lambda: gen_glyph_images(6, side=4, train_per_class=8, test_per_class=4, seed=3),
+    ], ids=["synthetic", "glyphs"])
+    def test_subsets_equal_an_isin_selection(self, make):
+        # the window's bounds select the same rows, in the same order, as
+        # np.isin over the remapped labels and the task's class indices
+        train, test = make()
+        seq = split_tasks(train, test, 3, seed=11)
+        for task in seq.tasks:
+            owned = np.arange(task.classes.start, task.classes.stop)
+            for got, full in ((task.train, train), (task.test, test)):
+                y = np.array([seq.remap[int(v)] for v in full.y])
+                sel = np.isin(y, owned)
+                assert got.x.tobytes() == full.x[sel].tobytes()
+                assert np.array_equal(got.y, y[sel])
+
+    def test_class_window_mask_and_reversed_bounds(self):
+        with pytest.raises(ValueError, match=r"invalid task range \[3, 1\)"):
+            TaskRange(3, 1)
+        assert TaskRange(2, 5).mask(np.arange(7)).tolist() == [0, 0, 1, 1, 1, 0, 0]
 
     def test_union_is_whole_dataset(self):
         train, test = gen_synthetic(6, 4, 8, 4, seed=3)

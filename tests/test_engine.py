@@ -24,7 +24,8 @@ from splitbridge.engine import (
     update_exemplars,
 )
 from splitbridge import engine, losses
-from splitbridge.losses import TaskRange, lambda_schedule
+from splitbridge.data import TaskRange
+from splitbridge.losses import lambda_schedule
 from splitbridge.net import build_net
 from splitbridge.partition import bridge_reconnect, disconnect, make_plan
 from conftest import finite_diff_logit_grad, phase_loss
@@ -366,8 +367,7 @@ class TestRunSequence:
         monkeypatch.setattr(engine, "sgd_step", counting("step", engine.sgd_step))
         monkeypatch.setattr(metrics, "evaluate", counting("eval", metrics.evaluate))
         monkeypatch.setattr(DenseNet, "forward", counting("forward", DenseNet.forward))
-        monkeypatch.setattr(partition, "cross_groups",
-                            counting("cut", partition.cross_groups))
+        monkeypatch.setattr(partition, "make_plan", counting("cut", partition.make_plan))
         seq = small_sequence(num_classes=6, num_tasks=3)
         run_sequence(seq, SchemeConfig(scheme="sb", **FAST))
         assert counts["step"] > 0 and counts["eval"] == 3
@@ -375,7 +375,7 @@ class TestRunSequence:
         # one per evaluation, plus per split step the soft labels of the
         # previous model and of the old branch for the bridge
         assert counts["forward"] == counts["eval"] + 2 * 2
-        assert counts["cut"] == 2    # one per split phase
+        assert counts["cut"] == 2    # one plan, and so one cut, per split phase
 
         # ce distils nothing: no forward pass beyond its steps and evaluations
         counts.update(dict.fromkeys(counts, 0))
@@ -437,7 +437,7 @@ class TestRunSequence:
         assert not np.array_equal(a[0].net.layers[0].w, b[0].net.layers[0].w)
 
     def test_rejects_empty_task(self):
-        seq = small_sequence()
-        seq.tasks[1].classes = np.array([], dtype=np.int64)
-        with pytest.raises(ValueError, match="zero classes"):
-            run_sequence(seq, SchemeConfig(**FAST))
+        # a task's class window cannot be empty, so no task with zero classes
+        # reaches run_sequence
+        with pytest.raises(ValueError, match=r"invalid task range \[2, 2\)"):
+            TaskRange(2, 2)

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitbridge.engine import Pool, _ce, _composite, _kd_lce
-from splitbridge.losses import TaskRange, lambda_schedule, softmax, sparsify_penalty
+from splitbridge.data import TaskRange
+from splitbridge.losses import lambda_schedule, softmax, sparsify_penalty
 from splitbridge.net import GradientSet
 from splitbridge.partition import make_plan
 from conftest import assert_close_rel, finite_diff_logit_grad, make_random_net, phase_loss
@@ -244,10 +245,8 @@ class TestSparsifyPenalty:
         return net, plan
 
     def test_zero_cross_weights(self, rng):
-        from splitbridge.partition import cross_groups
-
         net, plan = self._net_and_plan(rng)
-        for li, (on, no) in cross_groups(plan, net).per_layer.items():
+        for li, (on, no) in plan.groups.per_layer.items():
             net.layers[li].w[on | no] = 0.0
         value = sparsify_penalty(net, plan, 0.1, into=GradientSet.zeros(net))
         assert value == 0.0
@@ -300,11 +299,9 @@ class TestSparsifyPenalty:
             assert got.tobytes() == want.tobytes()
 
     def test_invariant_to_within_partition_changes(self, rng):
-        from splitbridge.partition import cross_groups
-
         net, plan = self._net_and_plan(rng)
         before = sparsify_penalty(net, plan, 0.2)
-        groups = cross_groups(plan, net)
+        groups = plan.groups
         for li, layer in enumerate(net.layers):
             if li in groups.per_layer:
                 on, no = groups.per_layer[li]

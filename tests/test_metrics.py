@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splitbridge.data import LabeledDataset, Task
+from splitbridge.data import LabeledDataset, Task, TaskRange
 from splitbridge.metrics import (
     EvalReport,
     average_incremental_accuracy,
@@ -27,7 +27,7 @@ class TestReportFromPredictions:
         labels = np.array([0, 1, 2, 3])
         rep = report_from_predictions(
             logits_for(labels, 4), labels,
-            [np.array([0, 1]), np.array([2, 3])], step=2,
+            [TaskRange(0, 2), TaskRange(2, 4)], step=2,
         )
         assert rep.overall_acc == 1.0
         assert rep.old_acc == 1.0 and rep.new_acc == 1.0
@@ -44,7 +44,7 @@ class TestReportFromPredictions:
         logits[0, 0] = 0.5
         logits[1, 1] = 0.5
         rep = report_from_predictions(
-            logits, labels, [np.array([0, 1]), np.array([2, 3])], step=2,
+            logits, labels, [TaskRange(0, 2), TaskRange(2, 4)], step=2,
         )
         assert rep.old_acc == 0.0
         assert rep.new_acc == 0.5
@@ -72,7 +72,7 @@ class TestReportFromPredictions:
             [2.0, 4.0, 1.0, 3.0],
         ])
         rep = report_from_predictions(
-            logits, labels, [np.array([0, 1]), np.array([2, 3])], step=2,
+            logits, labels, [TaskRange(0, 2), TaskRange(2, 4)], step=2,
         )
         assert rep.old_acc == pytest.approx(3 / 5)
         assert rep.new_acc == pytest.approx(2 / 5)
@@ -87,7 +87,7 @@ class TestReportFromPredictions:
     def test_first_step_has_no_old_block(self):
         labels = np.array([0, 1, 1])
         rep = report_from_predictions(
-            logits_for([0, 1, 0], 2), labels, [np.array([0, 1])], step=1,
+            logits_for([0, 1, 0], 2), labels, [TaskRange(0, 2)], step=1,
         )
         assert rep.n_old == 0
         assert rep.old_acc == 0.0 and rep.intra_old_acc == 0.0
@@ -100,7 +100,7 @@ class TestReportFromPredictions:
         rng = np.random.default_rng(seed)
         labels = rng.integers(0, 6, size=40)
         logits = rng.standard_normal((40, 6))
-        blocks = [np.arange(0, 2), np.arange(2, 4), np.arange(4, 6)]
+        blocks = [TaskRange(0, 2), TaskRange(2, 4), TaskRange(4, 6)]
         rep = report_from_predictions(logits, labels, blocks, step=3)
         # restricted argmax can only help the block's own samples
         assert rep.intra_old_acc >= rep.old_acc - 1e-12
@@ -116,9 +116,10 @@ class TestReportFromPredictions:
 
 
 def task_with_test(classes, labels, num_classes=4):
-    """A task owning `classes` whose test set holds one zero row per label."""
+    """A task owning the contiguous `classes` whose test set holds one zero
+    row per label."""
     test = LabeledDataset(np.zeros((len(labels), 3)), labels, num_classes)
-    return Task(np.asarray(classes), test, test)
+    return Task(TaskRange(classes[0], classes[-1] + 1), test, test)
 
 
 class TestEvaluate:

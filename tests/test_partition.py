@@ -3,13 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitbridge.net import ShapeError, build_net
-from splitbridge.partition import (
-    bridge_reconnect,
-    cross_groups,
-    disconnect,
-    extract_subnet,
-    make_plan,
-)
+from splitbridge.partition import bridge_reconnect, disconnect, extract_subnet, make_plan
 
 
 def widened_net(seed=0, hidden=(8, 8, 8), c_old=2, c_new=2, in_dim=4):
@@ -18,41 +12,50 @@ def widened_net(seed=0, hidden=(8, 8, 8), c_old=2, c_new=2, in_dim=4):
     return net
 
 
+def _index_groups(plan, li):
+    """Layer li's old and new output nodes as index arrays, built from the
+    plan's group widths: the reference form the slice blocks must match."""
+    b = plan.old_size[li]
+    return np.arange(b), np.arange(b, b + plan.new_size[li])
+
+
 class TestMakePlan:
     def test_even_split(self):
         net = build_net(4, [64, 64], 40, 0)
         plan = make_plan(net, 1, 20, 20, 1.0)
-        assert plan.old_out[1].size == 32
-        assert plan.new_out[1].size == 32
+        assert plan.old_size[1] == 32
+        assert plan.new_size[1] == 32
 
     def test_shared_layer_collapse(self):
         # new share (1 - 1.4) * 50 + 10 = -10 < 1
         net = build_net(4, [32, 32], 60, 0)
         plan = make_plan(net, 1, 50, 10, 1.4)
-        assert 1 not in plan.old_out
+        assert 1 not in plan.old_size
         assert not plan.is_partitioned(1)
 
     def test_rounded_allocation(self):
         # round(8 * 30 / 40) = 6
         net = build_net(4, [8, 8], 40, 0)
         plan = make_plan(net, 1, 10, 30, 1.0)
-        assert plan.old_out[1].size == 2
-        assert plan.new_out[1].size == 6
+        assert plan.old_size[1] == 2
+        assert plan.new_size[1] == 6
 
     def test_final_layer_split_by_class(self):
         net = widened_net(c_old=3, c_new=2)
         plan = make_plan(net, 1, 3, 2, 1.0)
         last = net.depth - 1
-        assert np.array_equal(plan.old_out[last], [0, 1, 2])
-        assert np.array_equal(plan.new_out[last], [3, 4])
+        assert (plan.old_size[last], plan.new_size[last]) == (3, 2)
+        old, new = _index_groups(plan, last)
+        assert np.array_equal(old, [0, 1, 2]) and np.array_equal(new, [3, 4])
 
     def test_groups_disjoint_and_exhaustive(self):
         net = widened_net()
         plan = make_plan(net, 1, 2, 2, 1.2)
         for li in range(plan.split_index, net.depth):
-            if li not in plan.old_out:
+            if li not in plan.old_size:
                 continue
-            old, new = plan.old_out[li], plan.new_out[li]
+            assert plan.old_size[li] >= 1 and plan.new_size[li] >= 1
+            old, new = _index_groups(plan, li)
             assert np.intersect1d(old, new).size == 0
             assert np.union1d(old, new).size == net.layers[li].out_dim
 
@@ -61,7 +64,7 @@ class TestMakePlan:
         prev = 0
         for c_new in range(1, 30):
             plan = make_plan(build_net(4, [16, 16], 10 + c_new, 0), 1, 10, c_new, 1.0)
-            n = plan.new_out[1].size
+            n = plan.new_size[1]
             assert n >= prev
             prev = n
 
@@ -80,14 +83,14 @@ class TestCrossGroups:
         net = widened_net(c_old=50, c_new=10, hidden=(8, 8, 8))
         net2 = build_net(4, [8, 8, 8], 60, 0)
         plan = make_plan(net2, 1, 50, 10, 1.4)
-        groups = cross_groups(plan, net2)
+        groups = plan.groups
         # the final layer reads a shared layer, so no weight crosses anywhere
         assert groups.per_layer == {}
 
     def test_exhaustive_two_by_two(self):
         net = widened_net(hidden=(2, 2), in_dim=4, c_old=1, c_new=1)
         plan = make_plan(net, 1, 1, 1, 1.0)
-        groups = cross_groups(plan, net)
+        groups = plan.groups
         on, no = groups.per_layer[2]
         assert on[0, 1] and not on.sum() > 1
         assert no[1, 0] and not no.sum() > 1
@@ -96,28 +99,29 @@ class TestCrossGroups:
         # on a 6 -> 6 partitioned pair, cross + within = 36
         net = build_net(4, [6, 6], 4, 0)
         plan = make_plan(net, 1, 2, 2, 1.0)
-        groups = cross_groups(plan, net)
+        groups = plan.groups
         on, no = groups.per_layer[2]
-        n_old_in = plan.old_out[1].size
-        n_new_in = plan.new_out[1].size
+        n_old_in = plan.old_size[1]
+        n_new_in = plan.new_size[1]
         # within-partition count on the 6 -> 4 output layer
         within = n_old_in * 2 + n_new_in * 2
         assert int(on.sum() + no.sum()) + within == 6 * 4
 
     def test_plan_caches_groups(self):
+        # make_plan stores the cut blocks once; they match the index-array
+        # reference built from the plan's widths
         net = widened_net()
         plan = make_plan(net, 1, 2, 2, 1.0)
-        fresh = cross_groups(plan, net)
-        assert plan.groups.per_layer.keys() == fresh.per_layer.keys()
-        for li, (on, no) in fresh.per_layer.items():
-            assert np.array_equal(plan.groups.per_layer[li][0], on)
-            assert np.array_equal(plan.groups.per_layer[li][1], no)
+        assert sorted(plan.groups.per_layer) == [2, 3]
+        for li, (on, no) in plan.groups.per_layer.items():
+            want_on, want_no = _ix_selectors(plan, li, net.layers[li].w.shape)
+            assert np.array_equal(on, want_on) and np.array_equal(no, want_no)
 
     def test_first_partitioned_layer_contributes_nothing(self):
         # its inputs come from the shared trunk, so no weight of it crosses
         net = widened_net()
         plan = make_plan(net, 1, 2, 2, 1.0)
-        groups = cross_groups(plan, net)
+        groups = plan.groups
         assert 1 not in groups.per_layer
         assert sorted(groups.per_layer) == [2, 3]
 
@@ -126,23 +130,25 @@ class TestDisconnect:
     def _setup(self, seed=0):
         net = widened_net(seed=seed)
         plan = make_plan(net, 1, 2, 2, 1.0)
-        groups = cross_groups(plan, net)
+        groups = plan.groups
         disconnect(net, groups)
         return net, plan, groups
 
     @staticmethod
-    def _shove(net, plan, groups, branch_out):
-        # every weight into and bias of the branch's nodes, in each partitioned layer
-        for li in range(plan.split_index, net.depth):
-            net.layers[li].w[:, branch_out[li]] += 1.0
-            net.layers[li].b[branch_out[li]] += 1.0
+    def _shove(net, plan, groups, branch):
+        # every weight into and bias of the branch's nodes (0 old, 1 new), in
+        # each partitioned layer
+        for li in plan.old_size:
+            nodes = _index_groups(plan, li)[branch]
+            net.layers[li].w[:, nodes] += 1.0
+            net.layers[li].b[nodes] += 1.0
         disconnect(net, groups)  # the shove also reached the cut weights
 
     def test_new_branch_cannot_touch_old_logits(self, rng):
         net, plan, groups = self._setup()
         x = rng.standard_normal((50, 4))
         before = net.forward(x)[:, :2]
-        self._shove(net, plan, groups, plan.new_out)
+        self._shove(net, plan, groups, 1)
         assert np.array_equal(before, net.forward(x)[:, :2])
 
     def test_old_branch_cannot_touch_new_logits(self, rng):
@@ -153,7 +159,7 @@ class TestDisconnect:
         disconnect(net, groups)
         x = rng.standard_normal((50, 4))
         before = net.forward(x)[:, 2:]
-        self._shove(net, plan, groups, plan.old_out)
+        self._shove(net, plan, groups, 0)
         assert np.array_equal(before, net.forward(x)[:, 2:])
 
     def test_full_net_old_slice_equals_subnet(self, rng):
@@ -186,7 +192,7 @@ class TestBridgeReconnect:
     def _setup(self, seed=0):
         net = widened_net(seed=seed)
         plan = make_plan(net, 1, 2, 2, 1.0)
-        groups = cross_groups(plan, net)
+        groups = plan.groups
         disconnect(net, groups)
         return net, plan, groups
 
@@ -232,7 +238,7 @@ class TestBridgeReconnect:
     def test_reconnect_never_disconnected_errors(self):
         net = widened_net()
         plan = make_plan(net, 1, 2, 2, 1.0)
-        groups = cross_groups(plan, net)
+        groups = plan.groups
         with pytest.raises(ValueError, match="never disconnected"):
             bridge_reconnect(net, groups)
 
@@ -241,7 +247,7 @@ class TestExtractSubnet:
     def _setup(self):
         net = widened_net(seed=3)
         plan = make_plan(net, 1, 2, 2, 1.0)
-        groups = cross_groups(plan, net)
+        groups = plan.groups
         disconnect(net, groups)
         return net, plan
 
@@ -274,16 +280,17 @@ class TestPartitionClassification:
         rho = float(r.uniform(0.8, 1.4))
         net = build_net(4, hidden, c_old + c_new, seed)
         plan = make_plan(net, 1, c_old, c_new, rho)
-        groups = cross_groups(plan, net)
+        groups = plan.groups
         for li in range(1, net.depth):
             if not plan.is_partitioned(li):
                 continue
             empty = np.array([], dtype=np.int64)
-            in_old, in_new = plan.old_out.get(li - 1, empty), plan.new_out.get(li - 1, empty)
+            in_old, in_new = (_index_groups(plan, li - 1) if plan.is_partitioned(li - 1)
+                              else (empty, empty))
             assert (li in groups.per_layer) == bool(in_old.size)
             empty = np.zeros(net.layers[li].w.shape, dtype=bool)
             on, no = groups.per_layer.get(li, (empty, empty))
-            out_old, out_new = plan.old_out[li], plan.new_out[li]
+            out_old, out_new = _index_groups(plan, li)
             within = np.zeros(net.layers[li].w.shape, dtype=bool)
             if in_old.size:
                 within[np.ix_(in_old, out_old)] = True
@@ -296,11 +303,12 @@ class TestPartitionClassification:
 
 
 def _ix_selectors(plan, li, shape):
-    """The old-to-new and new-to-old selectors of layer li, built from the
-    plan's index groups."""
+    """The old-to-new and new-to-old selectors of layer li, built with np.ix_
+    from index arrays of the plan's group widths."""
+    (in_old, in_new), (out_old, out_new) = _index_groups(plan, li - 1), _index_groups(plan, li)
     on, no = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
-    on[np.ix_(plan.old_out[li - 1], plan.new_out[li])] = True
-    no[np.ix_(plan.new_out[li - 1], plan.old_out[li])] = True
+    on[np.ix_(in_old, out_new)] = True
+    no[np.ix_(in_new, out_old)] = True
     return on, no
 
 
@@ -309,7 +317,7 @@ def _check_slice_encoding(split_index, hidden, rho, c_old, c_new, seed):
     for layer in net.layers:
         layer.w += np.sign(layer.w) + (layer.w == 0.0)  # no weight is 0.0 before the cut
     plan = make_plan(net, split_index, c_old, c_new, rho)
-    fed = [li for li in plan.old_out if plan.is_partitioned(li - 1)]
+    fed = [li for li in plan.old_size if plan.is_partitioned(li - 1)]
     assert sorted(plan.groups.per_layer) == sorted(fed)
     for li, (on, no) in plan.groups.per_layer.items():
         want_on, want_no = _ix_selectors(plan, li, net.layers[li].w.shape)
@@ -327,9 +335,9 @@ def _check_slice_encoding(split_index, hidden, rho, c_old, c_new, seed):
     sub = extract_subnet(net, plan)
     for li, (layer, got) in enumerate(zip(net.layers, sub.layers)):
         rows = np.arange(layer.in_dim)
-        cols = plan.old_out.get(li, np.arange(layer.out_dim))
+        cols = _index_groups(plan, li)[0] if plan.is_partitioned(li) else np.arange(layer.out_dim)
         if li in fed:
-            rows = plan.old_out[li - 1]
+            rows = _index_groups(plan, li - 1)[0]
         assert got.w.tobytes() == layer.w[np.ix_(rows, cols)].tobytes()
         assert got.b.tobytes() == layer.b[cols].tobytes()
 
@@ -350,7 +358,7 @@ class TestSliceEncoding:
         hidden, c_old, c_new, rho = [16, 4, 16], 5, 1, 1.1
         net = build_net(3, hidden, c_old + c_new, 0)
         plan = make_plan(net, split_index, c_old, c_new, rho)
-        assert sorted(plan.old_out) == [2, 3]
+        assert sorted(plan.old_size) == [2, 3]
         assert sorted(plan.groups.per_layer) == [3]
         _check_slice_encoding(split_index, hidden, rho, c_old, c_new, 0)
 
@@ -362,14 +370,3 @@ class TestSliceEncoding:
             (0, True, None), (1, True, None), (2, False, 4), (3, False, 2)]
         assert sorted(plan.groups.per_layer) == [3]
         _check_slice_encoding(0, [8, 1, 8], 1.0, 2, 2, 0)
-
-    @pytest.mark.parametrize("hidden", [[6, 6, 6], [10, 10, 10]])
-    def test_other_width_net_rejected(self, hidden):
-        plan = make_plan(build_net(4, [8, 8, 8], 4, 0), 1, 2, 2, 1.0)
-        with pytest.raises(ShapeError, match="layer 1: plan groups cover 8 outputs"):
-            cross_groups(plan, build_net(4, hidden, 4, 0))
-
-    def test_other_depth_net_rejected(self):
-        plan = make_plan(build_net(4, [8, 8, 8], 4, 0), 1, 2, 2, 1.0)
-        with pytest.raises(ShapeError, match="plan covers 4 layers"):
-            cross_groups(plan, build_net(4, [8, 8], 4, 0))
