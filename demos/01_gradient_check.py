@@ -2,18 +2,19 @@
 against central finite differences.
 
 The training engine does manual backpropagation, so the loss gradients are the
-foundation everything else rests on. Each phase trains on one loss closure
-that returns the batch's gradient and, on request, its value components; this
-script perturbs each logit of a small random batch, recomputes the closure's
-total loss and compares the numerical slope with the closed-form gradient. The
-penalty's gradient is checked the same way over the cross-partition weights.
+foundation everything else rests on. Each phase trains on one phase loss that
+takes a batch's logits and rows and returns its gradient and, on request, its
+value components; this script perturbs each logit of a small random batch,
+recomputes the phase loss's total and compares the numerical slope with the
+closed-form gradient. The penalty's gradient is checked the same way over the
+cross-partition weights.
 """
 
 import numpy as np
 
 from splitbridge import losses
 from splitbridge.data import TaskRange
-from splitbridge.engine import Pool, _ce, _composite, _double_kd, _kd_lce
+from splitbridge.engine import _ce, _composite, _double_kd, _kd_lce
 from splitbridge.net import GradientSet, build_net
 from splitbridge.partition import make_plan
 
@@ -34,14 +35,15 @@ def finite_diff(scalar_fn, values, step=1e-5):
     return g
 
 
-def check_phase_loss(grad, logits, idx):
-    """The closure's value components and its max |analytic - FD| on one batch."""
+def check_phase_loss(grad, logits, cols):
+    """The phase loss's value components and its max |analytic - FD| on one
+    batch: its logits and the rows cols that grad takes."""
     parts = {}
-    analytic = grad(logits, idx, parts)
+    analytic = grad(logits, *cols, parts=parts)
 
     def total():
         p = {}
-        grad(logits, idx, p)
+        grad(logits, *cols, parts=p)
         return p["loss"]
     return parts, np.abs(analytic - finite_diff(total, logits)).max()
 
@@ -55,22 +57,25 @@ def main():
     labels = np.where(is_new, rng.integers(c_old, c, n), rng.integers(0, c_old, n))
     soft = losses.softmax(rng.standard_normal((n, c_old)), tau)
     soft_new = losses.softmax(rng.standard_normal((n, c_new)), tau)
-    pool = Pool(np.zeros((n, 1)), labels, is_new, soft, TaskRange(0, c_old), TaskRange(c_old, c))
-    every, old_rows = np.arange(n), np.flatnonzero(~is_new)
+    old, new, lam = TaskRange(0, c_old), TaskRange(c_old, c), losses.lambda_schedule(c_old, c_new)
+    old_rows = ~is_new
     print(f"pool of {n} rows ({is_new.sum()} new), {c_old} old + {c_new} new classes, "
-          f"lam = {pool.lam:.3f}, tau = {tau}\n")
+          f"lam = {lam:.3f}, tau = {tau}\n")
 
+    # each phase loss with the rows it reads: labels, the new-task flag, soft labels
     cases = [
-        ("CE (first task, ce, dd's new-task net)", _ce(labels), every),
-        ("lam*KD + (1-lam)*CE (std, sb bridge)", _composite(pool, soft, tau), every),
-        ("KD + LCE (sb sparsify and branched)", _kd_lce(pool, tau), every),
-        ("KD + LCE on a batch of old rows only", _kd_lce(pool, tau), old_rows),
-        ("lam*(KD + KD_new)/2 + (1-lam)*CE (dd)", _double_kd(pool, soft_new, tau), every),
+        ("CE (first task, ce, dd's new-task net)", _ce, (labels,)),
+        ("lam*KD + (1-lam)*CE (std, sb bridge)", _composite(old, lam, tau), (labels, soft)),
+        ("KD + LCE (sb sparsify and branched)", _kd_lce(old, new, tau), (labels, is_new, soft)),
+        ("KD + LCE on a batch of old rows only", _kd_lce(old, new, tau),
+         (labels[old_rows], is_new[old_rows], soft[old_rows])),
+        ("lam*(KD + KD_new)/2 + (1-lam)*CE (dd)", _double_kd(old, new, lam, tau),
+         (labels, soft, soft_new)),
     ]
     worst = []
-    for name, grad, idx in cases:
-        logits = rng.standard_normal((len(idx), c))
-        parts, err = check_phase_loss(grad, logits, idx)
+    for name, grad, cols in cases:
+        logits = rng.standard_normal((len(cols[0]), c))
+        parts, err = check_phase_loss(grad, logits, cols)
         worst.append(err)
         values = ", ".join(f"{k} {v:.4f}" for k, v in parts.items() if k != "loss")
         print(f"{name}\n    loss {parts['loss']:.4f} ({values})   max |analytic - FD| = {err:.2e}")

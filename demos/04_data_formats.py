@@ -29,9 +29,9 @@ def main():
     seq = split_tasks(train, test, 4, seed=1)
     print("task split (seeded class permutation, labels remapped to blocks):")
     for t, task in enumerate(seq.tasks, start=1):
-        owned = np.arange(task.classes.start, task.classes.stop)
+        owned = list(range(task.classes.start, task.classes.stop))
         originals = sorted(o for o, n in seq.remap.items() if n in owned)
-        print(f"  task {t}: owns global classes {list(owned)} "
+        print(f"  task {t}: owns global classes {owned} "
               f"(originally {originals}), {len(task.train)} train samples")
 
     with tempfile.TemporaryDirectory() as tmp:

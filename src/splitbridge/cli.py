@@ -111,6 +111,8 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_replicate_table1(args) -> int:
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     seeds = list(range(args.seeds))
     bench = dict(runner.DEFAULT_BENCHMARK)
     tables = {}

@@ -107,86 +107,79 @@ class Pool:
                    TaskRange(0, c_old), TaskRange(c_old, c_old + task.classes.size))
 
 
-def _fit(net, x, cfg: SchemeConfig, epochs: int, stream, grad, on_grads=None) -> None:
+def _fit(net, cfg: SchemeConfig, epochs: int, stream, grad, x, *cols, on_grads=None) -> None:
     """The one training loop: seeded minibatch SGD over the rows of x.
 
-    Batches are drawn from default_rng([cfg.seed, *stream]), stream = (step,
-    tag). grad is a phase loss: grad(logits, idx, parts=None) returns the
-    batch's d(loss)/d(logits) and leaves logits as they are; given a dict
-    parts, it also records its value components (ce, kd, lce, kd_new) and
-    their total, loss, from the same softmax. _fit passes no parts.
-    backward and sgd_step write into one gradient set and one scratch
-    buffer per call, beside the velocity; on_grads(net, grads), if given,
-    edits the gradients in place before each update. Every call trains at
-    cfg.learning_rate and starts from zero momentum.
+    Each epoch puts x and each of cols, the phase's per-row targets, in the order
+    drawn from default_rng([cfg.seed, *stream]), stream = (step, tag); a batch is
+    the next batch_size rows of each. The phase loss grad(logits, *batch_cols,
+    parts=None) returns d(loss)/d(logits) and leaves logits as they are; given a
+    dict parts, it also records its value components (ce, kd, lce, kd_new) and
+    their total, loss, from the same softmax (_fit passes none). backward and
+    sgd_step write into one gradient set and one scratch buffer per call, beside
+    the velocity; on_grads(net, grads), if given, edits the gradients in place
+    before each update. Every call trains at cfg.learning_rate from zero momentum.
     """
-    rng = np.random.default_rng([cfg.seed, *stream])
-    n = x.shape[0]
+    rng, n = np.random.default_rng([cfg.seed, *stream]), len(x)
     velocity, grads, buf = GradientSet.zeros(net), GradientSet.zeros(net), np.empty_like(net.params)
     for _ in range(epochs):
         order = rng.permutation(n)
+        rows = [a[order] for a in (x, *cols)]
         for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            xb = x[idx]
+            xb, *batch = (a[start : start + cfg.batch_size] for a in rows)
             cache = net.forward_cached(xb)
-            net.backward(xb, grad(cache[0], idx), cache, out=grads)
+            net.backward(xb, grad(cache[0], *batch), cache, out=grads)
             if on_grads is not None:
                 on_grads(net, grads)
             sgd_step(net, grads, velocity, cfg.learning_rate, cfg.momentum, cfg.weight_decay, buf)
 
 
-def _ce(y):
-    """The gradient of plain cross entropy against the labels y, for _fit."""
-    def grad(logits, idx, parts=None):
-        g = _ce_grad(_softmax(logits, 1.0), y[idx], parts)
-        if parts is not None:
-            parts["loss"] = parts["ce"]
-        return g
-    return grad
+def _ce(logits, y, parts=None):
+    """The gradient of plain cross entropy against the batch's labels y, for _fit."""
+    g = _ce_grad(_softmax(logits, 1.0), y, parts)
+    if parts is not None:
+        parts["loss"] = parts["ce"]
+    return g
 
 
-def _composite(pool: Pool, soft, tau: float):
-    """The gradient of lam * KD(soft, old window) + (1 - lam) * CE over the
-    pool rows, for _fit."""
-    y, old, lam = pool.y, pool.old.slice(), pool.lam
-
-    def grad(logits, idx, parts=None):
-        g = _composite_grad(_kd_grad(_softmax(logits[:, old], tau), soft[idx], tau, parts),
-                            _ce_grad(_softmax(logits, 1.0), y[idx], parts), old, lam)
+def _composite(old: TaskRange, lam: float, tau: float):
+    """grad(logits, y, soft): the gradient of lam * KD(soft, old window) +
+    (1 - lam) * CE against the labels y, for _fit."""
+    old = old.slice()
+    def grad(logits, y, soft, parts=None):
+        g = _composite_grad(_kd_grad(_softmax(logits[:, old], tau), soft, tau, parts),
+                            _ce_grad(_softmax(logits, 1.0), y, parts), old, lam)
         if parts is not None:
             parts["loss"] = lam * parts["kd"] + (1.0 - lam) * parts["ce"]
         return g
     return grad
 
 
-def _kd_lce(pool: Pool, tau: float):
-    """The gradient of KD (old window, every row) + LCE (new window, new-task
-    rows; 0.0 on a batch without them), for _fit."""
-    y, is_new, soft = pool.y, pool.is_new, pool.soft
-    old, new, start = pool.old.slice(), pool.new.slice(), pool.new.start
-
-    def grad(logits, idx, parts=None):
+def _kd_lce(old: TaskRange, new: TaskRange, tau: float):
+    """grad(logits, y, is_new, soft): the gradient of KD (soft, old window) + LCE
+    (new window, the is_new rows; 0.0 on a batch without them), for _fit."""
+    start, old, new = new.start, old.slice(), new.slice()
+    def grad(logits, y, is_new, soft, parts=None):
         g = np.zeros_like(logits)
-        g[:, old] = _kd_grad(_softmax(logits[:, old], tau), soft[idx], tau, parts)
-        sel = is_new[idx]  # the kernels take a batch without new rows too
-        g[sel, new] = _ce_grad(_softmax(logits[sel, new], 1.0), y[idx[sel]] - start, parts, "lce")
+        g[:, old] = _kd_grad(_softmax(logits[:, old], tau), soft, tau, parts)
+        g[is_new, new] = _ce_grad(_softmax(logits[is_new, new], 1.0), y[is_new] - start,
+                                  parts, "lce")
         if parts is not None:
             parts["loss"] = parts["kd"] + parts["lce"]
         return g
     return grad
 
 
-def _double_kd(pool: Pool, soft_new, tau: float):
-    """The gradient of lam * mean(KD(soft labels, old window), KD(soft_new, new
-    window)) + (1 - lam) * CE over the pool rows, for _fit."""
-    y, soft_old, lam, old, new = pool.y, pool.soft, pool.lam, pool.old.slice(), pool.new.slice()
-
-    def grad(logits, idx, parts=None):
+def _double_kd(old: TaskRange, new: TaskRange, lam: float, tau: float):
+    """grad(logits, y, soft, soft_new): the gradient of lam * mean(KD(soft, old window),
+    KD(soft_new, new window)) + (1 - lam) * CE against the labels y, for _fit."""
+    old, new = old.slice(), new.slice()
+    def grad(logits, y, soft, soft_new, parts=None):
         g = np.zeros_like(logits)
-        g[:, old] = _kd_grad(_softmax(logits[:, old], tau), soft_old[idx], tau, parts)
-        g[:, new] = _kd_grad(_softmax(logits[:, new], tau), soft_new[idx], tau, parts, "kd_new")
+        g[:, old] = _kd_grad(_softmax(logits[:, old], tau), soft, tau, parts)
+        g[:, new] = _kd_grad(_softmax(logits[:, new], tau), soft_new, tau, parts, "kd_new")
         g *= lam * 0.5
-        g += (1 - lam) * _ce_grad(_softmax(logits, 1.0), y[idx], parts)
+        g += (1 - lam) * _ce_grad(_softmax(logits, 1.0), y, parts)
         if parts is not None:
             parts["loss"] = lam * 0.5 * (parts["kd"] + parts["kd_new"]) + (1 - lam) * parts["ce"]
         return g
@@ -197,7 +190,7 @@ def run_first_task(net: DenseNet, d1: LabeledDataset, cfg: SchemeConfig) -> Dens
     """Plain CE training on the first task's data."""
     if len(d1) == 0:
         raise ValueError("first task dataset is empty")
-    _fit(net, d1.x, cfg, cfg.epochs_first, (0, 0), _ce(d1.y))
+    _fit(net, cfg, cfg.epochs_first, (0, 0), _ce, d1.x, d1.y)
     return net
 
 
@@ -213,7 +206,7 @@ def run_split_phase(net: DenseNet, pool: Pool, cfg: SchemeConfig, step: int):
 
     Returns (net, plan, groups, diagnostics).
     """
-    x, kd_lce = pool.x, _kd_lce(pool, cfg.tau)
+    kd_lce, rows = _kd_lce(pool.old, pool.new, cfg.tau), (pool.x, pool.y, pool.is_new, pool.soft)
     plan = partition.make_plan(net, cfg.split_index, pool.old.size, pool.new.size, cfg.rho)
 
     def zero_cut(net, grads):
@@ -223,12 +216,12 @@ def run_split_phase(net: DenseNet, pool: Pool, cfg: SchemeConfig, step: int):
         losses.sparsify_penalty(net, plan, cfg.gamma, into=grads)
 
     diagnostics = {"cross_norm_start": losses.sparsify_penalty(net, plan, 1.0)}
-    _fit(net, x, cfg, cfg.epochs_sparsify, (step, 1), kd_lce,
+    _fit(net, cfg, cfg.epochs_sparsify, (step, 1), kd_lce, *rows,
          on_grads=penalty if cfg.gamma > 0 else None)
     diagnostics["cross_norm_at_disconnect"] = losses.sparsify_penalty(net, plan, 1.0)
 
     partition.disconnect(net, plan.groups)
-    _fit(net, x, cfg, cfg.epochs_branched, (step, 2), kd_lce, on_grads=zero_cut)
+    _fit(net, cfg, cfg.epochs_branched, (step, 2), kd_lce, *rows, on_grads=zero_cut)
     return net, plan, plan.groups, diagnostics
 
 
@@ -242,19 +235,21 @@ def run_bridge_phase(net: DenseNet, plan: partition.PartitionPlan, pool: Pool,
     """
     soft = losses.softmax(partition.extract_subnet(net, plan).forward(pool.x), cfg.tau)
     partition.bridge_reconnect(net, plan.groups)
-    _fit(net, pool.x, cfg, cfg.epochs_bridge, (step, 3), _composite(pool, soft, cfg.tau))
+    _fit(net, cfg, cfg.epochs_bridge, (step, 3), _composite(pool.old, pool.lam, cfg.tau),
+         pool.x, pool.y, soft)
     return net
 
 
 def run_std_step(net: DenseNet, pool: Pool, cfg: SchemeConfig, step: int) -> DenseNet:
     """Single-phase composite-loss training (the standard KD-based scheme)."""
-    _fit(net, pool.x, cfg, cfg.epochs_std, (step, 1), _composite(pool, pool.soft, cfg.tau))
+    _fit(net, cfg, cfg.epochs_std, (step, 1), _composite(pool.old, pool.lam, cfg.tau),
+         pool.x, pool.y, pool.soft)
     return net
 
 
 def run_ce_step(net: DenseNet, pool: Pool, cfg: SchemeConfig, step: int) -> DenseNet:
     """CE-only ablation: plain cross entropy over the pool, no distillation."""
-    _fit(net, pool.x, cfg, cfg.epochs_std, (step, 1), _ce(pool.y))
+    _fit(net, cfg, cfg.epochs_std, (step, 1), _ce, pool.x, pool.y)
     return net
 
 
@@ -265,9 +260,10 @@ def run_dd_step(net: DenseNet, pool: Pool, cfg: SchemeConfig, step: int) -> Dens
     The extra network is dropped when the step returns."""
     x, y, new = pool.x, pool.y, pool.new
     aux = build_net(net.in_dim, list(cfg.hidden), new.size, seed=[cfg.seed, step, 5])
-    _fit(aux, x[pool.is_new], cfg, cfg.epochs_std, (step, 4), _ce(y[pool.is_new] - new.start))
+    _fit(aux, cfg, cfg.epochs_std, (step, 4), _ce, x[pool.is_new], y[pool.is_new] - new.start)
     soft_new = losses.softmax(aux.forward(x), cfg.tau)
-    _fit(net, x, cfg, cfg.epochs_std, (step, 1), _double_kd(pool, soft_new, cfg.tau))
+    _fit(net, cfg, cfg.epochs_std, (step, 1), _double_kd(pool.old, new, pool.lam, cfg.tau),
+         x, y, pool.soft, soft_new)
     return net
 
 

@@ -95,9 +95,11 @@ def report_from_predictions(
 def evaluate(net, tasks: list, step: int) -> EvalReport:
     """Evaluate a network on the test sets of tasks 1..step.
 
-    Each task's class block is its Task.classes, whether or not every class
-    has test rows. A task with an empty test set raises ValueError naming it.
+    Each task's class block is its Task.classes, whether or not every class has test
+    rows. A step below 1, or a task with an empty test set, raises ValueError naming it.
     """
+    if step < 1:
+        raise ValueError(f"step must be at least 1, got {step}")
     if len(tasks) != step:
         raise ValueError(f"need one test set per task 1..{step}, got {len(tasks)}")
     for t, task in enumerate(tasks, start=1):

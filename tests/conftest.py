@@ -60,12 +60,13 @@ def finite_diff_logit_grad(loss_of_logits, logits, step=1e-5):
     return g
 
 
-def phase_loss(grad, idx):
-    """The total loss of the phase-loss closure grad (one of engine's _ce,
-    _composite, _kd_lce, _double_kd) on the batch idx, as a function of the logits."""
+def phase_loss(grad, *cols):
+    """The total loss of the phase loss grad (engine's _ce, or a closure of
+    _composite, _kd_lce or _double_kd) on the batch's rows cols, as a function
+    of the logits."""
     def loss(logits):
         parts = {}
-        grad(logits, idx, parts)
+        grad(logits, *cols, parts=parts)
         return parts["loss"]
     return loss
 

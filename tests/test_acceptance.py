@@ -13,7 +13,7 @@ import pytest
 
 from splitbridge import losses, partition, runner
 from splitbridge.data import gen_synthetic
-from splitbridge.engine import Pool, SchemeConfig, _ce, _composite, _double_kd, _kd_lce
+from splitbridge.engine import SchemeConfig, _ce, _composite, _double_kd, _kd_lce
 from splitbridge.data import TaskRange
 from splitbridge.losses import lambda_schedule
 from splitbridge.net import GradientSet, build_net
@@ -88,14 +88,15 @@ def test_criterion_1_gradient_suite(rng):
             is_new = np.arange(n) % 2 == 0
             labels = np.where(is_new, rng.integers(c_old, c, n), rng.integers(0, c_old, n))
             soft_new = losses.softmax(rng.standard_normal((n, c_new)), tau)
-            pool = Pool(np.zeros((n, 1)), labels, is_new, teacher, old, new)
-            every, no_new = np.arange(n), np.flatnonzero(~is_new)
-            kd_lce = _kd_lce(pool, tau)
-            cases = [(_ce(labels), every), (_composite(pool, teacher, tau), every),
-                     (kd_lce, every), (kd_lce, no_new), (_double_kd(pool, soft_new, tau), every)]
-            for grad, idx in cases:
-                z = logits[idx]
-                assert_close_rel(grad(z, idx), finite_diff_logit_grad(phase_loss(grad, idx), z))
+            no_new, lam = ~is_new, lambda_schedule(c_old, c_new)
+            kd_lce = _kd_lce(old, new, tau)
+            cases = [(_ce, logits, labels),
+                     (_composite(old, lam, tau), logits, labels, teacher),
+                     (kd_lce, logits, labels, is_new, teacher),
+                     (kd_lce, logits[no_new], labels[no_new], is_new[no_new], teacher[no_new]),
+                     (_double_kd(old, new, lam, tau), logits, labels, teacher, soft_new)]
+            for grad, z, *cols in cases:
+                assert_close_rel(grad(z, *cols), finite_diff_logit_grad(phase_loss(grad, *cols), z))
 
         # penalty gradients are taken over network weights, not logits
         for trial in range(20):

@@ -13,7 +13,7 @@ import splitbridge
 from splitbridge import runner
 from splitbridge.cli import cli_main
 from splitbridge.data import load_csv
-from splitbridge.net import DenseNet
+from splitbridge.net import DenseNet, build_net
 from splitbridge.runner import (
     DEFAULT_BENCHMARK,
     WORKERS_ENV,
@@ -326,6 +326,8 @@ class TestCli:
          "No such file or directory: 'MISSING'"),
         (["eval", "--checkpoint", "MISSING", "--tasks", "2"],
          "No such file or directory: 'MISSING'"),
+        (["replicate-table1", "--seeds", "0"], "--seeds must be at least 1, got 0"),
+        (["replicate-table1", "--seeds", "-2"], "--seeds must be at least 1, got -2"),
     ])
     def test_bad_value_exit_1_one_line(self, tmp_path, capsys, argv, message):
         # OUT and MISSING stand for an output directory and a file that does
@@ -342,3 +344,11 @@ class TestCli:
         assert err.startswith("error: ") and message.replace("MISSING", missing) in err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "out").exists()   # nothing is written before the error
+
+    def test_eval_step_0_exit_1_one_line(self, tmp_path, capsys):
+        # a readable checkpoint, so the error is evaluate's, not the loader's
+        build_net(DEFAULT_BENCHMARK["feature_dim"], [4], 2, seed=0).save(tmp_path / "net.ckpt")
+        argv = ["eval", "--checkpoint", str(tmp_path / "net.ckpt"), "--tasks", "2", "--step", "0"]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: step must be at least 1, got 0\n"

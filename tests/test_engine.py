@@ -166,7 +166,7 @@ class TestFit:
         net = build_net(seq.feature_dim, list(cfg.hidden), 2, seed=0)
         ref = net.clone()
         for stream, call_cfg in calls:
-            _fit(net, d.x, call_cfg, 3, stream, _ce(d.y))
+            _fit(net, call_cfg, 3, stream, _ce, d.x, d.y)
 
         for stream, call_cfg in calls:
             lr = call_cfg.learning_rate
@@ -177,7 +177,7 @@ class TestFit:
                 for start in range(0, len(d), cfg.batch_size):
                     idx = order[start : start + cfg.batch_size]
                     xb = d.x[idx]
-                    grads = ref.backward(xb, _ce(d.y)(ref.forward(xb), idx))
+                    grads = ref.backward(xb, _ce(ref.forward(xb), d.y[idx]))
                     for i, layer in enumerate(ref.layers):
                         gw = grads.wgrads[i] + cfg.weight_decay * layer.w
                         vel[i] = (cfg.momentum * vel[i][0] + gw,
@@ -194,57 +194,63 @@ class TestFusedGradients:
     its own total loss, on random logits."""
 
     C_OLD, C_NEW, TAU = 4, 6, 2.0   # 10 outputs: softmax sums over more than 8 terms
+    OLD, NEW = TaskRange(0, C_OLD), TaskRange(C_OLD, C_OLD + C_NEW)
+    LAM = lambda_schedule(C_OLD, C_NEW)
 
-    def _pool(self, rng, n=37):
+    def _rows(self, rng, n=37):
+        """A pool's per-row targets: labels y, the new-task flag and soft labels."""
         is_new = rng.random(n) < 0.5
         y = np.where(is_new, rng.integers(self.C_OLD, self.C_OLD + self.C_NEW, n),
                      rng.integers(0, self.C_OLD, n))
-        soft = losses.softmax(3.0 * rng.standard_normal((n, self.C_OLD)), self.TAU)
-        return Pool(rng.standard_normal((n, 3)), y, is_new, soft, TaskRange(0, self.C_OLD),
-                    TaskRange(self.C_OLD, self.C_OLD + self.C_NEW))
+        return y, is_new, losses.softmax(3.0 * rng.standard_normal((n, self.C_OLD)), self.TAU)
 
-    def _batches(self, rng, pool):
+    def _batches(self, rng, is_new):
         # a full batch of 16, the ragged last batch of 5 and a batch without new rows
-        order = rng.permutation(len(pool.x))
-        batches = [order[:16], order[32:], np.flatnonzero(~pool.is_new)[:7]]
-        assert len(batches[1]) == 5 and not pool.is_new[batches[2]].any()
-        assert pool.is_new[batches[0]].any() and not pool.is_new[batches[0]].all()
+        order = rng.permutation(len(is_new))
+        batches = [order[:16], order[32:], np.flatnonzero(~is_new)[:7]]
+        assert len(batches[1]) == 5 and not is_new[batches[2]].any()
+        assert is_new[batches[0]].any() and not is_new[batches[0]].all()
         return [(idx, 4.0 * rng.standard_normal((len(idx), self.C_OLD + self.C_NEW)))
                 for idx in batches]
 
-    def _check(self, grad, rng, pool):
-        for idx, logits in self._batches(rng, pool):
+    def _check(self, grad, rng, is_new, *cols):
+        """grad on each batch's rows of cols, the columns it takes."""
+        for idx, logits in self._batches(rng, is_new):
+            batch = [c[idx] for c in cols]
             before = logits.copy()
-            got = grad(logits, idx)
+            got = grad(logits, *batch)
             assert got.shape == logits.shape
             assert logits.tobytes() == before.tobytes()
             # the finite differences of a loss near 10 carry about 1e-10 of
             # roundoff, against gradient entries up to about 0.1
             np.testing.assert_allclose(
-                got, finite_diff_logit_grad(phase_loss(grad, idx), logits), rtol=1e-6, atol=1e-9)
+                got, finite_diff_logit_grad(phase_loss(grad, *batch), logits),
+                rtol=1e-6, atol=1e-9)
             # asking for the value components leaves the gradient's bytes as they are
-            assert grad(logits, idx, {}).tobytes() == got.tobytes()
+            assert grad(logits, *batch, parts={}).tobytes() == got.tobytes()
 
     def test_ce(self, rng):
-        pool = self._pool(rng)
-        self._check(_ce(pool.y), rng, pool)
+        y, is_new, _ = self._rows(rng)
+        self._check(_ce, rng, is_new, y)
 
     def test_composite(self, rng):
-        pool = self._pool(rng)
-        self._check(_composite(pool, pool.soft, self.TAU), rng, pool)
+        y, is_new, soft = self._rows(rng)
+        self._check(_composite(self.OLD, self.LAM, self.TAU), rng, is_new, y, soft)
 
     def test_kd_lce(self, rng):
-        pool = self._pool(rng)
-        self._check(_kd_lce(pool, self.TAU), rng, pool)
+        y, is_new, soft = self._rows(rng)
+        grad = _kd_lce(self.OLD, self.NEW, self.TAU)
+        self._check(grad, rng, is_new, y, is_new, soft)
         # without new rows LCE is 0.0, not the NaN mean of no rows
-        parts = {}
-        _kd_lce(pool, self.TAU)(np.zeros((3, 10)), np.flatnonzero(~pool.is_new)[:3], parts)
+        parts, old_rows = {}, np.flatnonzero(~is_new)[:3]
+        grad(np.zeros((3, 10)), y[old_rows], is_new[old_rows], soft[old_rows], parts=parts)
         assert parts["lce"] == 0.0 and parts["loss"] == parts["kd"]
 
     def test_double_kd(self, rng):
-        pool = self._pool(rng)
-        soft_new = losses.softmax(rng.standard_normal((len(pool.x), self.C_NEW)), self.TAU)
-        self._check(_double_kd(pool, soft_new, self.TAU), rng, pool)
+        y, is_new, soft = self._rows(rng)
+        soft_new = losses.softmax(rng.standard_normal((len(y), self.C_NEW)), self.TAU)
+        self._check(_double_kd(self.OLD, self.NEW, self.LAM, self.TAU), rng, is_new,
+                    y, soft, soft_new)
 
 
 class TestSplitPhase:

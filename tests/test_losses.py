@@ -1,13 +1,13 @@
 """Tests for the loss kernels through the phase losses training runs (engine's
 _ce, _composite and _kd_lce), softmax, the mixing schedule and the penalty."""
 
-from types import SimpleNamespace
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splitbridge.engine import Pool, _ce, _composite, _kd_lce
+from splitbridge.engine import _ce, _composite, _kd_lce
 from splitbridge.data import TaskRange
 from splitbridge.losses import lambda_schedule, softmax, sparsify_penalty
 from splitbridge.net import GradientSet
@@ -48,17 +48,17 @@ class TestSoftmax:
             softmax(np.zeros(3), 0.0)
 
 
-def evaluate(grad, logits, idx=None):
-    """A phase loss's gradient and value components on the batch of logits."""
+def evaluate(grad, logits, *cols):
+    """A phase loss's gradient and value components on the batch of logits and
+    its rows cols."""
     parts = {}
-    g = grad(logits, np.arange(len(logits)) if idx is None else idx, parts)
+    g = grad(logits, *cols, parts=parts)
     return g, parts
 
 
 def kd_lce(soft, y, is_new, old, new, tau):
-    """_kd_lce over a pool whose rows are the batch's."""
-    n = len(is_new)
-    return _kd_lce(Pool(np.zeros((n, 1)), np.asarray(y), np.asarray(is_new), soft, old, new), tau)
+    """_kd_lce with the batch's rows bound."""
+    return partial(_kd_lce(old, new, tau), y=np.asarray(y), is_new=np.asarray(is_new), soft=soft)
 
 
 def kd_only(soft, width, tau):
@@ -70,23 +70,23 @@ def kd_only(soft, width, tau):
 
 
 def composite(y, soft, old, lam, tau):
-    """_composite at any mixing weight lam, which a Pool derives from its windows."""
-    return _composite(SimpleNamespace(y=np.asarray(y), old=old, lam=lam), soft, tau)
+    """_composite at any mixing weight lam, with the batch's rows bound."""
+    return partial(_composite(old, lam, tau), y=np.asarray(y), soft=soft)
 
 
 class TestCeLoss:
     def test_perfect_prediction(self):
-        _, parts = evaluate(_ce(np.array([0])), np.array([[50.0, 0.0]]))
+        _, parts = evaluate(_ce, np.array([[50.0, 0.0]]), np.array([0]))
         assert parts["ce"] < 1e-12 and parts["loss"] == parts["ce"]
 
     def test_uniform_prediction(self):
-        _, parts = evaluate(_ce(np.array([0, 2, 3])), np.zeros((3, 4)))
+        _, parts = evaluate(_ce, np.zeros((3, 4)), np.array([0, 2, 3]))
         assert abs(parts["ce"] - np.log(4)) < 1e-12
 
     def test_gradient_matches_finite_differences(self, rng):
         logits = rng.standard_normal((5, 4))
-        grad, idx = _ce(rng.integers(0, 4, size=5)), np.arange(5)
-        assert_close_rel(grad(logits, idx), finite_diff_logit_grad(phase_loss(grad, idx), logits))
+        y = rng.integers(0, 4, size=5)
+        assert_close_rel(_ce(logits, y), finite_diff_logit_grad(phase_loss(_ce, y), logits))
 
 
 class TestKdLoss:
@@ -124,8 +124,8 @@ class TestKdLoss:
 
     def test_gradient_matches_finite_differences(self, rng):
         logits = rng.standard_normal((4, 6))
-        grad, idx = kd_only(softmax(rng.standard_normal((4, 3)), 2.0), 6, 2.0), np.arange(4)
-        assert_close_rel(grad(logits, idx), finite_diff_logit_grad(phase_loss(grad, idx), logits))
+        grad = kd_only(softmax(rng.standard_normal((4, 3)), 2.0), 6, 2.0)
+        assert_close_rel(grad(logits), finite_diff_logit_grad(phase_loss(grad), logits))
 
 
 class TestLceLoss:
@@ -150,7 +150,7 @@ class TestLceLoss:
         soft = softmax(rng.standard_normal((6, 3)), 2.0)
         g, parts = evaluate(kd_lce(soft, labels, np.ones(6, bool), TaskRange(0, 3),
                                    TaskRange(3, 7), 2.0), logits)
-        g_ce, sliced = evaluate(_ce(labels - 3), logits[:, 3:])
+        g_ce, sliced = evaluate(_ce, logits[:, 3:], labels - 3)
         assert parts["lce"] == sliced["ce"]
         assert np.array_equal(g[:, 3:], g_ce)
 
@@ -176,8 +176,7 @@ class TestLceLoss:
         labels = np.where(is_new, rng.integers(2, 6, size=5), rng.integers(0, 2, size=5))
         grad = kd_lce(softmax(rng.standard_normal((5, 2)), 2.0), labels, is_new,
                       TaskRange(0, 2), TaskRange(2, 6), 2.0)
-        idx = np.arange(5)
-        assert_close_rel(grad(logits, idx), finite_diff_logit_grad(phase_loss(grad, idx), logits))
+        assert_close_rel(grad(logits), finite_diff_logit_grad(phase_loss(grad), logits))
 
 
 class TestCompositeLoss:
@@ -191,7 +190,7 @@ class TestCompositeLoss:
     def test_lambda_zero_is_ce(self, rng):
         logits, labels, q_hat, tr = self._instance(rng)
         g, parts = evaluate(composite(labels, q_hat, tr, 0.0, 2.0), logits)
-        g_ce, ce = evaluate(_ce(labels), logits)
+        g_ce, ce = evaluate(_ce, logits, labels)
         assert parts["loss"] == ce["ce"]
         assert np.array_equal(g, g_ce)
 
@@ -206,7 +205,7 @@ class TestCompositeLoss:
         logits, labels, q_hat, tr = self._instance(rng)
         _, parts = evaluate(composite(labels, q_hat, tr, 0.5, 2.0), logits)
         _, kd = evaluate(kd_only(q_hat, 6, 2.0), logits)
-        _, ce = evaluate(_ce(labels), logits)
+        _, ce = evaluate(_ce, logits, labels)
         assert (parts["kd"], parts["ce"]) == (kd["kd"], ce["ce"])
         assert abs(parts["loss"] - 0.5 * (kd["kd"] + ce["ce"])) < 1e-14
 
@@ -219,7 +218,7 @@ class TestCompositeLoss:
         q_hat = softmax(r.standard_normal((3, 3)), 2.0)
         _, parts = evaluate(composite(labels, q_hat, TaskRange(0, 3), lam, 2.0), logits)
         _, kd = evaluate(kd_only(q_hat, 5, 2.0), logits)
-        _, ce = evaluate(_ce(labels), logits)
+        _, ce = evaluate(_ce, logits, labels)
         assert abs(parts["loss"] - (lam * kd["kd"] + (1 - lam) * ce["ce"])) < 1e-12
 
 

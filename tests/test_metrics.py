@@ -135,6 +135,11 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="test set"):
             evaluate(self._Net(np.zeros(2)), [task], step=2)
 
+    @pytest.mark.parametrize("step", [0, -1])
+    def test_step_below_1_names_step(self, step):
+        with pytest.raises(ValueError, match=f"step must be at least 1, got {step}"):
+            evaluate(self._Net(np.zeros(2)), [], step=step)
+
     def test_narrow_network(self):
         task = task_with_test([2, 3], [2, 3])
         with pytest.raises(ValueError, match="narrower"):

@@ -212,7 +212,7 @@ class TestBridgeReconnect:
         x = rng.standard_normal((16, 4))
         y = rng.integers(0, 4, size=16)
         for _ in range(3):
-            grads = net.backward(x, _ce(y)(net.forward(x), np.arange(16)))
+            grads = net.backward(x, _ce(net.forward(x), y))
             sgd_step(net, grads, GradientSet.zeros(net), 0.5, 0.0, 0.0)
         cross_vals = [net.layers[li].w[on | no] for li, (on, no) in groups.per_layer.items()]
         assert any(np.any(v != 0.0) for v in cross_vals)
