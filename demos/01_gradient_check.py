@@ -14,7 +14,7 @@ import numpy as np
 
 from splitbridge import losses
 from splitbridge.data import TaskRange
-from splitbridge.engine import _ce, _composite, _double_kd, _kd_lce
+from splitbridge.engine import _ce, _kd_ce, _kd_lce
 from splitbridge.net import GradientSet, build_net
 from splitbridge.partition import make_plan
 
@@ -65,11 +65,11 @@ def main():
     # each phase loss with the rows it reads: labels, the new-task flag, soft labels
     cases = [
         ("CE (first task, ce, dd's new-task net)", _ce, (labels,)),
-        ("lam*KD + (1-lam)*CE (std, sb bridge)", _composite(old, lam, tau), (labels, soft)),
+        ("lam*KD + (1-lam)*CE (std, sb bridge)", _kd_ce(lam, tau, old), (labels, soft)),
         ("KD + LCE (sb sparsify and branched)", _kd_lce(old, new, tau), (labels, is_new, soft)),
         ("KD + LCE on a batch of old rows only", _kd_lce(old, new, tau),
          (labels[old_rows], is_new[old_rows], soft[old_rows])),
-        ("lam*(KD + KD_new)/2 + (1-lam)*CE (dd)", _double_kd(old, new, lam, tau),
+        ("lam*(KD + KD_new)/2 + (1-lam)*CE (dd)", _kd_ce(lam, tau, old, new),
          (labels, soft, soft_new)),
     ]
     worst = []

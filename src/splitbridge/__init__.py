@@ -2,7 +2,7 @@
 
 Library layout:
   net        dense MLP engine: forward, manual backprop, momentum SGD
-  losses     CE and temperature-KD kernels, composite mix, softmax, sparsity penalty
+  losses     CE and temperature-KD kernels, softmax, sparsity penalty
   partition  adaptive split plans and their cut blocks, disconnection, the zero-bridge check
   engine     incremental loop over one Pool per step, the phase losses, exemplar memory
   data       synthetic / IDX / CSV datasets, task splits and class windows (TaskRange)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import runner
+from . import engine, runner
 from .data import gen_synthetic, save_csv
 from .metrics import evaluate
 from .net import DenseNet
@@ -30,7 +30,7 @@ def _load_config(path) -> dict:
 
 def _add_override_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int)
-    p.add_argument("--scheme", choices=("sb", "std", "ce", "dd"))
+    p.add_argument("--scheme", choices=engine.SCHEMES)
     p.add_argument("--tasks", type=int)
     p.add_argument("--rho", type=float)
     p.add_argument("--gamma", type=float)
@@ -99,7 +99,7 @@ def _cmd_gen_data(args) -> int:
         feature_dim=args.dim,
         train_per_class=args.train_per_class,
         test_per_class=args.test_per_class,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -203,7 +203,8 @@ def split_tasks(
     seed: int,
 ) -> TaskSequence:
     """Permute classes by seed, chunk into equal groups, remap labels so task t
-    owns the contiguous global block [t*k, (t+1)*k)."""
+    owns the contiguous global block [t*k, (t+1)*k). The classes are the train
+    split's; a label outside them, in either split, raises ValueError."""
     c = train.num_classes
     if num_tasks < 1 or c % num_tasks != 0:
         raise ValueError(f"num_tasks must be a positive divisor of {c} classes, got {num_tasks}")
@@ -212,11 +213,13 @@ def split_tasks(
     remap = {int(orig): new for new, orig in enumerate(perm)}
     per = c // num_tasks
 
-    def remapped(ds: LabeledDataset) -> LabeledDataset:
+    def remapped(ds: LabeledDataset, split: str) -> LabeledDataset:
+        if ds.y.size and ds.y.max() >= c:  # LabeledDataset has already rejected labels < 0
+            raise ValueError(f"{split} label {ds.y.max()} is outside the train split's {c} classes")
         y = np.array([remap[int(v)] for v in ds.y], dtype=np.int64)
         return LabeledDataset(ds.x, y, c)
 
-    rtrain, rtest = remapped(train), remapped(test)
+    rtrain, rtest = remapped(train, "train"), remapped(test, "test")
     tasks = []
     for t in range(num_tasks):
         block = TaskRange(t * per, (t + 1) * per)

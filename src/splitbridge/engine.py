@@ -1,7 +1,8 @@
 """Incremental training engine: the split/bridge loop plus the STD, CE-only,
 and double-distillation baselines, and exemplar memory. Each step after the
 first trains on one Pool: the task's rows, the memory's, the previous model's
-soft labels on them and the old and new class windows.
+soft labels on them and the old and new class windows. STD, the bridge and
+double distillation train one KD+CE loss, _kd_ce, with one or two KD windows.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from . import losses, metrics, partition
 from .data import LabeledDataset, Task, TaskRange, TaskSequence
-from .losses import _ce_grad, _composite_grad, _kd_grad, _softmax, lambda_schedule
+from .losses import _ce_grad, _kd_grad, _softmax, lambda_schedule
 from .net import DenseNet, GradientSet, build_net, sgd_step
 
 SCHEMES = ("sb", "std", "ce", "dd")
@@ -142,19 +143,6 @@ def _ce(logits, y, parts=None):
     return g
 
 
-def _composite(old: TaskRange, lam: float, tau: float):
-    """grad(logits, y, soft): the gradient of lam * KD(soft, old window) +
-    (1 - lam) * CE against the labels y, for _fit."""
-    old = old.slice()
-    def grad(logits, y, soft, parts=None):
-        g = _composite_grad(_kd_grad(_softmax(logits[:, old], tau), soft, tau, parts),
-                            _ce_grad(_softmax(logits, 1.0), y, parts), old, lam)
-        if parts is not None:
-            parts["loss"] = lam * parts["kd"] + (1.0 - lam) * parts["ce"]
-        return g
-    return grad
-
-
 def _kd_lce(old: TaskRange, new: TaskRange, tau: float):
     """grad(logits, y, is_new, soft): the gradient of KD (soft, old window) + LCE
     (new window, the is_new rows; 0.0 on a batch without them), for _fit."""
@@ -170,18 +158,20 @@ def _kd_lce(old: TaskRange, new: TaskRange, tau: float):
     return grad
 
 
-def _double_kd(old: TaskRange, new: TaskRange, lam: float, tau: float):
-    """grad(logits, y, soft, soft_new): the gradient of lam * mean(KD(soft, old window),
-    KD(soft_new, new window)) + (1 - lam) * CE against the labels y, for _fit."""
-    old, new = old.slice(), new.slice()
-    def grad(logits, y, soft, soft_new, parts=None):
+def _kd_ce(lam: float, tau: float, *windows: TaskRange):
+    """grad(logits, y, *softs): the gradient of lam * mean_i KD(softs[i], windows[i]) +
+    (1 - lam) * CE against the labels y, for _fit. std and the bridge distill the old
+    window (LwF), dd the old and the new one (DMC), recorded as kd and kd_new."""
+    keys, scale = ("kd", "kd_new")[:len(windows)], lam / len(windows)
+    windows = [w.slice() for w in windows]
+    def grad(logits, y, *softs, parts=None):
         g = np.zeros_like(logits)
-        g[:, old] = _kd_grad(_softmax(logits[:, old], tau), soft, tau, parts)
-        g[:, new] = _kd_grad(_softmax(logits[:, new], tau), soft_new, tau, parts, "kd_new")
-        g *= lam * 0.5
+        for window, soft, key in zip(windows, softs, keys):
+            g[:, window] = _kd_grad(_softmax(logits[:, window], tau), soft, tau, parts, key)
+        g *= scale
         g += (1 - lam) * _ce_grad(_softmax(logits, 1.0), y, parts)
         if parts is not None:
-            parts["loss"] = lam * 0.5 * (parts["kd"] + parts["kd_new"]) + (1 - lam) * parts["ce"]
+            parts["loss"] = scale * sum(parts[k] for k in keys) + (1 - lam) * parts["ce"]
         return g
     return grad
 
@@ -235,14 +225,14 @@ def run_bridge_phase(net: DenseNet, plan: partition.PartitionPlan, pool: Pool,
     """
     soft = losses.softmax(partition.extract_subnet(net, plan).forward(pool.x), cfg.tau)
     partition.bridge_reconnect(net, plan.groups)
-    _fit(net, cfg, cfg.epochs_bridge, (step, 3), _composite(pool.old, pool.lam, cfg.tau),
+    _fit(net, cfg, cfg.epochs_bridge, (step, 3), _kd_ce(pool.lam, cfg.tau, pool.old),
          pool.x, pool.y, soft)
     return net
 
 
 def run_std_step(net: DenseNet, pool: Pool, cfg: SchemeConfig, step: int) -> DenseNet:
     """Single-phase composite-loss training (the standard KD-based scheme)."""
-    _fit(net, cfg, cfg.epochs_std, (step, 1), _composite(pool.old, pool.lam, cfg.tau),
+    _fit(net, cfg, cfg.epochs_std, (step, 1), _kd_ce(pool.lam, cfg.tau, pool.old),
          pool.x, pool.y, pool.soft)
     return net
 
@@ -262,7 +252,7 @@ def run_dd_step(net: DenseNet, pool: Pool, cfg: SchemeConfig, step: int) -> Dens
     aux = build_net(net.in_dim, list(cfg.hidden), new.size, seed=[cfg.seed, step, 5])
     _fit(aux, cfg, cfg.epochs_std, (step, 4), _ce, x[pool.is_new], y[pool.is_new] - new.start)
     soft_new = losses.softmax(aux.forward(x), cfg.tau)
-    _fit(net, cfg, cfg.epochs_std, (step, 1), _double_kd(pool.old, new, pool.lam, cfg.tau),
+    _fit(net, cfg, cfg.epochs_std, (step, 1), _kd_ce(pool.lam, cfg.tau, pool.old, new),
          x, y, pool.soft, soft_new)
     return net
 

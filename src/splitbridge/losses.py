@@ -1,7 +1,7 @@
-"""Loss kernels: CE, temperature KD, the composite mix, and the cross-partition
-sparsity penalty. Training's phase losses (engine's _ce, _composite, _kd_lce and
-_double_kd) are built from these kernels, so it never relies on numeric
-differentiation.
+"""Loss kernels: CE, temperature KD and the cross-partition sparsity penalty.
+Training's phase losses (engine's _ce, _kd_lce and _kd_ce, the KD+CE mix of
+std, the bridge and dd) are built from these kernels, so it never relies on
+numeric differentiation.
 
 All batch losses are batch means, so the composite mixing weight combines
 like-scaled quantities. Probabilities are floored at 1e-12 inside logs.
@@ -53,13 +53,6 @@ def _kd_grad(q: np.ndarray, teacher_probs: np.ndarray, temperature: float, parts
     q -= teacher_probs
     q /= temperature * len(q)
     return q
-
-
-def _composite_grad(kd_grad: np.ndarray, ce_grad: np.ndarray, window: slice, lam: float):
-    """Unchecked: ce_grad becomes lam * kd_grad (on window) + (1 - lam) * ce_grad, in place."""
-    ce_grad *= 1.0 - lam
-    np.add(lam * kd_grad, ce_grad[:, window], out=ce_grad[:, window])
-    return ce_grad
 
 
 def softmax(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:

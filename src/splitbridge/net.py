@@ -16,11 +16,6 @@ import numpy as np
 
 from .data import read_exact
 
-RELU = "relu"
-IDENTITY = "identity"
-
-_ACTIVATIONS = (RELU, IDENTITY)
-
 CHECKPOINT_MAGIC = b"SBN1"
 
 
@@ -30,11 +25,10 @@ class ShapeError(ValueError):
 
 @dataclass
 class Layer:
-    """One dense layer: out = act(x @ w + b)."""
+    """One dense layer: x @ w + b, then ReLU unless it is the network's last."""
 
     w: np.ndarray
     b: np.ndarray
-    activation: str
 
     @property
     def in_dim(self) -> int:
@@ -60,7 +54,8 @@ def _views(flat: np.ndarray, layout: tuple) -> tuple[tuple, tuple]:
 
 
 class DenseNet:
-    """Ordered dense layers ending in an identity-activation logit layer.
+    """Ordered dense layers: ReLU after every layer but the last, whose
+    outputs are the logits, one per class.
 
     The parameters live in one float64 buffer, `params`: every layer's
     weights in layer order, then every layer's biases. Each `layer.w` and
@@ -71,23 +66,15 @@ class DenseNet:
     raises ShapeError for it.
     """
 
-    def __init__(self, layers: list[Layer], num_classes: int):
+    def __init__(self, layers: list[Layer]):
         if not layers:
             raise ValueError("a network needs at least one layer")
-        for i in range(len(layers) - 1):
-            if layers[i].out_dim != layers[i + 1].in_dim:
-                raise ShapeError(
-                    f"layer {i} out_dim {layers[i].out_dim} != "
-                    f"layer {i + 1} in_dim {layers[i + 1].in_dim}"
-                )
-        if layers[-1].activation != IDENTITY:
-            raise ValueError("final layer must use the identity activation")
-        if layers[-1].out_dim != num_classes:
-            raise ShapeError("final out_dim must equal num_classes")
         for i, layer in enumerate(layers):
+            if i and layers[i - 1].out_dim != layer.in_dim:
+                raise ShapeError(f"layer {i - 1} out_dim {layers[i - 1].out_dim} != "
+                                 f"layer {i} in_dim {layer.in_dim}")
             if np.shape(layer.b) != (layer.out_dim,):
                 raise ShapeError(f"layer {i} bias shape {np.shape(layer.b)} != ({layer.out_dim},)")
-        self.num_classes = num_classes
         self._pack(layers)
 
     def _pack(self, layers: list[Layer]) -> None:
@@ -99,7 +86,7 @@ class DenseNet:
         for layer, w, b in zip(layers, ws, bs):
             w[...] = layer.w
             b[...] = layer.b
-        self.layers = [Layer(w, b, layer.activation) for layer, w, b in zip(layers, ws, bs)]
+        self.layers = [Layer(w, b) for w, b in zip(ws, bs)]
 
     @property
     def in_dim(self) -> int:
@@ -108,6 +95,10 @@ class DenseNet:
     @property
     def depth(self) -> int:
         return len(self.layers)
+
+    @property
+    def num_classes(self) -> int:
+        return self.layers[-1].out_dim
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Compute logits for a batch x of shape (n, in_dim)."""
@@ -120,11 +111,11 @@ class DenseNet:
             raise ShapeError(f"input dim {x.shape[1]} != layer 0 in_dim {self.in_dim}")
         inputs = []
         h = x
-        for layer in self.layers:
+        for i, layer in enumerate(self.layers):
             inputs.append(h)
             h = h @ layer.w  # a fresh array: the bias and ReLU go in place
             h += layer.b
-            if layer.activation == RELU:
+            if i < self.depth - 1:
                 np.maximum(h, 0.0, out=h)
         return h, inputs
 
@@ -148,9 +139,9 @@ class DenseNet:
         delta = upstream
         for i in range(self.depth - 1, -1, -1):
             layer = self.layers[i]
-            if layer.activation == RELU:
-                # a ReLU layer's output is the next input; relu(z) > 0 exactly where z > 0.
-                # The logit layer is identity, so delta is the fresh product from above
+            if i < self.depth - 1:
+                # a hidden layer's output is the next input; relu(z) > 0 exactly where z > 0.
+                # The logit layer has no ReLU, so delta is the fresh product from above
                 delta *= inputs[i + 1] > 0
             np.matmul(inputs[i].T, delta, out=wgrads[i])
             np.add.reduce(delta, axis=0, out=bgrads[i])
@@ -161,7 +152,7 @@ class DenseNet:
     def clone(self) -> "DenseNet":
         """Copy with its own params buffer; mutations on either side do not
         affect the other."""
-        return DenseNet(self.layers, self.num_classes)
+        return DenseNet(self.layers)
 
     def widen_output(self, extra: int) -> None:
         """Append `extra` zero-initialized logit columns to the final layer.
@@ -174,17 +165,16 @@ class DenseNet:
             raise ValueError("extra must be at least 1")
         last = self.layers[-1]
         widened = Layer(np.hstack([last.w, np.zeros((last.in_dim, extra))]),
-                        np.concatenate([last.b, np.zeros(extra)]), last.activation)
+                        np.concatenate([last.b, np.zeros(extra)]))
         self._pack(self.layers[:-1] + [widened])
-        self.num_classes += extra
 
     def save(self, path) -> None:
         """Write the checkpoint format: magic, dims, then raw float64 params."""
         with open(path, "wb") as f:
             f.write(CHECKPOINT_MAGIC)
             f.write(struct.pack("<II", self.depth, self.num_classes))
-            for layer in self.layers:
-                act = 0 if layer.activation == IDENTITY else 1
+            for i, layer in enumerate(self.layers):
+                act = int(i < self.depth - 1)
                 f.write(struct.pack("<IIBB", layer.in_dim, layer.out_dim, act, 0))
                 f.write(np.ascontiguousarray(layer.w, dtype="<f8").tobytes())
                 f.write(np.ascontiguousarray(layer.b, dtype="<f8").tobytes())
@@ -193,8 +183,9 @@ class DenseNet:
     def load(cls, path) -> "DenseNet":
         """Read a save() checkpoint; a truncated or padded file raises ValueError.
 
-        Each layer header keeps a has-mask flag byte, which must be 0: no
-        layer carries a mask block.
+        Each layer header's activation id must be 1 (ReLU) on a hidden layer and
+        0 on the last, and its has-mask flag byte must be 0: no layer carries a
+        mask block. The header's num_classes must be the last layer's width.
         """
         with open(path, "rb") as f:
             magic = f.read(4)
@@ -205,16 +196,20 @@ class DenseNet:
             for i in range(depth):
                 in_dim, out_dim, act, has_mask = struct.unpack(
                     "<IIBB", read_exact(f, 10, f"layer {i} header"))
-                if act > 1 or has_mask:
-                    raise ValueError(f"layer {i} header: activation id {act} must be 0 or 1 "
-                                     f"and has-mask flag {has_mask} must be 0")
+                relu = int(i < depth - 1)
+                if act != relu or has_mask:
+                    raise ValueError(f"layer {i} header: activation id {act} must be {relu} "
+                                     f"(1 hidden, 0 last) and has-mask flag {has_mask} must be 0")
+                if not relu and out_dim != num_classes:
+                    raise ValueError(f"checkpoint header: num_classes {num_classes} != "
+                                     f"layer {i} out_dim {out_dim}")
                 w = np.frombuffer(read_exact(f, 8 * in_dim * out_dim, f"layer {i} weights"),
                                   dtype="<f8").reshape(in_dim, out_dim)
                 b = np.frombuffer(read_exact(f, 8 * out_dim, f"layer {i} bias"), dtype="<f8")
-                layers.append(Layer(w, b, RELU if act else IDENTITY))
+                layers.append(Layer(w, b))
             if f.read(1):
                 raise ValueError(f"trailing bytes after layer {depth - 1} at offset {f.tell() - 1}")
-        return cls(layers, num_classes)
+        return cls(layers)
 
 
 class GradientSet:
@@ -248,21 +243,19 @@ class GradientSet:
 
 def build_net(in_dim: int, hidden: list[int], num_classes: int,
               seed: int | list[int]) -> DenseNet:
-    """He-uniform initialized MLP: ReLU hidden layers, identity logit layer.
+    """He-uniform initialized MLP: hidden widths, then num_classes logits.
 
     seed is passed to np.random.default_rng as is: an int or an entropy list.
     """
     rng = np.random.default_rng(seed)
     dims = [in_dim] + list(hidden) + [num_classes]
     layers = []
-    for i in range(len(dims) - 1):
-        fan_in = dims[i]
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         limit = np.sqrt(6.0 / fan_in)
-        w = rng.uniform(-limit, limit, size=(dims[i], dims[i + 1]))
-        b = np.zeros(dims[i + 1])
-        act = RELU if i < len(dims) - 2 else IDENTITY
-        layers.append(Layer(w, b, act))
-    return DenseNet(layers, num_classes)
+        w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+        b = np.zeros(fan_out)
+        layers.append(Layer(w, b))
+    return DenseNet(layers)
 
 
 def sgd_step(net: DenseNet, grads: GradientSet, velocity: GradientSet, lr: float,

@@ -178,5 +178,5 @@ def extract_subnet(net: DenseNet, plan: PartitionPlan) -> DenseNet:
             continue
         a = plan.old_size.get(li - 1, layer.in_dim)
         b = plan.old_size[li]
-        layers.append(Layer(layer.w[:a, :b], layer.b[:b], layer.activation))
-    return DenseNet(layers, layers[-1].out_dim)
+        layers.append(Layer(layer.w[:a, :b], layer.b[:b]))
+    return DenseNet(layers)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from splitbridge.net import DenseNet, Layer, IDENTITY, RELU
+from splitbridge.net import DenseNet, Layer
 
 
 @pytest.fixture
@@ -15,9 +15,8 @@ def make_random_net(rng, dims, scale=0.5):
     for i in range(len(dims) - 1):
         w = scale * rng.standard_normal((dims[i], dims[i + 1]))
         b = scale * rng.standard_normal(dims[i + 1])
-        act = RELU if i < len(dims) - 2 else IDENTITY
-        layers.append(Layer(w, b, act))
-    return DenseNet(layers, dims[-1])
+        layers.append(Layer(w, b))
+    return DenseNet(layers)
 
 
 def finite_diff_param_grads(net, loss_of_net, step=1e-5):
@@ -62,8 +61,7 @@ def finite_diff_logit_grad(loss_of_logits, logits, step=1e-5):
 
 def phase_loss(grad, *cols):
     """The total loss of the phase loss grad (engine's _ce, or a closure of
-    _composite, _kd_lce or _double_kd) on the batch's rows cols, as a function
-    of the logits."""
+    _kd_lce or _kd_ce) on the batch's rows cols, as a function of the logits."""
     def loss(logits):
         parts = {}
         grad(logits, *cols, parts=parts)

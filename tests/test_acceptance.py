@@ -13,7 +13,7 @@ import pytest
 
 from splitbridge import losses, partition, runner
 from splitbridge.data import gen_synthetic
-from splitbridge.engine import SchemeConfig, _ce, _composite, _double_kd, _kd_lce
+from splitbridge.engine import SchemeConfig, _ce, _kd_ce, _kd_lce
 from splitbridge.data import TaskRange
 from splitbridge.losses import lambda_schedule
 from splitbridge.net import GradientSet, build_net
@@ -91,10 +91,10 @@ def test_criterion_1_gradient_suite(rng):
             no_new, lam = ~is_new, lambda_schedule(c_old, c_new)
             kd_lce = _kd_lce(old, new, tau)
             cases = [(_ce, logits, labels),
-                     (_composite(old, lam, tau), logits, labels, teacher),
+                     (_kd_ce(lam, tau, old), logits, labels, teacher),
                      (kd_lce, logits, labels, is_new, teacher),
                      (kd_lce, logits[no_new], labels[no_new], is_new[no_new], teacher[no_new]),
-                     (_double_kd(old, new, lam, tau), logits, labels, teacher, soft_new)]
+                     (_kd_ce(lam, tau, old, new), logits, labels, teacher, soft_new)]
             for grad, z, *cols in cases:
                 assert_close_rel(grad(z, *cols), finite_diff_logit_grad(phase_loss(grad, *cols), z))
 

@@ -345,6 +345,24 @@ class TestCli:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "out").exists()   # nothing is written before the error
 
+    def test_csv_test_label_outside_train_exit_1_one_line(self, tmp_path, capsys):
+        # a csv benchmark runs; once a test row holds a class train.csv lacks, the
+        # run ends in one error line that names the label and the split
+        assert cli_main(["gen-data", "--classes", "4", "--dim", "3", "--train-per-class", "5",
+                         "--test-per-class", "2", "--out", str(tmp_path)]) == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"benchmark": {
+            "source": "csv", "train_csv": str(tmp_path / "train.csv"),
+            "test_csv": str(tmp_path / "test.csv")}}))
+        assert cli_main(["run", "--tasks", "2", "--config", str(cfg)]) == 0
+        header, first, *rest = (tmp_path / "test.csv").read_text().splitlines()
+        first = "7" + first[first.index(","):]
+        (tmp_path / "test.csv").write_text("\n".join([header, first, *rest]) + "\n")
+        capsys.readouterr()
+        assert cli_main(["run", "--tasks", "2", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: test label 7 is outside the train split's 4 classes\n"
+
     def test_eval_step_0_exit_1_one_line(self, tmp_path, capsys):
         # a readable checkpoint, so the error is evaluate's, not the loader's
         build_net(DEFAULT_BENCHMARK["feature_dim"], [4], 2, seed=0).save(tmp_path / "net.ckpt")

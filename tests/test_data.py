@@ -277,6 +277,13 @@ class TestSplitTasks:
         with pytest.raises(ValueError, match=f"num_tasks .* got {num_tasks}$"):
             split_tasks(train, test, num_tasks, seed=0)
 
+    def test_label_outside_train_classes_named(self):
+        # the classes are the train split's; a test label past them is named, not a KeyError
+        train, test = gen_synthetic(4, 3, 5, 2, seed=0)
+        test = LabeledDataset(test.x, np.append(test.y[:-1], 5), 6)
+        with pytest.raises(ValueError, match="^test label 5 is outside the train split's 4 classes$"):
+            split_tasks(train, test, 2, seed=0)
+
     def test_sequence_properties(self):
         train, test = gen_synthetic(6, 7, 5, 3, seed=0)
         seq = split_tasks(train, test, 2, seed=4)

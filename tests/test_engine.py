@@ -12,9 +12,8 @@ from splitbridge.engine import (
     Pool,
     SchemeConfig,
     _ce,
-    _composite,
-    _double_kd,
     _fit,
+    _kd_ce,
     _kd_lce,
     run_bridge_phase,
     run_first_task,
@@ -235,7 +234,7 @@ class TestFusedGradients:
 
     def test_composite(self, rng):
         y, is_new, soft = self._rows(rng)
-        self._check(_composite(self.OLD, self.LAM, self.TAU), rng, is_new, y, soft)
+        self._check(_kd_ce(self.LAM, self.TAU, self.OLD), rng, is_new, y, soft)
 
     def test_kd_lce(self, rng):
         y, is_new, soft = self._rows(rng)
@@ -249,7 +248,7 @@ class TestFusedGradients:
     def test_double_kd(self, rng):
         y, is_new, soft = self._rows(rng)
         soft_new = losses.softmax(rng.standard_normal((len(y), self.C_NEW)), self.TAU)
-        self._check(_double_kd(self.OLD, self.NEW, self.LAM, self.TAU), rng, is_new,
+        self._check(_kd_ce(self.LAM, self.TAU, self.OLD, self.NEW), rng, is_new,
                     y, soft, soft_new)
 
 
@@ -299,15 +298,15 @@ class TestStdReduction:
         # c_old / (c_old + c_new); nothing else sets it
         seq = small_sequence(num_classes=6, num_tasks=3)
         cfg = SchemeConfig(**FAST)
-        composite = engine._composite_grad
+        kd_ce = engine._kd_ce
         seen = {"std": [], "bridge": []}
         phase = "std"
 
-        def record(kd_grad, ce_grad, window, lam):
+        def record(lam, tau, *windows):
             seen[phase].append(lam)
-            return composite(kd_grad, ce_grad, window, lam)
+            return kd_ce(lam, tau, *windows)
 
-        monkeypatch.setattr(engine, "_composite_grad", record)
+        monkeypatch.setattr(engine, "_kd_ce", record)
         net = build_net(seq.feature_dim, list(cfg.hidden), 4, seed=5)
         pool = Pool.build(seq.tasks[2], empty_memory(seq.tasks[2].train), net, cfg)
         net.widen_output(2)

@@ -1,5 +1,5 @@
 """Tests for the loss kernels through the phase losses training runs (engine's
-_ce, _composite and _kd_lce), softmax, the mixing schedule and the penalty."""
+_ce, _kd_ce and _kd_lce), softmax, the mixing schedule and the penalty."""
 
 from functools import partial
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splitbridge.engine import _ce, _composite, _kd_lce
+from splitbridge.engine import _ce, _kd_ce, _kd_lce
 from splitbridge.data import TaskRange
 from splitbridge.losses import lambda_schedule, softmax, sparsify_penalty
 from splitbridge.net import GradientSet
@@ -70,8 +70,9 @@ def kd_only(soft, width, tau):
 
 
 def composite(y, soft, old, lam, tau):
-    """_composite at any mixing weight lam, with the batch's rows bound."""
-    return partial(_composite(old, lam, tau), y=np.asarray(y), soft=soft)
+    """_kd_ce over the old window at any mixing weight lam, with the batch's rows bound."""
+    grad = _kd_ce(lam, tau, old)
+    return lambda logits, parts=None: grad(logits, np.asarray(y), soft, parts=parts)
 
 
 class TestCeLoss:
@@ -252,14 +253,14 @@ class TestSparsifyPenalty:
 
     def test_single_weight_group(self):
         # one cross weight per direction: |W|_F reduces to |w|
-        from splitbridge.net import DenseNet, Layer, IDENTITY, RELU
+        from splitbridge.net import DenseNet, Layer
 
         layers = [
-            Layer(np.ones((2, 2)), np.zeros(2), RELU),
-            Layer(np.ones((2, 2)), np.zeros(2), RELU),
-            Layer(np.array([[1.0, 3.0], [0.5, 1.0]]), np.zeros(2), IDENTITY),
+            Layer(np.ones((2, 2)), np.zeros(2)),
+            Layer(np.ones((2, 2)), np.zeros(2)),
+            Layer(np.array([[1.0, 3.0], [0.5, 1.0]]), np.zeros(2)),
         ]
-        net = DenseNet(layers, 2)
+        net = DenseNet(layers)
         plan = make_plan(net, 1, 1, 1, 1.0)
         grads = GradientSet.zeros(net)
         value = sparsify_penalty(net, plan, 0.1, into=grads)

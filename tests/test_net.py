@@ -11,8 +11,6 @@ from splitbridge.net import (
     GradientSet,
     Layer,
     ShapeError,
-    IDENTITY,
-    RELU,
     build_net,
     sgd_step,
 )
@@ -21,7 +19,7 @@ from conftest import make_random_net
 
 
 def identity_net():
-    return DenseNet([Layer(np.eye(2), np.zeros(2), IDENTITY)], 2)
+    return DenseNet([Layer(np.eye(2), np.zeros(2))])
 
 
 class TestForward:
@@ -39,7 +37,7 @@ class TestForward:
             h = x[s]
             for li, layer in enumerate(net.layers):
                 z = np.array([h @ layer.w[:, j] + layer.b[j] for j in range(layer.out_dim)])
-                h = np.maximum(z, 0.0) if layer.activation == RELU else z
+                h = np.maximum(z, 0.0) if li < net.depth - 1 else z
             expected[s] = h
         assert np.allclose(net.forward(x), expected, atol=1e-12, rtol=0)
 
@@ -51,7 +49,7 @@ class TestForward:
 
 class TestBackward:
     def test_linear_layer_outer_product(self):
-        net = DenseNet([Layer(np.zeros((3, 2)), np.zeros(2), IDENTITY)], 2)
+        net = DenseNet([Layer(np.zeros((3, 2)), np.zeros(2))])
         x = np.array([[1.0, 2.0, 3.0]])
         grads = net.backward(x, np.ones((1, 2)))
         assert np.array_equal(grads.wgrads[0], np.outer(x[0], np.ones(2)))
@@ -149,9 +147,9 @@ class TestBackward:
         assert net.backward(x, upstream, cache).flat.tobytes() == first
         # the same bytes as the out-of-place formulas: z = h @ w + b, relu(z)
         h = x
-        for layer in net.layers:
+        for i, layer in enumerate(net.layers):
             z = h @ layer.w + layer.b
-            h = np.maximum(z, 0.0) if layer.activation == RELU else z
+            h = np.maximum(z, 0.0) if i < net.depth - 1 else z
         assert h.tobytes() == cache[0].tobytes()
 
     def test_cached_forward_gives_identical_gradients(self, rng):
@@ -338,7 +336,7 @@ class TestFlatParams:
     def test_bias_shape_checked_before_packing(self):
         # packing would broadcast a short bias into the buffer without a word
         with pytest.raises(ShapeError, match=r"layer 0 bias shape \(1,\) != \(2,\)"):
-            DenseNet([Layer(np.eye(2), np.zeros(1), IDENTITY)], 2)
+            DenseNet([Layer(np.eye(2), np.zeros(1))])
 
     def test_gradients_share_the_layout(self, rng):
         net = make_random_net(rng, [3, 4, 2])
@@ -392,7 +390,7 @@ class TestCheckpoint:
         for a, b in zip(net.layers, loaded.layers):
             assert np.array_equal(a.w, b.w)
             assert np.array_equal(a.b, b.b)
-            assert a.activation == b.activation
+        assert loaded.depth == net.depth and loaded.num_classes == net.num_classes
 
     def test_round_trip_without_masks(self, rng, tmp_path):
         net = make_random_net(rng, [3, 4, 2])
@@ -405,8 +403,10 @@ class TestCheckpoint:
         for a, b in zip(net.layers, loaded.layers):
             assert a.w.tobytes() == b.w.tobytes()
             assert a.b.tobytes() == b.b.tobytes()
-            assert a.activation == b.activation
-        assert [f.name for f in dataclasses.fields(Layer)] == ["w", "b", "activation"]
+        # ReLU on every layer but the last: the loaded net computes the same logits
+        x = rng.standard_normal((5, 3))
+        assert loaded.forward(x).tobytes() == net.forward(x).tobytes()
+        assert [f.name for f in dataclasses.fields(Layer)] == ["w", "b"]
 
     @pytest.mark.parametrize("cut, part", [
         (9, "checkpoint header"),
@@ -428,18 +428,25 @@ class TestCheckpoint:
         (1, 8, 2),
         (1, 9, 2),
         (1, 9, 1),      # no layer carries a mask block
+        (0, 8, 0),      # a hidden layer applies ReLU, id 1
+        (1, 8, 1),      # the last layer gives the logits, id 0
+        (None, 8, 4),   # the checkpoint header's num_classes, not the last width 3
     ])
     def test_bad_header_byte_rejected(self, rng, tmp_path, layer, byte, value):
         net = make_random_net(rng, [3, 4, 3])
         path = tmp_path / "net.ckpt"
         net.save(path)
-        # a layer header is in_dim, out_dim (uint32 each), activation id, has-mask flag
-        start = 12 + sum(10 + 8 * (l.w.size + l.b.size) for l in net.layers[:layer])
+        # the checkpoint header is magic, depth, num_classes; a layer header is in_dim,
+        # out_dim (uint32 each), activation id, has-mask flag
+        start = (0 if layer is None else
+                 12 + sum(10 + 8 * (l.w.size + l.b.size) for l in net.layers[:layer]))
         raw = bytearray(path.read_bytes())
         raw[start + byte] = value
         path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match=f"layer {layer} header: activation id "
-                           r"\d+ must be 0 or 1 and has-mask flag \d+ must be 0"):
+        match = ("checkpoint header: num_classes 4 != layer 1 out_dim 3" if layer is None else
+                 f"layer {layer} header: activation id \\d+ must be {int(layer == 0)} "
+                 r"\(1 hidden, 0 last\) and has-mask flag \d+ must be 0")
+        with pytest.raises(ValueError, match=match):
             DenseNet.load(path)
 
     def test_huge_declared_layer_rejected(self, tmp_path):
