@@ -41,7 +41,7 @@ def main():
     )
 
     net = build_net(seq.feature_dim, list(cfg.hidden), 4, cfg.seed)
-    run_first_task(net, seq.tasks[0].train, cfg)
+    run_first_task([net], seq.tasks[0].train, [cfg])  # a stack of one seed
     rep = evaluate(net, seq.tasks[:1], 1)
     print(f"task 1 trained: accuracy {rep.overall_acc:.3f} on 4 classes")
 
@@ -86,7 +86,7 @@ def main():
     print("\nbridge phase: cut weights re-enabled at zero, composite loss trained")
     print(f"  zero-bridge logits bit-identical to branched logits: "
           f"{np.array_equal(preview.forward(probe), branched)}")
-    run_bridge_phase(net, plan, pool, cfg, step=2)
+    run_bridge_phase([net], [plan], pool, [cfg], step=2)
 
     rep = evaluate(net, seq.tasks, 2)
     print(f"\nfinal step-2 metrics over all 8 classes:")

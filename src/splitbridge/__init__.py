@@ -4,10 +4,10 @@ Library layout:
   net        dense MLP engine: forward, manual backprop, momentum SGD
   losses     CE and temperature-KD kernels, softmax, sparsity penalty
   partition  adaptive split plans and their cut blocks, disconnection, the zero-bridge check
-  engine     incremental loop over one Pool per step, the phase losses, exemplar memory
+  engine     incremental loop for a stack of seeds, one Pool each per step, phase losses
   data       synthetic / IDX / CSV datasets, task splits and class windows (TaskRange)
   metrics    five-way accuracy decomposition
-  runner     experiment sweeps with JSONL/CSV outputs
+  runner     experiment sweeps, one seed stack per cell group, with JSONL/CSV outputs
   cli        command-line interface
 """
 

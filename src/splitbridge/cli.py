@@ -117,11 +117,8 @@ def _cmd_replicate_table1(args) -> int:
     bench = dict(runner.DEFAULT_BENCHMARK)
     tables = {}
     for scheme in ("ce", "std"):
-        rows = []
-        for seed in seeds:
-            m = runner.run_experiment(bench, scheme, 2, seed,
-                                      {"memory_capacity": args.memory_size})
-            rows.append(m["reports"][-1])
+        rows = [m["reports"][-1] for m in runner.run_cells(
+            bench, scheme, 2, seeds, {"memory_capacity": args.memory_size})]
         tables[scheme] = {
             k: (float(np.mean([r[k] for r in rows])), float(np.std([r[k] for r in rows])))
             for k in runner.METRIC_KEYS

@@ -204,10 +204,14 @@ def split_tasks(
 ) -> TaskSequence:
     """Permute classes by seed, chunk into equal groups, remap labels so task t
     owns the contiguous global block [t*k, (t+1)*k). The classes are the train
-    split's; a label outside them, in either split, raises ValueError."""
+    split's; one without a train row, or a label outside them in either split,
+    raises ValueError."""
     c = train.num_classes
     if num_tasks < 1 or c % num_tasks != 0:
         raise ValueError(f"num_tasks must be a positive divisor of {c} classes, got {num_tasks}")
+    missing = np.flatnonzero(np.bincount(train.y, minlength=c) == 0)
+    if missing.size:
+        raise ValueError(f"train split has no rows of class {missing[0]}, one of its {c} classes")
     rng = np.random.default_rng(seed)
     perm = rng.permutation(c)
     remap = {int(orig): new for new, orig in enumerate(perm)}

@@ -1,21 +1,21 @@
-"""Incremental training engine: the split/bridge loop plus the STD, CE-only,
-and double-distillation baselines, and exemplar memory. Each step after the
-first trains on one Pool: the task's rows, the memory's, the previous model's
-soft labels on them and the old and new class windows. STD, the bridge and
-double distillation train one KD+CE loss, _kd_ce, with one or two KD windows.
+"""Incremental training engine: the split/bridge loop, the STD, CE-only and
+double-distillation baselines and exemplar memory, for seeds trained as one
+stack. Each step after the first trains on one Pool per seed: the task's rows,
+the memory's, the previous model's soft labels on them and the class windows.
+STD, the bridge and dd train one KD+CE loss, _kd_ce, with one or two KD windows.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import losses, metrics, partition
 from .data import LabeledDataset, Task, TaskRange, TaskSequence
 from .losses import _ce_grad, _kd_grad, _softmax, lambda_schedule
-from .net import DenseNet, GradientSet, build_net, sgd_step
+from .net import DenseNet, GradientSet, Layer, _backward, _forward, _views, build_net, sgd_step
 
 SCHEMES = ("sb", "std", "ce", "dd")
 
@@ -83,9 +83,10 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class Pool:
-    """One step's training pool: the task's rows, then the memory's (is_new
-    flags the task's), and the previous model's tempered soft labels on them
-    (None for ce). old and new are the class windows of the widened output."""
+    """One step's training pools, one per seed on a leading axis: the task's
+    rows, then the seed's memory's (is_new flags the task's), and its previous
+    model's tempered soft labels on them (None for ce). Pool sizes are equal
+    across seeds. old and new are the class windows of the widened output."""
 
     x: np.ndarray
     y: np.ndarray
@@ -100,39 +101,56 @@ class Pool:
 
     @classmethod
     def build(cls, task: Task, mem: LabeledDataset, net: DenseNet, cfg: SchemeConfig) -> Pool:
-        """The pool of task's step; call before net's output widens."""
+        """One seed's pool (a stack of one) for task's step; call before net's output widens."""
         d_t, c_old = task.train, net.num_classes
-        x = np.vstack([d_t.x, mem.x])
-        soft = None if cfg.scheme == "ce" else losses.softmax(net.forward(x), cfg.tau)
-        return cls(x, np.concatenate([d_t.y, mem.y]), np.arange(len(x)) < len(d_t), soft,
+        x, y = np.vstack([d_t.x, mem.x]), np.concatenate([d_t.y, mem.y])
+        soft = None if cfg.scheme == "ce" else losses.softmax(net.forward(x), cfg.tau)[None]
+        return cls(x[None], y[None], (np.arange(len(x)) < len(d_t))[None], soft,
                    TaskRange(0, c_old), TaskRange(c_old, c_old + task.classes.size))
 
+    @classmethod
+    def stack(cls, pools: list[Pool]) -> Pool:
+        """The seeds of pools, which share their windows, as one stack."""
+        cols = ([getattr(p, f) for p in pools] for f in ("x", "y", "is_new", "soft"))
+        return cls(*(None if c[0] is None else np.concatenate(c) for c in cols),
+                   pools[0].old, pools[0].new)
 
-def _fit(net, cfg: SchemeConfig, epochs: int, stream, grad, x, *cols, on_grads=None) -> None:
-    """The one training loop: seeded minibatch SGD over the rows of x.
 
-    Each epoch puts x and each of cols, the phase's per-row targets, in the order
-    drawn from default_rng([cfg.seed, *stream]), stream = (step, tag); a batch is
-    the next batch_size rows of each. The phase loss grad(logits, *batch_cols,
-    parts=None) returns d(loss)/d(logits) and leaves logits as they are; given a
-    dict parts, it also records its value components (ce, kd, lce, kd_new) and
-    their total, loss, from the same softmax (_fit passes none). backward and
-    sgd_step write into one gradient set and one scratch buffer per call, beside
-    the velocity; on_grads(net, grads), if given, edits the gradients in place
-    before each update. Every call trains at cfg.learning_rate from zero momentum.
+def _fit(nets, cfgs, epochs: int, stream, grad, x, *cols, on_grads=None) -> None:
+    """The one training loop: seeded minibatch SGD of S networks of one layout
+    in lockstep, nets[s] on row s of x and of cols (the phase's per-row targets).
+
+    cfgs differ only in seed. Each epoch puts seed s's rows in the order drawn
+    from default_rng([cfgs[s].seed, *stream]), stream = (step, tag); a batch is
+    the next batch_size rows of each. One forward pass, phase loss and backward
+    pass per step serve all seeds, on (S, in, out) weight views of the stacked
+    params (a view at S = 1, else refreshed each step). grad(logits, *batch_cols,
+    parts=None) returns d(loss)/d(logits), leaving logits as they are; given a
+    dict parts, it also records the value components and their total, loss, per
+    seed (_fit passes none). Then on_grads(net, grads), if given, edits each
+    seed's gradients in place, and sgd_step updates the seed from its own
+    velocity. Every call trains at cfg.learning_rate from zero momentum.
     """
-    rng, n = np.random.default_rng([cfg.seed, *stream]), len(x)
-    velocity, grads, buf = GradientSet.zeros(net), GradientSet.zeros(net), np.empty_like(net.params)
+    cfg, layout, lanes = cfgs[0], nets[0].layout, np.arange(len(nets))[:, None]
+    rngs = [np.random.default_rng([c.seed, *stream]) for c in cfgs]
+    stack = nets[0].params[None] if len(nets) == 1 else np.empty((len(nets), nets[0].params.size))
+    layers = [Layer(w, b[:, None]) for w, b in zip(*_views(stack, layout))]
+    flat = np.empty_like(stack)  # each seed's gradients, one row each
+    (gw, gb), grads = _views(flat, layout), [GradientSet(g, layout) for g in flat]
+    velocities, buf = [GradientSet.zeros(net) for net in nets], np.empty_like(nets[0].params)
     for _ in range(epochs):
-        order = rng.permutation(n)
-        rows = [a[order] for a in (x, *cols)]
-        for start in range(0, n, cfg.batch_size):
-            xb, *batch = (a[start : start + cfg.batch_size] for a in rows)
-            cache = net.forward_cached(xb)
-            net.backward(xb, grad(cache[0], *batch), cache, out=grads)
-            if on_grads is not None:
-                on_grads(net, grads)
-            sgd_step(net, grads, velocity, cfg.learning_rate, cfg.momentum, cfg.weight_decay, buf)
+        order = np.stack([rng.permutation(x.shape[1]) for rng in rngs])
+        rows = [a[lanes, order] for a in (x, *cols)]
+        for start in range(0, x.shape[1], cfg.batch_size):
+            xb, *batch = (a[:, start : start + cfg.batch_size] for a in rows)
+            if len(nets) > 1:
+                np.stack([net.params for net in nets], out=stack)
+            logits, inputs = _forward(layers, xb)
+            _backward(layers, inputs, grad(logits, *batch), gw, gb)
+            for net, g, v in zip(nets, grads, velocities):
+                if on_grads is not None:
+                    on_grads(net, g)
+                sgd_step(net, g, v, cfg.learning_rate, cfg.momentum, cfg.weight_decay, buf)
 
 
 def _ce(logits, y, parts=None):
@@ -149,9 +167,11 @@ def _kd_lce(old: TaskRange, new: TaskRange, tau: float):
     start, old, new = new.start, old.slice(), new.slice()
     def grad(logits, y, is_new, soft, parts=None):
         g = np.zeros_like(logits)
-        g[:, old] = _kd_grad(_softmax(logits[:, old], tau), soft, tau, parts)
-        g[is_new, new] = _ce_grad(_softmax(logits[is_new, new], 1.0), y[is_new] - start,
-                                  parts, "lce")
+        g[..., old] = _kd_grad(_softmax(logits[..., old], tau), soft, tau, parts)
+        rows = is_new[..., None]  # old rows' labels are placeholders, their entries dropped
+        lce = _ce_grad(_softmax(logits[..., new], 1.0), np.maximum(y - start, 0), parts, "lce",
+                       rows)
+        np.copyto(g[..., new], lce, where=rows)  # the other rows stay +0.0
         if parts is not None:
             parts["loss"] = parts["kd"] + parts["lce"]
         return g
@@ -167,7 +187,7 @@ def _kd_ce(lam: float, tau: float, *windows: TaskRange):
     def grad(logits, y, *softs, parts=None):
         g = np.zeros_like(logits)
         for window, soft, key in zip(windows, softs, keys):
-            g[:, window] = _kd_grad(_softmax(logits[:, window], tau), soft, tau, parts, key)
+            g[..., window] = _kd_grad(_softmax(logits[..., window], tau), soft, tau, parts, key)
         g *= scale
         g += (1 - lam) * _ce_grad(_softmax(logits, 1.0), y, parts)
         if parts is not None:
@@ -176,12 +196,12 @@ def _kd_ce(lam: float, tau: float, *windows: TaskRange):
     return grad
 
 
-def run_first_task(net: DenseNet, d1: LabeledDataset, cfg: SchemeConfig) -> DenseNet:
-    """Plain CE training on the first task's data."""
+def run_first_task(nets: list[DenseNet], d1: LabeledDataset, cfgs: list[SchemeConfig]) -> None:
+    """Plain CE training of every seed's network on the first task's data."""
     if len(d1) == 0:
         raise ValueError("first task dataset is empty")
-    _fit(net, cfg, cfg.epochs_first, (0, 0), _ce, d1.x, d1.y)
-    return net
+    _fit(nets, cfgs, cfgs[0].epochs_first, (0, 0), _ce,
+         *(np.broadcast_to(a, (len(nets),) + a.shape) for a in (d1.x, d1.y)))
 
 
 def run_split_phase(net: DenseNet, pool: Pool, cfg: SchemeConfig, step: int):
@@ -192,7 +212,7 @@ def run_split_phase(net: DenseNet, pool: Pool, cfg: SchemeConfig, step: int):
     disconnects and minimizes KD + LCE on the branched network, zeroing the
     cut weights' gradients each step: as the weights and the fresh velocities
     start at 0.0, weight decay and momentum keep them there exactly. KD reads
-    the pool's soft labels in both stages.
+    the pool's soft labels in both stages; pool holds one seed, net's.
 
     Returns (net, plan, groups, diagnostics).
     """
@@ -206,55 +226,54 @@ def run_split_phase(net: DenseNet, pool: Pool, cfg: SchemeConfig, step: int):
         losses.sparsify_penalty(net, plan, cfg.gamma, into=grads)
 
     diagnostics = {"cross_norm_start": losses.sparsify_penalty(net, plan, 1.0)}
-    _fit(net, cfg, cfg.epochs_sparsify, (step, 1), kd_lce, *rows,
+    _fit([net], [cfg], cfg.epochs_sparsify, (step, 1), kd_lce, *rows,
          on_grads=penalty if cfg.gamma > 0 else None)
     diagnostics["cross_norm_at_disconnect"] = losses.sparsify_penalty(net, plan, 1.0)
 
     partition.disconnect(net, plan.groups)
-    _fit(net, cfg, cfg.epochs_branched, (step, 2), kd_lce, *rows, on_grads=zero_cut)
+    _fit([net], [cfg], cfg.epochs_branched, (step, 2), kd_lce, *rows, on_grads=zero_cut)
     return net, plan, plan.groups, diagnostics
 
 
-def run_bridge_phase(net: DenseNet, plan: partition.PartitionPlan, pool: Pool,
-                     cfg: SchemeConfig, step: int) -> DenseNet:
-    """Re-enable the cut weights at zero and train the composite loss.
+def run_bridge_phase(nets: list[DenseNet], plans: list[partition.PartitionPlan], pool: Pool,
+                     cfgs: list[SchemeConfig], step: int) -> None:
+    """Re-enable each seed's cut weights at zero and train the composite loss.
 
     bridge_reconnect checks that the cut weights are exactly 0.0, so the
     bridge starts from the branched network's logits. The KD teacher is the
     shared-trunk-plus-old-branch subnetwork, frozen before any bridge update.
     """
-    soft = losses.softmax(partition.extract_subnet(net, plan).forward(pool.x), cfg.tau)
-    partition.bridge_reconnect(net, plan.groups)
-    _fit(net, cfg, cfg.epochs_bridge, (step, 3), _kd_ce(pool.lam, cfg.tau, pool.old),
+    soft = np.stack([losses.softmax(partition.extract_subnet(net, plan).forward(x), cfgs[0].tau)
+                     for net, plan, x in zip(nets, plans, pool.x)])
+    for net, plan in zip(nets, plans):
+        partition.bridge_reconnect(net, plan.groups)
+    _fit(nets, cfgs, cfgs[0].epochs_bridge, (step, 3), _kd_ce(pool.lam, cfgs[0].tau, pool.old),
          pool.x, pool.y, soft)
-    return net
 
 
-def run_std_step(net: DenseNet, pool: Pool, cfg: SchemeConfig, step: int) -> DenseNet:
+def run_std_step(nets: list[DenseNet], pool: Pool, cfgs: list[SchemeConfig], step: int) -> None:
     """Single-phase composite-loss training (the standard KD-based scheme)."""
-    _fit(net, cfg, cfg.epochs_std, (step, 1), _kd_ce(pool.lam, cfg.tau, pool.old),
+    _fit(nets, cfgs, cfgs[0].epochs_std, (step, 1), _kd_ce(pool.lam, cfgs[0].tau, pool.old),
          pool.x, pool.y, pool.soft)
-    return net
 
 
-def run_ce_step(net: DenseNet, pool: Pool, cfg: SchemeConfig, step: int) -> DenseNet:
+def run_ce_step(nets: list[DenseNet], pool: Pool, cfgs: list[SchemeConfig], step: int) -> None:
     """CE-only ablation: plain cross entropy over the pool, no distillation."""
-    _fit(net, cfg, cfg.epochs_std, (step, 1), _ce, pool.x, pool.y)
-    return net
+    _fit(nets, cfgs, cfgs[0].epochs_std, (step, 1), _ce, pool.x, pool.y)
 
 
-def run_dd_step(net: DenseNet, pool: Pool, cfg: SchemeConfig, step: int) -> DenseNet:
-    """Double distillation: train a throwaway network on the new-task rows
-    alone, then merge via two KD losses (old soft labels over old logits, the
-    throwaway's over new logits) mixed against CE with the usual schedule.
-    The extra network is dropped when the step returns."""
-    x, y, new = pool.x, pool.y, pool.new
-    aux = build_net(net.in_dim, list(cfg.hidden), new.size, seed=[cfg.seed, step, 5])
-    _fit(aux, cfg, cfg.epochs_std, (step, 4), _ce, x[pool.is_new], y[pool.is_new] - new.start)
-    soft_new = losses.softmax(aux.forward(x), cfg.tau)
-    _fit(net, cfg, cfg.epochs_std, (step, 1), _kd_ce(pool.lam, cfg.tau, pool.old, new),
+def run_dd_step(nets: list[DenseNet], pool: Pool, cfgs: list[SchemeConfig], step: int) -> None:
+    """Double distillation: train a throwaway network per seed on the new-task
+    rows alone, then merge via two KD losses (old soft labels over old logits,
+    the throwaway's over new logits) mixed against CE with the usual schedule.
+    The extra networks are dropped when the step returns."""
+    cfg, x, y, new, task_rows = cfgs[0], pool.x, pool.y, pool.new, pool.is_new[0]
+    aux = [build_net(nets[0].in_dim, list(cfg.hidden), new.size, seed=[c.seed, step, 5])
+           for c in cfgs]
+    _fit(aux, cfgs, cfg.epochs_std, (step, 4), _ce, x[:, task_rows], y[:, task_rows] - new.start)
+    soft_new = np.stack([losses.softmax(a.forward(xs), cfg.tau) for a, xs in zip(aux, x)])
+    _fit(nets, cfgs, cfg.epochs_std, (step, 1), _kd_ce(pool.lam, cfg.tau, pool.old, new),
          x, y, pool.soft, soft_new)
-    return net
 
 
 def update_exemplars(mem: LabeledDataset, d_t: LabeledDataset, capacity: int,
@@ -277,33 +296,42 @@ class StepResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def run_sequence(seq: TaskSequence, cfg: SchemeConfig) -> list[StepResult]:
-    """Run the full incremental loop for the configured scheme.
+def run_sequence(seq: TaskSequence, cfgs: list[SchemeConfig]) -> list[list[StepResult]]:
+    """Run the full incremental loop for configs that differ only in seed, in
+    lockstep, and return each config's step results.
 
     The first task is always trained by CE; later tasks follow the scheme,
-    each on one Pool built before the output layer widens. The exemplar
-    memory, a LabeledDataset that starts empty, is updated after every task
-    and the model is evaluated once per task. The runners are looked up at
-    call time, so a wrapper set on this module sees every call.
+    each on one Pool per seed built before the output layer widens. All seeds
+    train as one stack in every phase but the split phase, which runs per seed.
+    Each seed's exemplar memory, a LabeledDataset that starts empty, is updated
+    after every task and each model is evaluated once per task. The runners are
+    looked up at call time, so a wrapper set on this module sees every call.
     """
-    mem = seq.tasks[0].train.subset(slice(0, 0))
-    net = build_net(seq.feature_dim, list(cfg.hidden), seq.tasks[0].classes.size, cfg.seed)
-    results = []
+    if not cfgs or any(replace(c, seed=cfgs[0].seed) != cfgs[0] for c in cfgs):
+        raise ValueError("a stack needs one or more configs that differ only in seed")
+    cfg = cfgs[0]
+    mems = [seq.tasks[0].train.subset(slice(0, 0))] * len(cfgs)
+    nets = [build_net(seq.feature_dim, list(cfg.hidden), seq.tasks[0].classes.size, c.seed)
+            for c in cfgs]
+    results = [[] for _ in cfgs]
     for t, task in enumerate(seq.tasks, start=1):
-        plan_summary, diagnostics = None, {}
+        splits = [(None, None, None, {}) for _ in cfgs]
         if t == 1:
-            run_first_task(net, task.train, cfg)
+            run_first_task(nets, task.train, cfgs)
         else:
-            pool = Pool.build(task, mem, net, cfg)
-            net.widen_output(task.classes.size)
+            pools = [Pool.build(task, mem, net, cfg) for mem, net in zip(mems, nets)]
+            for net in nets:
+                net.widen_output(task.classes.size)
             if cfg.scheme == "sb":
-                net, plan, _, diagnostics = run_split_phase(net, pool, cfg, t)
-                run_bridge_phase(net, plan, pool, cfg, t)
-                plan_summary = plan.summary()
+                splits = [run_split_phase(*args, t) for args in zip(nets, pools, cfgs)]
+                nets = [split[0] for split in splits]
+                run_bridge_phase(nets, [split[1] for split in splits], Pool.stack(pools), cfgs, t)
             else:
                 step = {"std": run_std_step, "ce": run_ce_step, "dd": run_dd_step}[cfg.scheme]
-                step(net, pool, cfg, t)
-        mem = update_exemplars(mem, task.train, cfg.memory_capacity, cfg.seed + t)
-        report = metrics.evaluate(net, seq.tasks[:t], t)
-        results.append(StepResult(t, net.clone(), report, plan_summary, diagnostics))
+                step(nets, Pool.stack(pools), cfgs, t)
+        mems = [update_exemplars(mem, task.train, cfg.memory_capacity, c.seed + t)
+                for mem, c in zip(mems, cfgs)]
+        for net, (_, plan, _, diagnostics), out in zip(nets, splits, results):
+            report = metrics.evaluate(net, seq.tasks[:t], t)
+            out.append(StepResult(t, net.clone(), report, plan and plan.summary(), diagnostics))
     return results

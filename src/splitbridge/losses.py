@@ -5,9 +5,10 @@ numeric differentiation.
 
 All batch losses are batch means, so the composite mixing weight combines
 like-scaled quantities. Probabilities are floored at 1e-12 inside logs.
-The kernels are unchecked and work on float64 batches or logit slices; each
-turns a softmax into its gradient in place and, on request, records the loss
-value first. softmax is the checked entry point for soft labels.
+The kernels are unchecked and work on float64 batches (..., rows, classes) or
+their logit slices, leading axes a stack of batches each reduced on its own;
+each turns a softmax into its gradient in place and, on request, records the
+loss value per batch first. softmax is the checked entry point for soft labels.
 """
 
 from __future__ import annotations
@@ -27,31 +28,36 @@ def _softmax(z: np.ndarray, temperature: float) -> np.ndarray:
     return z
 
 
-def _mean_nll(probs: np.ndarray, weights, n: int) -> float:
-    """sum(-weights * log(probs)) / n with probs floored; 0.0 for a batch of no rows."""
-    return float(np.sum(-weights * np.log(np.maximum(probs, _LOG_FLOOR))) / max(n, 1))
+def _mean_nll(probs: np.ndarray, weights, n):
+    """Per batch: the sum of weights * -log(probs) over the last two axes, divided
+    by n, with probs floored; 0.0 for a batch of no rows."""
+    total = np.sum(weights * -np.log(np.maximum(probs, _LOG_FLOOR)), axis=(-2, -1), keepdims=True)
+    return (total / np.maximum(n, 1))[..., 0, 0]
 
 
-def _ce_grad(p: np.ndarray, labels: np.ndarray, parts=None, key="ce") -> np.ndarray:
-    """Unchecked: a batch's softmax p becomes d(mean CE)/d(logits), in place.
-    Given a dict parts, parts[key] is first set to the mean CE."""
-    rows = np.arange(len(p))
+def _ce_grad(p: np.ndarray, labels: np.ndarray, parts=None, key="ce", rows=None) -> np.ndarray:
+    """Unchecked: a batch's fresh softmax p becomes d(mean CE)/d(logits), in place;
+    with a boolean rows, (..., b, 1), the mean is over the rows it flags (the others'
+    entries are the caller's to drop). Given a dict parts, parts[key] is first the mean CE."""
+    n = p.shape[-2] if rows is None else np.maximum(rows.sum(axis=-2, keepdims=True), 1)
+    flat, hit = p.reshape(-1, p.shape[-1]), (np.arange(labels.size), labels.ravel())
     if parts is not None:
-        parts[key] = _mean_nll(p[rows, labels], 1.0, len(p))
-    p[rows, labels] -= 1.0
-    p /= len(p)
+        parts[key] = _mean_nll(flat[hit].reshape(labels.shape + (1,)),
+                               1.0 if rows is None else rows, n)
+    flat[hit] -= 1.0
+    p /= n
     return p
 
 
 def _kd_grad(q: np.ndarray, teacher_probs: np.ndarray, temperature: float, parts=None,
              key="kd") -> np.ndarray:
-    """Unchecked: a batch's tempered softmax q becomes d(mean KD)/d(window logits), in
-    place. Given a dict parts, parts[key] is first set to the mean KD, the cross entropy
-    of q against teacher_probs."""
+    """Unchecked: a batch's tempered softmax q, (..., b, c), becomes d(mean KD)/d(window
+    logits), in place. Given a dict parts, parts[key] is first set to the mean KD, the
+    cross entropy of q against teacher_probs."""
     if parts is not None:
-        parts[key] = _mean_nll(q, teacher_probs, len(q))
+        parts[key] = _mean_nll(q, teacher_probs, q.shape[-2])
     q -= teacher_probs
-    q /= temperature * len(q)
+    q /= temperature * q.shape[-2]
     return q
 
 

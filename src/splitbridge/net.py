@@ -41,16 +41,45 @@ class Layer:
 
 def _views(flat: np.ndarray, layout: tuple) -> tuple[tuple, tuple]:
     """Per-layer weight and bias views of flat: all weights first, then all
-    biases, layer by layer. layout holds each layer's (in_dim, out_dim)."""
-    ws, bs, off = [], [], 0
+    biases, layer by layer. layout holds each layer's (in_dim, out_dim). Leading
+    axes of flat (a stack of buffers) lead each view: weights (S, in, out)."""
+    ws, bs, off, lead = [], [], 0, flat.shape[:-1]
     for shape in layout:
         size = shape[0] * shape[1]
-        ws.append(flat[off : off + size].reshape(shape))
+        ws.append(flat[..., off : off + size].reshape(lead + shape))
         off += size
     for _, out_dim in layout:
-        bs.append(flat[off : off + out_dim])
+        bs.append(flat[..., off : off + out_dim])
         off += out_dim
     return tuple(ws), tuple(bs)
+
+
+def _forward(layers, x: np.ndarray):
+    """Unchecked forward pass: (logits, each layer's input). Stacked layers,
+    w (S, in, out) and b (S, 1, out), take x (S, n, in); each network's slice
+    of every product and sum is its own 2-D pass."""
+    inputs, h = [], x
+    for i, layer in enumerate(layers):
+        inputs.append(h)
+        h = h @ layer.w  # a fresh array: the bias and ReLU go in place
+        h += layer.b
+        if i < len(layers) - 1:
+            np.maximum(h, 0.0, out=h)
+    return h, inputs
+
+
+def _backward(layers, inputs, delta: np.ndarray, wgrads, bgrads) -> None:
+    """Unchecked: backpropagate d(loss)/d(logits) delta of a _forward pass into
+    the views wgrads and bgrads, shaped like the layers' w and b; delta stays."""
+    for i in range(len(layers) - 1, -1, -1):
+        if i < len(layers) - 1:
+            # a hidden layer's output is the next input; relu(z) > 0 exactly where z > 0.
+            # The logit layer has no ReLU, so delta is the fresh product from above
+            delta *= inputs[i + 1] > 0
+        np.matmul(inputs[i].swapaxes(-1, -2), delta, out=wgrads[i])
+        np.add.reduce(delta, axis=-2, out=bgrads[i])
+        if i > 0:
+            delta = delta @ layers[i].w.swapaxes(-1, -2)
 
 
 class DenseNet:
@@ -109,44 +138,19 @@ class DenseNet:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.in_dim:
             raise ShapeError(f"input dim {x.shape[1]} != layer 0 in_dim {self.in_dim}")
-        inputs = []
-        h = x
-        for i, layer in enumerate(self.layers):
-            inputs.append(h)
-            h = h @ layer.w  # a fresh array: the bias and ReLU go in place
-            h += layer.b
-            if i < self.depth - 1:
-                np.maximum(h, 0.0, out=h)
-        return h, inputs
+        return _forward(self.layers, x)
 
-    def backward(self, x: np.ndarray, upstream: np.ndarray, cache=None,
-                 out: "GradientSet | None" = None) -> "GradientSet":
-        """Backpropagate d(loss)/d(logits) to per-parameter gradients.
-
-        cache is the forward_cached(x) result for the current parameters;
-        without it the forward pass is recomputed. The gradients overwrite and
-        return out, a GradientSet in this network's layout (ShapeError for
-        another, as one built before widen_output), or else a new one.
+    def backward(self, x: np.ndarray, upstream: np.ndarray, cache=None) -> "GradientSet":
+        """Backpropagate d(loss)/d(logits) to a new GradientSet of per-parameter
+        gradients. cache is the forward_cached(x) result for the current
+        parameters; without it the forward pass is recomputed.
         """
         logits, inputs = self.forward_cached(x) if cache is None else cache
         upstream = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
         if upstream.shape != logits.shape:
             raise ShapeError(f"upstream shape {upstream.shape} != logits shape {logits.shape}")
-        if out is not None and out.layout != self.layout:
-            raise ShapeError(f"out layout {out.layout} != network layout {self.layout}")
-        grads = GradientSet(np.empty_like(self.params), self.layout) if out is None else out
-        wgrads, bgrads = grads.wgrads, grads.bgrads
-        delta = upstream
-        for i in range(self.depth - 1, -1, -1):
-            layer = self.layers[i]
-            if i < self.depth - 1:
-                # a hidden layer's output is the next input; relu(z) > 0 exactly where z > 0.
-                # The logit layer has no ReLU, so delta is the fresh product from above
-                delta *= inputs[i + 1] > 0
-            np.matmul(inputs[i].T, delta, out=wgrads[i])
-            np.add.reduce(delta, axis=0, out=bgrads[i])
-            if i > 0:
-                delta = delta @ layer.w.T
+        grads = GradientSet(np.empty_like(self.params), self.layout)
+        _backward(self.layers, inputs, upstream, grads.wgrads, grads.bgrads)
         return grads
 
     def clone(self) -> "DenseNet":

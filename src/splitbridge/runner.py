@@ -78,37 +78,47 @@ def build_config(scheme: str, seed: int, overrides: dict | None = None) -> Schem
     return SchemeConfig(scheme=scheme, seed=seed, **overrides)
 
 
-def run_experiment(bench: dict, scheme: str, num_tasks: int, seed: int,
-                   overrides: dict | None = None, out_dir=None) -> dict:
-    """Run one (scheme, task count, seed) cell and return its manifest dict.
+def run_cells(bench: dict, scheme: str, num_tasks: int, seeds: list[int],
+              overrides: dict | None = None, out_dirs=None) -> list[dict]:
+    """Run the (scheme, task count) cell of each seed, the seeds as one stack
+    on one task sequence, and return their manifest dicts in seed order.
 
-    When out_dir is given, per-step checkpoints and the manifest are written
-    there.
+    When out_dirs, one directory per seed, is given, each cell's per-step
+    checkpoints and manifest are written to its own.
     """
     seq = make_benchmark(bench, num_tasks)
-    cfg = build_config(scheme, seed, overrides)
-    results = run_sequence(seq, cfg)
-    manifest = {
-        "scheme": scheme,
-        "tasks": num_tasks,
-        "seed": seed,
-        "benchmark": bench,
-        "config": dataclasses.asdict(cfg),
-        "reports": [r.report.to_dict() for r in results],
-        "plans": [r.plan_summary for r in results],
-        "diagnostics": [r.diagnostics for r in results],
-        "avg_incremental_acc": (
-            average_incremental_accuracy([r.report for r in results])
-            if len(results) >= 2 else None
-        ),
-    }
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for r in results:
-            r.net.save(out_dir / f"step{r.step}.ckpt")
-        _write_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2))
-    return manifest
+    cfgs = [build_config(scheme, seed, overrides) for seed in seeds]
+    manifests = []
+    for cfg, results, out_dir in zip(cfgs, run_sequence(seq, cfgs), out_dirs or [None] * len(cfgs)):
+        manifest = {
+            "scheme": scheme,
+            "tasks": num_tasks,
+            "seed": cfg.seed,
+            "benchmark": bench,
+            "config": dataclasses.asdict(cfg),
+            "reports": [r.report.to_dict() for r in results],
+            "plans": [r.plan_summary for r in results],
+            "diagnostics": [r.diagnostics for r in results],
+            "avg_incremental_acc": (
+                average_incremental_accuracy([r.report for r in results])
+                if len(results) >= 2 else None
+            ),
+        }
+        if out_dir is not None:
+            out_dir = Path(out_dir)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for r in results:
+                r.net.save(out_dir / f"step{r.step}.ckpt")
+            _write_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2))
+        manifests.append(manifest)
+    return manifests
+
+
+def run_experiment(bench: dict, scheme: str, num_tasks: int, seed: int,
+                   overrides: dict | None = None, out_dir=None) -> dict:
+    """Run one (scheme, task count, seed) cell, run_cells with one seed, and
+    return its manifest dict; with out_dir, its files are written there."""
+    return run_cells(bench, scheme, num_tasks, [seed], overrides, [out_dir])[0]
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -117,58 +127,55 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _cell(args):
-    bench, scheme, tasks, seed, overrides, cell_dir = args
+def _stack(args):
+    bench, scheme, tasks, seeds, overrides, out_dir = args
+    names = [f"{scheme}_t{tasks}_s{seed}" for seed in seeds]
     try:
-        return run_experiment(bench, scheme, tasks, seed, overrides, cell_dir), None
-    except Exception as exc:
-        return None, {"cell": f"{scheme}_t{tasks}_s{seed}", "error": str(exc)}
+        return run_cells(bench, scheme, tasks, seeds, overrides,
+                         [out_dir / name for name in names]), []
+    except Exception as exc:  # fails every cell of the stack
+        return [], [{"cell": name, "error": str(exc)} for name in names]
 
 
 def run_matrix(matrix: dict, out_dir) -> int:
     """Run every (scheme, task-count, seed) cell; returns a process exit code.
 
     Writes rows.jsonl (one row per cell and step), summary.csv (mean/std over
-    seeds), and a per-cell directory with checkpoints and a manifest. Cell
-    failures are recorded and the remaining cells continue; any failure makes
-    the exit code nonzero. SPLITBRIDGE_WORKERS (an integer >= 1, default 1)
-    cells run at once, at most one per cell. A bad count, or a missing or empty
-    schemes, task_counts or seeds axis, raises a ValueError before any write.
+    seeds), and a per-cell directory with checkpoints and a manifest. The seeds
+    of a (scheme, task count) group run as one stack (run_cells); a stack's
+    failure is recorded for each of its cells, the other stacks continue, and
+    any failure makes the exit code nonzero. SPLITBRIDGE_WORKERS (an integer
+    >= 1, default 1) processes, at most one per cell, run the stacks; a group's
+    seeds are split in order into enough stacks to keep each process busy. A
+    bad count, or a missing or empty schemes, task_counts or seeds axis,
+    raises a ValueError before any write.
     """
     out_dir = Path(out_dir)
     bench = {**DEFAULT_BENCHMARK, **matrix.get("benchmark", {})}
     for axis in ("schemes", "task_counts", "seeds"):
         if not matrix.get(axis):
             raise ValueError(f"matrix config needs a non-empty {axis!r} list")
-    schemes = matrix["schemes"]
-    task_counts = matrix["task_counts"]
     seeds = matrix["seeds"]
+    groups = [(scheme, tasks) for scheme in matrix["schemes"] for tasks in matrix["task_counts"]]
     overrides = matrix.get("config", {})
     raw = os.environ.get(WORKERS_ENV, "1")
     if not (raw.strip().isdecimal() and int(raw) >= 1):
         raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}")
 
-    jobs = []
-    for scheme in schemes:
-        for tasks in task_counts:
-            for seed in seeds:
-                cell_dir = out_dir / f"{scheme}_t{tasks}_s{seed}"
-                jobs.append((bench, scheme, tasks, seed, overrides, cell_dir))
-
+    workers = min(int(raw), len(groups) * len(seeds))
+    k = min(len(seeds), -(-workers // len(groups)))  # stacks per group
+    jobs = [(bench, scheme, tasks, seeds[i * len(seeds) // k : (i + 1) * len(seeds) // k],
+             overrides, out_dir) for scheme, tasks in groups for i in range(k)]
     out_dir.mkdir(parents=True, exist_ok=True)
-    workers = min(int(raw), len(jobs))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_cell, jobs))
+            outcomes = list(pool.map(_stack, jobs))
     else:
-        outcomes = [_cell(job) for job in jobs]
-    manifests = [m for m, _ in outcomes]
-    failures = [f for _, f in outcomes if f is not None]
+        outcomes = [_stack(job) for job in jobs]
+    failures = [f for _, fs in outcomes for f in fs]
 
     rows = []
-    for m in manifests:
-        if m is None:
-            continue
+    for m in (m for ms, _ in outcomes for m in ms):
         for report in m["reports"]:
             rows.append({"scheme": m["scheme"], "tasks": m["tasks"], "seed": m["seed"], **report})
     rows.sort(key=lambda r: (r["scheme"], r["tasks"], r["seed"], r["step"]))

@@ -179,9 +179,8 @@ def test_criterion_4_two_task_distillation_tradeoff():
     with _Gate(4, "distillation trades new-class accuracy for old") as gate:
         final = {}
         for scheme in ("ce", "std"):
-            reports = [runner.run_experiment(runner.DEFAULT_BENCHMARK, scheme, 2,
-                                             s, overrides)["reports"][-1]
-                       for s in seeds]
+            reports = [m["reports"][-1] for m in runner.run_cells(
+                runner.DEFAULT_BENCHMARK, scheme, 2, list(seeds), overrides)]
             final[scheme] = reports
         gaps = []
         for key, sign in (("old_acc", +1), ("intra_old_acc", +1),
@@ -198,11 +197,10 @@ def test_criterion_4_two_task_distillation_tradeoff():
 def _scheme_stats(bench, tasks, overrides, seeds):
     stats = {}
     for scheme in ("sb", "std", "dd"):
-        avgs, intranews = [], []
-        for s in seeds:
-            m = runner.run_experiment(bench, scheme, tasks, s, overrides)
-            avgs.append(m["avg_incremental_acc"])
-            intranews.append(np.mean([r["intra_new_acc"] for r in m["reports"][1:]]))
+        # the seeds train as one stack; each manifest is the seed's own cell
+        manifests = runner.run_cells(bench, scheme, tasks, list(seeds), overrides)
+        avgs = [m["avg_incremental_acc"] for m in manifests]
+        intranews = [np.mean([r["intra_new_acc"] for r in m["reports"][1:]]) for m in manifests]
         stats[scheme] = (np.array(avgs), np.array(intranews))
     return stats
 

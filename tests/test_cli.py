@@ -143,6 +143,34 @@ class TestRunner:
         assert requested == [2]
         assert len((tmp_path / "rows.jsonl").read_text().splitlines()) == 4
 
+    def test_workers_split_a_group_into_stacks(self, tmp_path, monkeypatch):
+        # 3 workers, 2 (scheme, task count) groups of 3 seeds: each group's
+        # seeds split in two stacks, in order, so all 3 processes get work
+        stacks = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                stacks.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                jobs = list(jobs)
+                stacks.extend((job[1], job[3]) for job in jobs)
+                return map(fn, jobs)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setenv(WORKERS_ENV, "3")
+        matrix = {"benchmark": TINY_BENCH, "schemes": ["ce", "std"], "task_counts": [2],
+                  "seeds": [4, 5, 6], "config": TINY_CONFIG}
+        assert run_matrix(matrix, tmp_path) == 0
+        assert stacks == [3, ("ce", [4]), ("ce", [5, 6]), ("std", [4]), ("std", [5, 6])]
+        assert len((tmp_path / "rows.jsonl").read_text().splitlines()) == 12
+
     @pytest.mark.parametrize("scheme", ["sb", "std", "ce", "dd"])
     def test_cell_identical_across_hash_seeds(self, tmp_path, scheme):
         # str hashing is salted per process; no stream may depend on it
@@ -161,6 +189,22 @@ class TestRunner:
         assert outputs[0] == outputs[1]
         assert "manifest.json" in outputs[0] and "step2.ckpt" in outputs[0]
 
+    @pytest.mark.parametrize("scheme", ["sb", "std", "ce", "dd"])
+    def test_run_cells_writes_the_bytes_of_single_runs(self, tmp_path, scheme):
+        # three seeds trained as one stack write every file as three single runs do
+        seeds = [0, 1, 2]
+        manifests = runner.run_cells(TINY_BENCH, scheme, 4, seeds, TINY_CONFIG,
+                                     [tmp_path / "stack" / str(s) for s in seeds])
+        assert [m["seed"] for m in manifests] == seeds
+        for s, manifest in zip(seeds, manifests):
+            single = run_experiment(TINY_BENCH, scheme, 4, s, TINY_CONFIG,
+                                    out_dir=tmp_path / "single" / str(s))
+            assert manifest == single
+        files = [{f.relative_to(root): f.read_bytes() for f in sorted(root.rglob("*.*"))}
+                 for root in (tmp_path / "stack", tmp_path / "single")]
+        # a manifest and four checkpoints per seed
+        assert files[0] == files[1] and len(files[0]) == 3 * (1 + 4)
+
     def test_matrix_records_failures(self, tmp_path):
         matrix = {
             "benchmark": TINY_BENCH,
@@ -177,6 +221,19 @@ class TestRunner:
         # the healthy cell still produced rows
         rows = (tmp_path / "rows.jsonl").read_text().splitlines()
         assert len(rows) == 2
+
+    def test_matrix_failure_fails_each_cell_of_its_stack(self, tmp_path):
+        # the seeds of a (scheme, task count) group train as one stack: its
+        # error is recorded once per cell, and the other group still runs
+        matrix = {"benchmark": TINY_BENCH, "schemes": ["std"], "task_counts": [3, 2],
+                  "seeds": [0, 1], "config": TINY_CONFIG}
+        assert run_matrix(matrix, tmp_path) == 1
+        failures = json.loads((tmp_path / "failures.json").read_text())
+        assert [f["cell"] for f in failures] == ["std_t3_s0", "std_t3_s1"]
+        assert failures[0]["error"] == failures[1]["error"]
+        assert "divisor" in failures[0]["error"]
+        assert len((tmp_path / "rows.jsonl").read_text().splitlines()) == 4
+        assert not (tmp_path / "std_t3_s0").exists()
 
 
 class TestCli:
@@ -362,6 +419,24 @@ class TestCli:
         assert cli_main(["run", "--tasks", "2", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err == "error: test label 7 is outside the train split's 4 classes\n"
+
+    def test_csv_train_missing_class_exit_1_one_line(self, tmp_path, capsys):
+        # a train.csv without class 1's rows ends in one error line naming the
+        # class and the split, not in a run whose second task lacks a class
+        assert cli_main(["gen-data", "--classes", "4", "--dim", "3", "--train-per-class", "5",
+                         "--test-per-class", "2", "--out", str(tmp_path)]) == 0
+        header, *rows = (tmp_path / "train.csv").read_text().splitlines()
+        kept = [row for row in rows if not row.startswith("1,")]
+        assert len(kept) == 15
+        (tmp_path / "train.csv").write_text("\n".join([header, *kept]) + "\n")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"benchmark": {
+            "source": "csv", "train_csv": str(tmp_path / "train.csv"),
+            "test_csv": str(tmp_path / "test.csv")}}))
+        capsys.readouterr()
+        assert cli_main(["run", "--tasks", "2", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: train split has no rows of class 1, one of its 4 classes\n"
 
     def test_eval_step_0_exit_1_one_line(self, tmp_path, capsys):
         # a readable checkpoint, so the error is evaluate's, not the loader's

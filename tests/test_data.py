@@ -284,6 +284,14 @@ class TestSplitTasks:
         with pytest.raises(ValueError, match="^test label 5 is outside the train split's 4 classes$"):
             split_tasks(train, test, 2, seed=0)
 
+    def test_train_split_missing_a_class_named(self):
+        # labels 0, 2 and 3: class 1 would join a task with no training rows
+        train, test = gen_synthetic(4, 3, 5, 2, seed=0)
+        train = train.subset(train.y != 1)
+        with pytest.raises(ValueError, match="^train split has no rows of class 1, one of its 4 "
+                                             "classes$"):
+            split_tasks(train, test, 2, seed=0)
+
     def test_sequence_properties(self):
         train, test = gen_synthetic(6, 7, 5, 3, seed=0)
         seq = split_tasks(train, test, 2, seed=4)

@@ -83,7 +83,7 @@ class TestFirstTask:
         train, test = gen_synthetic(2, 4, 60, 40, seed=3, mean_radius=4.0)
         cfg = SchemeConfig(**FAST)
         net = build_net(4, list(cfg.hidden), 2, seed=0)
-        run_first_task(net, train, cfg)
+        run_first_task([net], train, [cfg])
         acc = np.mean(net.forward(test.x).argmax(axis=1) == test.y)
         assert acc >= 0.99
 
@@ -91,7 +91,7 @@ class TestFirstTask:
         cfg = SchemeConfig(**FAST)
         net = build_net(4, list(cfg.hidden), 2, seed=0)
         with pytest.raises(ValueError, match="empty"):
-            run_first_task(net, LabeledDataset(np.zeros((0, 4)), [], 2), cfg)
+            run_first_task([net], LabeledDataset(np.zeros((0, 4)), [], 2), [cfg])
 
 
 def empty_memory(d):
@@ -165,7 +165,7 @@ class TestFit:
         net = build_net(seq.feature_dim, list(cfg.hidden), 2, seed=0)
         ref = net.clone()
         for stream, call_cfg in calls:
-            _fit(net, call_cfg, 3, stream, _ce, d.x, d.y)
+            _fit([net], [call_cfg], 3, stream, _ce, d.x[None], d.y[None])
 
         for stream, call_cfg in calls:
             lr = call_cfg.learning_rate
@@ -251,6 +251,37 @@ class TestFusedGradients:
         self._check(_kd_ce(self.LAM, self.TAU, self.OLD, self.NEW), rng, is_new,
                     y, soft, soft_new)
 
+    @pytest.mark.parametrize("loss", ["ce", "composite", "kd_lce", "double_kd"])
+    def test_stacked_batch_equals_each_seed_alone(self, rng, loss):
+        # _fit hands a phase loss one batch per seed on a leading axis; each
+        # seed's gradient and value components must be the bytes its own 2-D
+        # batch gives, also for a seed whose batch has no new rows (seed 1)
+        grad = {"ce": _ce, "composite": _kd_ce(self.LAM, self.TAU, self.OLD),
+                "kd_lce": _kd_lce(self.OLD, self.NEW, self.TAU),
+                "double_kd": _kd_ce(self.LAM, self.TAU, self.OLD, self.NEW)}[loss]
+        seeds = []
+        for s in range(3):
+            y, is_new, soft = self._rows(rng, n=40)
+            rows = np.flatnonzero(~is_new if s == 1 else np.ones(40, bool))[:13]
+            soft_new = losses.softmax(rng.standard_normal((len(rows), self.C_NEW)), self.TAU)
+            seeds.append({"ce": (y[rows],), "composite": (y[rows], soft[rows]),
+                          "kd_lce": (y[rows], is_new[rows], soft[rows]),
+                          "double_kd": (y[rows], soft[rows], soft_new)}[loss])
+        logits = 4.0 * rng.standard_normal((3, 13, self.C_OLD + self.C_NEW))
+        before, parts = logits.copy(), {}
+        stacked = grad(logits, *map(np.stack, zip(*seeds)), parts=parts)
+        assert logits.tobytes() == before.tobytes()
+        for s, cols in enumerate(seeds):
+            own = {}
+            assert stacked[s].tobytes() == grad(logits[s], *cols, parts=own).tobytes()
+            assert own.keys() == parts.keys()
+            for key, value in own.items():
+                assert np.float64(parts[key][s]).tobytes() == np.float64(value).tobytes(), key
+        if loss == "kd_lce":  # LCE is 0.0 on the batch without new rows, its entries +0.0
+            assert seeds[0][1].any() and not seeds[1][1].any()
+            assert parts["lce"][1] == 0.0 and parts["lce"][0] > 0.0
+            assert stacked[1][:, self.C_OLD:].tobytes() == np.zeros((13, self.C_NEW)).tobytes()
+
 
 class TestSplitPhase:
     def test_requires_new_classes(self):
@@ -268,7 +299,7 @@ class TestSplitPhase:
         seq = small_sequence()
         cfg = SchemeConfig(**FAST, weight_decay=1e-2, momentum=0.9)
         net = build_net(seq.feature_dim, list(cfg.hidden), 2, seed=0)
-        run_first_task(net, seq.tasks[0].train, cfg)
+        run_first_task([net], seq.tasks[0].train, [cfg])
         d1 = seq.tasks[0].train
         mem = update_exemplars(empty_memory(d1), d1, cfg.memory_capacity, 1)
         pool = Pool.build(seq.tasks[1], mem, net, cfg)
@@ -283,7 +314,7 @@ class TestSplitPhase:
         branched = net.forward(probe)
         bridge_reconnect(net, groups)
         assert net.forward(probe).tobytes() == branched.tobytes()
-        run_bridge_phase(net, plan, pool, cfg, 2)
+        run_bridge_phase([net], [plan], pool, [cfg], 2)
         assert any(np.any(net.layers[li].w[on | no] != 0.0)
                    for li, (on, no) in groups.per_layer.items())
 
@@ -310,11 +341,11 @@ class TestStdReduction:
         net = build_net(seq.feature_dim, list(cfg.hidden), 4, seed=5)
         pool = Pool.build(seq.tasks[2], empty_memory(seq.tasks[2].train), net, cfg)
         net.widen_output(2)
-        run_std_step(net, pool, cfg, 3)
+        run_std_step([net], pool, [cfg], 3)
         phase = "bridge"
         plan = make_plan(net, cfg.split_index, 4, 2, cfg.rho)
         disconnect(net, plan.groups)
-        run_bridge_phase(net, plan, pool, cfg, 3)
+        run_bridge_phase([net], [plan], pool, [cfg], 3)
         assert seen["std"] and seen["bridge"]
         assert set(seen["std"]) == set(seen["bridge"]) == {lambda_schedule(4, 2)}
 
@@ -323,7 +354,7 @@ class TestRunSequence:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_shapes_and_reports(self, scheme):
         seq = small_sequence()
-        results = run_sequence(seq, SchemeConfig(scheme=scheme, **FAST))
+        results = run_sequence(seq, [SchemeConfig(scheme=scheme, **FAST)])[0]
         assert [r.step for r in results] == [1, 2]
         # output layer ends as wide as the total class count
         assert results[-1].net.num_classes == seq.num_classes
@@ -332,14 +363,14 @@ class TestRunSequence:
 
     def test_single_task_degenerate(self):
         seq = small_sequence(num_classes=4, num_tasks=1)
-        results = run_sequence(seq, SchemeConfig(**FAST))
+        results = run_sequence(seq, [SchemeConfig(**FAST)])[0]
         assert len(results) == 1
         assert results[0].plan_summary is None
 
     def test_plan_logged_only_for_split_scheme(self):
         seq = small_sequence()
-        sb = run_sequence(seq, SchemeConfig(scheme="sb", **FAST))
-        std = run_sequence(seq, SchemeConfig(scheme="std", **FAST))
+        sb = run_sequence(seq, [SchemeConfig(scheme="sb", **FAST)])[0]
+        std = run_sequence(seq, [SchemeConfig(scheme="std", **FAST)])[0]
         assert sb[1].plan_summary is not None
         assert "cross_norm_at_disconnect" in sb[1].diagnostics
         assert std[1].plan_summary is None
@@ -347,8 +378,8 @@ class TestRunSequence:
     def test_bitwise_determinism(self):
         seq = small_sequence()
         cfg = SchemeConfig(scheme="sb", **FAST)
-        a = run_sequence(seq, cfg)
-        b = run_sequence(seq, cfg)
+        a = run_sequence(seq, [cfg])[0]
+        b = run_sequence(seq, [cfg])[0]
         for ra, rb in zip(a, b):
             for la, lb in zip(ra.net.layers, rb.net.layers):
                 assert np.array_equal(la.w, lb.w)
@@ -359,7 +390,7 @@ class TestRunSequence:
         from splitbridge import engine, metrics, partition
         from splitbridge.net import DenseNet
 
-        counts = dict.fromkeys(["forward_cached", "step", "eval", "forward", "cut"], 0)
+        counts = dict.fromkeys(["train", "forward_cached", "step", "eval", "forward", "cut"], 0)
 
         def counting(key, fn):
             def wrapped(*args, **kwargs):
@@ -367,6 +398,8 @@ class TestRunSequence:
                 return fn(*args, **kwargs)
             return wrapped
 
+        # _fit's stacked forward pass, one per step for all seeds of a stack
+        monkeypatch.setattr(engine, "_forward", counting("train", engine._forward))
         monkeypatch.setattr(DenseNet, "forward_cached",
                             counting("forward_cached", DenseNet.forward_cached))
         monkeypatch.setattr(engine, "sgd_step", counting("step", engine.sgd_step))
@@ -374,9 +407,11 @@ class TestRunSequence:
         monkeypatch.setattr(DenseNet, "forward", counting("forward", DenseNet.forward))
         monkeypatch.setattr(partition, "make_plan", counting("cut", partition.make_plan))
         seq = small_sequence(num_classes=6, num_tasks=3)
-        run_sequence(seq, SchemeConfig(scheme="sb", **FAST))
+        run_sequence(seq, [SchemeConfig(scheme="sb", **FAST)])
         assert counts["step"] > 0 and counts["eval"] == 3
-        assert counts["forward_cached"] == counts["step"] + counts["forward"]
+        # one seed: one training forward per SGD step, and no other forward pass
+        assert counts["train"] == counts["step"]
+        assert counts["forward_cached"] == counts["forward"]
         # one per evaluation, plus per split step the soft labels of the
         # previous model and of the old branch for the bridge
         assert counts["forward"] == counts["eval"] + 2 * 2
@@ -384,10 +419,10 @@ class TestRunSequence:
 
         # ce distils nothing: no forward pass beyond its steps and evaluations
         counts.update(dict.fromkeys(counts, 0))
-        run_sequence(seq, SchemeConfig(scheme="ce", **FAST))
+        run_sequence(seq, [SchemeConfig(scheme="ce", **FAST)])
         assert counts["step"] > 0 and counts["eval"] == 3
-        assert counts["forward"] == counts["eval"]
-        assert counts["forward_cached"] == counts["step"] + counts["eval"]
+        assert counts["train"] == counts["step"]
+        assert counts["forward"] == counts["forward_cached"] == counts["eval"]
 
     def test_one_clone_per_step(self, monkeypatch):
         # the only copy of the network a step makes is its StepResult checkpoint
@@ -397,7 +432,7 @@ class TestRunSequence:
         clone = DenseNet.clone
         monkeypatch.setattr(DenseNet, "clone", lambda net: calls.append(1) or clone(net))
         results = run_sequence(small_sequence(num_classes=6, num_tasks=3),
-                               SchemeConfig(scheme="sb", **FAST))
+                               [SchemeConfig(scheme="sb", **FAST)])[0]
         assert len(results) == 3 and len(calls) == 3
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -424,7 +459,7 @@ class TestRunSequence:
         for name in names:
             monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
         run_sequence(small_sequence(num_classes=6, num_tasks=3),
-                     SchemeConfig(scheme=scheme, **FAST))
+                     [SchemeConfig(scheme=scheme, **FAST)])
         runners = {"sb": ("run_split_phase", "run_bridge_phase"), "std": ("run_std_step",),
                    "ce": ("run_ce_step",), "dd": ("run_dd_step",)}[scheme]
         expected = {name: 2 if name in runners else 0 for name in names}
@@ -435,10 +470,66 @@ class TestRunSequence:
             assert isinstance(out, tuple) and len(out) == 4
             assert out[2] is out[1].groups
 
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_one_sgd_step_per_seed_and_batch(self, scheme, monkeypatch):
+        # a stack of seeds calls engine.sgd_step once per network per step:
+        # epochs x ceil(pool / batch) per seed and phase, the count a wrapper
+        # on that name (as the benchmark's) sees; dd's throwaway networks train
+        # on the task's rows alone
+        seq = small_sequence(num_classes=6, num_tasks=3)
+        cfgs = [SchemeConfig(scheme=scheme, **FAST, seed=s) for s in (0, 1, 2)]
+        cfg, current, steps = cfgs[0], [None], {}
+
+        def entering(name, fn):
+            def wrapped(*args, **kwargs):
+                current[0] = name
+                return fn(*args, **kwargs)
+            return wrapped
+
+        def counted(net, *args):
+            steps[current[0], net] = steps.get((current[0], net), 0) + 1
+            return sgd_step(net, *args)
+
+        phases = ("run_first_task", "run_split_phase", "run_bridge_phase", "run_std_step",
+                  "run_ce_step", "run_dd_step")
+        for name in phases:
+            monkeypatch.setattr(engine, name, entering(name, getattr(engine, name)))
+        sgd_step = engine.sgd_step
+        monkeypatch.setattr(engine, "sgd_step", counted)
+        run_sequence(seq, cfgs)
+
+        def batches(n):
+            return -(-n // cfg.batch_size)
+        sizes = [len(task.train) for task in seq.tasks]
+        assert batches(sizes[0]) * cfg.batch_size > sizes[0]  # a ragged last batch
+        pools = sum(batches(n + cfg.memory_capacity) for n in sizes[1:])  # memory is full
+        per_seed = {
+            "sb": {"run_split_phase": (cfg.epochs_sparsify + cfg.epochs_branched) * pools,
+                   "run_bridge_phase": cfg.epochs_bridge * pools},
+            "std": {"run_std_step": cfg.epochs_std * pools},
+            "ce": {"run_ce_step": cfg.epochs_std * pools},
+            "dd": {"run_dd_step": cfg.epochs_std * pools},
+        }[scheme]
+        per_seed["run_first_task"] = cfg.epochs_first * batches(sizes[0])
+        expected = {phase: [k] * len(cfgs) for phase, k in per_seed.items()}
+        if scheme == "dd":  # one throwaway network per seed and later step
+            expected["run_dd_step"] += [cfg.epochs_std * batches(n) for n in sizes[1:]] * len(cfgs)
+        got = {}
+        for (phase, _), k in steps.items():
+            got.setdefault(phase, []).append(k)
+        assert {p: sorted(ks) for p, ks in got.items()} == {
+            p: sorted(ks) for p, ks in expected.items()}
+
+    @pytest.mark.parametrize("seeds", [[], [{}, {"tau": 3.0}]])
+    def test_configs_differing_beyond_seed_rejected(self, seeds):
+        cfgs = [SchemeConfig(**FAST, seed=s, **extra) for s, extra in enumerate(seeds)]
+        with pytest.raises(ValueError, match="one or more configs that differ only in seed"):
+            run_sequence(small_sequence(), cfgs)
+
     def test_seed_changes_outcome(self):
         seq = small_sequence()
-        a = run_sequence(seq, SchemeConfig(seed=0, **FAST))
-        b = run_sequence(seq, SchemeConfig(seed=1, **FAST))
+        a = run_sequence(seq, [SchemeConfig(seed=0, **FAST)])[0]
+        b = run_sequence(seq, [SchemeConfig(seed=1, **FAST)])[0]
         assert not np.array_equal(a[0].net.layers[0].w, b[0].net.layers[0].w)
 
     def test_rejects_empty_task(self):

@@ -88,7 +88,7 @@ class TestBackward:
         cfg = engine.SchemeConfig(epochs_first=4, epochs_sparsify=2, epochs_branched=2,
                                   hidden=(12, 12), split_index=1, memory_capacity=20)
         net = build_net(seq.feature_dim, list(cfg.hidden), 2, seed=0)
-        engine.run_first_task(net, seq.tasks[0].train, cfg)
+        engine.run_first_task([net], seq.tasks[0].train, [cfg])
         d1 = seq.tasks[0].train
         mem = engine.update_exemplars(d1.subset(slice(0, 0)), d1, cfg.memory_capacity, 1)
         pool = engine.Pool.build(seq.tasks[1], mem, net, cfg)
@@ -115,21 +115,6 @@ class TestBackward:
             for li, cut in cuts:
                 assert np.all(gw[li][cut] == 0.0)
                 assert np.any(gw[li][~cut] != 0.0)
-
-    def test_out_buffer_filled_and_returned(self, rng):
-        net = make_random_net(rng, [5, 6, 6, 3])
-        x = rng.standard_normal((7, 5))
-        upstream = rng.standard_normal((7, 3))
-        g = GradientSet(np.full_like(net.params, np.nan), net.layout)  # every entry rewritten
-        assert net.backward(x, upstream, out=g) is g
-        assert g.flat.tobytes() == net.backward(x, upstream).flat.tobytes()
-
-    def test_out_buffer_built_before_widening_rejected(self, rng):
-        net = make_random_net(rng, [5, 6, 3])
-        g = GradientSet.zeros(net)
-        net.widen_output(2)
-        with pytest.raises(ShapeError, match="layout"):
-            net.backward(np.ones((2, 5)), np.ones((2, 5)), out=g)
 
     @pytest.mark.parametrize("rows", [1, 7])
     def test_in_place_kernels_leave_inputs_and_cache_unchanged(self, rng, rows):
