@@ -15,7 +15,7 @@ import numpy as np
 from splitbridge import losses
 from splitbridge.data import TaskRange
 from splitbridge.engine import _ce, _kd_ce, _kd_lce
-from splitbridge.net import GradientSet, build_net
+from splitbridge.net import build_net
 from splitbridge.partition import make_plan
 
 TOLERANCE = 1e-7
@@ -84,9 +84,9 @@ def main():
     for layer in net.layers:
         layer.w += 0.3 * rng.standard_normal(layer.w.shape)
     plan = make_plan(net, 1, c_old, c_new, 1.0)
-    grads = GradientSet.zeros(net)
-    value = losses.sparsify_penalty(net, plan, 0.01, into=grads)
-    err = max(np.abs(grads.wgrads[li] - finite_diff(
+    wgrads = [np.zeros_like(layer.w) for layer in net.layers]
+    value = losses.sparsify_penalty(net, plan, 0.01, into=wgrads)
+    err = max(np.abs(wgrads[li] - finite_diff(
         lambda: losses.sparsify_penalty(net, plan, 0.01), net.layers[li].w)).max()
         for li in range(net.depth))
     worst.append(err)

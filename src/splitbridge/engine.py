@@ -15,7 +15,7 @@ import numpy as np
 from . import losses, metrics, partition
 from .data import LabeledDataset, Task, TaskRange, TaskSequence
 from .losses import _ce_grad, _kd_grad, _softmax, lambda_schedule
-from .net import DenseNet, GradientSet, Layer, _backward, _forward, _views, build_net, sgd_step
+from .net import DenseNet, Layer, _backward, _forward, _views, build_net, sgd_step
 
 SCHEMES = ("sb", "std", "ce", "dd")
 
@@ -127,17 +127,18 @@ def _fit(nets, cfgs, epochs: int, stream, grad, x, *cols, on_grads=None) -> None
     params (a view at S = 1, else refreshed each step). grad(logits, *batch_cols,
     parts=None) returns d(loss)/d(logits), leaving logits as they are; given a
     dict parts, it also records the value components and their total, loss, per
-    seed (_fit passes none). Then on_grads(net, grads), if given, edits each
-    seed's gradients in place, and sgd_step updates the seed from its own
-    velocity. Every call trains at cfg.learning_rate from zero momentum.
+    seed (_fit passes none). Then on_grads(net, wgrads), if given, edits the
+    seed's per-layer weight gradients in place, and sgd_step updates the seed
+    from its rows of the (S, P) gradient and velocity buffers. Every call trains
+    at cfg.learning_rate from zero momentum.
     """
     cfg, layout, lanes = cfgs[0], nets[0].layout, np.arange(len(nets))[:, None]
     rngs = [np.random.default_rng([c.seed, *stream]) for c in cfgs]
     stack = nets[0].params[None] if len(nets) == 1 else np.empty((len(nets), nets[0].params.size))
     layers = [Layer(w, b[:, None]) for w, b in zip(*_views(stack, layout))]
-    flat = np.empty_like(stack)  # each seed's gradients, one row each
-    (gw, gb), grads = _views(flat, layout), [GradientSet(g, layout) for g in flat]
-    velocities, buf = [GradientSet.zeros(net) for net in nets], np.empty_like(nets[0].params)
+    grads, velocity = np.empty_like(stack), np.zeros_like(stack)  # one row per seed
+    (gw, gb), buf = _views(grads, layout), np.empty_like(nets[0].params)
+    seeds = list(zip(nets, grads, velocity, zip(*gw)))  # each seed's rows and weight views
     for _ in range(epochs):
         order = np.stack([rng.permutation(x.shape[1]) for rng in rngs])
         rows = [a[lanes, order] for a in (x, *cols)]
@@ -147,9 +148,9 @@ def _fit(nets, cfgs, epochs: int, stream, grad, x, *cols, on_grads=None) -> None
                 np.stack([net.params for net in nets], out=stack)
             logits, inputs = _forward(layers, xb)
             _backward(layers, inputs, grad(logits, *batch), gw, gb)
-            for net, g, v in zip(nets, grads, velocities):
+            for net, g, v, wgrads in seeds:
                 if on_grads is not None:
-                    on_grads(net, g)
+                    on_grads(net, wgrads)
                 sgd_step(net, g, v, cfg.learning_rate, cfg.momentum, cfg.weight_decay, buf)
 
 
@@ -198,8 +199,6 @@ def _kd_ce(lam: float, tau: float, *windows: TaskRange):
 
 def run_first_task(nets: list[DenseNet], d1: LabeledDataset, cfgs: list[SchemeConfig]) -> None:
     """Plain CE training of every seed's network on the first task's data."""
-    if len(d1) == 0:
-        raise ValueError("first task dataset is empty")
     _fit(nets, cfgs, cfgs[0].epochs_first, (0, 0), _ce,
          *(np.broadcast_to(a, (len(nets),) + a.shape) for a in (d1.x, d1.y)))
 
@@ -219,11 +218,11 @@ def run_split_phase(net: DenseNet, pool: Pool, cfg: SchemeConfig, step: int):
     kd_lce, rows = _kd_lce(pool.old, pool.new, cfg.tau), (pool.x, pool.y, pool.is_new, pool.soft)
     plan = partition.make_plan(net, cfg.split_index, pool.old.size, pool.new.size, cfg.rho)
 
-    def zero_cut(net, grads):
-        plan.groups.zero(grads.wgrads)
+    def zero_cut(net, wgrads):
+        plan.groups.zero(wgrads)
 
-    def penalty(net, grads):
-        losses.sparsify_penalty(net, plan, cfg.gamma, into=grads)
+    def penalty(net, wgrads):
+        losses.sparsify_penalty(net, plan, cfg.gamma, into=wgrads)
 
     diagnostics = {"cross_norm_start": losses.sparsify_penalty(net, plan, 1.0)}
     _fit([net], [cfg], cfg.epochs_sparsify, (step, 1), kd_lce, *rows,

@@ -83,9 +83,10 @@ def sparsify_penalty(net, plan, gamma: float, into=None) -> float:
 
     value = gamma * sum over partitioned layers of the Frobenius norms of the
     old-to-new and new-to-old blocks in plan.groups (at gamma = 1, the
-    cross-partition norm). Returns the value. With into, a GradientSet of
-    net, the gradient is also added into into.wgrads in place, touching only
-    the cross weights.
+    cross-partition norm). Returns the value. With into, a sequence of
+    arrays shaped like net's layers' weights (the per-layer weight views of a
+    gradient), the gradient is also added into it in place, touching only the
+    cross weights.
     Gradient of each group is gamma * w / ||W_group||_F with the norm floored
     at 1e-8, so entries are driven toward exactly zero; within-partition
     weights get zero gradient.
@@ -98,6 +99,6 @@ def sparsify_penalty(net, plan, gamma: float, into=None) -> float:
             norm = float(np.sqrt((v ** 2).sum()))
             value += norm
             if into is not None:
-                g = into.wgrads[li][block]
+                g = into[li][block]
                 g += (gamma * (v / max(norm, _NORM_EPS))).reshape(g.shape)
     return float(gamma * value)

@@ -1,10 +1,12 @@
-"""Dense feed-forward network engine with manual backprop and momentum SGD.
+"""Dense feed-forward network engine: the forward and backward kernels and
+momentum SGD.
 
 All parameters are float64. A layer holds a weight matrix of shape
 (in_dim, out_dim) and a bias vector of shape (out_dim,). A network keeps
 every parameter in one flat buffer, every layer's weights first and then
-every layer's biases; gradients and velocities use the same layout, so an
-SGD step is a few whole-buffer operations.
+every layer's biases. A gradient or a velocity is a float64 array shaped
+like that buffer, with the same layout, so an SGD step is a few
+whole-buffer operations.
 """
 
 from __future__ import annotations
@@ -92,7 +94,9 @@ class DenseNet:
     shapes. The constructor copies the given layers' values into a fresh
     buffer. Write parameters in place (`layer.w[...] = ...`); a rebound
     `layer.w` or `layer.b` is no longer part of `params`, and sgd_step
-    raises ShapeError for it.
+    raises ShapeError for it. A gradient or velocity of the network is an
+    array shaped like `params`; `_views(g, layout)` gives its per-layer
+    weight and bias views, which the `_backward` kernel fills.
     """
 
     def __init__(self, layers: list[Layer]):
@@ -140,19 +144,6 @@ class DenseNet:
             raise ShapeError(f"input dim {x.shape[1]} != layer 0 in_dim {self.in_dim}")
         return _forward(self.layers, x)
 
-    def backward(self, x: np.ndarray, upstream: np.ndarray, cache=None) -> "GradientSet":
-        """Backpropagate d(loss)/d(logits) to a new GradientSet of per-parameter
-        gradients. cache is the forward_cached(x) result for the current
-        parameters; without it the forward pass is recomputed.
-        """
-        logits, inputs = self.forward_cached(x) if cache is None else cache
-        upstream = np.atleast_2d(np.asarray(upstream, dtype=np.float64))
-        if upstream.shape != logits.shape:
-            raise ShapeError(f"upstream shape {upstream.shape} != logits shape {logits.shape}")
-        grads = GradientSet(np.empty_like(self.params), self.layout)
-        _backward(self.layers, inputs, upstream, grads.wgrads, grads.bgrads)
-        return grads
-
     def clone(self) -> "DenseNet":
         """Copy with its own params buffer; mutations on either side do not
         affect the other."""
@@ -162,8 +153,8 @@ class DenseNet:
         """Append `extra` zero-initialized logit columns to the final layer.
 
         Old-class logits are unchanged for every input. The parameters move
-        to a new params buffer, so a GradientSet built before (a velocity)
-        no longer fits and sgd_step rejects it.
+        to a new, larger params buffer, so a gradient or velocity built
+        before has too few entries and sgd_step rejects it.
         """
         if extra < 1:
             raise ValueError("extra must be at least 1")
@@ -216,35 +207,6 @@ class DenseNet:
         return cls(layers)
 
 
-class GradientSet:
-    """Per-layer weight and bias gradients, or sgd_step's velocity.
-
-    `flat` is one buffer in its network's params layout, and `layout` is
-    that network's layout. `wgrads` and `bgrads` are tuples of views into
-    flat, so edit them in place (`grads.wgrads[i][...] = g`); rebinding an
-    entry raises TypeError.
-    """
-
-    __slots__ = ("flat", "layout", "_w", "_b")
-
-    def __init__(self, flat: np.ndarray, layout: tuple):
-        self.flat = flat
-        self.layout = layout
-        self._w, self._b = _views(flat, layout)
-
-    @property
-    def wgrads(self) -> tuple[np.ndarray, ...]:
-        return self._w
-
-    @property
-    def bgrads(self) -> tuple[np.ndarray, ...]:
-        return self._b
-
-    @classmethod
-    def zeros(cls, net: DenseNet) -> "GradientSet":
-        return cls(np.zeros_like(net.params), net.layout)
-
-
 def build_net(in_dim: int, hidden: list[int], num_classes: int,
               seed: int | list[int]) -> DenseNet:
     """He-uniform initialized MLP: hidden widths, then num_classes logits.
@@ -262,30 +224,29 @@ def build_net(in_dim: int, hidden: list[int], num_classes: int,
     return DenseNet(layers)
 
 
-def sgd_step(net: DenseNet, grads: GradientSet, velocity: GradientSet, lr: float,
+def sgd_step(net: DenseNet, grads: np.ndarray, velocity: np.ndarray, lr: float,
              momentum: float, weight_decay: float, buf: np.ndarray | None = None) -> None:
     """In-place momentum SGD update over the whole params buffer.
 
-    Per entry: v = momentum * v + (g + weight_decay * w), then w -= lr * v;
-    weight decay applies to weights only. velocity holds the momentum
-    buffers, updated in place: start from GradientSet.zeros(net). buf, a
-    float64 array shaped like net.params (a fresh one if None), takes the
-    intermediates. Raises ShapeError naming the layer when grads or velocity
-    do not fit net's layout (as for a velocity built before widen_output),
-    when a layer's w or b is no longer a view of net.params, or for a misfit buf.
+    grads, velocity and buf are float64 arrays shaped like net.params, in its
+    layout. Per entry: v = momentum * v + (g + weight_decay * w), then
+    w -= lr * v; weight decay applies to weights only. velocity holds the
+    momentum, updated in place: start from np.zeros_like(net.params). buf (a
+    fresh one if None) takes the intermediates. Raises ShapeError naming the
+    argument when grads, velocity or buf does not fit (as for a velocity built
+    before widen_output), or naming the layer when its w or b is no longer a
+    view of net.params.
     """
-    p, g, v = net.params, grads.flat, velocity.flat
+    p, g, v = net.params, grads, velocity
     for i, layer in enumerate(net.layers):
         if layer.w.base is not p or layer.b.base is not p:
             raise ShapeError(f"layer {i} weights or biases are not views of net.params "
                              "(rebound instead of written in place)")
-    if not grads.layout == velocity.layout == net.layout:
-        i = next((i for i, shape in enumerate(net.layout)
-                  if not grads.layout[i:i + 1] == velocity.layout[i:i + 1] == (shape,)), net.depth)
-        raise ShapeError(f"gradient or velocity shape mismatch at layer {i}")
     buf = np.empty_like(p) if buf is None else buf
-    if not (isinstance(buf, np.ndarray) and buf.shape == p.shape and buf.dtype == p.dtype):
-        raise ShapeError(f"buf must be a float64 array of shape {p.shape}, got {np.shape(buf)}")
+    for name, a in (("grads", g), ("velocity", v), ("buf", buf)):
+        if not (isinstance(a, np.ndarray) and a.shape == p.shape and a.dtype == p.dtype):
+            raise ShapeError(f"{name} must be a float64 array of shape {p.shape}, "
+                             f"got {getattr(a, 'dtype', type(a).__name__)} of shape {np.shape(a)}")
     nw = net.n_weights
     v *= momentum
     np.multiply(p[:nw], weight_decay, out=buf[:nw])

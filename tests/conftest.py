@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from splitbridge.net import DenseNet, Layer
+from splitbridge.net import DenseNet, Layer, _backward, _forward, _views
 
 
 @pytest.fixture
@@ -17,6 +17,15 @@ def make_random_net(rng, dims, scale=0.5):
         b = scale * rng.standard_normal(dims[i + 1])
         layers.append(Layer(w, b))
     return DenseNet(layers)
+
+
+def backward(net, x, upstream):
+    """d(loss)/d(params) of net on the batch x, given d(loss)/d(logits) upstream,
+    from the _forward and _backward kernels: a new array in net.params' layout."""
+    grads = np.empty_like(net.params)
+    _, inputs = _forward(net.layers, x)
+    _backward(net.layers, inputs, upstream, *_views(grads, net.layout))
+    return grads
 
 
 def finite_diff_param_grads(net, loss_of_net, step=1e-5):

@@ -25,9 +25,9 @@ from splitbridge.engine import (
 from splitbridge import engine, losses
 from splitbridge.data import TaskRange
 from splitbridge.losses import lambda_schedule
-from splitbridge.net import build_net
+from splitbridge.net import _views, build_net
 from splitbridge.partition import bridge_reconnect, disconnect, make_plan
-from conftest import finite_diff_logit_grad, phase_loss
+from conftest import backward, finite_diff_logit_grad, phase_loss
 
 FAST = dict(
     epochs_first=8, epochs_sparsify=4, epochs_branched=4,
@@ -86,12 +86,6 @@ class TestFirstTask:
         run_first_task([net], train, [cfg])
         acc = np.mean(net.forward(test.x).argmax(axis=1) == test.y)
         assert acc >= 0.99
-
-    def test_empty_dataset(self):
-        cfg = SchemeConfig(**FAST)
-        net = build_net(4, list(cfg.hidden), 2, seed=0)
-        with pytest.raises(ValueError, match="empty"):
-            run_first_task([net], LabeledDataset(np.zeros((0, 4)), [], 2), [cfg])
 
 
 def empty_memory(d):
@@ -176,11 +170,12 @@ class TestFit:
                 for start in range(0, len(d), cfg.batch_size):
                     idx = order[start : start + cfg.batch_size]
                     xb = d.x[idx]
-                    grads = ref.backward(xb, _ce(ref.forward(xb), d.y[idx]))
+                    gws, gbs = _views(backward(ref, xb, _ce(ref.forward(xb), d.y[idx])),
+                                      ref.layout)
                     for i, layer in enumerate(ref.layers):
-                        gw = grads.wgrads[i] + cfg.weight_decay * layer.w
+                        gw = gws[i] + cfg.weight_decay * layer.w
                         vel[i] = (cfg.momentum * vel[i][0] + gw,
-                                  cfg.momentum * vel[i][1] + grads.bgrads[i])
+                                  cfg.momentum * vel[i][1] + gbs[i])
                         layer.w = layer.w - lr * vel[i][0]
                         layer.b = layer.b - lr * vel[i][1]
         for la, lb in zip(net.layers, ref.layers):
@@ -244,6 +239,33 @@ class TestFusedGradients:
         parts, old_rows = {}, np.flatnonzero(~is_new)[:3]
         grad(np.zeros((3, 10)), y[old_rows], is_new[old_rows], soft[old_rows], parts=parts)
         assert parts["lce"] == 0.0 and parts["loss"] == parts["kd"]
+
+    def test_kd_lce_matches_its_formula(self, rng):
+        # written out per row from the loss's definition: KD of the old window's
+        # tempered softmax q against soft, averaged over all 8 rows, plus CE of
+        # the new window's softmax p, averaged over the 3 new rows alone
+        n, tau, c_old, c_new = 8, self.TAU, self.C_OLD, self.C_NEW
+        is_new = np.zeros(n, bool)
+        is_new[[1, 4, 6]] = True
+        y = np.where(is_new, rng.integers(c_old, c_old + c_new, n), rng.integers(0, c_old, n))
+        soft = losses.softmax(rng.standard_normal((n, c_old)), tau)
+        logits = 3.0 * rng.standard_normal((n, c_old + c_new))
+        want, kd, lce = np.zeros_like(logits), 0.0, 0.0
+        for i in range(n):
+            q = np.exp(logits[i, :c_old] / tau)
+            q /= q.sum()
+            want[i, :c_old] = (q - soft[i]) / (tau * n)
+            kd -= soft[i] @ np.log(q) / n
+            if is_new[i]:
+                p = np.exp(logits[i, c_old:])
+                p /= p.sum()
+                want[i, c_old:] = (p - np.eye(c_new)[y[i] - c_old]) / 3
+                lce -= np.log(p[y[i] - c_old]) / 3
+        parts = {}
+        got = _kd_lce(self.OLD, self.NEW, tau)(logits, y, is_new, soft, parts=parts)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose([parts["kd"], parts["lce"], parts["loss"]],
+                                   [kd, lce, kd + lce], rtol=1e-12)
 
     def test_double_kd(self, rng):
         y, is_new, soft = self._rows(rng)
@@ -348,6 +370,36 @@ class TestStdReduction:
         run_bridge_phase([net], [plan], pool, [cfg], 3)
         assert seen["std"] and seen["bridge"]
         assert set(seen["std"]) == set(seen["bridge"]) == {lambda_schedule(4, 2)}
+
+
+class TestDoubleDistillation:
+    def test_new_window_distills_the_aux_nets_at_tau(self, monkeypatch):
+        # the main _fit call's last column is each seed's throwaway-net soft
+        # labels on its whole pool, softmax(aux logits / tau) at cfg.tau = 2
+        seq = small_sequence()
+        d1 = seq.tasks[0].train
+        cfgs = [SchemeConfig(**FAST, scheme="dd", tau=2.0, seed=s) for s in (0, 1)]
+        nets = [build_net(seq.feature_dim, list(c.hidden), 2, seed=c.seed) for c in cfgs]
+        pools = [Pool.build(seq.tasks[1], update_exemplars(empty_memory(d1), d1, 20, c.seed),
+                            net, c) for net, c in zip(nets, cfgs)]
+        for net in nets:
+            net.widen_output(2)
+        calls, fit = [], engine._fit
+
+        def record(fit_nets, fit_cfgs, epochs, stream, grad, x, *cols, **kwargs):
+            fit(fit_nets, fit_cfgs, epochs, stream, grad, x, *cols, **kwargs)
+            calls.append((fit_nets, cols))
+
+        monkeypatch.setattr(engine, "_fit", record)
+        pool = Pool.stack(pools)
+        engine.run_dd_step(nets, pool, cfgs, 2)
+        (aux, _), (main, (_, soft, soft_new)) = calls
+        assert main == nets and soft is pool.soft and len(aux) == 2
+        for a, x, got in zip(aux, pool.x, soft_new):
+            z = a.forward(x) / 2.0
+            want = np.exp(z - z.max(axis=1, keepdims=True))
+            want /= want.sum(axis=1, keepdims=True)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
 class TestRunSequence:

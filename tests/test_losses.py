@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 from splitbridge.engine import _ce, _kd_ce, _kd_lce
 from splitbridge.data import TaskRange
 from splitbridge.losses import lambda_schedule, softmax, sparsify_penalty
-from splitbridge.net import GradientSet
+from splitbridge.net import _views
 from splitbridge.partition import make_plan
-from conftest import assert_close_rel, finite_diff_logit_grad, make_random_net, phase_loss
+from conftest import (assert_close_rel, backward, finite_diff_logit_grad, make_random_net,
+                      phase_loss)
 
 
 class TestSoftmax:
@@ -248,7 +249,7 @@ class TestSparsifyPenalty:
         net, plan = self._net_and_plan(rng)
         for li, (on, no) in plan.groups.per_layer.items():
             net.layers[li].w[on | no] = 0.0
-        value = sparsify_penalty(net, plan, 0.1, into=GradientSet.zeros(net))
+        value = sparsify_penalty(net, plan, 0.1, into=[np.zeros_like(l.w) for l in net.layers])
         assert value == 0.0
 
     def test_single_weight_group(self):
@@ -262,12 +263,12 @@ class TestSparsifyPenalty:
         ]
         net = DenseNet(layers)
         plan = make_plan(net, 1, 1, 1, 1.0)
-        grads = GradientSet.zeros(net)
-        value = sparsify_penalty(net, plan, 0.1, into=grads)
+        wgrads = [np.zeros_like(l.w) for l in net.layers]
+        value = sparsify_penalty(net, plan, 0.1, into=wgrads)
         assert abs(value - 0.1 * (3.0 + 0.5)) < 1e-14
-        assert abs(grads.wgrads[2][0, 1] - 0.1) < 1e-9
-        assert abs(grads.wgrads[2][1, 0] - 0.1) < 1e-9
-        assert grads.wgrads[2][0, 0] == 0.0 and grads.wgrads[2][1, 1] == 0.0
+        assert abs(wgrads[2][0, 1] - 0.1) < 1e-9
+        assert abs(wgrads[2][1, 0] - 0.1) < 1e-9
+        assert wgrads[2][0, 0] == 0.0 and wgrads[2][1, 1] == 0.0
 
     def test_gradient_matches_finite_differences(self, rng):
         net, plan = self._net_and_plan(rng)
@@ -275,27 +276,29 @@ class TestSparsifyPenalty:
         def value_of(n):
             return sparsify_penalty(n, plan, 0.3)
 
-        grads = GradientSet.zeros(net)
-        sparsify_penalty(net, plan, 0.3, into=grads)
+        wgrads = [np.zeros_like(l.w) for l in net.layers]
+        sparsify_penalty(net, plan, 0.3, into=wgrads)
         from conftest import finite_diff_param_grads
 
         fw, _ = finite_diff_param_grads(net, value_of)
         for i in range(net.depth):
-            assert_close_rel(grads.wgrads[i], fw[i])
+            assert_close_rel(wgrads[i], fw[i])
 
     def test_into_adds_the_dense_gradient(self, rng):
         # the training path adds in place; it must equal adding the dense
         # per-layer arrays of the boolean-selector form, byte for byte
         net, plan = self._net_and_plan(rng)
-        grads = net.backward(rng.standard_normal((5, 4)), rng.standard_normal((5, 4)))
-        expected = [w.copy() for w in grads.wgrads]
+        # the per-layer weight views of a flat gradient, as _fit hands them over
+        wgrads = _views(backward(net, rng.standard_normal((5, 4)), rng.standard_normal((5, 4))),
+                        net.layout)[0]
+        expected = [w.copy() for w in wgrads]
         value = sparsify_penalty(net, plan, 0.3)
         for li, selectors in plan.groups.per_layer.items():
             for sel in selectors:
                 v = net.layers[li].w[sel]
                 expected[li][sel] += 0.3 * (v / max(float(np.sqrt((v ** 2).sum())), 1e-8))
-        assert sparsify_penalty(net, plan, 0.3, into=grads) == value
-        for got, want in zip(grads.wgrads, expected):
+        assert sparsify_penalty(net, plan, 0.3, into=wgrads) == value
+        for got, want in zip(wgrads, expected):
             assert got.tobytes() == want.tobytes()
 
     def test_invariant_to_within_partition_changes(self, rng):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import struct
 import tracemalloc
 
@@ -8,14 +9,15 @@ import pytest
 from splitbridge.net import (
     CHECKPOINT_MAGIC,
     DenseNet,
-    GradientSet,
     Layer,
     ShapeError,
+    _backward,
+    _views,
     build_net,
     sgd_step,
 )
 
-from conftest import make_random_net
+from conftest import backward, make_random_net
 
 
 def identity_net():
@@ -51,9 +53,9 @@ class TestBackward:
     def test_linear_layer_outer_product(self):
         net = DenseNet([Layer(np.zeros((3, 2)), np.zeros(2))])
         x = np.array([[1.0, 2.0, 3.0]])
-        grads = net.backward(x, np.ones((1, 2)))
-        assert np.array_equal(grads.wgrads[0], np.outer(x[0], np.ones(2)))
-        assert np.array_equal(grads.bgrads[0], np.ones(2))
+        (gw,), (gb,) = _views(backward(net, x, np.ones((1, 2))), net.layout)
+        assert np.array_equal(gw, np.outer(x[0], np.ones(2)))
+        assert np.array_equal(gb, np.ones(2))
 
     def test_matches_finite_differences(self, rng):
         from conftest import finite_diff_param_grads, assert_close_rel
@@ -65,16 +67,11 @@ class TestBackward:
             # fixed smooth scalar loss of the logits
             return float((n.forward(x) ** 2).sum())
 
-        grads = net.backward(x, 2.0 * net.forward(x))
+        gw, gb = _views(backward(net, x, 2.0 * net.forward(x)), net.layout)
         fw, fb = finite_diff_param_grads(net, loss)
         for i in range(net.depth):
-            assert_close_rel(grads.wgrads[i], fw[i])
-            assert_close_rel(grads.bgrads[i], fb[i])
-
-    def test_shape_mismatch(self, rng):
-        net = make_random_net(rng, [3, 2])
-        with pytest.raises(ShapeError):
-            net.backward(np.ones((2, 3)), np.ones((2, 3)))
+            assert_close_rel(gw[i], fw[i])
+            assert_close_rel(gb[i], fb[i])
 
     def test_masked_positions_zero_gradient(self, monkeypatch):
         # the cut weights carry no mask: the branched phase zeros their
@@ -102,7 +99,7 @@ class TestBackward:
 
         def record_step(n, grads, *args):
             phase = "after" if seen["cut"] else "before"
-            seen[phase].append([g.copy() for g in grads.wgrads])
+            seen[phase].append([g.copy() for g in _views(grads, n.layout)[0]])
             return step(n, grads, *args)
 
         monkeypatch.setattr(partition, "disconnect", record_disconnect)
@@ -126,10 +123,15 @@ class TestBackward:
         cache = net.forward_cached(x)
         assert x.tobytes() == x0 and cache[1][0] is x
         saved = [a.tobytes() for a in (cache[0], *cache[1])]
-        first = net.backward(x, upstream, cache).flat.tobytes()
+
+        def backward_bytes():
+            grads = np.empty_like(net.params)
+            _backward(net.layers, cache[1], upstream, *_views(grads, net.layout))
+            return grads.tobytes()
+        first = backward_bytes()
         assert upstream.tobytes() == up0
         assert [a.tobytes() for a in (cache[0], *cache[1])] == saved
-        assert net.backward(x, upstream, cache).flat.tobytes() == first
+        assert backward_bytes() == first
         # the same bytes as the out-of-place formulas: z = h @ w + b, relu(z)
         h = x
         for i, layer in enumerate(net.layers):
@@ -137,35 +139,24 @@ class TestBackward:
             h = np.maximum(z, 0.0) if i < net.depth - 1 else z
         assert h.tobytes() == cache[0].tobytes()
 
-    def test_cached_forward_gives_identical_gradients(self, rng):
-        net = make_random_net(rng, [5, 6, 6, 3])
-        x = rng.standard_normal((7, 5))
-        upstream = rng.standard_normal((7, 3))
-        fresh = net.backward(x, upstream)
-        cached = net.backward(x, upstream, net.forward_cached(x))
-        for a, b in zip(fresh.wgrads + fresh.bgrads, cached.wgrads + cached.bgrads):
-            assert a.tobytes() == b.tobytes()
-
 
 class TestSgdStep:
     def test_plain_update_definition(self, rng):
         net = make_random_net(rng, [2, 2])
         w0 = net.layers[0].w.copy()
         g = rng.standard_normal((2, 2))
-        grads = net.backward(np.zeros((1, 2)), np.zeros((1, 2)))
-        grads.wgrads[0][...] = g
-        sgd_step(net, grads, GradientSet.zeros(net), 0.1, 0.0, 0.0)
+        grads = np.zeros_like(net.params)
+        _views(grads, net.layout)[0][0][...] = g
+        sgd_step(net, grads, np.zeros_like(net.params), 0.1, 0.0, 0.0)
         assert np.allclose(net.layers[0].w, w0 - 0.1 * g, atol=1e-15)
 
     def test_two_step_momentum_oracle(self, rng):
         net = make_random_net(rng, [2, 2])
         w0 = net.layers[0].w.copy()
         g = rng.standard_normal((2, 2))
-        velocity = GradientSet.zeros(net)
+        velocity, grads = np.zeros_like(net.params), np.zeros_like(net.params)
+        _views(grads, net.layout)[0][0][...] = g
         for _ in range(2):
-            grads = net.backward(np.zeros((1, 2)), np.zeros((1, 2)))
-            grads.wgrads[0][...] = g
-            grads.bgrads[0][...] = 0.0
             sgd_step(net, grads, velocity, 0.1, 0.9, 0.0)
         expected = w0 - 0.1 * g - 0.1 * (g + 0.9 * g)
         assert np.allclose(net.layers[0].w, expected, atol=1e-15)
@@ -176,11 +167,12 @@ class TestSgdStep:
         net = make_random_net(rng, [2, 2])
         net.layers[0].w[0, 0] = 0.0
         w0 = net.layers[0].w.copy()
-        velocity = GradientSet.zeros(net)
+        velocity = np.zeros_like(net.params)
         for _ in range(3):
-            grads = net.backward(np.ones((1, 2)), np.ones((1, 2)))
-            assert grads.wgrads[0][0, 0] != 0.0
-            grads.wgrads[0][0, 0] = 0.0
+            grads = backward(net, np.ones((1, 2)), np.ones((1, 2)))
+            gw = _views(grads, net.layout)[0][0]
+            assert gw[0, 0] != 0.0
+            gw[0, 0] = 0.0
             sgd_step(net, grads, velocity, 0.1, 0.9, 0.01)
         assert net.layers[0].w[0, 0].tobytes() == np.float64(0.0).tobytes()
         assert np.all(net.layers[0].w.ravel()[1:] != w0.ravel()[1:])
@@ -188,14 +180,29 @@ class TestSgdStep:
     def test_state_rejects_widened_output(self, rng):
         # a velocity built before widen_output is stale for the logit layer
         net = make_random_net(rng, [2, 3, 2])
-        velocity = GradientSet.zeros(net)
-        sgd_step(net, net.backward(np.ones((1, 2)), np.ones((1, 2))), velocity, 0.1, 0.9, 0.0)
-        net.widen_output(1)
-        grads = net.backward(np.ones((1, 2)), np.ones((1, 3)))
-        with pytest.raises(ShapeError, match="velocity shape mismatch at layer 1$"):
+        velocity = np.zeros_like(net.params)
+        sgd_step(net, backward(net, np.ones((1, 2)), np.ones((1, 2))), velocity, 0.1, 0.9, 0.0)
+        net.widen_output(1)  # 17 parameters become 21
+        grads = backward(net, np.ones((1, 2)), np.ones((1, 3)))
+        with pytest.raises(ShapeError, match=re.escape(
+                "velocity must be a float64 array of shape (21,), got float64 of shape (17,)")):
             sgd_step(net, grads, velocity, 0.1, 0.9, 0.0)
-        sgd_step(net, grads, GradientSet.zeros(net), 0.1, 0.9, 0.0)  # a fresh one steps
+        sgd_step(net, grads, np.zeros_like(net.params), 0.1, 0.9, 0.0)  # a fresh one steps
 
+    @pytest.mark.parametrize("arg, bad, message", [
+        ("grads", lambda p: np.zeros(p.size - 1), "grads must be a float64 array of shape "
+                                                  "(17,), got float64 of shape (16,)"),
+        ("velocity", lambda p: np.zeros(p.size, dtype=np.float32),
+         "velocity must be a float64 array of shape (17,), got float32 of shape (17,)"),
+    ], ids=["short_grads", "float32_velocity"])
+    def test_misfit_gradient_or_velocity_rejected(self, rng, arg, bad, message):
+        net = make_random_net(rng, [2, 3, 2])
+        args = {"grads": np.ones_like(net.params), "velocity": np.ones_like(net.params)}
+        args[arg] = bad(net.params)
+        before = [a.tobytes() for a in (net.params, *args.values())]
+        with pytest.raises(ShapeError, match=re.escape(message) + "$"):
+            sgd_step(net, args["grads"], args["velocity"], 0.1, 0.9, 0.0)
+        assert [a.tobytes() for a in (net.params, *args.values())] == before
 
     def test_three_layer_bitwise_oracle(self, rng):
         # the whole-buffer update against the per-layer formula, written out:
@@ -206,37 +213,31 @@ class TestSgdStep:
         ref_b = [l.b.copy() for l in net.layers]
         vel_w = [np.zeros_like(w) for w in ref_w]
         vel_b = [np.zeros_like(b) for b in ref_b]
-        velocity = GradientSet.zeros(net)
+        velocity = np.zeros_like(net.params)
         for _ in range(3):
-            grads = net.backward(rng.standard_normal((4, 3)), rng.standard_normal((4, 2)))
+            grads = backward(net, rng.standard_normal((4, 3)), rng.standard_normal((4, 2)))
+            gw, gb = _views(grads, net.layout)
             for i in range(net.depth):
-                vel_w[i] = m * vel_w[i] + (grads.wgrads[i] + wd * ref_w[i])
-                vel_b[i] = m * vel_b[i] + grads.bgrads[i]
+                vel_w[i] = m * vel_w[i] + (gw[i] + wd * ref_w[i])
+                vel_b[i] = m * vel_b[i] + gb[i]
                 ref_w[i] = ref_w[i] - lr * vel_w[i]
                 ref_b[i] = ref_b[i] - lr * vel_b[i]
             sgd_step(net, grads, velocity, lr, m, wd)
+        vw, vb = _views(velocity, net.layout)
         for i, layer in enumerate(net.layers):
             assert layer.w.tobytes() == ref_w[i].tobytes()
             assert layer.b.tobytes() == ref_b[i].tobytes()
-            assert velocity.wgrads[i].tobytes() == vel_w[i].tobytes()
-            assert velocity.bgrads[i].tobytes() == vel_b[i].tobytes()
-
-    def test_rebound_gradient_entry_rejected(self, rng):
-        net = make_random_net(rng, [2, 2])
-        grads = net.backward(np.ones((1, 2)), np.ones((1, 2)))
-        with pytest.raises(TypeError):
-            grads.wgrads[0] = np.zeros((2, 2))
-        with pytest.raises(AttributeError):
-            grads.bgrads = (np.zeros(2),)
+            assert vw[i].tobytes() == vel_w[i].tobytes()
+            assert vb[i].tobytes() == vel_b[i].tobytes()
 
     @pytest.mark.parametrize("attr", ["w", "b"])
     def test_rebound_parameter_rejected(self, rng, attr):
         net = make_random_net(rng, [2, 3, 2])
         layer = net.layers[1]
         setattr(layer, attr, getattr(layer, attr).copy())
-        grads = net.backward(np.ones((1, 2)), np.ones((1, 2)))
+        zeros = np.zeros_like(net.params)
         with pytest.raises(ShapeError, match="layer 1 weights or biases are not views"):
-            sgd_step(net, grads, GradientSet.zeros(net), 0.1, 0.9, 0.0)
+            sgd_step(net, zeros, zeros.copy(), 0.1, 0.9, 0.0)
 
 
 class TestSgdStepBuffer:
@@ -244,8 +245,8 @@ class TestSgdStepBuffer:
 
     def test_steps_allocate_nothing_the_size_of_the_network(self, rng):
         net = build_net(16, [128, 128, 128, 128], 8, seed=0)  # 421,952 bytes of params
-        grads = net.backward(rng.standard_normal((32, 16)), rng.standard_normal((32, 8)))
-        velocity, buf = GradientSet.zeros(net), np.empty_like(net.params)
+        grads = backward(net, rng.standard_normal((32, 16)), rng.standard_normal((32, 8)))
+        velocity, buf = np.zeros_like(net.params), np.empty_like(net.params)
         sgd_step(net, grads, velocity, 0.05, 0.9, 1e-4, buf)  # warm-up
         tracemalloc.start()
         try:
@@ -260,14 +261,14 @@ class TestSgdStepBuffer:
     def test_same_bytes_with_and_without_buffer(self, rng):
         a = make_random_net(rng, [5, 7, 6, 3])
         b = a.clone()
-        va, vb = GradientSet.zeros(a), GradientSet.zeros(b)
+        va, vb = np.zeros_like(a.params), np.zeros_like(b.params)
         buf = np.full_like(a.params, np.nan)  # every entry written before it is read
         for _ in range(4):
             x, up = rng.standard_normal((9, 5)), rng.standard_normal((9, 3))
-            sgd_step(a, a.backward(x, up), va, 0.05, 0.9, 1e-3)
-            sgd_step(b, b.backward(x, up), vb, 0.05, 0.9, 1e-3, buf)
+            sgd_step(a, backward(a, x, up), va, 0.05, 0.9, 1e-3)
+            sgd_step(b, backward(b, x, up), vb, 0.05, 0.9, 1e-3, buf)
             assert a.params.tobytes() == b.params.tobytes()
-            assert va.flat.tobytes() == vb.flat.tobytes()
+            assert va.tobytes() == vb.tobytes()
 
     @pytest.mark.parametrize("bad", [
         lambda p: np.empty(p.size - 1), lambda p: np.empty(p.size + 1),
@@ -276,10 +277,10 @@ class TestSgdStepBuffer:
     ])
     def test_misfit_buffer_rejected(self, rng, bad):
         net = make_random_net(rng, [3, 4, 2])
-        grads = net.backward(np.ones((1, 3)), np.ones((1, 2)))
+        grads = backward(net, np.ones((1, 3)), np.ones((1, 2)))
         before = net.params.tobytes()
         with pytest.raises(ShapeError, match="buf must be a float64 array of shape"):
-            sgd_step(net, grads, GradientSet.zeros(net), 0.1, 0.9, 0.0, bad(net.params))
+            sgd_step(net, grads, np.zeros_like(net.params), 0.1, 0.9, 0.0, bad(net.params))
         assert net.params.tobytes() == before
 
 
@@ -325,12 +326,14 @@ class TestFlatParams:
 
     def test_gradients_share_the_layout(self, rng):
         net = make_random_net(rng, [3, 4, 2])
-        grads = net.backward(rng.standard_normal((5, 3)), rng.standard_normal((5, 2)))
-        assert grads.layout == net.layout and grads.flat.shape == net.params.shape
-        for w, b in zip(grads.wgrads, grads.bgrads):
-            assert w.base is grads.flat and b.base is grads.flat
-        flat = np.concatenate([w.ravel() for w in grads.wgrads] + list(grads.bgrads))
-        assert flat.tobytes() == grads.flat.tobytes()
+        grads = backward(net, rng.standard_normal((5, 3)), rng.standard_normal((5, 2)))
+        gw, gb = _views(grads, net.layout)
+        assert grads.shape == net.params.shape
+        assert [w.shape for w in gw] == [l.w.shape for l in net.layers]
+        for w, b in zip(gw, gb):
+            assert w.base is grads and b.base is grads
+        flat = np.concatenate([w.ravel() for w in gw] + list(gb))
+        assert flat.tobytes() == grads.tobytes()
 
 
 class TestClone:

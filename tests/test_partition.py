@@ -205,15 +205,16 @@ class TestBridgeReconnect:
 
     def test_bridge_weights_learn_after_step(self, rng):
         from splitbridge.engine import _ce
-        from splitbridge.net import GradientSet, sgd_step
+        from splitbridge.net import sgd_step
+        from conftest import backward
 
         net, _, groups = self._setup()
         bridge_reconnect(net, groups)
         x = rng.standard_normal((16, 4))
         y = rng.integers(0, 4, size=16)
         for _ in range(3):
-            grads = net.backward(x, _ce(net.forward(x), y))
-            sgd_step(net, grads, GradientSet.zeros(net), 0.5, 0.0, 0.0)
+            grads = backward(net, x, _ce(net.forward(x), y))
+            sgd_step(net, grads, np.zeros_like(net.params), 0.5, 0.0, 0.0)
         cross_vals = [net.layers[li].w[on | no] for li, (on, no) in groups.per_layer.items()]
         assert any(np.any(v != 0.0) for v in cross_vals)
 

@@ -64,9 +64,12 @@ def run_all(root: Path, out: Path) -> None:
     env = {**os.environ, "PYTHONPATH": str(src)}
     (out / "demos").mkdir()
     for demo in sorted((root / "demos").glob("*.py")):
-        stdout = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
-                                cwd=root, env=env, check=True, capture_output=True).stdout
-        (out / "demos" / f"{demo.name}.out").write_bytes(stdout)
+        run = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                             cwd=root, env=env, capture_output=True)
+        if run.returncode:
+            sys.stderr.buffer.write(run.stderr)
+            sys.exit(f"demo {demo.name} exited with status {run.returncode}")
+        (out / "demos" / f"{demo.name}.out").write_bytes(run.stdout)
 
 
 def main(argv) -> None:
