@@ -43,7 +43,7 @@ def main():
     net = build_net(seq.feature_dim, list(cfg.hidden), 4, cfg.seed)
     run_first_task([net], seq.tasks[0].train, [cfg])  # a stack of one seed
     rep = evaluate(net, seq.tasks[:1], 1)
-    print(f"task 1 trained: accuracy {rep.overall_acc:.3f} on 4 classes")
+    print(f"task 1 trained: accuracy {rep['overall_acc']:.3f} on 4 classes")
 
     d1 = seq.tasks[0].train
     mem = update_exemplars(d1.subset(slice(0, 0)), d1, cfg.memory_capacity, cfg.seed + 1)
@@ -90,9 +90,9 @@ def main():
 
     rep = evaluate(net, seq.tasks, 2)
     print(f"\nfinal step-2 metrics over all 8 classes:")
-    print(f"  overall {rep.overall_acc:.3f}  old {rep.old_acc:.3f}  "
-          f"new {rep.new_acc:.3f}")
-    print(f"  intra-old {rep.intra_old_acc:.3f}  intra-new {rep.intra_new_acc:.3f}")
+    print(f"  overall {rep['overall_acc']:.3f}  old {rep['old_acc']:.3f}  "
+          f"new {rep['new_acc']:.3f}")
+    print(f"  intra-old {rep['intra_old_acc']:.3f}  intra-new {rep['intra_new_acc']:.3f}")
 
 
 if __name__ == "__main__":

@@ -89,7 +89,7 @@ def _cmd_eval(args) -> int:
     seq = runner.make_benchmark(bench, args.tasks)
     step = args.step if args.step is not None else args.tasks
     report = evaluate(net, seq.tasks[:step], step)
-    print(json.dumps(report.to_dict(), indent=2))
+    print(json.dumps(report, indent=2))
     return 0
 
 
@@ -119,17 +119,14 @@ def _cmd_replicate_table1(args) -> int:
     for scheme in ("ce", "std"):
         rows = [m["reports"][-1] for m in runner.run_cells(
             bench, scheme, 2, seeds, {"memory_capacity": args.memory_size})]
-        tables[scheme] = {
-            k: (float(np.mean([r[k] for r in rows])), float(np.std([r[k] for r in rows])))
-            for k in runner.METRIC_KEYS
-        }
+        tables[scheme] = {k: float(np.mean([r[k] for r in rows])) for k in runner.METRIC_KEYS}
     header = f"{'loss':<10}" + "".join(f"{k:>16}" for k in runner.METRIC_KEYS)
     print(header)
     for scheme, label in (("ce", "CE"), ("std", "KD+CE")):
-        cells = "".join(f"{100 * tables[scheme][k][0]:>15.2f}%" for k in runner.METRIC_KEYS)
+        cells = "".join(f"{100 * tables[scheme][k]:>15.2f}%" for k in runner.METRIC_KEYS)
         print(f"{label:<10}{cells}")
     deltas = "".join(
-        f"{100 * (tables['std'][k][0] - tables['ce'][k][0]):>+15.2f}%" for k in runner.METRIC_KEYS
+        f"{100 * (tables['std'][k] - tables['ce'][k]):>+15.2f}%" for k in runner.METRIC_KEYS
     )
     print(f"{'delta':<10}{deltas}")
     return 0

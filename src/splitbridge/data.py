@@ -84,6 +84,15 @@ class TaskSequence:
         return self.tasks[0].train.x.shape[1]
 
 
+def _sample(rng, centers: np.ndarray, per_class: int, noise: float = 1.0,
+            clip: bool = False) -> LabeledDataset:
+    """per_class rows of each center plus N(0, noise) noise, class by class,
+    labelled by the center's index; clip keeps the rows in [0, 1]."""
+    x = np.vstack([c + rng.normal(0.0, noise, size=(per_class, c.size)) for c in centers])
+    y = np.repeat(np.arange(len(centers)), per_class)
+    return LabeledDataset(np.clip(x, 0.0, 1.0) if clip else x, y, len(centers))
+
+
 def gen_synthetic(
     num_classes: int,
     feature_dim: int,
@@ -104,15 +113,7 @@ def gen_synthetic(
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(num_classes, feature_dim))
     means = mean_radius * dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
-
-    def draw(per_class: int) -> LabeledDataset:
-        xs, ys = [], []
-        for c in range(num_classes):
-            xs.append(means[c] + rng.normal(size=(per_class, feature_dim)))
-            ys.append(np.full(per_class, c, dtype=np.int64))
-        return LabeledDataset(np.vstack(xs), np.concatenate(ys), num_classes)
-
-    return draw(train_per_class), draw(test_per_class)
+    return _sample(rng, means, train_per_class), _sample(rng, means, test_per_class)
 
 
 def read_exact(f, n: int, what: str) -> bytes:
@@ -215,13 +216,13 @@ def split_tasks(
     rng = np.random.default_rng(seed)
     perm = rng.permutation(c)
     remap = {int(orig): new for new, orig in enumerate(perm)}
+    inverse = np.argsort(perm)       # inverse[orig] == remap[orig]
     per = c // num_tasks
 
     def remapped(ds: LabeledDataset, split: str) -> LabeledDataset:
         if ds.y.size and ds.y.max() >= c:  # LabeledDataset has already rejected labels < 0
             raise ValueError(f"{split} label {ds.y.max()} is outside the train split's {c} classes")
-        y = np.array([remap[int(v)] for v in ds.y], dtype=np.int64)
-        return LabeledDataset(ds.x, y, c)
+        return LabeledDataset(ds.x, inverse[ds.y], c)
 
     rtrain, rtest = remapped(train, "train"), remapped(test, "test")
     tasks = []
@@ -246,14 +247,5 @@ def gen_glyph_images(
     round-trips through the IDX format."""
     rng = np.random.default_rng(seed)
     glyphs = (rng.random(size=(num_classes, side * side)) > 0.5).astype(np.float64)
-
-    def draw(per_class: int) -> LabeledDataset:
-        xs, ys = [], []
-        for cls in range(num_classes):
-            base = np.tile(glyphs[cls], (per_class, 1))
-            x = np.clip(base + rng.normal(0.0, noise, size=base.shape), 0.0, 1.0)
-            xs.append(x)
-            ys.append(np.full(per_class, cls, dtype=np.int64))
-        return LabeledDataset(np.vstack(xs), np.concatenate(ys), num_classes)
-
-    return draw(train_per_class), draw(test_per_class)
+    return (_sample(rng, glyphs, train_per_class, noise, clip=True),
+            _sample(rng, glyphs, test_per_class, noise, clip=True))

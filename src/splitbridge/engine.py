@@ -288,9 +288,8 @@ def update_exemplars(mem: LabeledDataset, d_t: LabeledDataset, capacity: int,
 
 @dataclass
 class StepResult:
-    step: int                      # 1-based task index
     net: DenseNet                  # checkpoint after the step
-    report: "metrics.EvalReport"
+    report: dict                   # metrics.evaluate's record, with the 1-based step
     plan_summary: dict | None = None
     diagnostics: dict = field(default_factory=dict)
 
@@ -332,5 +331,5 @@ def run_sequence(seq: TaskSequence, cfgs: list[SchemeConfig]) -> list[list[StepR
                 for mem, c in zip(mems, cfgs)]
         for net, (_, plan, _, diagnostics), out in zip(nets, splits, results):
             report = metrics.evaluate(net, seq.tasks[:t], t)
-            out.append(StepResult(t, net.clone(), report, plan and plan.summary(), diagnostics))
+            out.append(StepResult(net.clone(), report, plan and plan.summary(), diagnostics))
     return results

@@ -4,30 +4,9 @@ block-restricted argmax. Inference is raw argmax with no balancing."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-
 import numpy as np
 
 from .data import TaskRange
-
-
-@dataclass
-class EvalReport:
-    step: int
-    overall_acc: float
-    old_acc: float
-    new_acc: float
-    intra_old_acc: float
-    intra_new_acc: float
-    per_task_acc: list[float] = field(default_factory=list)
-    n_old: int = 0
-    n_new: int = 0
-    # counts [true block][predicted block], blocks: 0 = old classes, 1 = new
-    block_confusion: list[list[int]] = field(default_factory=lambda: [[0, 0], [0, 0]])
-
-    def to_dict(self) -> dict:
-        """JSON-ready record; the keys follow the field order."""
-        return asdict(self)
 
 
 def _acc(pred: np.ndarray, truth: np.ndarray) -> float:
@@ -39,23 +18,23 @@ def report_from_predictions(
     labels: np.ndarray,
     task_blocks: list[TaskRange],
     step: int,
-) -> EvalReport:
-    """Build the five-metric report from logits over pooled test samples.
+) -> dict:
+    """Build the step's report from logits over pooled test samples: the
+    JSON-ready dict a manifest stores, its keys in the manifest's order.
 
     task_blocks lists each task's class window, in task order; the last
     block is the "new" task of this step, everything before it is pooled as
-    "old".
+    "old". block_confusion counts [true block][predicted block], block 0
+    being the old classes and 1 the new.
     """
     labels = np.asarray(labels, dtype=np.int64)
     new_block = task_blocks[-1]
     old_hi = new_block.start            # old classes are [0, old_hi)
     pred = logits.argmax(axis=1)
-
+    masks = [block.mask(labels) for block in task_blocks]
     is_old = labels < old_hi
-    is_new = new_block.mask(labels)
-    old_acc = _acc(pred[is_old], labels[is_old])
-    new_acc = _acc(pred[is_new], labels[is_new])
-    overall = _acc(pred, labels)
+    is_new = masks[-1]
+    per_task = [_acc(pred[m], labels[m]) for m in masks]   # the last is the new accuracy
 
     # restricted argmax within the old (resp. new) class block; _acc scores a
     # block without rows 0.0, and step 1's old block [0, 0) has no columns
@@ -66,34 +45,27 @@ def report_from_predictions(
     intra_new_pred = old_hi + logits[is_new][:, new_block.slice()].argmax(axis=1)
     intra_new = _acc(intra_new_pred, labels[is_new])
 
-    per_task = []
-    for block in task_blocks:
-        sel = block.mask(labels)
-        per_task.append(_acc(pred[sel], labels[sel]))
-
-    confusion = [[0, 0], [0, 0]]
     pred_old = pred < old_hi
-    confusion[0][0] = int((is_old & pred_old).sum())
-    confusion[0][1] = int((is_old & ~pred_old).sum())
-    confusion[1][0] = int((is_new & pred_old).sum())
-    confusion[1][1] = int((is_new & ~pred_old).sum())
+    confusion = [[int((true & pred_old).sum()), int((true & ~pred_old).sum())]
+                 for true in (is_old, is_new)]
 
-    return EvalReport(
-        step=step,
-        overall_acc=overall,
-        old_acc=old_acc,
-        new_acc=new_acc,
-        intra_old_acc=intra_old,
-        intra_new_acc=intra_new,
-        per_task_acc=per_task,
-        n_old=int(is_old.sum()),
-        n_new=int(is_new.sum()),
-        block_confusion=confusion,
-    )
+    return {
+        "step": step,
+        "overall_acc": _acc(pred, labels),
+        "old_acc": _acc(pred[is_old], labels[is_old]),
+        "new_acc": per_task[-1],
+        "intra_old_acc": intra_old,
+        "intra_new_acc": intra_new,
+        "per_task_acc": per_task,
+        "n_old": int(is_old.sum()),
+        "n_new": int(is_new.sum()),
+        "block_confusion": confusion,
+    }
 
 
-def evaluate(net, tasks: list, step: int) -> EvalReport:
-    """Evaluate a network on the test sets of tasks 1..step.
+def evaluate(net, tasks: list, step: int) -> dict:
+    """Evaluate a network on the test sets of tasks 1..step; returns the
+    step's report_from_predictions dict.
 
     Each task's class block is its Task.classes, whether or not every class has test
     rows. A step below 1, or a task with an empty test set, raises ValueError naming it.
@@ -114,8 +86,8 @@ def evaluate(net, tasks: list, step: int) -> EvalReport:
     return report_from_predictions(logits, ys, blocks, step)
 
 
-def average_incremental_accuracy(reports: list[EvalReport]) -> float:
+def average_incremental_accuracy(reports: list[dict]) -> float:
     """Mean overall accuracy over every step after the first."""
     if len(reports) < 2:
         raise ValueError("need reports for at least two steps")
-    return float(np.mean([r.overall_acc for r in reports[1:]]))
+    return float(np.mean([r["overall_acc"] for r in reports[1:]]))

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as databench
-from .engine import SchemeConfig, run_sequence
+from .engine import SCHEMES, SchemeConfig, run_sequence
 from .metrics import average_incremental_accuracy
 
 WORKERS_ENV = "SPLITBRIDGE_WORKERS"
@@ -96,7 +97,7 @@ def run_cells(bench: dict, scheme: str, num_tasks: int, seeds: list[int],
             "seed": cfg.seed,
             "benchmark": bench,
             "config": dataclasses.asdict(cfg),
-            "reports": [r.report.to_dict() for r in results],
+            "reports": [r.report for r in results],
             "plans": [r.plan_summary for r in results],
             "diagnostics": [r.diagnostics for r in results],
             "avg_incremental_acc": (
@@ -108,7 +109,7 @@ def run_cells(bench: dict, scheme: str, num_tasks: int, seeds: list[int],
             out_dir = Path(out_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
             for r in results:
-                r.net.save(out_dir / f"step{r.step}.ckpt")
+                r.net.save(out_dir / f"step{r.report['step']}.ckpt")
             _write_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2))
         manifests.append(manifest)
     return manifests
@@ -123,7 +124,7 @@ def run_experiment(bench: dict, scheme: str, num_tasks: int, seed: int,
 
 def _write_atomic(path: Path, text: str) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
+    tmp.write_text(text, newline="")   # the text's line ends, verbatim
     os.replace(tmp, path)
 
 
@@ -147,14 +148,23 @@ def run_matrix(matrix: dict, out_dir) -> int:
     any failure makes the exit code nonzero. SPLITBRIDGE_WORKERS (an integer
     >= 1, default 1) processes, at most one per cell, run the stacks; a group's
     seeds are split in order into enough stacks to keep each process busy. A
-    bad count, or a missing or empty schemes, task_counts or seeds axis,
-    raises a ValueError before any write.
+    bad count, a schemes, task_counts or seeds axis that is not a non-empty
+    list of distinct values, or an unknown scheme raises a ValueError before
+    any write.
     """
     out_dir = Path(out_dir)
     bench = {**DEFAULT_BENCHMARK, **matrix.get("benchmark", {})}
     for axis in ("schemes", "task_counts", "seeds"):
-        if not matrix.get(axis):
-            raise ValueError(f"matrix config needs a non-empty {axis!r} list")
+        values = matrix.get(axis)
+        if not (isinstance(values, list) and values):
+            raise ValueError(f"matrix config needs a non-empty {axis!r} list, got {values!r}")
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValueError(f"matrix config's {axis!r} list repeats {repeated[0]!r}")
+    unknown = [s for s in matrix["schemes"] if s not in SCHEMES]
+    if unknown:
+        raise ValueError(f"matrix config's 'schemes' list names {unknown[0]!r}, "
+                         f"not one of {', '.join(SCHEMES)}")
     seeds = matrix["seeds"]
     groups = [(scheme, tasks) for scheme in matrix["schemes"] for tasks in matrix["task_counts"]]
     overrides = matrix.get("config", {})
@@ -195,12 +205,12 @@ def write_summary(rows: list[dict], path) -> None:
         bucket = cells.setdefault(key, {k: [] for k in METRIC_KEYS})
         for k in METRIC_KEYS:
             bucket[k].append(r[k])
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["scheme", "tasks", "step", "metric", "mean", "std", "n_seeds"])
-        for key in sorted(cells, key=lambda k: (str(k[0]), k[1], k[2])):
-            for metric in METRIC_KEYS:
-                vals = np.array(cells[key][metric])
-                writer.writerow([key[0], key[1], key[2], metric,
-                                 repr(float(vals.mean())), repr(float(vals.std())),
-                                 len(vals)])
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["scheme", "tasks", "step", "metric", "mean", "std", "n_seeds"])
+    for key in sorted(cells, key=lambda k: (str(k[0]), k[1], k[2])):
+        for metric in METRIC_KEYS:
+            vals = np.array(cells[key][metric])
+            writer.writerow([key[0], key[1], key[2], metric,
+                             repr(float(vals.mean())), repr(float(vals.std())), len(vals)])
+    _write_atomic(Path(path), text.getvalue())

@@ -289,10 +289,10 @@ def test_criterion_8_metric_identities():
             logits = master.standard_normal((n, c_old + c_new))
             blocks = [TaskRange(0, c_old), TaskRange(c_old, c_old + c_new)]
             rep = report_from_predictions(logits, labels, blocks, step=2)
-            assert rep.intra_old_acc >= rep.old_acc
-            assert rep.intra_new_acc >= rep.new_acc
+            assert rep["intra_old_acc"] >= rep["old_acc"]
+            assert rep["intra_new_acc"] >= rep["new_acc"]
             # recover integer correct counts so the identity is exact
-            old_k = round(rep.old_acc * rep.n_old)
-            new_k = round(rep.new_acc * rep.n_new)
-            all_k = round(rep.overall_acc * n)
+            old_k = round(rep["old_acc"] * rep["n_old"])
+            new_k = round(rep["new_acc"] * rep["n_new"])
+            all_k = round(rep["overall_acc"] * n)
             assert old_k + new_k == all_k

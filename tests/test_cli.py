@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import splitbridge
 from splitbridge import runner
 from splitbridge.cli import cli_main
 from splitbridge.data import load_csv
+from splitbridge.metrics import evaluate
 from splitbridge.net import DenseNet, build_net
 from splitbridge.runner import (
     DEFAULT_BENCHMARK,
@@ -62,6 +64,26 @@ class TestRunner:
         assert (tmp_path / "step2.ckpt").exists()
         on_disk = json.loads((tmp_path / "manifest.json").read_text())
         assert on_disk == json.loads(json.dumps(m))
+
+    def test_report_is_the_manifest_record(self, tmp_path):
+        # the report's key order is the manifest format; a step's report of its
+        # checkpoint must serialise to that step's manifest entry, byte for byte
+        run_experiment(TINY_BENCH, "sb", 2, 0, TINY_CONFIG, out_dir=tmp_path)
+        seq = make_benchmark(TINY_BENCH, 2)
+        entries = json.loads((tmp_path / "manifest.json").read_text())["reports"]
+        accs = ["overall_acc", "old_acc", "new_acc", "intra_old_acc", "intra_new_acc"]
+        for step, entry in enumerate(entries, start=1):
+            report = evaluate(DenseNet.load(tmp_path / f"step{step}.ckpt"), seq.tasks[:step], step)
+            assert list(report) == ["step", *accs, "per_task_acc", "n_old", "n_new",
+                                    "block_confusion"]
+            assert all(type(report[k]) is float for k in accs)
+            assert [type(a) for a in report["per_task_acc"]] == [float] * step
+            assert all(type(report[k]) is int for k in ("step", "n_old", "n_new"))
+            confusion = report["block_confusion"]
+            assert type(confusion) is list and len(confusion) == 2
+            assert all(type(row) is list and [type(v) for v in row] == [int, int]
+                       for row in confusion)
+            assert json.dumps(report) == json.dumps(entry)
 
     def test_checkpoints_load_and_widths_grow(self, tmp_path):
         run_experiment(TINY_BENCH, "std", 2, 0, TINY_CONFIG, out_dir=tmp_path)
@@ -115,6 +137,22 @@ class TestRunner:
         matrix = {"benchmark": TINY_BENCH, "schemes": ["ce"], "task_counts": [2],
                   "seeds": [0], "config": TINY_CONFIG}
         with pytest.raises(ValueError, match=WORKERS_ENV):
+            run_matrix(matrix, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("axis, value, message", [
+        ("seeds", [0, 0], "matrix config's 'seeds' list repeats 0"),
+        ("seeds", 5, "matrix config needs a non-empty 'seeds' list, got 5"),
+        ("task_counts", [], "matrix config needs a non-empty 'task_counts' list, got []"),
+        ("task_counts", [2, 4, 2], "matrix config's 'task_counts' list repeats 2"),
+        ("schemes", "ce", "matrix config needs a non-empty 'schemes' list, got 'ce'"),
+        ("schemes", ["ce", "ce"], "matrix config's 'schemes' list repeats 'ce'"),
+        ("schemes", ["ce", "kd"], "matrix config's 'schemes' list names 'kd', not one of"),
+    ])
+    def test_bad_axis_rejected_before_writing(self, tmp_path, axis, value, message):
+        matrix = {"benchmark": TINY_BENCH, "schemes": ["ce"], "task_counts": [2],
+                  "seeds": [0], "config": TINY_CONFIG, axis: value}
+        with pytest.raises(ValueError, match=re.escape(message)):
             run_matrix(matrix, tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
@@ -385,6 +423,15 @@ class TestCli:
          "No such file or directory: 'MISSING'"),
         (["replicate-table1", "--seeds", "0"], "--seeds must be at least 1, got 0"),
         (["replicate-table1", "--seeds", "-2"], "--seeds must be at least 1, got -2"),
+        (["matrix", "--out", "OUT", "--config", {"schemes": ["ce"], "task_counts": [2],
+                                                 "seeds": [0, 0]}],
+         "matrix config's 'seeds' list repeats 0"),
+        (["matrix", "--out", "OUT", "--config", {"schemes": ["ce"], "task_counts": [2],
+                                                 "seeds": 5}],
+         "matrix config needs a non-empty 'seeds' list, got 5"),
+        (["matrix", "--out", "OUT", "--config", {"schemes": "ce", "task_counts": [2],
+                                                 "seeds": [0]}],
+         "matrix config needs a non-empty 'schemes' list, got 'ce'"),
     ])
     def test_bad_value_exit_1_one_line(self, tmp_path, capsys, argv, message):
         # OUT and MISSING stand for an output directory and a file that does

@@ -407,11 +407,11 @@ class TestRunSequence:
     def test_shapes_and_reports(self, scheme):
         seq = small_sequence()
         results = run_sequence(seq, [SchemeConfig(scheme=scheme, **FAST)])[0]
-        assert [r.step for r in results] == [1, 2]
+        assert [r.report["step"] for r in results] == [1, 2]
         # output layer ends as wide as the total class count
         assert results[-1].net.num_classes == seq.num_classes
-        assert results[0].report.n_old == 0
-        assert results[1].report.n_old == results[1].report.n_new == 40
+        assert results[0].report["n_old"] == 0
+        assert results[1].report["n_old"] == results[1].report["n_new"] == 40
 
     def test_single_task_degenerate(self):
         seq = small_sequence(num_classes=4, num_tasks=1)
@@ -436,7 +436,7 @@ class TestRunSequence:
             for la, lb in zip(ra.net.layers, rb.net.layers):
                 assert np.array_equal(la.w, lb.w)
                 assert np.array_equal(la.b, lb.b)
-            assert ra.report.to_dict() == rb.report.to_dict()
+            assert ra.report == rb.report
 
     def test_one_forward_per_step_and_one_cut_per_split(self, monkeypatch):
         from splitbridge import engine, metrics, partition

@@ -6,12 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splitbridge.data import LabeledDataset, Task, TaskRange
-from splitbridge.metrics import (
-    EvalReport,
-    average_incremental_accuracy,
-    evaluate,
-    report_from_predictions,
-)
+from splitbridge.metrics import average_incremental_accuracy, evaluate, report_from_predictions
 
 
 def logits_for(preds, num_classes):
@@ -29,12 +24,12 @@ class TestReportFromPredictions:
             logits_for(labels, 4), labels,
             [TaskRange(0, 2), TaskRange(2, 4)], step=2,
         )
-        assert rep.overall_acc == 1.0
-        assert rep.old_acc == 1.0 and rep.new_acc == 1.0
-        assert rep.intra_old_acc == 1.0 and rep.intra_new_acc == 1.0
-        assert rep.per_task_acc == [1.0, 1.0]
-        assert rep.n_old == 2 and rep.n_new == 2
-        assert rep.block_confusion == [[2, 0], [0, 2]]
+        assert rep["overall_acc"] == 1.0
+        assert rep["old_acc"] == 1.0 and rep["new_acc"] == 1.0
+        assert rep["intra_old_acc"] == 1.0 and rep["intra_new_acc"] == 1.0
+        assert rep["per_task_acc"] == [1.0, 1.0]
+        assert rep["n_old"] == 2 and rep["n_new"] == 2
+        assert rep["block_confusion"] == [[2, 0], [0, 2]]
 
     def test_always_predicts_new(self):
         # classifier collapsed onto the newest class: old accuracy dies but
@@ -46,10 +41,10 @@ class TestReportFromPredictions:
         rep = report_from_predictions(
             logits, labels, [TaskRange(0, 2), TaskRange(2, 4)], step=2,
         )
-        assert rep.old_acc == 0.0
-        assert rep.new_acc == 0.5
-        assert rep.intra_old_acc == 1.0
-        assert rep.block_confusion == [[0, 2], [0, 2]]
+        assert rep["old_acc"] == 0.0
+        assert rep["new_acc"] == 0.5
+        assert rep["intra_old_acc"] == 1.0
+        assert rep["block_confusion"] == [[0, 2], [0, 2]]
 
     def test_hand_enumerated_fixture(self):
         # 10 samples, classes 0..3 in two tasks; predictions chosen so every
@@ -74,25 +69,25 @@ class TestReportFromPredictions:
         rep = report_from_predictions(
             logits, labels, [TaskRange(0, 2), TaskRange(2, 4)], step=2,
         )
-        assert rep.old_acc == pytest.approx(3 / 5)
-        assert rep.new_acc == pytest.approx(2 / 5)
-        assert rep.overall_acc == pytest.approx(5 / 10)
-        assert rep.intra_old_acc == pytest.approx(5 / 5)
-        assert rep.intra_new_acc == pytest.approx(3 / 5)
-        assert rep.per_task_acc == [pytest.approx(3 / 5), pytest.approx(2 / 5)]
+        assert rep["old_acc"] == pytest.approx(3 / 5)
+        assert rep["new_acc"] == pytest.approx(2 / 5)
+        assert rep["overall_acc"] == pytest.approx(5 / 10)
+        assert rep["intra_old_acc"] == pytest.approx(5 / 5)
+        assert rep["intra_new_acc"] == pytest.approx(3 / 5)
+        assert rep["per_task_acc"] == [pytest.approx(3 / 5), pytest.approx(2 / 5)]
         # old preds [0,2,1,1,3] land in the old block 3 times;
         # new preds [2,0,3,2,1] land there twice
-        assert rep.block_confusion == [[3, 2], [2, 3]]
+        assert rep["block_confusion"] == [[3, 2], [2, 3]]
 
     def test_first_step_has_no_old_block(self):
         labels = np.array([0, 1, 1])
         rep = report_from_predictions(
             logits_for([0, 1, 0], 2), labels, [TaskRange(0, 2)], step=1,
         )
-        assert rep.n_old == 0
-        assert rep.old_acc == 0.0 and rep.intra_old_acc == 0.0
-        assert rep.overall_acc == pytest.approx(2 / 3)
-        assert rep.new_acc == pytest.approx(2 / 3)
+        assert rep["n_old"] == 0
+        assert rep["old_acc"] == 0.0 and rep["intra_old_acc"] == 0.0
+        assert rep["overall_acc"] == pytest.approx(2 / 3)
+        assert rep["new_acc"] == pytest.approx(2 / 3)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=30, deadline=None)
@@ -103,16 +98,16 @@ class TestReportFromPredictions:
         blocks = [TaskRange(0, 2), TaskRange(2, 4), TaskRange(4, 6)]
         rep = report_from_predictions(logits, labels, blocks, step=3)
         # restricted argmax can only help the block's own samples
-        assert rep.intra_old_acc >= rep.old_acc - 1e-12
-        assert rep.intra_new_acc >= rep.new_acc - 1e-12
+        assert rep["intra_old_acc"] >= rep["old_acc"] - 1e-12
+        assert rep["intra_new_acc"] >= rep["new_acc"] - 1e-12
         # overall accuracy is the sample-weighted mean of old and new
-        n = rep.n_old + rep.n_new
+        n = rep["n_old"] + rep["n_new"]
         if n:
-            weighted = (rep.n_old * rep.old_acc + rep.n_new * rep.new_acc) / n
-            assert rep.overall_acc == pytest.approx(weighted)
+            weighted = (rep["n_old"] * rep["old_acc"] + rep["n_new"] * rep["new_acc"]) / n
+            assert rep["overall_acc"] == pytest.approx(weighted)
         # confusion row sums recover the block sample counts
-        assert sum(rep.block_confusion[0]) == rep.n_old
-        assert sum(rep.block_confusion[1]) == rep.n_new
+        assert sum(rep["block_confusion"][0]) == rep["n_old"]
+        assert sum(rep["block_confusion"][1]) == rep["n_new"]
 
 
 def task_with_test(classes, labels, num_classes=4):
@@ -149,9 +144,9 @@ class TestEvaluate:
         old = task_with_test([0, 1], [0, 0, 1, 1])
         new = task_with_test([2, 3], [2, 2, 3, 3])
         rep = evaluate(self._Net(np.array([0.0, 1.0, 3.0, 2.0])), [old, new], step=2)
-        assert rep.overall_acc == pytest.approx(2 / 8)
-        assert rep.old_acc == 0.0
-        assert rep.new_acc == pytest.approx(2 / 4)
+        assert rep["overall_acc"] == pytest.approx(2 / 8)
+        assert rep["old_acc"] == 0.0
+        assert rep["new_acc"] == pytest.approx(2 / 4)
 
     @pytest.mark.parametrize("present, out", [
         (3, [0.0, 0.0, 5.0, 1.0]),  # lowest class of the new task has no test rows
@@ -163,10 +158,10 @@ class TestEvaluate:
         old = task_with_test([0, 1], [0, 1])
         new = task_with_test([2, 3], [present] * 3)
         rep = evaluate(self._Net(np.array(out)), [old, new], step=2)
-        assert rep.intra_new_acc == 0.0
-        assert rep.new_acc == 0.0
-        assert rep.block_confusion == [[0, 2], [0, 3]]
-        assert (rep.n_old, rep.n_new) == (2, 3)
+        assert rep["intra_new_acc"] == 0.0
+        assert rep["new_acc"] == 0.0
+        assert rep["block_confusion"] == [[0, 2], [0, 3]]
+        assert (rep["n_old"], rep["n_new"]) == (2, 3)
 
     def test_empty_test_set_names_the_task(self):
         old = task_with_test([0, 1], [0, 1])
@@ -177,7 +172,7 @@ class TestEvaluate:
 
 class TestAverageIncrementalAccuracy:
     def _rep(self, step, acc):
-        return EvalReport(step, acc, 0, 0, 0, 0)
+        return {"step": step, "overall_acc": acc}
 
     def test_mean_over_later_steps(self):
         reports = [self._rep(1, 0.9), self._rep(2, 0.7), self._rep(3, 0.5)]
