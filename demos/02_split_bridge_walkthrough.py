@@ -50,10 +50,10 @@ def main():
     # the training pool is task 2's data plus the exemplars; the task-1
     # model's soft labels on it, taken before the output layer widens, are
     # the only teacher the split phase reads
-    pool = Pool.build(seq.tasks[1], mem, net, cfg)
+    pool = Pool.build(seq.tasks[1], [mem], [net], cfg)  # one seed's row
     net.widen_output(4)
 
-    net, plan, groups, diag = run_split_phase(net, pool, cfg, step=2)
+    net, plan, groups, diag = run_split_phase(net, pool, 0, cfg, step=2)
     print(f"\nsplit phase (layers {plan.split_index}..{plan.depth - 1} partitioned):")
     for li in sorted(plan.old_size):
         print(f"  layer {li}: {plan.old_size[li]} old nodes, "
@@ -86,7 +86,7 @@ def main():
     print("\nbridge phase: cut weights re-enabled at zero, composite loss trained")
     print(f"  zero-bridge logits bit-identical to branched logits: "
           f"{np.array_equal(preview.forward(probe), branched)}")
-    run_bridge_phase([net], [plan], pool, [cfg], step=2)
+    run_bridge_phase([net], plan, pool, [cfg], step=2)
 
     rep = evaluate(net, seq.tasks, 2)
     print(f"\nfinal step-2 metrics over all 8 classes:")

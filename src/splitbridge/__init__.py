@@ -4,7 +4,7 @@ Library layout:
   net        dense MLP engine: forward, manual backprop, momentum SGD
   losses     CE and temperature-KD kernels, softmax, sparsity penalty
   partition  adaptive split plans and their cut blocks, disconnection, the zero-bridge check
-  engine     incremental loop for a stack of seeds, one Pool each per step, phase losses
+  engine     incremental loop for a stack of seeds, one Pool per step, phase losses
   data       synthetic / IDX / CSV datasets, task splits and class windows (TaskRange)
   metrics    per-step accuracy decomposition, as the dict a manifest stores
   runner     experiment sweeps, one seed stack per cell group, with JSONL/CSV outputs

@@ -23,9 +23,15 @@ from .net import DenseNet
 def _load_config(path) -> dict:
     try:
         with open(path) as f:
-            return json.load(f)
+            cfg = json.load(f)
     except json.JSONDecodeError as exc:
         raise ValueError(f"config parse error in {path} at line {exc.lineno}: {exc.msg}")
+    for key in (None, "benchmark", "config"):  # None: the top level, checked first
+        part = cfg if key is None else cfg.get(key, {})
+        if not isinstance(part, dict):
+            raise ValueError(f"config {path}: {repr(key) if key else 'the top level'} "
+                             f"must be a JSON object, not {type(part).__name__}")
+    return cfg
 
 
 def _add_override_flags(p: argparse.ArgumentParser) -> None:

@@ -1,14 +1,16 @@
 """Incremental training engine: the split/bridge loop, the STD, CE-only and
 double-distillation baselines and exemplar memory, for seeds trained as one
-stack. Each step after the first trains on one Pool per seed: the task's rows,
-the memory's, the previous model's soft labels on them and the class windows.
-STD, the bridge and dd train one KD+CE loss, _kd_ce, with one or two KD windows.
+stack. Each step after the first trains on one Pool for the stack. Each
+soft-label teacher (the previous models, the bridge's old branch, dd's
+throwaway nets) is one stacked forward pass over _stack's layer views. STD, the
+bridge and dd train one KD+CE loss, _kd_ce, with one or two KD windows.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -83,10 +85,10 @@ class SchemeConfig:
 
 @dataclass(frozen=True)
 class Pool:
-    """One step's training pools, one per seed on a leading axis: the task's
-    rows, then the seed's memory's (is_new flags the task's), and its previous
-    model's tempered soft labels on them (None for ce). Pool sizes are equal
-    across seeds. old and new are the class windows of the widened output."""
+    """One step's training pool for a stack, one row per seed on a leading axis:
+    the task's rows, then the seed's memory's (is_new flags the task's), and its
+    previous model's tempered soft labels on them (None for ce). Pool sizes are
+    equal across seeds. old and new are the class windows of the widened output."""
 
     x: np.ndarray
     y: np.ndarray
@@ -100,20 +102,23 @@ class Pool:
         return lambda_schedule(self.old.size, self.new.size)
 
     @classmethod
-    def build(cls, task: Task, mem: LabeledDataset, net: DenseNet, cfg: SchemeConfig) -> Pool:
-        """One seed's pool (a stack of one) for task's step; call before net's output widens."""
-        d_t, c_old = task.train, net.num_classes
-        x, y = np.vstack([d_t.x, mem.x]), np.concatenate([d_t.y, mem.y])
-        soft = None if cfg.scheme == "ce" else losses.softmax(net.forward(x), cfg.tau)[None]
-        return cls(x[None], y[None], (np.arange(len(x)) < len(d_t))[None], soft,
+    def build(cls, task: Task, mems: list[LabeledDataset], nets: list[DenseNet],
+              cfg: SchemeConfig) -> Pool:
+        """The pool of task's step, row s from mems[s] and nets[s]; call before they widen."""
+        d_t, c_old = task.train, nets[0].num_classes
+        x = np.stack([np.vstack([d_t.x, mem.x]) for mem in mems])
+        y = np.stack([np.concatenate([d_t.y, mem.y]) for mem in mems])
+        soft = None if cfg.scheme == "ce" else losses.softmax(
+            _forward(_stack(nets)[1], x)[0], cfg.tau)  # every seed's in one stacked pass
+        return cls(x, y, np.tile(np.arange(x.shape[1]) < len(d_t), (len(mems), 1)), soft,
                    TaskRange(0, c_old), TaskRange(c_old, c_old + task.classes.size))
 
-    @classmethod
-    def stack(cls, pools: list[Pool]) -> Pool:
-        """The seeds of pools, which share their windows, as one stack."""
-        cols = ([getattr(p, f) for p in pools] for f in ("x", "y", "is_new", "soft"))
-        return cls(*(None if c[0] is None else np.concatenate(c) for c in cols),
-                   pools[0].old, pools[0].new)
+
+def _stack(nets: list[DenseNet]):
+    """The nets' params as one (S, P) array (a view at S = 1, else a copy) and
+    its layer views, w (S, in, out) and b (S, 1, out), for _forward and _backward."""
+    stack = nets[0].params[None] if len(nets) == 1 else np.stack([net.params for net in nets])
+    return stack, [Layer(w, b[:, None]) for w, b in zip(*_views(stack, nets[0].layout))]
 
 
 def _fit(nets, cfgs, epochs: int, stream, grad, x, *cols, on_grads=None) -> None:
@@ -123,19 +128,18 @@ def _fit(nets, cfgs, epochs: int, stream, grad, x, *cols, on_grads=None) -> None
     cfgs differ only in seed. Each epoch puts seed s's rows in the order drawn
     from default_rng([cfgs[s].seed, *stream]), stream = (step, tag); a batch is
     the next batch_size rows of each. One forward pass, phase loss and backward
-    pass per step serve all seeds, on (S, in, out) weight views of the stacked
-    params (a view at S = 1, else refreshed each step). grad(logits, *batch_cols,
-    parts=None) returns d(loss)/d(logits), leaving logits as they are; given a
-    dict parts, it also records the value components and their total, loss, per
-    seed (_fit passes none). Then on_grads(net, wgrads), if given, edits the
-    seed's per-layer weight gradients in place, and sgd_step updates the seed
-    from its rows of the (S, P) gradient and velocity buffers. Every call trains
-    at cfg.learning_rate from zero momentum.
+    pass per step serve all seeds, on _stack(nets)'s views (refreshed each step
+    at S > 1). grad(logits, *batch_cols, parts=None) returns d(loss)/d(logits),
+    leaving logits as they are; given a dict parts, it also records the value
+    components and their total, loss, per seed (_fit passes none). Then
+    on_grads(wgrads), if given, edits a seed's per-layer weight gradients in
+    place, and sgd_step updates the seed from its rows of the (S, P) gradient
+    and velocity buffers. Every call trains at cfg.learning_rate from zero
+    momentum.
     """
     cfg, layout, lanes = cfgs[0], nets[0].layout, np.arange(len(nets))[:, None]
     rngs = [np.random.default_rng([c.seed, *stream]) for c in cfgs]
-    stack = nets[0].params[None] if len(nets) == 1 else np.empty((len(nets), nets[0].params.size))
-    layers = [Layer(w, b[:, None]) for w, b in zip(*_views(stack, layout))]
+    stack, layers = _stack(nets)
     grads, velocity = np.empty_like(stack), np.zeros_like(stack)  # one row per seed
     (gw, gb), buf = _views(grads, layout), np.empty_like(nets[0].params)
     seeds = list(zip(nets, grads, velocity, zip(*gw)))  # each seed's rows and weight views
@@ -150,7 +154,7 @@ def _fit(nets, cfgs, epochs: int, stream, grad, x, *cols, on_grads=None) -> None
             _backward(layers, inputs, grad(logits, *batch), gw, gb)
             for net, g, v, wgrads in seeds:
                 if on_grads is not None:
-                    on_grads(net, wgrads)
+                    on_grads(wgrads)
                 sgd_step(net, g, v, cfg.learning_rate, cfg.momentum, cfg.weight_decay, buf)
 
 
@@ -203,7 +207,7 @@ def run_first_task(nets: list[DenseNet], d1: LabeledDataset, cfgs: list[SchemeCo
          *(np.broadcast_to(a, (len(nets),) + a.shape) for a in (d1.x, d1.y)))
 
 
-def run_split_phase(net: DenseNet, pool: Pool, cfg: SchemeConfig, step: int):
+def run_split_phase(net: DenseNet, pool: Pool, s: int, cfg: SchemeConfig, step: int):
     """Sparsify cross-partition weights, disconnect, then train the branches.
 
     Stage 1 minimizes KD (old logits, all pool samples) + LCE (new logits,
@@ -211,40 +215,35 @@ def run_split_phase(net: DenseNet, pool: Pool, cfg: SchemeConfig, step: int):
     disconnects and minimizes KD + LCE on the branched network, zeroing the
     cut weights' gradients each step: as the weights and the fresh velocities
     start at 0.0, weight decay and momentum keep them there exactly. KD reads
-    the pool's soft labels in both stages; pool holds one seed, net's.
+    the pool's soft labels in both stages; net trains on row s of the stacked pool.
 
     Returns (net, plan, groups, diagnostics).
     """
-    kd_lce, rows = _kd_lce(pool.old, pool.new, cfg.tau), (pool.x, pool.y, pool.is_new, pool.soft)
+    kd_lce = _kd_lce(pool.old, pool.new, cfg.tau)
+    rows = [a[s : s + 1] for a in (pool.x, pool.y, pool.is_new, pool.soft)]
     plan = partition.make_plan(net, cfg.split_index, pool.old.size, pool.new.size, cfg.rho)
-
-    def zero_cut(net, wgrads):
-        plan.groups.zero(wgrads)
-
-    def penalty(net, wgrads):
-        losses.sparsify_penalty(net, plan, cfg.gamma, into=wgrads)
+    penalty = partial(losses.sparsify_penalty, net, plan, cfg.gamma) if cfg.gamma > 0 else None
 
     diagnostics = {"cross_norm_start": losses.sparsify_penalty(net, plan, 1.0)}
-    _fit([net], [cfg], cfg.epochs_sparsify, (step, 1), kd_lce, *rows,
-         on_grads=penalty if cfg.gamma > 0 else None)
+    _fit([net], [cfg], cfg.epochs_sparsify, (step, 1), kd_lce, *rows, on_grads=penalty)
     diagnostics["cross_norm_at_disconnect"] = losses.sparsify_penalty(net, plan, 1.0)
 
     partition.disconnect(net, plan.groups)
-    _fit([net], [cfg], cfg.epochs_branched, (step, 2), kd_lce, *rows, on_grads=zero_cut)
+    _fit([net], [cfg], cfg.epochs_branched, (step, 2), kd_lce, *rows, on_grads=plan.groups.zero)
     return net, plan, plan.groups, diagnostics
 
 
-def run_bridge_phase(nets: list[DenseNet], plans: list[partition.PartitionPlan], pool: Pool,
+def run_bridge_phase(nets: list[DenseNet], plan: partition.PartitionPlan, pool: Pool,
                      cfgs: list[SchemeConfig], step: int) -> None:
     """Re-enable each seed's cut weights at zero and train the composite loss.
 
-    bridge_reconnect checks that the cut weights are exactly 0.0, so the
-    bridge starts from the branched network's logits. The KD teacher is the
-    shared-trunk-plus-old-branch subnetwork, frozen before any bridge update.
+    bridge_reconnect checks that the cut weights are exactly 0.0, so the bridge
+    starts from the branched logits. The KD teacher, frozen before any update, is
+    plan's trunk plus old branch in the stack's views; one plan fits every seed.
     """
-    soft = np.stack([losses.softmax(partition.extract_subnet(net, plan).forward(x), cfgs[0].tau)
-                     for net, plan, x in zip(nets, plans, pool.x)])
-    for net, plan in zip(nets, plans):
+    teacher = partition.extract_subnet(_stack(nets)[1], plan)
+    soft = losses.softmax(_forward(teacher, pool.x)[0], cfgs[0].tau)
+    for net in nets:
         partition.bridge_reconnect(net, plan.groups)
     _fit(nets, cfgs, cfgs[0].epochs_bridge, (step, 3), _kd_ce(pool.lam, cfgs[0].tau, pool.old),
          pool.x, pool.y, soft)
@@ -270,7 +269,7 @@ def run_dd_step(nets: list[DenseNet], pool: Pool, cfgs: list[SchemeConfig], step
     aux = [build_net(nets[0].in_dim, list(cfg.hidden), new.size, seed=[c.seed, step, 5])
            for c in cfgs]
     _fit(aux, cfgs, cfg.epochs_std, (step, 4), _ce, x[:, task_rows], y[:, task_rows] - new.start)
-    soft_new = np.stack([losses.softmax(a.forward(xs), cfg.tau) for a, xs in zip(aux, x)])
+    soft_new = losses.softmax(_forward(_stack(aux)[1], x)[0], cfg.tau)
     _fit(nets, cfgs, cfg.epochs_std, (step, 1), _kd_ce(pool.lam, cfg.tau, pool.old, new),
          x, y, pool.soft, soft_new)
 
@@ -299,7 +298,7 @@ def run_sequence(seq: TaskSequence, cfgs: list[SchemeConfig]) -> list[list[StepR
     lockstep, and return each config's step results.
 
     The first task is always trained by CE; later tasks follow the scheme,
-    each on one Pool per seed built before the output layer widens. All seeds
+    each on the stack's one Pool, built before the output layer widens. All seeds
     train as one stack in every phase but the split phase, which runs per seed.
     Each seed's exemplar memory, a LabeledDataset that starts empty, is updated
     after every task and each model is evaluated once per task. The runners are
@@ -317,16 +316,15 @@ def run_sequence(seq: TaskSequence, cfgs: list[SchemeConfig]) -> list[list[StepR
         if t == 1:
             run_first_task(nets, task.train, cfgs)
         else:
-            pools = [Pool.build(task, mem, net, cfg) for mem, net in zip(mems, nets)]
+            pool = Pool.build(task, mems, nets, cfg)
             for net in nets:
                 net.widen_output(task.classes.size)
             if cfg.scheme == "sb":
-                splits = [run_split_phase(*args, t) for args in zip(nets, pools, cfgs)]
-                nets = [split[0] for split in splits]
-                run_bridge_phase(nets, [split[1] for split in splits], Pool.stack(pools), cfgs, t)
+                splits = [run_split_phase(nets[s], pool, s, cfgs[s], t) for s in range(len(nets))]
+                run_bridge_phase(nets, splits[0][1], pool, cfgs, t)
             else:
                 step = {"std": run_std_step, "ce": run_ce_step, "dd": run_dd_step}[cfg.scheme]
-                step(nets, Pool.stack(pools), cfgs, t)
+                step(nets, pool, cfgs, t)
         mems = [update_exemplars(mem, task.train, cfg.memory_capacity, c.seed + t)
                 for mem, c in zip(mems, cfgs)]
         for net, (_, plan, _, diagnostics), out in zip(nets, splits, results):

@@ -34,11 +34,11 @@ class Layer:
 
     @property
     def in_dim(self) -> int:
-        return self.w.shape[0]
+        return self.w.shape[-2]
 
     @property
     def out_dim(self) -> int:
-        return self.w.shape[1]
+        return self.w.shape[-1]
 
 
 def _views(flat: np.ndarray, layout: tuple) -> tuple[tuple, tuple]:

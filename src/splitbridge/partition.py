@@ -161,22 +161,16 @@ def bridge_reconnect(net: DenseNet, groups: CrossGroups) -> None:
                              "reconnection (never disconnected, or trained while cut)")
 
 
-def extract_subnet(net: DenseNet, plan: PartitionPlan) -> DenseNet:
-    """Standalone copy of the shared trunk plus the old branch: the bridge
-    phase's distillation teacher.
+def extract_subnet(layers: list[Layer], plan: PartitionPlan) -> list[Layer]:
+    """Views of the shared trunk plus the old branch in layers, a network's or a
+    stack's: the bridge phase's distillation teacher, for _forward.
 
-    The result maps inputs to the old-class logits only; they equal the
-    parent's old-class logits whenever the parent is disconnected under
-    `plan`. Each partitioned layer contributes its block w[:a, :b], with b its
-    old output width and a the previous layer's old output width, or the full
-    in_dim when the layer reads the shared trunk.
+    They map inputs to the old-class logits only; these equal the parent's
+    old-class logits whenever the parent is disconnected under `plan`. Each
+    partitioned layer contributes its block w[..., :a, :b], with b its old
+    output width and a the previous layer's old output width, or all its
+    inputs when the layer reads the shared trunk; the trunk's layers are whole.
     """
-    layers = []
-    for li, layer in enumerate(net.layers):
-        if not plan.is_partitioned(li):
-            layers.append(layer)
-            continue
-        a = plan.old_size.get(li - 1, layer.in_dim)
-        b = plan.old_size[li]
-        layers.append(Layer(layer.w[:a, :b], layer.b[:b]))
-    return DenseNet(layers)
+    old = [plan.old_size.get(li) for li in range(len(layers))]  # None: shared
+    return [Layer(layer.w[..., :a, :b], layer.b[..., :b])
+            for layer, a, b in zip(layers, [None] + old, old)]

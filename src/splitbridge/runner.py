@@ -149,8 +149,9 @@ def run_matrix(matrix: dict, out_dir) -> int:
     >= 1, default 1) processes, at most one per cell, run the stacks; a group's
     seeds are split in order into enough stacks to keep each process busy. A
     bad count, a schemes, task_counts or seeds axis that is not a non-empty
-    list of distinct values, or an unknown scheme raises a ValueError before
-    any write.
+    list of distinct values, an unknown scheme, a seed or config that
+    build_config rejects, or a benchmark that no task count can build raises a
+    ValueError before any write.
     """
     out_dir = Path(out_dir)
     bench = {**DEFAULT_BENCHMARK, **matrix.get("benchmark", {})}
@@ -161,16 +162,26 @@ def run_matrix(matrix: dict, out_dir) -> int:
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
             raise ValueError(f"matrix config's {axis!r} list repeats {repeated[0]!r}")
-    unknown = [s for s in matrix["schemes"] if s not in SCHEMES]
-    if unknown:
-        raise ValueError(f"matrix config's 'schemes' list names {unknown[0]!r}, "
-                         f"not one of {', '.join(SCHEMES)}")
     seeds = matrix["seeds"]
-    groups = [(scheme, tasks) for scheme in matrix["schemes"] for tasks in matrix["task_counts"]]
     overrides = matrix.get("config", {})
+    for scheme in matrix["schemes"]:  # a bad scheme, seed or config would fail each cell
+        if scheme not in SCHEMES:
+            raise ValueError(f"matrix config's 'schemes' list names {scheme!r}, "
+                             f"not one of {', '.join(SCHEMES)}")
+        for seed in seeds:
+            build_config(scheme, seed, overrides)
     raw = os.environ.get(WORKERS_ENV, "1")
     if not (raw.strip().isdecimal() and int(raw) >= 1):
         raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}")
+    for tasks in matrix["task_counts"]:  # as would an error that every task count hits
+        try:
+            make_benchmark(bench, tasks)
+            break
+        except ValueError as exc:
+            error = exc
+    else:
+        raise error
+    groups = [(scheme, tasks) for scheme in matrix["schemes"] for tasks in matrix["task_counts"]]
 
     workers = min(int(raw), len(groups) * len(seeds))
     k = min(len(seeds), -(-workers // len(groups)))  # stacks per group

@@ -148,6 +148,15 @@ class TestRunner:
         ("schemes", "ce", "matrix config needs a non-empty 'schemes' list, got 'ce'"),
         ("schemes", ["ce", "ce"], "matrix config's 'schemes' list repeats 'ce'"),
         ("schemes", ["ce", "kd"], "matrix config's 'schemes' list names 'kd', not one of"),
+        # errors every cell would hit: one ValueError, not a failures.json naming
+        # it once per cell beside an empty rows.jsonl and summary.csv
+        ("task_counts", [3], "num_tasks must be a positive divisor of 4 classes, got 3"),
+        ("task_counts", [0], "num_tasks must be a positive divisor of 4 classes, got 0"),
+        ("task_counts", [3, 5], "num_tasks must be a positive divisor of 4 classes, got 5"),
+        ("seeds", [1.5], "seed must be an integer, got 1.5"),
+        ("seeds", [0, 1.5], "seed must be an integer, got 1.5"),
+        ("config", {**TINY_CONFIG, "bogus": 1}, "unknown config keys: ['bogus']"),
+        ("config", {**TINY_CONFIG, "tau": -1}, "need tau > 0, rho > 0, gamma >= 0"),
     ])
     def test_bad_axis_rejected_before_writing(self, tmp_path, axis, value, message):
         matrix = {"benchmark": TINY_BENCH, "schemes": ["ce"], "task_counts": [2],
@@ -432,15 +441,44 @@ class TestCli:
         (["matrix", "--out", "OUT", "--config", {"schemes": "ce", "task_counts": [2],
                                                  "seeds": [0]}],
          "matrix config needs a non-empty 'schemes' list, got 'ce'"),
+        # a config file that is not an object, or whose benchmark or config is not,
+        # fails naming the file and the section
+        (["run", "--config", [1]], "cfg.json: the top level must be a JSON object, not list"),
+        (["matrix", "--out", "OUT", "--config", [1]],
+         "cfg.json: the top level must be a JSON object, not list"),
+        (["run", "--config", {"benchmark": 5}],
+         "cfg.json: 'benchmark' must be a JSON object, not int"),
+        (["matrix", "--out", "OUT", "--config", {"benchmark": 5}],
+         "cfg.json: 'benchmark' must be a JSON object, not int"),
+        (["run", "--config", {"config": [1]}],
+         "cfg.json: 'config' must be a JSON object, not list"),
+        (["matrix", "--out", "OUT", "--config", {"config": [1]}],
+         "cfg.json: 'config' must be a JSON object, not list"),
+        # matrix errors every cell would hit fail before the sweep writes anything
+        (["matrix", "--out", "OUT", "--config", {"schemes": ["sb"], "task_counts": [3],
+                                                 "seeds": [0]}],
+         "num_tasks must be a positive divisor of 8 classes, got 3"),
+        (["matrix", "--out", "OUT", "--config", {"schemes": ["sb"], "task_counts": [0],
+                                                 "seeds": [0]}],
+         "num_tasks must be a positive divisor of 8 classes, got 0"),
+        (["matrix", "--out", "OUT", "--config", {"schemes": ["sb"], "task_counts": [2],
+                                                 "seeds": [1.5]}],
+         "seed must be an integer, got 1.5"),
+        (["matrix", "--out", "OUT", "--config", {"schemes": ["sb"], "task_counts": [2],
+                                                 "seeds": [0], "config": {"bogus": 1}}],
+         "unknown config keys: ['bogus']"),
+        (["matrix", "--out", "OUT", "--config", {"schemes": ["sb"], "task_counts": [2],
+                                                 "seeds": [0], "config": {"tau": -1}}],
+         "need tau > 0, rho > 0, gamma >= 0"),
     ])
     def test_bad_value_exit_1_one_line(self, tmp_path, capsys, argv, message):
         # OUT and MISSING stand for an output directory and a file that does
-        # not exist; a dict is a config, passed as a file
+        # not exist; a dict or a list is a config, passed as a file
         missing, out = str(tmp_path / "missing"), str(tmp_path / "out")
         argv = [{"OUT": out, "MISSING": missing}.get(arg, arg) if isinstance(arg, str) else arg
                 for arg in argv]
         for i, arg in enumerate(argv):
-            if isinstance(arg, dict):
+            if isinstance(arg, (dict, list)):
                 (tmp_path / "cfg.json").write_text(json.dumps(arg).replace("MISSING", missing))
                 argv[i] = str(tmp_path / "cfg.json")
         assert cli_main(argv) == 1

@@ -25,8 +25,8 @@ from splitbridge.engine import (
 from splitbridge import engine, losses
 from splitbridge.data import TaskRange
 from splitbridge.losses import lambda_schedule
-from splitbridge.net import _views, build_net
-from splitbridge.partition import bridge_reconnect, disconnect, make_plan
+from splitbridge.net import DenseNet, _views, build_net
+from splitbridge.partition import bridge_reconnect, disconnect, extract_subnet, make_plan
 from conftest import backward, finite_diff_logit_grad, phase_loss
 
 FAST = dict(
@@ -305,15 +305,70 @@ class TestFusedGradients:
             assert stacked[1][:, self.C_OLD:].tobytes() == np.zeros((13, self.C_NEW)).tobytes()
 
 
+class TestStackedTeachers:
+    """Every soft-label teacher of a step runs as one stacked forward pass, and
+    each seed's row of it is byte-equal to that seed's own 2-D pass."""
+
+    def _seeds(self):
+        seq = small_sequence(num_classes=6, num_tasks=3)
+        cfgs = [SchemeConfig(**FAST, seed=s) for s in (0, 1, 2)]
+        nets = [build_net(seq.feature_dim, list(c.hidden), 2, seed=c.seed) for c in cfgs]
+        rng = np.random.default_rng(4)
+        for net in nets:  # nonzero biases, so that their slices count too
+            net.params[net.n_weights:] = rng.standard_normal(net.params.size - net.n_weights)
+        d1 = seq.tasks[0].train
+        mems = [update_exemplars(empty_memory(d1), d1, 20, c.seed) for c in cfgs]
+        return seq, cfgs, nets, mems
+
+    def test_stack_is_a_view_of_one_net_and_a_copy_of_more(self):
+        _, _, nets, _ = self._seeds()
+        stack, layers = engine._stack(nets[:1])
+        assert np.shares_memory(stack, nets[0].params)
+        stack, layers = engine._stack(nets)
+        assert not any(np.shares_memory(stack, net.params) for net in nets)
+        assert stack.tobytes() == np.stack([net.params for net in nets]).tobytes()
+        assert [l.w.shape for l in layers] == [(3,) + shape for shape in nets[0].layout]
+        assert [l.b.shape for l in layers] == [(3, 1, o) for _, o in nets[0].layout]
+
+    def test_pool_build_stacks_one_seed_builds(self):
+        seq, cfgs, nets, mems = self._seeds()
+        pool = Pool.build(seq.tasks[1], mems, nets, cfgs[0])
+        singles = [Pool.build(seq.tasks[1], [m], [n], c) for m, n, c in zip(mems, nets, cfgs)]
+        assert not all(np.array_equal(pool.x[0], x) for x in pool.x[1:])  # seeds' memories differ
+        for name in ("x", "y", "is_new", "soft"):
+            got, want = getattr(pool, name), np.concatenate([getattr(p, name) for p in singles])
+            assert got.shape[0] == 3 and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), name
+        assert (pool.old, pool.new) == (singles[0].old, singles[0].new)
+
+    def test_bridge_teacher_views_the_stack(self):
+        seq, cfgs, nets, _ = self._seeds()
+        for net in nets:
+            net.widen_output(2)
+        plan = make_plan(nets[0], cfgs[0].split_index, 2, 2, cfgs[0].rho)
+        for net in nets:
+            disconnect(net, plan.groups)
+        stack, layers = engine._stack(nets)
+        teacher = extract_subnet(layers, plan)
+        assert all(np.shares_memory(l.w, stack) and np.shares_memory(l.b, stack) for l in teacher)
+        assert teacher[-1].w.shape[-1] == 2 and any(l.w.shape != s.w.shape
+                                                    for l, s in zip(teacher, layers))
+        x = np.random.default_rng(5).standard_normal((3, 17, seq.feature_dim))
+        got = engine._forward(teacher, x)[0]
+        for net, xs, logits in zip(nets, x, got):
+            want = DenseNet(extract_subnet(net.layers, plan)).forward(xs)
+            assert logits.tobytes() == want.tobytes()
+
+
 class TestSplitPhase:
     def test_requires_new_classes(self):
         # the soft labels already cover every output, so there is nothing to split
         cfg = SchemeConfig(**FAST)
         net = build_net(4, list(cfg.hidden), 2, seed=0)
         d = LabeledDataset(np.zeros((4, 4)), [0, 0, 1, 1], 2)
-        pool = Pool.build(Task(np.array([2, 3]), d, d), empty_memory(d), net, cfg)
+        pool = Pool.build(Task(np.array([2, 3]), d, d), [empty_memory(d)], [net], cfg)
         with pytest.raises(ValueError):
-            run_split_phase(net, pool, cfg, step=2)
+            run_split_phase(net, pool, 0, cfg, step=2)
 
     def test_cut_stays_exactly_zero_under_decay_and_momentum(self):
         # the branched phase zeros the cut's gradients; weight decay and
@@ -324,9 +379,9 @@ class TestSplitPhase:
         run_first_task([net], seq.tasks[0].train, [cfg])
         d1 = seq.tasks[0].train
         mem = update_exemplars(empty_memory(d1), d1, cfg.memory_capacity, 1)
-        pool = Pool.build(seq.tasks[1], mem, net, cfg)
+        pool = Pool.build(seq.tasks[1], [mem], [net], cfg)
         net.widen_output(2)
-        net, plan, groups, _ = run_split_phase(net, pool, cfg, 2)
+        net, plan, groups, _ = run_split_phase(net, pool, 0, cfg, 2)
         assert groups is plan.groups and groups.per_layer
         for li, (on, no) in groups.per_layer.items():
             cut = net.layers[li].w[on | no]
@@ -336,7 +391,7 @@ class TestSplitPhase:
         branched = net.forward(probe)
         bridge_reconnect(net, groups)
         assert net.forward(probe).tobytes() == branched.tobytes()
-        run_bridge_phase([net], [plan], pool, [cfg], 2)
+        run_bridge_phase([net], plan, pool, [cfg], 2)
         assert any(np.any(net.layers[li].w[on | no] != 0.0)
                    for li, (on, no) in groups.per_layer.items())
 
@@ -361,13 +416,13 @@ class TestStdReduction:
 
         monkeypatch.setattr(engine, "_kd_ce", record)
         net = build_net(seq.feature_dim, list(cfg.hidden), 4, seed=5)
-        pool = Pool.build(seq.tasks[2], empty_memory(seq.tasks[2].train), net, cfg)
+        pool = Pool.build(seq.tasks[2], [empty_memory(seq.tasks[2].train)], [net], cfg)
         net.widen_output(2)
         run_std_step([net], pool, [cfg], 3)
         phase = "bridge"
         plan = make_plan(net, cfg.split_index, 4, 2, cfg.rho)
         disconnect(net, plan.groups)
-        run_bridge_phase([net], [plan], pool, [cfg], 3)
+        run_bridge_phase([net], plan, pool, [cfg], 3)
         assert seen["std"] and seen["bridge"]
         assert set(seen["std"]) == set(seen["bridge"]) == {lambda_schedule(4, 2)}
 
@@ -380,8 +435,8 @@ class TestDoubleDistillation:
         d1 = seq.tasks[0].train
         cfgs = [SchemeConfig(**FAST, scheme="dd", tau=2.0, seed=s) for s in (0, 1)]
         nets = [build_net(seq.feature_dim, list(c.hidden), 2, seed=c.seed) for c in cfgs]
-        pools = [Pool.build(seq.tasks[1], update_exemplars(empty_memory(d1), d1, 20, c.seed),
-                            net, c) for net, c in zip(nets, cfgs)]
+        pool = Pool.build(seq.tasks[1], [update_exemplars(empty_memory(d1), d1, 20, c.seed)
+                                         for c in cfgs], nets, cfgs[0])
         for net in nets:
             net.widen_output(2)
         calls, fit = [], engine._fit
@@ -391,7 +446,6 @@ class TestDoubleDistillation:
             calls.append((fit_nets, cols))
 
         monkeypatch.setattr(engine, "_fit", record)
-        pool = Pool.stack(pools)
         engine.run_dd_step(nets, pool, cfgs, 2)
         (aux, _), (main, (_, soft, soft_new)) = calls
         assert main == nets and soft is pool.soft and len(aux) == 2
@@ -450,7 +504,8 @@ class TestRunSequence:
                 return fn(*args, **kwargs)
             return wrapped
 
-        # _fit's stacked forward pass, one per step for all seeds of a stack
+        # every stacked forward pass: one per step for all seeds of a stack, and
+        # one per soft-label teacher
         monkeypatch.setattr(engine, "_forward", counting("train", engine._forward))
         monkeypatch.setattr(DenseNet, "forward_cached",
                             counting("forward_cached", DenseNet.forward_cached))
@@ -461,12 +516,12 @@ class TestRunSequence:
         seq = small_sequence(num_classes=6, num_tasks=3)
         run_sequence(seq, [SchemeConfig(scheme="sb", **FAST)])
         assert counts["step"] > 0 and counts["eval"] == 3
-        # one seed: one training forward per SGD step, and no other forward pass
-        assert counts["train"] == counts["step"]
+        # one seed: one training forward per SGD step, plus per split step the
+        # soft labels of the previous model and of the old branch for the bridge
+        assert counts["train"] == counts["step"] + 2 * 2
         assert counts["forward_cached"] == counts["forward"]
-        # one per evaluation, plus per split step the soft labels of the
-        # previous model and of the old branch for the bridge
-        assert counts["forward"] == counts["eval"] + 2 * 2
+        # the public forward pass serves the evaluations alone
+        assert counts["forward"] == counts["eval"]
         assert counts["cut"] == 2    # one plan, and so one cut, per split phase
 
         # ce distils nothing: no forward pass beyond its steps and evaluations

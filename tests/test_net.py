@@ -88,7 +88,7 @@ class TestBackward:
         engine.run_first_task([net], seq.tasks[0].train, [cfg])
         d1 = seq.tasks[0].train
         mem = engine.update_exemplars(d1.subset(slice(0, 0)), d1, cfg.memory_capacity, 1)
-        pool = engine.Pool.build(seq.tasks[1], mem, net, cfg)
+        pool = engine.Pool.build(seq.tasks[1], [mem], [net], cfg)
         net.widen_output(2)
         seen = {"cut": False, "before": [], "after": []}
         disconnect, step = partition.disconnect, engine.sgd_step
@@ -104,7 +104,7 @@ class TestBackward:
 
         monkeypatch.setattr(partition, "disconnect", record_disconnect)
         monkeypatch.setattr(engine, "sgd_step", record_step)
-        _, _, groups, _ = engine.run_split_phase(net, pool, cfg, 2)
+        _, _, groups, _ = engine.run_split_phase(net, pool, 0, cfg, 2)
         cuts = [(li, on | no) for li, (on, no) in groups.per_layer.items()]
         assert cuts and seen["before"] and seen["after"]
         assert any(np.any(gw[li][cut] != 0.0) for gw in seen["before"] for li, cut in cuts)
@@ -307,7 +307,9 @@ class TestFlatParams:
         assert_packed(net)
         plan = make_plan(net, 1, 3, 2, 1.0)
         disconnect(net, plan.groups)
-        assert_packed(extract_subnet(net, plan))
+        # the bridge's teacher is no constructor: it views the network's own params
+        assert all(np.shares_memory(l.w, net.params) and np.shares_memory(l.b, net.params)
+                   for l in extract_subnet(net.layers, plan))
 
     def test_clone_buffer_independent(self, rng):
         net = make_random_net(rng, [3, 4, 2])
