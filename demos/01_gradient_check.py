@@ -62,13 +62,13 @@ def main():
     print(f"pool of {n} rows ({is_new.sum()} new), {c_old} old + {c_new} new classes, "
           f"lam = {lam:.3f}, tau = {tau}\n")
 
-    # each phase loss with the rows it reads: labels, the new-task flag, soft labels
+    # each phase loss with the rows it reads, labels and soft labels (a new row's label is new)
     cases = [
         ("CE (first task, ce, dd's new-task net)", _ce, (labels,)),
         ("lam*KD + (1-lam)*CE (std, sb bridge)", _kd_ce(lam, tau, old), (labels, soft)),
-        ("KD + LCE (sb sparsify and branched)", _kd_lce(old, new, tau), (labels, is_new, soft)),
+        ("KD + LCE (sb sparsify and branched)", _kd_lce(old, new, tau), (labels, soft)),
         ("KD + LCE on a batch of old rows only", _kd_lce(old, new, tau),
-         (labels[old_rows], is_new[old_rows], soft[old_rows])),
+         (labels[old_rows], soft[old_rows])),
         ("lam*(KD + KD_new)/2 + (1-lam)*CE (dd)", _kd_ce(lam, tau, old, new),
          (labels, soft, soft_new)),
     ]

@@ -20,7 +20,11 @@ from .metrics import evaluate
 from .net import DenseNet
 
 
-def _load_config(path) -> dict:
+RUN_KEYS = ("benchmark", "scheme", "tasks", "seed", "config")
+MATRIX_KEYS = ("benchmark", "schemes", "task_counts", "seeds", "config")
+
+
+def _load_config(path, keys) -> dict:
     try:
         with open(path) as f:
             cfg = json.load(f)
@@ -31,6 +35,9 @@ def _load_config(path) -> dict:
         if not isinstance(part, dict):
             raise ValueError(f"config {path}: {repr(key) if key else 'the top level'} "
                              f"must be a JSON object, not {type(part).__name__}")
+    for key in sorted(cfg.keys() - keys):
+        raise ValueError(f"config {path}: unknown top-level key {key!r}, "
+                         f"expected one of {', '.join(keys)}")
     return cfg
 
 
@@ -61,7 +68,7 @@ def _apply_overrides(cfg: dict, args, matrix: bool = False) -> dict:
 
 
 def _cmd_run(args) -> int:
-    cfg = _apply_overrides(_load_config(args.config) if args.config else {}, args)
+    cfg = _apply_overrides(_load_config(args.config, RUN_KEYS) if args.config else {}, args)
     bench = {**runner.DEFAULT_BENCHMARK, **cfg.get("benchmark", {})}
     manifest = runner.run_experiment(
         bench,
@@ -81,7 +88,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_matrix(args) -> int:
-    matrix = _apply_overrides(_load_config(args.config), args, matrix=True)
+    matrix = _apply_overrides(_load_config(args.config, MATRIX_KEYS), args, matrix=True)
     code = runner.run_matrix(matrix, args.out)
     print(f"wrote {Path(args.out) / 'rows.jsonl'} and summary.csv")
     return code
@@ -91,7 +98,8 @@ def _cmd_eval(args) -> int:
     net = DenseNet.load(args.checkpoint)
     bench = {**runner.DEFAULT_BENCHMARK}
     if args.config:
-        bench.update(_load_config(args.config).get("benchmark", {}))
+        keys = dict.fromkeys(RUN_KEYS + MATRIX_KEYS)  # a run's or a matrix's config
+        bench.update(_load_config(args.config, keys).get("benchmark", {}))
     seq = runner.make_benchmark(bench, args.tasks)
     step = args.step if args.step is not None else args.tasks
     report = evaluate(net, seq.tasks[:step], step)

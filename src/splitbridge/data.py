@@ -15,6 +15,10 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 @dataclass
 class LabeledDataset:
     x: np.ndarray          # (n, d) float64
@@ -205,11 +209,11 @@ def split_tasks(
 ) -> TaskSequence:
     """Permute classes by seed, chunk into equal groups, remap labels so task t
     owns the contiguous global block [t*k, (t+1)*k). The classes are the train
-    split's; one without a train row, or a label outside them in either split,
-    raises ValueError."""
+    split's; one without a train row, a label outside them in either split, or a
+    num_tasks that is not an integer (a bool neither) raises ValueError."""
     c = train.num_classes
-    if num_tasks < 1 or c % num_tasks != 0:
-        raise ValueError(f"num_tasks must be a positive divisor of {c} classes, got {num_tasks}")
+    if not (_is_int(num_tasks) and num_tasks >= 1 and c % num_tasks == 0):
+        raise ValueError(f"num_tasks must be a positive divisor of {c} classes, got {num_tasks!r}")
     missing = np.flatnonzero(np.bincount(train.y, minlength=c) == 0)
     if missing.size:
         raise ValueError(f"train split has no rows of class {missing[0]}, one of its {c} classes")

@@ -15,15 +15,11 @@ from functools import partial
 import numpy as np
 
 from . import losses, metrics, partition
-from .data import LabeledDataset, Task, TaskRange, TaskSequence
+from .data import LabeledDataset, Task, TaskRange, TaskSequence, _is_int
 from .losses import _ce_grad, _kd_grad, _softmax, lambda_schedule
 from .net import DenseNet, Layer, _backward, _forward, _views, build_net, sgd_step
 
 SCHEMES = ("sb", "std", "ce", "dd")
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 @dataclass
@@ -86,13 +82,13 @@ class SchemeConfig:
 @dataclass(frozen=True)
 class Pool:
     """One step's training pool for a stack, one row per seed on a leading axis:
-    the task's rows, then the seed's memory's (is_new flags the task's), and its
-    previous model's tempered soft labels on them (None for ce). Pool sizes are
-    equal across seeds. old and new are the class windows of the widened output."""
+    the task's rows, then the seed's memory's, and its previous model's tempered
+    soft labels on them (None for ce). Pool sizes are equal across seeds. old and
+    new are the class windows of the widened output; a row is the task's when its
+    label is in new, as memory holds only earlier tasks' classes."""
 
     x: np.ndarray
     y: np.ndarray
-    is_new: np.ndarray
     soft: np.ndarray | None
     old: TaskRange
     new: TaskRange
@@ -110,8 +106,7 @@ class Pool:
         y = np.stack([np.concatenate([d_t.y, mem.y]) for mem in mems])
         soft = None if cfg.scheme == "ce" else losses.softmax(
             _forward(_stack(nets)[1], x)[0], cfg.tau)  # every seed's in one stacked pass
-        return cls(x, y, np.tile(np.arange(x.shape[1]) < len(d_t), (len(mems), 1)), soft,
-                   TaskRange(0, c_old), TaskRange(c_old, c_old + task.classes.size))
+        return cls(x, y, soft, TaskRange(0, c_old), TaskRange(c_old, c_old + task.classes.size))
 
 
 def _stack(nets: list[DenseNet]):
@@ -167,13 +162,13 @@ def _ce(logits, y, parts=None):
 
 
 def _kd_lce(old: TaskRange, new: TaskRange, tau: float):
-    """grad(logits, y, is_new, soft): the gradient of KD (soft, old window) + LCE
-    (new window, the is_new rows; 0.0 on a batch without them), for _fit."""
+    """grad(logits, y, soft): the gradient of KD (soft, old window) + LCE (new
+    window, the rows labelled in it; 0.0 on a batch without them), for _fit."""
     start, old, new = new.start, old.slice(), new.slice()
-    def grad(logits, y, is_new, soft, parts=None):
+    def grad(logits, y, soft, parts=None):
         g = np.zeros_like(logits)
         g[..., old] = _kd_grad(_softmax(logits[..., old], tau), soft, tau, parts)
-        rows = is_new[..., None]  # old rows' labels are placeholders, their entries dropped
+        rows = (y >= start)[..., None]  # old rows' clipped labels are placeholders, dropped
         lce = _ce_grad(_softmax(logits[..., new], 1.0), np.maximum(y - start, 0), parts, "lce",
                        rows)
         np.copyto(g[..., new], lce, where=rows)  # the other rows stay +0.0
@@ -220,7 +215,7 @@ def run_split_phase(net: DenseNet, pool: Pool, s: int, cfg: SchemeConfig, step: 
     Returns (net, plan, groups, diagnostics).
     """
     kd_lce = _kd_lce(pool.old, pool.new, cfg.tau)
-    rows = [a[s : s + 1] for a in (pool.x, pool.y, pool.is_new, pool.soft)]
+    rows = [a[s : s + 1] for a in (pool.x, pool.y, pool.soft)]
     plan = partition.make_plan(net, cfg.split_index, pool.old.size, pool.new.size, cfg.rho)
     penalty = partial(losses.sparsify_penalty, net, plan, cfg.gamma) if cfg.gamma > 0 else None
 
@@ -265,7 +260,7 @@ def run_dd_step(nets: list[DenseNet], pool: Pool, cfgs: list[SchemeConfig], step
     rows alone, then merge via two KD losses (old soft labels over old logits,
     the throwaway's over new logits) mixed against CE with the usual schedule.
     The extra networks are dropped when the step returns."""
-    cfg, x, y, new, task_rows = cfgs[0], pool.x, pool.y, pool.new, pool.is_new[0]
+    cfg, x, y, new, task_rows = cfgs[0], pool.x, pool.y, pool.new, pool.y[0] >= pool.new.start
     aux = [build_net(nets[0].in_dim, list(cfg.hidden), new.size, seed=[c.seed, step, 5])
            for c in cfgs]
     _fit(aux, cfgs, cfg.epochs_std, (step, 4), _ce, x[:, task_rows], y[:, task_rows] - new.start)

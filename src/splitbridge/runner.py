@@ -8,7 +8,6 @@ import dataclasses
 import io
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +15,6 @@ import numpy as np
 from . import data as databench
 from .engine import SCHEMES, SchemeConfig, run_sequence
 from .metrics import average_incremental_accuracy
-
-WORKERS_ENV = "SPLITBRIDGE_WORKERS"
 
 DEFAULT_BENCHMARK = {
     "source": "synthetic",
@@ -128,30 +125,18 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _stack(args):
-    bench, scheme, tasks, seeds, overrides, out_dir = args
-    names = [f"{scheme}_t{tasks}_s{seed}" for seed in seeds]
-    try:
-        return run_cells(bench, scheme, tasks, seeds, overrides,
-                         [out_dir / name for name in names]), []
-    except Exception as exc:  # fails every cell of the stack
-        return [], [{"cell": name, "error": str(exc)} for name in names]
-
-
 def run_matrix(matrix: dict, out_dir) -> int:
     """Run every (scheme, task-count, seed) cell; returns a process exit code.
 
     Writes rows.jsonl (one row per cell and step), summary.csv (mean/std over
     seeds), and a per-cell directory with checkpoints and a manifest. The seeds
-    of a (scheme, task count) group run as one stack (run_cells); a stack's
-    failure is recorded for each of its cells, the other stacks continue, and
-    any failure makes the exit code nonzero. SPLITBRIDGE_WORKERS (an integer
-    >= 1, default 1) processes, at most one per cell, run the stacks; a group's
-    seeds are split in order into enough stacks to keep each process busy. A
-    bad count, a schemes, task_counts or seeds axis that is not a non-empty
-    list of distinct values, an unknown scheme, a seed or config that
-    build_config rejects, or a benchmark that no task count can build raises a
-    ValueError before any write.
+    of a (scheme, task count) group run as one stack (run_cells), one group
+    after another in this process; a stack's failure is recorded for each of
+    its cells, the other stacks continue, and any failure makes the exit code
+    nonzero. A schemes, task_counts or seeds axis that is not a non-empty list
+    of distinct values, an unknown scheme, a seed or config that build_config
+    rejects, or a benchmark that no task count can build raises a ValueError
+    before any write.
     """
     out_dir = Path(out_dir)
     bench = {**DEFAULT_BENCHMARK, **matrix.get("benchmark", {})}
@@ -170,9 +155,6 @@ def run_matrix(matrix: dict, out_dir) -> int:
                              f"not one of {', '.join(SCHEMES)}")
         for seed in seeds:
             build_config(scheme, seed, overrides)
-    raw = os.environ.get(WORKERS_ENV, "1")
-    if not (raw.strip().isdecimal() and int(raw) >= 1):
-        raise ValueError(f"{WORKERS_ENV} must be an integer >= 1, got {raw!r}")
     for tasks in matrix["task_counts"]:  # as would an error that every task count hits
         try:
             make_benchmark(bench, tasks)
@@ -181,22 +163,20 @@ def run_matrix(matrix: dict, out_dir) -> int:
             error = exc
     else:
         raise error
-    groups = [(scheme, tasks) for scheme in matrix["schemes"] for tasks in matrix["task_counts"]]
 
-    workers = min(int(raw), len(groups) * len(seeds))
-    k = min(len(seeds), -(-workers // len(groups)))  # stacks per group
-    jobs = [(bench, scheme, tasks, seeds[i * len(seeds) // k : (i + 1) * len(seeds) // k],
-             overrides, out_dir) for scheme, tasks in groups for i in range(k)]
     out_dir.mkdir(parents=True, exist_ok=True)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_stack, jobs))
-    else:
-        outcomes = [_stack(job) for job in jobs]
-    failures = [f for _, fs in outcomes for f in fs]
+    manifests, failures = [], []
+    for scheme in matrix["schemes"]:
+        for tasks in matrix["task_counts"]:
+            names = [f"{scheme}_t{tasks}_s{seed}" for seed in seeds]
+            try:
+                manifests += run_cells(bench, scheme, tasks, seeds, overrides,
+                                       [out_dir / name for name in names])
+            except Exception as exc:  # fails every cell of the stack
+                failures += [{"cell": name, "error": str(exc)} for name in names]
 
     rows = []
-    for m in (m for ms, _ in outcomes for m in ms):
+    for m in manifests:
         for report in m["reports"]:
             rows.append({"scheme": m["scheme"], "tasks": m["tasks"], "seed": m["seed"], **report})
     rows.sort(key=lambda r: (r["scheme"], r["tasks"], r["seed"], r["step"]))

@@ -92,8 +92,8 @@ def test_criterion_1_gradient_suite(rng):
             kd_lce = _kd_lce(old, new, tau)
             cases = [(_ce, logits, labels),
                      (_kd_ce(lam, tau, old), logits, labels, teacher),
-                     (kd_lce, logits, labels, is_new, teacher),
-                     (kd_lce, logits[no_new], labels[no_new], is_new[no_new], teacher[no_new]),
+                     (kd_lce, logits, labels, teacher),
+                     (kd_lce, logits[no_new], labels[no_new], teacher[no_new]),
                      (_kd_ce(lam, tau, old, new), logits, labels, teacher, soft_new)]
             for grad, z, *cols in cases:
                 assert_close_rel(grad(z, *cols), finite_diff_logit_grad(phase_loss(grad, *cols), z))

@@ -18,7 +18,6 @@ from splitbridge.metrics import evaluate
 from splitbridge.net import DenseNet, build_net
 from splitbridge.runner import (
     DEFAULT_BENCHMARK,
-    WORKERS_ENV,
     build_config,
     make_benchmark,
     run_experiment,
@@ -112,34 +111,6 @@ class TestRunner:
         assert (out1 / "rows.jsonl").read_bytes() == (out2 / "rows.jsonl").read_bytes()
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
 
-    def test_process_pool_matches_serial(self, tmp_path, monkeypatch):
-        matrix = {
-            "benchmark": TINY_BENCH,
-            "schemes": ["sb", "std", "ce", "dd"],
-            "task_counts": [2],
-            "seeds": [0, 1],
-            "config": TINY_CONFIG,
-        }
-        outputs = []
-        for workers in ("1", "2"):
-            monkeypatch.setenv(WORKERS_ENV, workers)
-            out = tmp_path / workers
-            assert run_matrix(matrix, out) == 0
-            outputs.append({str(f.relative_to(out)): f.read_bytes()
-                            for f in sorted(out.rglob("*")) if f.is_file()})
-        assert outputs[0] == outputs[1]
-        # rows.jsonl, summary.csv, then a manifest and two checkpoints per cell
-        assert len(outputs[0]) == 2 + 8 * 3
-
-    @pytest.mark.parametrize("value", ["abc", "-3", "0", "2.5"])
-    def test_bad_workers_rejected_before_writing(self, tmp_path, monkeypatch, value):
-        monkeypatch.setenv(WORKERS_ENV, value)
-        matrix = {"benchmark": TINY_BENCH, "schemes": ["ce"], "task_counts": [2],
-                  "seeds": [0], "config": TINY_CONFIG}
-        with pytest.raises(ValueError, match=WORKERS_ENV):
-            run_matrix(matrix, tmp_path / "out")
-        assert not (tmp_path / "out").exists()
-
     @pytest.mark.parametrize("axis, value, message", [
         ("seeds", [0, 0], "matrix config's 'seeds' list repeats 0"),
         ("seeds", 5, "matrix config needs a non-empty 'seeds' list, got 5"),
@@ -157,6 +128,10 @@ class TestRunner:
         ("seeds", [0, 1.5], "seed must be an integer, got 1.5"),
         ("config", {**TINY_CONFIG, "bogus": 1}, "unknown config keys: ['bogus']"),
         ("config", {**TINY_CONFIG, "tau": -1}, "need tau > 0, rho > 0, gamma >= 0"),
+        # a task count is an integer: not a bool, a string or a float
+        ("task_counts", [True], "num_tasks must be a positive divisor of 4 classes, got True"),
+        ("task_counts", ["a"], "num_tasks must be a positive divisor of 4 classes, got 'a'"),
+        ("task_counts", [2.0], "num_tasks must be a positive divisor of 4 classes, got 2.0"),
     ])
     def test_bad_axis_rejected_before_writing(self, tmp_path, axis, value, message):
         matrix = {"benchmark": TINY_BENCH, "schemes": ["ce"], "task_counts": [2],
@@ -164,59 +139,6 @@ class TestRunner:
         with pytest.raises(ValueError, match=re.escape(message)):
             run_matrix(matrix, tmp_path / "out")
         assert not (tmp_path / "out").exists()
-
-    def test_workers_capped_at_cell_count(self, tmp_path, monkeypatch):
-        # a serial stand-in for the process pool: the test starts no process
-        requested = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setenv(WORKERS_ENV, "64")
-        matrix = {"benchmark": TINY_BENCH, "schemes": ["ce"], "task_counts": [2],
-                  "seeds": [0, 1], "config": TINY_CONFIG}
-        assert run_matrix(matrix, tmp_path) == 0
-        assert requested == [2]
-        assert len((tmp_path / "rows.jsonl").read_text().splitlines()) == 4
-
-    def test_workers_split_a_group_into_stacks(self, tmp_path, monkeypatch):
-        # 3 workers, 2 (scheme, task count) groups of 3 seeds: each group's
-        # seeds split in two stacks, in order, so all 3 processes get work
-        stacks = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                stacks.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                jobs = list(jobs)
-                stacks.extend((job[1], job[3]) for job in jobs)
-                return map(fn, jobs)
-
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        matrix = {"benchmark": TINY_BENCH, "schemes": ["ce", "std"], "task_counts": [2],
-                  "seeds": [4, 5, 6], "config": TINY_CONFIG}
-        assert run_matrix(matrix, tmp_path) == 0
-        assert stacks == [3, ("ce", [4]), ("ce", [5, 6]), ("std", [4]), ("std", [5, 6])]
-        assert len((tmp_path / "rows.jsonl").read_text().splitlines()) == 12
 
     @pytest.mark.parametrize("scheme", ["sb", "std", "ce", "dd"])
     def test_cell_identical_across_hash_seeds(self, tmp_path, scheme):
@@ -332,16 +254,6 @@ class TestCli:
         out = tmp_path / "out"
         assert cli_main(["matrix", "--config", str(p), "--out", str(out)]) == 0
         assert (out / "rows.jsonl").exists()
-
-    def test_matrix_bad_workers_one_error_line(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "abc")
-        p = tmp_path / "matrix.json"
-        p.write_text(json.dumps({"benchmark": TINY_BENCH, "schemes": ["ce"],
-                                 "task_counts": [2], "seeds": [0], "config": TINY_CONFIG}))
-        assert cli_main(["matrix", "--config", str(p), "--out", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert err == f"error: {WORKERS_ENV} must be an integer >= 1, got 'abc'\n"
-        assert not (tmp_path / "out").exists()
 
     def test_matrix_overrides_reach_cells(self, tmp_path):
         p = tmp_path / "matrix.json"
@@ -470,6 +382,21 @@ class TestCli:
         (["matrix", "--out", "OUT", "--config", {"schemes": ["sb"], "task_counts": [2],
                                                  "seeds": [0], "config": {"tau": -1}}],
          "need tau > 0, rho > 0, gamma >= 0"),
+        # a run's task count is an integer too
+        (["run", "--out", "OUT", "--config", {"tasks": "2"}],
+         "num_tasks must be a positive divisor of 8 classes, got '2'"),
+        (["run", "--out", "OUT", "--config", {"tasks": 2.0}],
+         "num_tasks must be a positive divisor of 8 classes, got 2.0"),
+        (["run", "--out", "OUT", "--config", {"tasks": True}],
+         "num_tasks must be a positive divisor of 8 classes, got True"),
+        # a top-level key the command does not take fails, naming it
+        (["run", "--out", "OUT", "--config", {"seeds": [3], "schem": "dd", "tasks": 2}],
+         "cfg.json: unknown top-level key 'schem', expected one of "
+         "benchmark, scheme, tasks, seed, config"),
+        (["matrix", "--out", "OUT", "--config", {"schemes": ["ce"], "task_counts": [2],
+                                                 "seeds": [0], "scheme": "dd"}],
+         "cfg.json: unknown top-level key 'scheme', expected one of "
+         "benchmark, schemes, task_counts, seeds, config"),
     ])
     def test_bad_value_exit_1_one_line(self, tmp_path, capsys, argv, message):
         # OUT and MISSING stand for an output directory and a file that does

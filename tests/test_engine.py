@@ -234,10 +234,10 @@ class TestFusedGradients:
     def test_kd_lce(self, rng):
         y, is_new, soft = self._rows(rng)
         grad = _kd_lce(self.OLD, self.NEW, self.TAU)
-        self._check(grad, rng, is_new, y, is_new, soft)
+        self._check(grad, rng, is_new, y, soft)
         # without new rows LCE is 0.0, not the NaN mean of no rows
         parts, old_rows = {}, np.flatnonzero(~is_new)[:3]
-        grad(np.zeros((3, 10)), y[old_rows], is_new[old_rows], soft[old_rows], parts=parts)
+        grad(np.zeros((3, 10)), y[old_rows], soft[old_rows], parts=parts)
         assert parts["lce"] == 0.0 and parts["loss"] == parts["kd"]
 
     def test_kd_lce_matches_its_formula(self, rng):
@@ -262,7 +262,7 @@ class TestFusedGradients:
                 want[i, c_old:] = (p - np.eye(c_new)[y[i] - c_old]) / 3
                 lce -= np.log(p[y[i] - c_old]) / 3
         parts = {}
-        got = _kd_lce(self.OLD, self.NEW, tau)(logits, y, is_new, soft, parts=parts)
+        got = _kd_lce(self.OLD, self.NEW, tau)(logits, y, soft, parts=parts)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose([parts["kd"], parts["lce"], parts["loss"]],
                                    [kd, lce, kd + lce], rtol=1e-12)
@@ -287,7 +287,7 @@ class TestFusedGradients:
             rows = np.flatnonzero(~is_new if s == 1 else np.ones(40, bool))[:13]
             soft_new = losses.softmax(rng.standard_normal((len(rows), self.C_NEW)), self.TAU)
             seeds.append({"ce": (y[rows],), "composite": (y[rows], soft[rows]),
-                          "kd_lce": (y[rows], is_new[rows], soft[rows]),
+                          "kd_lce": (y[rows], soft[rows]),
                           "double_kd": (y[rows], soft[rows], soft_new)}[loss])
         logits = 4.0 * rng.standard_normal((3, 13, self.C_OLD + self.C_NEW))
         before, parts = logits.copy(), {}
@@ -300,7 +300,7 @@ class TestFusedGradients:
             for key, value in own.items():
                 assert np.float64(parts[key][s]).tobytes() == np.float64(value).tobytes(), key
         if loss == "kd_lce":  # LCE is 0.0 on the batch without new rows, its entries +0.0
-            assert seeds[0][1].any() and not seeds[1][1].any()
+            assert (seeds[0][0] >= self.C_OLD).any() and not (seeds[1][0] >= self.C_OLD).any()
             assert parts["lce"][1] == 0.0 and parts["lce"][0] > 0.0
             assert stacked[1][:, self.C_OLD:].tobytes() == np.zeros((13, self.C_NEW)).tobytes()
 
@@ -335,7 +335,7 @@ class TestStackedTeachers:
         pool = Pool.build(seq.tasks[1], mems, nets, cfgs[0])
         singles = [Pool.build(seq.tasks[1], [m], [n], c) for m, n, c in zip(mems, nets, cfgs)]
         assert not all(np.array_equal(pool.x[0], x) for x in pool.x[1:])  # seeds' memories differ
-        for name in ("x", "y", "is_new", "soft"):
+        for name in ("x", "y", "soft"):
             got, want = getattr(pool, name), np.concatenate([getattr(p, name) for p in singles])
             assert got.shape[0] == 3 and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), name

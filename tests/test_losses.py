@@ -57,17 +57,16 @@ def evaluate(grad, logits, *cols):
     return g, parts
 
 
-def kd_lce(soft, y, is_new, old, new, tau):
-    """_kd_lce with the batch's rows bound."""
-    return partial(_kd_lce(old, new, tau), y=np.asarray(y), is_new=np.asarray(is_new), soft=soft)
+def kd_lce(soft, y, old, new, tau):
+    """_kd_lce with the batch's rows bound; a row is new when its label is in new."""
+    return partial(_kd_lce(old, new, tau), y=np.asarray(y), soft=soft)
 
 
 def kd_only(soft, width, tau):
     """_kd_lce on a batch without new rows: KD over the old window
     [0, soft's width) of width logits, and LCE 0.0."""
     n, c_old = soft.shape
-    return kd_lce(soft, np.zeros(n, int), np.zeros(n, bool), TaskRange(0, c_old),
-                  TaskRange(c_old, width), tau)
+    return kd_lce(soft, np.zeros(n, int), TaskRange(0, c_old), TaskRange(c_old, width), tau)
 
 
 def composite(y, soft, old, lam, tau):
@@ -133,7 +132,7 @@ class TestKdLoss:
 class TestLceLoss:
     def test_locality_example(self):
         # old-class logits are huge but ignored entirely
-        grad = kd_lce(np.full((1, 2), 0.5), [2], [True], TaskRange(0, 2), TaskRange(2, 4), 2.0)
+        grad = kd_lce(np.full((1, 2), 0.5), [2], TaskRange(0, 2), TaskRange(2, 4), 2.0)
         _, parts = evaluate(grad, np.array([[9.0, 9.0, 1.0, 1.0]]))
         assert abs(parts["lce"] - np.log(2)) < 1e-12
 
@@ -141,8 +140,8 @@ class TestLceLoss:
         # the old window's gradient is KD's alone, with or without the LCE row
         logits = np.array([[9.0, 9.0, 1.0, 2.0]])
         soft, old, new = np.array([[0.3, 0.7]]), TaskRange(0, 2), TaskRange(2, 4)
-        g, _ = evaluate(kd_lce(soft, [3], [True], old, new, 2.0), logits)
-        g_kd, _ = evaluate(kd_lce(soft, [3], [False], old, new, 2.0), logits)
+        g, _ = evaluate(kd_lce(soft, [3], old, new, 2.0), logits)
+        g_kd, _ = evaluate(kd_lce(soft, [0], old, new, 2.0), logits)  # an old row
         assert g[:, :2].tobytes() == g_kd[:, :2].tobytes()
         assert np.any(g[:, 2:] != 0.0) and np.all(g_kd[:, 2:] == 0.0)
 
@@ -150,8 +149,7 @@ class TestLceLoss:
         logits = rng.standard_normal((6, 7))
         labels = rng.integers(3, 7, size=6)
         soft = softmax(rng.standard_normal((6, 3)), 2.0)
-        g, parts = evaluate(kd_lce(soft, labels, np.ones(6, bool), TaskRange(0, 3),
-                                   TaskRange(3, 7), 2.0), logits)
+        g, parts = evaluate(kd_lce(soft, labels, TaskRange(0, 3), TaskRange(3, 7), 2.0), logits)
         g_ce, sliced = evaluate(_ce, logits[:, 3:], labels - 3)
         assert parts["lce"] == sliced["ce"]
         assert np.array_equal(g[:, 3:], g_ce)
@@ -162,8 +160,8 @@ class TestLceLoss:
         r = np.random.default_rng(seed)
         logits = r.standard_normal((3, 6))
         labels = r.integers(2, 5, size=3)
-        grad = kd_lce(softmax(r.standard_normal((3, 2)), 2.0), labels, np.ones(3, bool),
-                      TaskRange(0, 2), TaskRange(2, 5), 2.0)
+        grad = kd_lce(softmax(r.standard_normal((3, 2)), 2.0), labels, TaskRange(0, 2),
+                      TaskRange(2, 5), 2.0)
         ga, a = evaluate(grad, logits)
         mutated = logits.copy()
         mutated[:, :2] = r.standard_normal((3, 2)) * 40
@@ -176,8 +174,8 @@ class TestLceLoss:
         logits = rng.standard_normal((5, 6))
         is_new = np.array([True, False, True, True, False])
         labels = np.where(is_new, rng.integers(2, 6, size=5), rng.integers(0, 2, size=5))
-        grad = kd_lce(softmax(rng.standard_normal((5, 2)), 2.0), labels, is_new,
-                      TaskRange(0, 2), TaskRange(2, 6), 2.0)
+        grad = kd_lce(softmax(rng.standard_normal((5, 2)), 2.0), labels, TaskRange(0, 2),
+                      TaskRange(2, 6), 2.0)
         assert_close_rel(grad(logits), finite_diff_logit_grad(phase_loss(grad), logits))
 
 
