@@ -28,7 +28,7 @@ from splitbridge.engine import (
 from splitbridge.losses import sparsify_penalty
 from splitbridge.metrics import evaluate
 from splitbridge.net import build_net
-from splitbridge.partition import bridge_reconnect, disconnect
+from splitbridge.partition import bridge_reconnect, disconnect, make_plan
 
 
 def main():
@@ -53,7 +53,10 @@ def main():
     pool = Pool.build(seq.tasks[1], [mem], [net], cfg)  # one seed's row
     net.widen_output(4)
 
-    net, plan, groups, diag = run_split_phase(net, pool, 0, cfg, step=2)
+    # the step's one plan: it depends only on widths and class counts, so a
+    # stack of seeds would share it
+    plan = make_plan(net, cfg.split_index, pool.old.size, pool.new.size, cfg.rho)
+    diag = run_split_phase(net, plan, pool, 0, cfg, step=2)[3]
     print(f"\nsplit phase (layers {plan.split_index}..{plan.depth - 1} partitioned):")
     for li in sorted(plan.old_size):
         print(f"  layer {li}: {plan.old_size[li]} old nodes, "
@@ -71,7 +74,7 @@ def main():
     def shove(delta):
         for li, b in plan.old_size.items():  # the new group: every column from b on
             net.layers[li].w[:, b:] += delta
-        disconnect(net, groups)
+        disconnect(net, plan)
 
     shove(1.0)
     moved = np.abs(net.forward(probe)[:, :4] - old_logits).max()
@@ -82,7 +85,7 @@ def main():
     # bridge_reconnect raises if any cut weight is not exactly 0.0
     branched = net.forward(probe)
     preview = net.clone()
-    bridge_reconnect(preview, groups)
+    bridge_reconnect(preview, plan)
     print("\nbridge phase: cut weights re-enabled at zero, composite loss trained")
     print(f"  zero-bridge logits bit-identical to branched logits: "
           f"{np.array_equal(preview.forward(probe), branched)}")

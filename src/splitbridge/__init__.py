@@ -17,13 +17,6 @@ from .engine import SchemeConfig, run_sequence, update_exemplars
 from .losses import lambda_schedule, softmax, sparsify_penalty
 from .metrics import average_incremental_accuracy, evaluate
 from .net import DenseNet, Layer, build_net, sgd_step
-from .partition import (
-    CrossGroups,
-    PartitionPlan,
-    bridge_reconnect,
-    disconnect,
-    extract_subnet,
-    make_plan,
-)
+from .partition import PartitionPlan, bridge_reconnect, disconnect, extract_subnet, make_plan
 
 __version__ = "0.1.0"

@@ -7,6 +7,7 @@ import csv
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,10 @@ IDX_LABELS_MAGIC = 0x00000801
 
 def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_finite(v) -> bool:  # a float or an int that a finite float64 holds; NaN fails the bound
+    return (isinstance(v, (float, np.floating)) or _is_int(v)) and abs(v) <= sys.float_info.max
 
 
 @dataclass

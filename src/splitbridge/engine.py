@@ -8,14 +8,13 @@ bridge and dd train one KD+CE loss, _kd_ce, with one or two KD windows.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
 from . import losses, metrics, partition
-from .data import LabeledDataset, Task, TaskRange, TaskSequence, _is_int
+from .data import LabeledDataset, Task, TaskRange, TaskSequence, _is_finite, _is_int
 from .losses import _ce_grad, _kd_grad, _softmax, lambda_schedule
 from .net import DenseNet, Layer, _backward, _forward, _views, build_net, sgd_step
 
@@ -57,8 +56,7 @@ class SchemeConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("learning_rate", "tau", "gamma", "rho", "weight_decay", "momentum"):
             v = getattr(self, name)  # an int too big for a float64 is not finite either
-            if not (np.isfinite(v) if isinstance(v, (float, np.floating))
-                    else _is_int(v) and abs(v) <= sys.float_info.max):
+            if not _is_finite(v):
                 raise ValueError(f"{name} must be a finite number, got {v!r}")
         if not (self.tau > 0 and self.rho > 0 and self.gamma >= 0):
             raise ValueError("need tau > 0, rho > 0, gamma >= 0")
@@ -127,17 +125,17 @@ def _fit(nets, cfgs, epochs: int, stream, grad, x, *cols, on_grads=None) -> None
     at S > 1). grad(logits, *batch_cols, parts=None) returns d(loss)/d(logits),
     leaving logits as they are; given a dict parts, it also records the value
     components and their total, loss, per seed (_fit passes none). Then
-    on_grads(wgrads), if given, edits a seed's per-layer weight gradients in
-    place, and sgd_step updates the seed from its rows of the (S, P) gradient
-    and velocity buffers. Every call trains at cfg.learning_rate from zero
-    momentum.
+    on_grads(gw), if given, edits the stack's per-layer weight gradient views,
+    (S, in, out), in place, and sgd_step updates each seed from its rows of the
+    (S, P) gradient and velocity buffers. Every call trains at cfg.learning_rate
+    from zero momentum.
     """
     cfg, layout, lanes = cfgs[0], nets[0].layout, np.arange(len(nets))[:, None]
     rngs = [np.random.default_rng([c.seed, *stream]) for c in cfgs]
     stack, layers = _stack(nets)
     grads, velocity = np.empty_like(stack), np.zeros_like(stack)  # one row per seed
     (gw, gb), buf = _views(grads, layout), np.empty_like(nets[0].params)
-    seeds = list(zip(nets, grads, velocity, zip(*gw)))  # each seed's rows and weight views
+    seeds = list(zip(nets, grads, velocity))  # each seed's rows
     for _ in range(epochs):
         order = np.stack([rng.permutation(x.shape[1]) for rng in rngs])
         rows = [a[lanes, order] for a in (x, *cols)]
@@ -147,9 +145,9 @@ def _fit(nets, cfgs, epochs: int, stream, grad, x, *cols, on_grads=None) -> None
                 np.stack([net.params for net in nets], out=stack)
             logits, inputs = _forward(layers, xb)
             _backward(layers, inputs, grad(logits, *batch), gw, gb)
-            for net, g, v, wgrads in seeds:
-                if on_grads is not None:
-                    on_grads(wgrads)
+            if on_grads is not None:
+                on_grads(gw)
+            for net, g, v in seeds:
                 sgd_step(net, g, v, cfg.learning_rate, cfg.momentum, cfg.weight_decay, buf)
 
 
@@ -202,8 +200,9 @@ def run_first_task(nets: list[DenseNet], d1: LabeledDataset, cfgs: list[SchemeCo
          *(np.broadcast_to(a, (len(nets),) + a.shape) for a in (d1.x, d1.y)))
 
 
-def run_split_phase(net: DenseNet, pool: Pool, s: int, cfg: SchemeConfig, step: int):
-    """Sparsify cross-partition weights, disconnect, then train the branches.
+def run_split_phase(net: DenseNet, plan: partition.PartitionPlan, pool: Pool, s: int,
+                    cfg: SchemeConfig, step: int):
+    """Sparsify plan's cross-partition weights, disconnect, then train the branches.
 
     Stage 1 minimizes KD (old logits, all pool samples) + LCE (new logits,
     new-task samples) + the sparsity penalty on the full network. Stage 2
@@ -212,20 +211,21 @@ def run_split_phase(net: DenseNet, pool: Pool, s: int, cfg: SchemeConfig, step: 
     start at 0.0, weight decay and momentum keep them there exactly. KD reads
     the pool's soft labels in both stages; net trains on row s of the stacked pool.
 
-    Returns (net, plan, groups, diagnostics).
+    plan is the step's one cut, shared by the stack. Returns (net, plan, plan,
+    diagnostics): four entries still, as perfbench's cut check unpacks four and
+    reads the cut from the third.
     """
     kd_lce = _kd_lce(pool.old, pool.new, cfg.tau)
     rows = [a[s : s + 1] for a in (pool.x, pool.y, pool.soft)]
-    plan = partition.make_plan(net, cfg.split_index, pool.old.size, pool.new.size, cfg.rho)
     penalty = partial(losses.sparsify_penalty, net, plan, cfg.gamma) if cfg.gamma > 0 else None
 
     diagnostics = {"cross_norm_start": losses.sparsify_penalty(net, plan, 1.0)}
     _fit([net], [cfg], cfg.epochs_sparsify, (step, 1), kd_lce, *rows, on_grads=penalty)
     diagnostics["cross_norm_at_disconnect"] = losses.sparsify_penalty(net, plan, 1.0)
 
-    partition.disconnect(net, plan.groups)
-    _fit([net], [cfg], cfg.epochs_branched, (step, 2), kd_lce, *rows, on_grads=plan.groups.zero)
-    return net, plan, plan.groups, diagnostics
+    partition.disconnect(net, plan)
+    _fit([net], [cfg], cfg.epochs_branched, (step, 2), kd_lce, *rows, on_grads=plan.zero)
+    return net, plan, plan, diagnostics
 
 
 def run_bridge_phase(nets: list[DenseNet], plan: partition.PartitionPlan, pool: Pool,
@@ -234,12 +234,12 @@ def run_bridge_phase(nets: list[DenseNet], plan: partition.PartitionPlan, pool: 
 
     bridge_reconnect checks that the cut weights are exactly 0.0, so the bridge
     starts from the branched logits. The KD teacher, frozen before any update, is
-    plan's trunk plus old branch in the stack's views; one plan fits every seed.
+    plan's trunk plus old branch in the stack's views.
     """
     teacher = partition.extract_subnet(_stack(nets)[1], plan)
     soft = losses.softmax(_forward(teacher, pool.x)[0], cfgs[0].tau)
     for net in nets:
-        partition.bridge_reconnect(net, plan.groups)
+        partition.bridge_reconnect(net, plan)
     _fit(nets, cfgs, cfgs[0].epochs_bridge, (step, 3), _kd_ce(pool.lam, cfgs[0].tau, pool.old),
          pool.x, pool.y, soft)
 
@@ -294,10 +294,11 @@ def run_sequence(seq: TaskSequence, cfgs: list[SchemeConfig]) -> list[list[StepR
 
     The first task is always trained by CE; later tasks follow the scheme,
     each on the stack's one Pool, built before the output layer widens. All seeds
-    train as one stack in every phase but the split phase, which runs per seed.
-    Each seed's exemplar memory, a LabeledDataset that starts empty, is updated
-    after every task and each model is evaluated once per task. The runners are
-    looked up at call time, so a wrapper set on this module sees every call.
+    train as one stack in every phase but the split phase, which runs per seed
+    on the step's one PartitionPlan, made once for the stack. Each seed's
+    exemplar memory, a LabeledDataset that starts empty, is updated after every
+    task and each model is evaluated once per task. The runners are looked up
+    at call time, so a wrapper set on this module sees every call.
     """
     if not cfgs or any(replace(c, seed=cfgs[0].seed) != cfgs[0] for c in cfgs):
         raise ValueError("a stack needs one or more configs that differ only in seed")
@@ -307,7 +308,7 @@ def run_sequence(seq: TaskSequence, cfgs: list[SchemeConfig]) -> list[list[StepR
             for c in cfgs]
     results = [[] for _ in cfgs]
     for t, task in enumerate(seq.tasks, start=1):
-        splits = [(None, None, None, {}) for _ in cfgs]
+        plan, diagnostics = None, [{} for _ in cfgs]
         if t == 1:
             run_first_task(nets, task.train, cfgs)
         else:
@@ -315,14 +316,17 @@ def run_sequence(seq: TaskSequence, cfgs: list[SchemeConfig]) -> list[list[StepR
             for net in nets:
                 net.widen_output(task.classes.size)
             if cfg.scheme == "sb":
-                splits = [run_split_phase(nets[s], pool, s, cfgs[s], t) for s in range(len(nets))]
-                run_bridge_phase(nets, splits[0][1], pool, cfgs, t)
+                plan = partition.make_plan(nets[0], cfg.split_index, pool.old.size,
+                                           pool.new.size, cfg.rho)
+                diagnostics = [run_split_phase(net, plan, pool, s, c, t)[3]
+                               for s, (net, c) in enumerate(zip(nets, cfgs))]
+                run_bridge_phase(nets, plan, pool, cfgs, t)
             else:
                 step = {"std": run_std_step, "ce": run_ce_step, "dd": run_dd_step}[cfg.scheme]
                 step(nets, pool, cfgs, t)
         mems = [update_exemplars(mem, task.train, cfg.memory_capacity, c.seed + t)
                 for mem, c in zip(mems, cfgs)]
-        for net, (_, plan, _, diagnostics), out in zip(nets, splits, results):
+        for net, diag, out in zip(nets, diagnostics, results):
             report = metrics.evaluate(net, seq.tasks[:t], t)
-            out.append(StepResult(net.clone(), report, plan and plan.summary(), diagnostics))
+            out.append(StepResult(net.clone(), report, plan and plan.summary(), diag))
     return results

@@ -82,23 +82,23 @@ def sparsify_penalty(net, plan, gamma: float, into=None) -> float:
     """Group-norm penalty on cross-partition weights.
 
     value = gamma * sum over partitioned layers of the Frobenius norms of the
-    old-to-new and new-to-old blocks in plan.groups (at gamma = 1, the
-    cross-partition norm). Returns the value. With into, a sequence of
-    arrays shaped like net's layers' weights (the per-layer weight views of a
-    gradient), the gradient is also added into it in place, touching only the
-    cross weights.
+    old-to-new and new-to-old blocks in plan.blocks (at gamma = 1, the
+    cross-partition norm). Returns the value. With into, per-layer weight
+    gradient views of net, 2-D or a one-seed stack's (1, in, out) (_fit's
+    on_grads hook), the gradient is also added into it in place, indexed
+    (..., rows, cols), touching only the cross weights.
     Gradient of each group is gamma * w / ||W_group||_F with the norm floored
     at 1e-8, so entries are driven toward exactly zero; within-partition
     weights get zero gradient.
     """
     value = 0.0
-    for li, pair in plan.groups.blocks.items():
+    for li, pair in plan.blocks.items():
         w = net.layers[li].w
-        for block in pair:
-            v = w[block].ravel()  # a C-order copy: the norm sums in row-major order
+        for rows, cols in pair:
+            v = w[rows, cols].ravel()  # a C-order copy: the norm sums in row-major order
             norm = float(np.sqrt((v ** 2).sum()))
             value += norm
             if into is not None:
-                g = into[li][block]
+                g = into[li][..., rows, cols]
                 g += (gamma * (v / max(norm, _NORM_EPS))).reshape(g.shape)
     return float(gamma * value)

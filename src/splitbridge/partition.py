@@ -1,6 +1,6 @@
-"""Network partitioning: the adaptive split plan with its cut blocks,
-disconnection into a shared trunk plus two branches by zeroing the cut
-weights, and the zero-bridge check at reconnection.
+"""Network partitioning: the adaptive split plan, the one cut object of an
+incremental step, disconnection into a shared trunk plus two branches by
+zeroing the cut weights, and the zero-bridge check at reconnection.
 
 Layers are indexed 0-based. A plan covers layers split_index .. depth-1;
 within each partitioned layer the old group takes the low output indices and
@@ -23,15 +23,41 @@ from .net import DenseNet, Layer, ShapeError
 
 @dataclass
 class PartitionPlan:
+    """One step's split, which depends only on widths and class counts, so every
+    seed of a stack shares it. blocks[li] is the pair of (rows, cols) slices of a
+    layer's cut, w[:a, b:] and w[a:, :b]; each slice carries its stop, so the pair
+    also gives the matrix shape. per_layer derives the boolean view."""
+
     split_index: int            # first layer eligible for partitioning
     depth: int
     rho: float
     old_size: dict[int, int] = field(default_factory=dict)  # widths; partitioned layers only
     new_size: dict[int, int] = field(default_factory=dict)
-    groups: CrossGroups | None = None     # cut blocks, set by make_plan
+    blocks: dict[int, tuple[tuple[slice, slice], tuple[slice, slice]]] = field(
+        default_factory=dict)
 
     def is_partitioned(self, layer: int) -> bool:
         return layer in self.old_size
+
+    @property
+    def per_layer(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Boolean (on, no) selectors of each layer's weight matrix, built
+        afresh from blocks on every read."""
+        view = {}
+        for li, (on_block, no_block) in self.blocks.items():
+            shape = (no_block[0].stop, on_block[1].stop)
+            on, no = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
+            on[on_block] = True
+            no[no_block] = True
+            view[li] = (on, no)
+        return view
+
+    def zero(self, mats) -> None:
+        """Zero both cut blocks of each layer's matrix in mats (weights or gradients,
+        one network's or a stack's (S, in, out)), in place."""
+        for li, pair in self.blocks.items():
+            for rows, cols in pair:
+                mats[li][..., rows, cols] = 0.0
 
     def summary(self) -> dict:
         """JSON-ready record for the run manifest."""
@@ -52,38 +78,6 @@ class PartitionPlan:
         }
 
 
-@dataclass
-class CrossGroups:
-    """Per layer with cross weights: the old-to-new and new-to-old blocks.
-
-    blocks[li] is the pair ((rows, cols), (rows, cols)) of slices that select
-    w[:a, b:] and w[a:, :b] of the layer's weight matrix, with a the old input
-    width and b the old output width. Each slice carries its stop, so the
-    pair also gives the matrix shape. per_layer derives the boolean view.
-    """
-
-    blocks: dict[int, tuple[tuple[slice, slice], tuple[slice, slice]]]
-
-    @property
-    def per_layer(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Boolean (on, no) selectors of each layer's weight matrix, built
-        afresh from blocks on every read."""
-        view = {}
-        for li, (on_block, no_block) in self.blocks.items():
-            shape = (no_block[0].stop, on_block[1].stop)
-            on, no = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=bool)
-            on[on_block] = True
-            no[no_block] = True
-            view[li] = (on, no)
-        return view
-
-    def zero(self, mats) -> None:
-        """Zero both cut blocks of each layer's matrix in mats (weights or gradients), in place."""
-        for li, pair in self.blocks.items():
-            for block in pair:
-                mats[li][block] = 0.0
-
-
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
@@ -96,7 +90,7 @@ def make_plan(net: DenseNet, split_index: int, c_old: int, c_new: int, rho: floa
     least one node. A layer left with no new node (a 1-wide one, too) stays
     shared, and so does every layer below it: the trunk reaches up to the last
     shared layer. The final layer is always split by class ownership. The cut
-    blocks, plan.groups, are built once here from the group widths and net's
+    blocks, plan.blocks, are built once here from the group widths and net's
     shapes; a layer that reads the shared trunk has none.
     """
     depth = net.depth
@@ -127,34 +121,32 @@ def make_plan(net: DenseNet, split_index: int, c_old: int, c_new: int, rho: floa
     plan.old_size[depth - 1] = c_old
     plan.new_size[depth - 1] = c_new
 
-    blocks = {}
     for li, b in plan.old_size.items():
         if plan.is_partitioned(li - 1):  # else its inputs come from the shared trunk
             a = plan.old_size[li - 1]
             in_dim, out_dim = net.layers[li].w.shape
-            blocks[li] = ((slice(0, a), slice(b, out_dim)), (slice(a, in_dim), slice(0, b)))
-    plan.groups = CrossGroups(blocks)
+            plan.blocks[li] = ((slice(0, a), slice(b, out_dim)), (slice(a, in_dim), slice(0, b)))
     return plan
 
 
-def disconnect(net: DenseNet, groups: CrossGroups) -> None:
+def disconnect(net: DenseNet, plan: PartitionPlan) -> None:
     """Zero every cross-partition weight, in place.
 
     Afterwards the network computes the branched form: no path connects the
     old branch to the new branch above the shared trunk. Training keeps it
     that way only if the cut weights' gradients are zeroed too. Idempotent.
     """
-    groups.zero([layer.w for layer in net.layers])
+    plan.zero([layer.w for layer in net.layers])
 
 
-def bridge_reconnect(net: DenseNet, groups: CrossGroups) -> None:
+def bridge_reconnect(net: DenseNet, plan: PartitionPlan) -> None:
     """Check the zero-bridge invariant before the cut weights train again.
 
     The cut weights re-enter the network at exactly 0.0, so reconnecting
     changes no logit; nothing is written. Raises ValueError naming the
     layer if a cut weight is not exactly 0.0.
     """
-    for li, pair in groups.blocks.items():
+    for li, pair in plan.blocks.items():
         bad = sum(np.count_nonzero(net.layers[li].w[block]) for block in pair)
         if bad:
             raise ValueError(f"layer {li}: {bad} cut weights are not exactly 0.0 at "

@@ -27,12 +27,26 @@ DEFAULT_BENCHMARK = {
     "mean_radius": 3.0,
 }
 
+BENCH_COUNTS = ("num_classes", "feature_dim", "train_per_class", "test_per_class", "side",
+                "data_seed", "arrange_seed")
 METRIC_KEYS = ("overall_acc", "old_acc", "new_acc", "intra_old_acc", "intra_new_acc")
 
 
 def make_benchmark(bench: dict, num_tasks: int) -> databench.TaskSequence:
-    """Instantiate the configured dataset pair and split it into tasks. A key
-    the source needs and bench lacks raises a ValueError naming it."""
+    """Instantiate the configured dataset pair and split it into tasks. A key the
+    source needs and bench lacks, or a key's value of the wrong kind, raises a
+    ValueError naming it."""
+    for key, v in bench.items():  # every value, before any is read
+        if key in BENCH_COUNTS:
+            ok, kind = databench._is_int(v) and v >= 0, "an integer >= 0"
+        elif key in ("mean_radius", "noise"):
+            ok = databench._is_finite(v) and (key == "mean_radius" or v >= 0)
+            kind = "a finite number" + " >= 0" * (key == "noise")
+        else:
+            ok = isinstance(v, str) or not key.endswith(("_csv", "_images", "_labels"))
+            kind = "a path string"
+        if not ok:
+            raise ValueError(f"benchmark key {key!r} must be {kind}, got {v!r}")
     source = bench.get("source", "synthetic")
     try:
         if source == "synthetic":

@@ -109,7 +109,7 @@ def test_criterion_1_gradient_suite(rng):
             fd_w, _ = finite_diff_param_grads(
                 net, lambda n: losses.sparsify_penalty(n, plan, 0.01))
             for li, (g, f) in enumerate(zip(wgrads, fd_w)):
-                if li not in plan.groups.blocks:
+                if li not in plan.blocks:
                     assert not g.any()
                     assert np.abs(f).max() < 1e-7
                 else:
@@ -155,8 +155,7 @@ def test_criterion_3_isolation_and_zero_bridge(rng):
         for layer in net.layers:
             layer.w += 0.2 * rng.standard_normal(layer.w.shape)
         plan = make_plan(net, 1, 3, 3, 1.0)
-        groups = plan.groups
-        disconnect(net, groups)
+        disconnect(net, plan)
 
         x = rng.standard_normal((100, 5))
         old_before = net.forward(x)[:, :3]
@@ -164,11 +163,11 @@ def test_criterion_3_isolation_and_zero_bridge(rng):
             layer = net.layers[li]
             layer.w[:, b:] += 1.0
             layer.b[b:] += 1.0
-        disconnect(net, groups)  # the shove also reached the cut weights
+        disconnect(net, plan)  # the shove also reached the cut weights
         assert np.array_equal(net.forward(x)[:, :3], old_before)
 
         branched = net.forward(x)
-        bridge_reconnect(net, groups)
+        bridge_reconnect(net, plan)
         assert np.array_equal(net.forward(x), branched)
 
 

@@ -132,6 +132,23 @@ class TestRunner:
         ("task_counts", [True], "num_tasks must be a positive divisor of 4 classes, got True"),
         ("task_counts", ["a"], "num_tasks must be a positive divisor of 4 classes, got 'a'"),
         ("task_counts", [2.0], "num_tasks must be a positive divisor of 4 classes, got 2.0"),
+        # a benchmark value of the wrong kind fails naming its key, before any is read
+        ("benchmark", {**TINY_BENCH, "num_classes": "4"},
+         "benchmark key 'num_classes' must be an integer >= 0, got '4'"),
+        ("benchmark", {**TINY_BENCH, "num_classes": 4.0},
+         "benchmark key 'num_classes' must be an integer >= 0, got 4.0"),
+        ("benchmark", {**TINY_BENCH, "data_seed": True},
+         "benchmark key 'data_seed' must be an integer >= 0, got True"),
+        ("benchmark", {**TINY_BENCH, "train_per_class": -1},
+         "benchmark key 'train_per_class' must be an integer >= 0, got -1"),
+        ("benchmark", {**TINY_BENCH, "mean_radius": float("nan")},
+         "benchmark key 'mean_radius' must be a finite number, got nan"),
+        ("benchmark", {**TINY_BENCH, "mean_radius": 10 ** 400},
+         "benchmark key 'mean_radius' must be a finite number, got 1000"),
+        ("benchmark", {"source": "glyphs", "noise": -0.5},
+         "benchmark key 'noise' must be a finite number >= 0, got -0.5"),
+        ("benchmark", {"source": "csv", "train_csv": None, "test_csv": "test.csv"},
+         "benchmark key 'train_csv' must be a path string, got None"),
     ])
     def test_bad_axis_rejected_before_writing(self, tmp_path, axis, value, message):
         matrix = {"benchmark": TINY_BENCH, "schemes": ["ce"], "task_counts": [2],
@@ -397,6 +414,32 @@ class TestCli:
                                                  "seeds": [0], "scheme": "dd"}],
          "cfg.json: unknown top-level key 'scheme', expected one of "
          "benchmark, schemes, task_counts, seeds, config"),
+        # a benchmark value of the wrong kind is one error line naming its key; a
+        # path is a string, never a number read as a file descriptor
+        (["run", "--out", "OUT", "--config", {"benchmark": {"num_classes": "8"}}],
+         "benchmark key 'num_classes' must be an integer >= 0, got '8'"),
+        (["run", "--out", "OUT", "--config", {"benchmark": {"feature_dim": 2.5}}],
+         "benchmark key 'feature_dim' must be an integer >= 0, got 2.5"),
+        (["run", "--out", "OUT", "--config", {"benchmark": {"source": "glyphs", "side": 2.5}}],
+         "benchmark key 'side' must be an integer >= 0, got 2.5"),
+        (["run", "--out", "OUT", "--config", {"benchmark": {"data_seed": "a"}}],
+         "benchmark key 'data_seed' must be an integer >= 0, got 'a'"),
+        (["run", "--out", "OUT", "--config", {"benchmark": {"arrange_seed": -1}}],
+         "benchmark key 'arrange_seed' must be an integer >= 0, got -1"),
+        (["run", "--out", "OUT", "--config", {"benchmark": {"mean_radius": "x"}}],
+         "benchmark key 'mean_radius' must be a finite number, got 'x'"),
+        (["run", "--out", "OUT", "--config", {"benchmark": {"source": "glyphs", "noise": -1}}],
+         "benchmark key 'noise' must be a finite number >= 0, got -1"),
+        (["run", "--out", "OUT", "--config", {"benchmark": {
+            "source": "csv", "train_csv": 987654321, "test_csv": "MISSING"}}],
+         "benchmark key 'train_csv' must be a path string, got 987654321"),
+        (["run", "--out", "OUT", "--config", {"benchmark": {
+            "source": "idx", "train_images": 987654321, "train_labels": 987654321,
+            "test_images": 987654321, "test_labels": 987654321}}],
+         "benchmark key 'train_images' must be a path string, got 987654321"),
+        (["run", "--out", "OUT", "--config", {"benchmark": {
+            "source": "csv", "train_csv": ["a"], "test_csv": "MISSING"}}],
+         "benchmark key 'train_csv' must be a path string, got ['a']"),
     ])
     def test_bad_value_exit_1_one_line(self, tmp_path, capsys, argv, message):
         # OUT and MISSING stand for an output directory and a file that does

@@ -182,6 +182,28 @@ class TestFit:
             assert la.w.tobytes() == lb.w.tobytes()
             assert la.b.tobytes() == lb.b.tobytes()
 
+    def test_on_grads_sees_the_stack_once_per_step(self):
+        # the hook gets the stack's weight-gradient views, (S, in, out), once per
+        # step, and its in-place edits reach every seed's update
+        seq = small_sequence()
+        d = seq.tasks[0].train
+        cfgs = [SchemeConfig(**FAST, weight_decay=0.0, seed=s) for s in (0, 1)]
+        nets = [build_net(seq.feature_dim, list(cfgs[0].hidden), 2, seed=s) for s in (0, 1)]
+        first, second = ([net.layers[li].w.copy() for net in nets] for li in (0, 1))
+        shapes = []
+
+        def freeze_first_layer(gw):
+            shapes.append([g.shape for g in gw])
+            gw[0][...] = 0.0
+
+        x, y = (np.broadcast_to(a, (2,) + a.shape) for a in (d.x, d.y))
+        _fit(nets, cfgs, 3, (1, 1), _ce, x, y, on_grads=freeze_first_layer)
+        assert len(shapes) == 3 * -(-len(d) // cfgs[0].batch_size)
+        assert all(s == [(2,) + shape for shape in nets[0].layout] for s in shapes)
+        for net, w0, w1 in zip(nets, first, second):
+            assert net.layers[0].w.tobytes() == w0.tobytes()
+            assert not np.array_equal(net.layers[1].w, w1)
+
 
 class TestFusedGradients:
     """Each phase's gradient closure matches central finite differences of
@@ -347,7 +369,7 @@ class TestStackedTeachers:
             net.widen_output(2)
         plan = make_plan(nets[0], cfgs[0].split_index, 2, 2, cfgs[0].rho)
         for net in nets:
-            disconnect(net, plan.groups)
+            disconnect(net, plan)
         stack, layers = engine._stack(nets)
         teacher = extract_subnet(layers, plan)
         assert all(np.shares_memory(l.w, stack) and np.shares_memory(l.b, stack) for l in teacher)
@@ -368,7 +390,8 @@ class TestSplitPhase:
         d = LabeledDataset(np.zeros((4, 4)), [0, 0, 1, 1], 2)
         pool = Pool.build(Task(np.array([2, 3]), d, d), [empty_memory(d)], [net], cfg)
         with pytest.raises(ValueError):
-            run_split_phase(net, pool, 0, cfg, step=2)
+            plan = make_plan(net, cfg.split_index, pool.old.size, pool.new.size, cfg.rho)
+            run_split_phase(net, plan, pool, 0, cfg, step=2)
 
     def test_cut_stays_exactly_zero_under_decay_and_momentum(self):
         # the branched phase zeros the cut's gradients; weight decay and
@@ -381,19 +404,20 @@ class TestSplitPhase:
         mem = update_exemplars(empty_memory(d1), d1, cfg.memory_capacity, 1)
         pool = Pool.build(seq.tasks[1], [mem], [net], cfg)
         net.widen_output(2)
-        net, plan, groups, _ = run_split_phase(net, pool, 0, cfg, 2)
-        assert groups is plan.groups and groups.per_layer
-        for li, (on, no) in groups.per_layer.items():
+        plan = make_plan(net, cfg.split_index, pool.old.size, pool.new.size, cfg.rho)
+        out = run_split_phase(net, plan, pool, 0, cfg, 2)
+        assert out[1] is out[2] is plan and plan.per_layer
+        for li, (on, no) in plan.per_layer.items():
             cut = net.layers[li].w[on | no]
             assert cut.tobytes() == np.zeros_like(cut).tobytes()
             assert np.count_nonzero(net.layers[li].w[~(on | no)]) > 0
         probe = seq.tasks[1].test.x
         branched = net.forward(probe)
-        bridge_reconnect(net, groups)
+        bridge_reconnect(net, plan)
         assert net.forward(probe).tobytes() == branched.tobytes()
         run_bridge_phase([net], plan, pool, [cfg], 2)
         assert any(np.any(net.layers[li].w[on | no] != 0.0)
-                   for li, (on, no) in groups.per_layer.items())
+                   for li, (on, no) in plan.per_layer.items())
 
     def test_zero_width_class_window_rejected(self):
         with pytest.raises(ValueError, match="range"):
@@ -421,7 +445,7 @@ class TestStdReduction:
         run_std_step([net], pool, [cfg], 3)
         phase = "bridge"
         plan = make_plan(net, cfg.split_index, 4, 2, cfg.rho)
-        disconnect(net, plan.groups)
+        disconnect(net, plan)
         run_bridge_phase([net], plan, pool, [cfg], 3)
         assert seen["std"] and seen["bridge"]
         assert set(seen["std"]) == set(seen["bridge"]) == {lambda_schedule(4, 2)}
@@ -546,7 +570,7 @@ class TestRunSequence:
     def test_runners_looked_up_at_call_time(self, scheme, monkeypatch):
         # a wrapper set on an engine runner's module name sees every call
         # (the benchmark times its phases this way), and the split phase
-        # returns (net, plan, plan.groups, diagnostics)
+        # returns (net, plan, plan, diagnostics)
         from splitbridge import engine
 
         names = ("run_first_task", "run_split_phase", "run_bridge_phase", "run_std_step",
@@ -575,7 +599,7 @@ class TestRunSequence:
         assert len(splits) == (2 if scheme == "sb" else 0)
         for out in splits:
             assert isinstance(out, tuple) and len(out) == 4
-            assert out[2] is out[1].groups
+            assert out[2] is out[1]
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_one_sgd_step_per_seed_and_batch(self, scheme, monkeypatch):
@@ -626,6 +650,23 @@ class TestRunSequence:
             got.setdefault(phase, []).append(k)
         assert {p: sorted(ks) for p, ks in got.items()} == {
             p: sorted(ks) for p, ks in expected.items()}
+
+    def test_one_plan_per_split_step_for_the_stack(self, monkeypatch):
+        # the split depends only on widths and class counts: every seed of a
+        # stack trains on the one plan made for its step
+        from splitbridge import partition
+
+        plans, seen = [], []
+        make_plan, split = partition.make_plan, engine.run_split_phase
+        monkeypatch.setattr(partition, "make_plan",
+                            lambda *args: plans.append(make_plan(*args)) or plans[-1])
+        monkeypatch.setattr(engine, "run_split_phase",
+                            lambda net, plan, *args: seen.append(plan) or split(net, plan, *args))
+        cfgs = [SchemeConfig(scheme="sb", **FAST, seed=s) for s in (0, 1, 2)]
+        results = run_sequence(small_sequence(num_classes=6, num_tasks=3), cfgs)
+        assert len(plans) == 2
+        assert [id(p) for p in seen] == [id(p) for p in plans for _ in cfgs]
+        assert all(r[t].plan_summary == plans[t - 1].summary() for r in results for t in (1, 2))
 
     @pytest.mark.parametrize("seeds", [[], [{}, {"tau": 3.0}]])
     def test_configs_differing_beyond_seed_rejected(self, seeds):

@@ -245,7 +245,7 @@ class TestSparsifyPenalty:
 
     def test_zero_cross_weights(self, rng):
         net, plan = self._net_and_plan(rng)
-        for li, (on, no) in plan.groups.per_layer.items():
+        for li, (on, no) in plan.per_layer.items():
             net.layers[li].w[on | no] = 0.0
         value = sparsify_penalty(net, plan, 0.1, into=[np.zeros_like(l.w) for l in net.layers])
         assert value == 0.0
@@ -291,7 +291,7 @@ class TestSparsifyPenalty:
                         net.layout)[0]
         expected = [w.copy() for w in wgrads]
         value = sparsify_penalty(net, plan, 0.3)
-        for li, selectors in plan.groups.per_layer.items():
+        for li, selectors in plan.per_layer.items():
             for sel in selectors:
                 v = net.layers[li].w[sel]
                 expected[li][sel] += 0.3 * (v / max(float(np.sqrt((v ** 2).sum())), 1e-8))
@@ -302,10 +302,9 @@ class TestSparsifyPenalty:
     def test_invariant_to_within_partition_changes(self, rng):
         net, plan = self._net_and_plan(rng)
         before = sparsify_penalty(net, plan, 0.2)
-        groups = plan.groups
         for li, layer in enumerate(net.layers):
-            if li in groups.per_layer:
-                on, no = groups.per_layer[li]
+            if li in plan.per_layer:
+                on, no = plan.per_layer[li]
                 within = ~(on | no)
                 layer.w[within] += rng.standard_normal(int(within.sum()))
             else:

@@ -93,9 +93,9 @@ class TestBackward:
         seen = {"cut": False, "before": [], "after": []}
         disconnect, step = partition.disconnect, engine.sgd_step
 
-        def record_disconnect(n, groups):
+        def record_disconnect(n, plan):
             seen["cut"] = True
-            return disconnect(n, groups)
+            return disconnect(n, plan)
 
         def record_step(n, grads, *args):
             phase = "after" if seen["cut"] else "before"
@@ -104,8 +104,9 @@ class TestBackward:
 
         monkeypatch.setattr(partition, "disconnect", record_disconnect)
         monkeypatch.setattr(engine, "sgd_step", record_step)
-        _, _, groups, _ = engine.run_split_phase(net, pool, 0, cfg, 2)
-        cuts = [(li, on | no) for li, (on, no) in groups.per_layer.items()]
+        plan = partition.make_plan(net, cfg.split_index, pool.old.size, pool.new.size, cfg.rho)
+        engine.run_split_phase(net, plan, pool, 0, cfg, 2)
+        cuts = [(li, on | no) for li, (on, no) in plan.per_layer.items()]
         assert cuts and seen["before"] and seen["after"]
         assert any(np.any(gw[li][cut] != 0.0) for gw in seen["before"] for li, cut in cuts)
         for gw in seen["after"]:
@@ -306,7 +307,7 @@ class TestFlatParams:
         net.widen_output(2)
         assert_packed(net)
         plan = make_plan(net, 1, 3, 2, 1.0)
-        disconnect(net, plan.groups)
+        disconnect(net, plan)
         # the bridge's teacher is no constructor: it views the network's own params
         assert all(np.shares_memory(l.w, net.params) and np.shares_memory(l.b, net.params)
                    for l in extract_subnet(net.layers, plan))

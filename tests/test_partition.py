@@ -83,15 +83,13 @@ class TestCrossGroups:
         net = widened_net(c_old=50, c_new=10, hidden=(8, 8, 8))
         net2 = build_net(4, [8, 8, 8], 60, 0)
         plan = make_plan(net2, 1, 50, 10, 1.4)
-        groups = plan.groups
         # the final layer reads a shared layer, so no weight crosses anywhere
-        assert groups.per_layer == {}
+        assert plan.per_layer == {}
 
     def test_exhaustive_two_by_two(self):
         net = widened_net(hidden=(2, 2), in_dim=4, c_old=1, c_new=1)
         plan = make_plan(net, 1, 1, 1, 1.0)
-        groups = plan.groups
-        on, no = groups.per_layer[2]
+        on, no = plan.per_layer[2]
         assert on[0, 1] and not on.sum() > 1
         assert no[1, 0] and not no.sum() > 1
 
@@ -99,8 +97,7 @@ class TestCrossGroups:
         # on a 6 -> 6 partitioned pair, cross + within = 36
         net = build_net(4, [6, 6], 4, 0)
         plan = make_plan(net, 1, 2, 2, 1.0)
-        groups = plan.groups
-        on, no = groups.per_layer[2]
+        on, no = plan.per_layer[2]
         n_old_in = plan.old_size[1]
         n_new_in = plan.new_size[1]
         # within-partition count on the 6 -> 4 output layer
@@ -112,8 +109,8 @@ class TestCrossGroups:
         # reference built from the plan's widths
         net = widened_net()
         plan = make_plan(net, 1, 2, 2, 1.0)
-        assert sorted(plan.groups.per_layer) == [2, 3]
-        for li, (on, no) in plan.groups.per_layer.items():
+        assert sorted(plan.per_layer) == [2, 3]
+        for li, (on, no) in plan.per_layer.items():
             want_on, want_no = _ix_selectors(plan, li, net.layers[li].w.shape)
             assert np.array_equal(on, want_on) and np.array_equal(no, want_no)
 
@@ -121,49 +118,47 @@ class TestCrossGroups:
         # its inputs come from the shared trunk, so no weight of it crosses
         net = widened_net()
         plan = make_plan(net, 1, 2, 2, 1.0)
-        groups = plan.groups
-        assert 1 not in groups.per_layer
-        assert sorted(groups.per_layer) == [2, 3]
+        assert 1 not in plan.per_layer
+        assert sorted(plan.per_layer) == [2, 3]
 
 
 class TestDisconnect:
     def _setup(self, seed=0):
         net = widened_net(seed=seed)
         plan = make_plan(net, 1, 2, 2, 1.0)
-        groups = plan.groups
-        disconnect(net, groups)
-        return net, plan, groups
+        disconnect(net, plan)
+        return net, plan
 
     @staticmethod
-    def _shove(net, plan, groups, branch):
+    def _shove(net, plan, branch):
         # every weight into and bias of the branch's nodes (0 old, 1 new), in
         # each partitioned layer
         for li in plan.old_size:
             nodes = _index_groups(plan, li)[branch]
             net.layers[li].w[:, nodes] += 1.0
             net.layers[li].b[nodes] += 1.0
-        disconnect(net, groups)  # the shove also reached the cut weights
+        disconnect(net, plan)  # the shove also reached the cut weights
 
     def test_new_branch_cannot_touch_old_logits(self, rng):
-        net, plan, groups = self._setup()
+        net, plan = self._setup()
         x = rng.standard_normal((50, 4))
         before = net.forward(x)[:, :2]
-        self._shove(net, plan, groups, 1)
+        self._shove(net, plan, 1)
         assert np.array_equal(before, net.forward(x)[:, :2])
 
     def test_old_branch_cannot_touch_new_logits(self, rng):
-        net, plan, groups = self._setup()
+        net, plan = self._setup()
         # widen_output zero-fills the new-class columns; without weights there
         # the new logits would read nothing from the network
         net.layers[-1].w[:, 2:] = rng.standard_normal((net.layers[-1].in_dim, 2))
-        disconnect(net, groups)
+        disconnect(net, plan)
         x = rng.standard_normal((50, 4))
         before = net.forward(x)[:, 2:]
-        self._shove(net, plan, groups, 0)
+        self._shove(net, plan, 0)
         assert np.array_equal(before, net.forward(x)[:, 2:])
 
     def test_full_net_old_slice_equals_subnet(self, rng):
-        net, plan, _ = self._setup()
+        net, plan = self._setup()
         sub = DenseNet(extract_subnet(net.layers, plan))
         x = rng.standard_normal((30, 4))
         assert np.allclose(net.forward(x)[:, :2], sub.forward(x), atol=1e-12, rtol=0)
@@ -172,35 +167,47 @@ class TestDisconnect:
         net = widened_net()
         plan = make_plan(net, 1, 2, 2, 1.0)
         before = net.clone()
-        disconnect(net, plan.groups)
+        disconnect(net, plan)
         li = plan.split_index
         assert net.layers[li].w.tobytes() == before.layers[li].w.tobytes()
         for li in (2, 3):
-            on, no = plan.groups.per_layer[li]
+            on, no = plan.per_layer[li]
             assert np.all(net.layers[li].w[on | no] == 0.0)
             assert not np.array_equal(net.layers[li].w, before.layers[li].w)
 
     def test_idempotent(self):
-        net, plan, groups = self._setup()
+        net, plan = self._setup()
         w_before = [l.w.copy() for l in net.layers]
-        disconnect(net, groups)
+        disconnect(net, plan)
         for l, w in zip(net.layers, w_before):
             assert np.array_equal(l.w, w)
+
+    def test_zero_on_a_stack_equals_each_seed(self):
+        # plan.zero indexes (..., rows, cols): on (S, in, out) stacked weights it
+        # zeroes exactly what zeroing each seed's own matrix does
+        nets = [widened_net(seed=s) for s in range(3)]
+        plan = make_plan(nets[0], 1, 2, 2, 1.0)
+        stacked = [np.stack([net.layers[li].w for net in nets]) for li in range(nets[0].depth)]
+        plan.zero(stacked)
+        for s, net in enumerate(nets):
+            disconnect(net, plan)
+            for li, layer in enumerate(net.layers):
+                assert stacked[li][s].tobytes() == layer.w.tobytes()
+        assert sorted(plan.blocks) == [2, 3]
 
 
 class TestBridgeReconnect:
     def _setup(self, seed=0):
         net = widened_net(seed=seed)
         plan = make_plan(net, 1, 2, 2, 1.0)
-        groups = plan.groups
-        disconnect(net, groups)
-        return net, plan, groups
+        disconnect(net, plan)
+        return net, plan
 
     def test_zero_bridge_equivalence(self, rng):
-        net, _, groups = self._setup()
+        net, plan = self._setup()
         x = rng.standard_normal((100, 4))
         before = net.forward(x)
-        bridge_reconnect(net, groups)
+        bridge_reconnect(net, plan)
         assert np.array_equal(net.forward(x), before)
 
     def test_bridge_weights_learn_after_step(self, rng):
@@ -208,48 +215,46 @@ class TestBridgeReconnect:
         from splitbridge.net import sgd_step
         from conftest import backward
 
-        net, _, groups = self._setup()
-        bridge_reconnect(net, groups)
+        net, plan = self._setup()
+        bridge_reconnect(net, plan)
         x = rng.standard_normal((16, 4))
         y = rng.integers(0, 4, size=16)
         for _ in range(3):
             grads = backward(net, x, _ce(net.forward(x), y))
             sgd_step(net, grads, np.zeros_like(net.params), 0.5, 0.0, 0.0)
-        cross_vals = [net.layers[li].w[on | no] for li, (on, no) in groups.per_layer.items()]
+        cross_vals = [net.layers[li].w[on | no] for li, (on, no) in plan.per_layer.items()]
         assert any(np.any(v != 0.0) for v in cross_vals)
 
     @pytest.mark.parametrize("side", [0, 1])
     def test_nonzero_cut_weight_rejected(self, side):
         # a single trained cut weight, however small, breaks the zero bridge
-        net, _, groups = self._setup()
-        li = max(groups.per_layer)
-        cut = groups.per_layer[li][side]
+        net, plan = self._setup()
+        li = max(plan.per_layer)
+        cut = plan.per_layer[li][side]
         net.layers[li].w[tuple(np.argwhere(cut)[0])] = 1e-300
         with pytest.raises(ValueError, match=f"layer {li}: 1 cut weights are not exactly 0.0"):
-            bridge_reconnect(net, groups)
+            bridge_reconnect(net, plan)
 
     def test_reconnect_then_disconnect_restores(self, rng):
-        net, _, groups = self._setup()
+        net, plan = self._setup()
         snap = net.clone()
-        bridge_reconnect(net, groups)
-        disconnect(net, groups)
+        bridge_reconnect(net, plan)
+        disconnect(net, plan)
         for a, b in zip(net.layers, snap.layers):
             assert np.array_equal(a.w, b.w)
 
     def test_reconnect_never_disconnected_errors(self):
         net = widened_net()
         plan = make_plan(net, 1, 2, 2, 1.0)
-        groups = plan.groups
         with pytest.raises(ValueError, match="never disconnected"):
-            bridge_reconnect(net, groups)
+            bridge_reconnect(net, plan)
 
 
 class TestExtractSubnet:
     def _setup(self):
         net = widened_net(seed=3)
         plan = make_plan(net, 1, 2, 2, 1.0)
-        groups = plan.groups
-        disconnect(net, groups)
+        disconnect(net, plan)
         return net, plan
 
     def test_old_side_paired_comparison(self, rng):
@@ -281,16 +286,15 @@ class TestPartitionClassification:
         rho = float(r.uniform(0.8, 1.4))
         net = build_net(4, hidden, c_old + c_new, seed)
         plan = make_plan(net, 1, c_old, c_new, rho)
-        groups = plan.groups
         for li in range(1, net.depth):
             if not plan.is_partitioned(li):
                 continue
             empty = np.array([], dtype=np.int64)
             in_old, in_new = (_index_groups(plan, li - 1) if plan.is_partitioned(li - 1)
                               else (empty, empty))
-            assert (li in groups.per_layer) == bool(in_old.size)
+            assert (li in plan.per_layer) == bool(in_old.size)
             empty = np.zeros(net.layers[li].w.shape, dtype=bool)
-            on, no = groups.per_layer.get(li, (empty, empty))
+            on, no = plan.per_layer.get(li, (empty, empty))
             out_old, out_new = _index_groups(plan, li)
             within = np.zeros(net.layers[li].w.shape, dtype=bool)
             if in_old.size:
@@ -319,13 +323,13 @@ def _check_slice_encoding(split_index, hidden, rho, c_old, c_new, seed):
         layer.w += np.sign(layer.w) + (layer.w == 0.0)  # no weight is 0.0 before the cut
     plan = make_plan(net, split_index, c_old, c_new, rho)
     fed = [li for li in plan.old_size if plan.is_partitioned(li - 1)]
-    assert sorted(plan.groups.per_layer) == sorted(fed)
-    for li, (on, no) in plan.groups.per_layer.items():
+    assert sorted(plan.per_layer) == sorted(fed)
+    for li, (on, no) in plan.per_layer.items():
         want_on, want_no = _ix_selectors(plan, li, net.layers[li].w.shape)
         assert np.array_equal(on, want_on) and np.array_equal(no, want_no)
 
     before = net.clone()
-    disconnect(net, plan.groups)
+    disconnect(net, plan)
     for li, (layer, old) in enumerate(zip(net.layers, before.layers)):
         cut = np.zeros(layer.w.shape, dtype=bool)
         if li in fed:
@@ -360,7 +364,7 @@ class TestSliceEncoding:
         net = build_net(3, hidden, c_old + c_new, 0)
         plan = make_plan(net, split_index, c_old, c_new, rho)
         assert sorted(plan.old_size) == [2, 3]
-        assert sorted(plan.groups.per_layer) == [3]
+        assert sorted(plan.per_layer) == [3]
         _check_slice_encoding(split_index, hidden, rho, c_old, c_new, 0)
 
     def test_one_wide_layer_stays_shared(self):
@@ -369,5 +373,5 @@ class TestSliceEncoding:
         plan = make_plan(build_net(4, [8, 1, 8], 4, 0), 0, 2, 2, 1.0)
         assert [(l["layer"], l["shared"], l["new_size"]) for l in plan.summary()["layers"]] == [
             (0, True, None), (1, True, None), (2, False, 4), (3, False, 2)]
-        assert sorted(plan.groups.per_layer) == [3]
+        assert sorted(plan.per_layer) == [3]
         _check_slice_encoding(0, [8, 1, 8], 1.0, 2, 2, 0)
