@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, runner
-from .data import gen_synthetic, save_csv
+from .data import INT, OBJECT, check, gen_synthetic, save_csv
 from .metrics import evaluate
 from .net import DenseNet
 
@@ -31,10 +31,8 @@ def _load_config(path, keys) -> dict:
     except json.JSONDecodeError as exc:
         raise ValueError(f"config parse error in {path} at line {exc.lineno}: {exc.msg}")
     for key in (None, "benchmark", "config"):  # None: the top level, checked first
-        part = cfg if key is None else cfg.get(key, {})
-        if not isinstance(part, dict):
-            raise ValueError(f"config {path}: {repr(key) if key else 'the top level'} "
-                             f"must be a JSON object, not {type(part).__name__}")
+        check(f"config {path}: {repr(key) if key else 'the top level'}",
+              cfg if key is None else cfg.get(key, {}), OBJECT)
     for key in sorted(cfg.keys() - keys):
         raise ValueError(f"config {path}: unknown top-level key {key!r}, "
                          f"expected one of {', '.join(keys)}")
@@ -125,8 +123,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_replicate_table1(args) -> int:
-    if args.seeds < 1:
-        raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
+    check("--seeds", args.seeds, INT, 1)
     seeds = list(range(args.seeds))
     bench = dict(runner.DEFAULT_BENCHMARK)
     tables = {}

@@ -24,6 +24,26 @@ def _is_finite(v) -> bool:  # a float or an int that a finite float64 holds; NaN
     return (isinstance(v, (float, np.floating)) or _is_int(v)) and abs(v) <= sys.float_info.max
 
 
+INT, NUM, POS, PATH, LIST, OBJECT = (  # the kinds check knows, each named by its message phrase
+    "an integer", "a finite number", "a finite number > 0", "a path string",
+    "a non-empty list of distinct values", "a JSON object")
+_KINDS = {INT: _is_int, NUM: _is_finite, POS: lambda v: _is_finite(v) and v > 0,
+          PATH: lambda v: isinstance(v, str), OBJECT: lambda v: isinstance(v, dict),
+          LIST: lambda v: isinstance(v, list) and v != [] and all(
+              x not in v[:i] for i, x in enumerate(v))}
+
+
+def must_be(where: str, value, kind: str) -> ValueError:
+    """The one shape of a bad input's error: `<where> must be <kind>, got <value!r>`."""
+    return ValueError(f"{where} must be {kind}, got {value!r}")
+
+
+def check(where: str, value, kind: str, low=None) -> None:
+    """Raise must_be's ValueError unless value is of kind and, given low, >= low."""
+    if not (_KINDS[kind](value) and (low is None or value >= low)):
+        raise must_be(where, value, kind + f" >= {low}" * (low is not None))
+
+
 @dataclass
 class LabeledDataset:
     x: np.ndarray          # (n, d) float64

@@ -14,19 +14,25 @@ from functools import partial
 import numpy as np
 
 from . import losses, metrics, partition
-from .data import LabeledDataset, Task, TaskRange, TaskSequence, _is_finite, _is_int
+from .data import INT, NUM, POS, LabeledDataset, Task, TaskRange, TaskSequence, check, must_be
 from .losses import _ce_grad, _kd_grad, _softmax, lambda_schedule
 from .net import DenseNet, Layer, _backward, _forward, _views, build_net, sgd_step
 
 SCHEMES = ("sb", "std", "ce", "dd")
+CONFIG_KINDS = {  # SchemeConfig's numeric fields: each one's kind and lower bound, for check
+    "tau": (POS, None), "rho": (POS, None), "learning_rate": (POS, None), "gamma": (NUM, 0),
+    "momentum": (NUM, 0), "weight_decay": (NUM, 0), "batch_size": (INT, 1),
+    **dict.fromkeys(("split_index", "memory_capacity", "epochs_first", "epochs_sparsify",
+                     "epochs_branched", "epochs_bridge", "epochs_std", "seed"), (INT, 0)),
+}
 
 
 @dataclass
 class SchemeConfig:
-    """One run's settings; every phase trains with the one SGD setup. A value out of
-    range, a float field that is not a finite number (None, "2"), a non-integer (or bool)
-    count, seed, batch size, split_index or hidden width, a hidden that is not a list
-    (5, "32") or a split_index outside [0, len(hidden)] raises a ValueError naming it."""
+    """One run's settings; every phase trains with the one SGD setup. An unknown scheme,
+    a numeric field outside its CONFIG_KINDS kind and bound (a bool is no integer; None,
+    "2" and NaN are no finite number), a momentum >= 1, a hidden that is not a list of
+    integer widths >= 1, or a split_index > len(hidden) raises a ValueError naming it."""
 
     scheme: str = "sb"
     tau: float = 2.0
@@ -48,33 +54,18 @@ class SchemeConfig:
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        counts = ("epochs_first", "epochs_sparsify", "epochs_branched", "epochs_bridge",
-                  "epochs_std", "memory_capacity")
-        for name in counts + ("batch_size", "split_index", "seed"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in ("learning_rate", "tau", "gamma", "rho", "weight_decay", "momentum"):
-            v = getattr(self, name)  # an int too big for a float64 is not finite either
-            if not _is_finite(v):
-                raise ValueError(f"{name} must be a finite number, got {v!r}")
-        if not (self.tau > 0 and self.rho > 0 and self.gamma >= 0):
-            raise ValueError("need tau > 0, rho > 0, gamma >= 0")
-        for name in counts + ("weight_decay",):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        for name in ("learning_rate", "batch_size"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+            raise must_be("scheme", self.scheme, "one of " + ", ".join(SCHEMES))
+        for name, (kind, low) in CONFIG_KINDS.items():
+            check(name, getattr(self, name), kind, low)
+        if self.momentum >= 1:
+            raise must_be("momentum", self.momentum, "< 1")
         if not isinstance(self.hidden, (list, tuple)):
-            raise ValueError(f"hidden must be a list of widths, got {self.hidden!r}")
+            raise must_be("hidden", self.hidden, "a list of widths")
         self.hidden = tuple(self.hidden)
-        if not all(_is_int(w) and w >= 1 for w in self.hidden):
-            raise ValueError(f"hidden widths must be integers >= 1, got {self.hidden}")
-        if not 0 <= self.split_index <= len(self.hidden):
-            raise ValueError(f"split_index {self.split_index} not in [0, {len(self.hidden)}]")
+        for i, width in enumerate(self.hidden):
+            check(f"hidden[{i}]", width, INT, 1)
+        if self.split_index > len(self.hidden):
+            raise must_be("split_index", self.split_index, f"<= len(hidden) = {len(self.hidden)}")
 
 
 @dataclass(frozen=True)

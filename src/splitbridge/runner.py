@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 
 from . import data as databench
-from .engine import SCHEMES, SchemeConfig, run_sequence
+from .data import INT, LIST, NUM, PATH, check
+from .engine import SchemeConfig, run_sequence
 from .metrics import average_incremental_accuracy
 
 DEFAULT_BENCHMARK = {
@@ -27,26 +28,26 @@ DEFAULT_BENCHMARK = {
     "mean_radius": 3.0,
 }
 
-BENCH_COUNTS = ("num_classes", "feature_dim", "train_per_class", "test_per_class", "side",
-                "data_seed", "arrange_seed")
+BENCH_KINDS = {  # each key some source reads, bar "source": its kind and lower bound for check
+    **dict.fromkeys(("num_classes", "feature_dim", "train_per_class", "test_per_class",
+                     "data_seed", "arrange_seed"), (INT, 0)),
+    "side": (INT, 1), "mean_radius": (NUM, None), "noise": (NUM, 0),
+    **dict.fromkeys(("train_images", "train_labels", "test_images", "test_labels",
+                     "train_csv", "test_csv"), (PATH, None)),
+}
 METRIC_KEYS = ("overall_acc", "old_acc", "new_acc", "intra_old_acc", "intra_new_acc")
 
 
 def make_benchmark(bench: dict, num_tasks: int) -> databench.TaskSequence:
-    """Instantiate the configured dataset pair and split it into tasks. A key the
-    source needs and bench lacks, or a key's value of the wrong kind, raises a
-    ValueError naming it."""
+    """Instantiate the configured dataset pair and split it into tasks. A key no
+    source reads, a key the source needs and bench lacks, or a value not of its key's
+    BENCH_KINDS kind and bound raises a ValueError naming the key."""
     for key, v in bench.items():  # every value, before any is read
-        if key in BENCH_COUNTS:
-            ok, kind = databench._is_int(v) and v >= 0, "an integer >= 0"
-        elif key in ("mean_radius", "noise"):
-            ok = databench._is_finite(v) and (key == "mean_radius" or v >= 0)
-            kind = "a finite number" + " >= 0" * (key == "noise")
-        else:
-            ok = isinstance(v, str) or not key.endswith(("_csv", "_images", "_labels"))
-            kind = "a path string"
-        if not ok:
-            raise ValueError(f"benchmark key {key!r} must be {kind}, got {v!r}")
+        if key in BENCH_KINDS:
+            check(f"benchmark key {key!r}", v, *BENCH_KINDS[key])
+        elif key != "source":
+            raise ValueError(f"unknown benchmark key {key!r} = {v!r}, expected one of "
+                             f"source, {', '.join(BENCH_KINDS)}")
     source = bench.get("source", "synthetic")
     try:
         if source == "synthetic":
@@ -148,25 +149,16 @@ def run_matrix(matrix: dict, out_dir) -> int:
     after another in this process; a stack's failure is recorded for each of
     its cells, the other stacks continue, and any failure makes the exit code
     nonzero. A schemes, task_counts or seeds axis that is not a non-empty list
-    of distinct values, an unknown scheme, a seed or config that build_config
-    rejects, or a benchmark that no task count can build raises a ValueError
-    before any write.
+    of distinct values, a scheme, seed or config that build_config rejects, or a
+    benchmark that no task count can build raises a ValueError before any write.
     """
     out_dir = Path(out_dir)
     bench = {**DEFAULT_BENCHMARK, **matrix.get("benchmark", {})}
     for axis in ("schemes", "task_counts", "seeds"):
-        values = matrix.get(axis)
-        if not (isinstance(values, list) and values):
-            raise ValueError(f"matrix config needs a non-empty {axis!r} list, got {values!r}")
-        repeated = [v for i, v in enumerate(values) if v in values[:i]]
-        if repeated:
-            raise ValueError(f"matrix config's {axis!r} list repeats {repeated[0]!r}")
+        check(f"matrix config's {axis!r}", matrix.get(axis), LIST)
     seeds = matrix["seeds"]
     overrides = matrix.get("config", {})
     for scheme in matrix["schemes"]:  # a bad scheme, seed or config would fail each cell
-        if scheme not in SCHEMES:
-            raise ValueError(f"matrix config's 'schemes' list names {scheme!r}, "
-                             f"not one of {', '.join(SCHEMES)}")
         for seed in seeds:
             build_config(scheme, seed, overrides)
     for tasks in matrix["task_counts"]:  # as would an error that every task count hits

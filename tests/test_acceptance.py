@@ -66,7 +66,8 @@ class _Gate:
 
 
 def _se_gap(a, b):
-    """Standard error of mean(a) - mean(b) over paired seed arrays."""
+    """Unpaired standard error of mean(a) - mean(b): the two arrays' variances of
+    the mean add, and the pairing of their seeds is not used."""
     a, b = np.asarray(a, float), np.asarray(b, float)
     return float(np.sqrt(a.var(ddof=1) / a.size + b.var(ddof=1) / b.size))
 

@@ -31,6 +31,8 @@ TINY_BENCH = {
     "train_per_class": 30,
     "test_per_class": 15,
 }
+GLYPHS_SIDE_0 = {"source": "glyphs", "side": 0, "num_classes": 4, "train_per_class": 5,
+                 "test_per_class": 2}
 TINY_CONFIG = {
     "hidden": [10, 10, 10],
     "split_index": 1,
@@ -112,22 +114,28 @@ class TestRunner:
         assert (out1 / "summary.csv").read_bytes() == (out2 / "summary.csv").read_bytes()
 
     @pytest.mark.parametrize("axis, value, message", [
-        ("seeds", [0, 0], "matrix config's 'seeds' list repeats 0"),
-        ("seeds", 5, "matrix config needs a non-empty 'seeds' list, got 5"),
-        ("task_counts", [], "matrix config needs a non-empty 'task_counts' list, got []"),
-        ("task_counts", [2, 4, 2], "matrix config's 'task_counts' list repeats 2"),
-        ("schemes", "ce", "matrix config needs a non-empty 'schemes' list, got 'ce'"),
-        ("schemes", ["ce", "ce"], "matrix config's 'schemes' list repeats 'ce'"),
-        ("schemes", ["ce", "kd"], "matrix config's 'schemes' list names 'kd', not one of"),
+        # an axis is a non-empty list of distinct values
+        ("seeds", [0, 0], "matrix config's 'seeds' must be a non-empty list of distinct "
+                          "values, got [0, 0]"),
+        ("seeds", 5, "matrix config's 'seeds' must be a non-empty list of distinct values, got 5"),
+        ("task_counts", [], "matrix config's 'task_counts' must be a non-empty list of distinct "
+                            "values, got []"),
+        ("task_counts", [2, 4, 2], "matrix config's 'task_counts' must be a non-empty list of "
+                                   "distinct values, got [2, 4, 2]"),
+        ("schemes", "ce", "matrix config's 'schemes' must be a non-empty list of distinct "
+                          "values, got 'ce'"),
+        ("schemes", ["ce", "ce"], "matrix config's 'schemes' must be a non-empty list of "
+                                  "distinct values, got ['ce', 'ce']"),
+        ("schemes", ["ce", "kd"], "scheme must be one of sb, std, ce, dd, got 'kd'"),
         # errors every cell would hit: one ValueError, not a failures.json naming
         # it once per cell beside an empty rows.jsonl and summary.csv
         ("task_counts", [3], "num_tasks must be a positive divisor of 4 classes, got 3"),
         ("task_counts", [0], "num_tasks must be a positive divisor of 4 classes, got 0"),
         ("task_counts", [3, 5], "num_tasks must be a positive divisor of 4 classes, got 5"),
-        ("seeds", [1.5], "seed must be an integer, got 1.5"),
-        ("seeds", [0, 1.5], "seed must be an integer, got 1.5"),
+        ("seeds", [1.5], "seed must be an integer >= 0, got 1.5"),
+        ("seeds", [0, 1.5], "seed must be an integer >= 0, got 1.5"),
         ("config", {**TINY_CONFIG, "bogus": 1}, "unknown config keys: ['bogus']"),
-        ("config", {**TINY_CONFIG, "tau": -1}, "need tau > 0, rho > 0, gamma >= 0"),
+        ("config", {**TINY_CONFIG, "tau": -1}, "tau must be a finite number > 0, got -1"),
         # a task count is an integer: not a bool, a string or a float
         ("task_counts", [True], "num_tasks must be a positive divisor of 4 classes, got True"),
         ("task_counts", ["a"], "num_tasks must be a positive divisor of 4 classes, got 'a'"),
@@ -149,6 +157,13 @@ class TestRunner:
          "benchmark key 'noise' must be a finite number >= 0, got -0.5"),
         ("benchmark", {"source": "csv", "train_csv": None, "test_csv": "test.csv"},
          "benchmark key 'train_csv' must be a path string, got None"),
+        # a seed is >= 0; a glyph side >= 1 (a side of 0 left build_net a fan-in of
+        # 0); a key that no source reads (a misspelt noise) is rejected by name
+        ("seeds", [-1], "seed must be an integer >= 0, got -1"),
+        ("benchmark", {**TINY_BENCH, "source": "glyphs", "side": 0},
+         "benchmark key 'side' must be an integer >= 1, got 0"),
+        ("benchmark", {**TINY_BENCH, "source": "glyphs", "nosie": 0.9},
+         "unknown benchmark key 'nosie' = 0.9, expected one of source, num_classes"),
     ])
     def test_bad_axis_rejected_before_writing(self, tmp_path, axis, value, message):
         matrix = {"benchmark": TINY_BENCH, "schemes": ["ce"], "task_counts": [2],
@@ -262,6 +277,18 @@ class TestCli:
         # evaluating the saved step-2 model reproduces the manifest report
         assert report == m["reports"][1]
 
+    def test_run_glyphs_beside_default_keys(self, tmp_path):
+        # the CLI merges DEFAULT_BENCHMARK's synthetic keys (feature_dim,
+        # mean_radius) into every benchmark, so a glyphs run must accept them
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"benchmark": {**GLYPHS_SIDE_0, "side": 3},
+                                 "config": TINY_CONFIG}))
+        out = tmp_path / "out"
+        assert cli_main(["run", "--tasks", "2", "--config", str(p), "--out", str(out)]) == 0
+        m = json.loads((out / "manifest.json").read_text())
+        assert m["benchmark"]["source"] == "glyphs"
+        assert m["benchmark"]["feature_dim"] == DEFAULT_BENCHMARK["feature_dim"]
+
     def test_matrix_command(self, tmp_path):
         p = tmp_path / "matrix.json"
         p.write_text(json.dumps({
@@ -331,7 +358,7 @@ class TestCli:
 
     @pytest.mark.parametrize("argv, message", [
         (["run", "--tasks", "0"], "num_tasks must be a positive divisor"),
-        (["run", "--rho", "-1", "--tasks", "2"], "rho > 0"),
+        (["run", "--rho", "-1", "--tasks", "2"], "rho must be a finite number > 0, got -1.0"),
         (["run", "--tasks", "2", "--config", {"config": {"batch_size": 2.5}}],
          "batch_size must be an integer"),
         (["run", "--tasks", "2", "--config", {"config": {"tau": "2"}}],
@@ -347,7 +374,7 @@ class TestCli:
         (["run", "--tasks", "2", "--config", {"config": {"hidden": "32"}}],
          "hidden must be a list of widths, got '32'"),
         (["matrix", "--out", "OUT", "--config", {"task_counts": [2], "seeds": [0]}],
-         "matrix config needs a non-empty 'schemes' list"),
+         "matrix config's 'schemes' must be a non-empty list of distinct values, got None"),
         (["run", "--tasks", "2", "--config", {"benchmark": {"source": "idx"}}],
          "benchmark source 'idx' needs the key 'train_images'"),
         (["run", "--tasks", "2", "--config", {"benchmark": {
@@ -359,30 +386,30 @@ class TestCli:
          "No such file or directory: 'MISSING'"),
         (["eval", "--checkpoint", "MISSING", "--tasks", "2"],
          "No such file or directory: 'MISSING'"),
-        (["replicate-table1", "--seeds", "0"], "--seeds must be at least 1, got 0"),
-        (["replicate-table1", "--seeds", "-2"], "--seeds must be at least 1, got -2"),
+        (["replicate-table1", "--seeds", "0"], "--seeds must be an integer >= 1, got 0"),
+        (["replicate-table1", "--seeds", "-2"], "--seeds must be an integer >= 1, got -2"),
         (["matrix", "--out", "OUT", "--config", {"schemes": ["ce"], "task_counts": [2],
                                                  "seeds": [0, 0]}],
-         "matrix config's 'seeds' list repeats 0"),
+         "matrix config's 'seeds' must be a non-empty list of distinct values, got [0, 0]"),
         (["matrix", "--out", "OUT", "--config", {"schemes": ["ce"], "task_counts": [2],
                                                  "seeds": 5}],
-         "matrix config needs a non-empty 'seeds' list, got 5"),
+         "matrix config's 'seeds' must be a non-empty list of distinct values, got 5"),
         (["matrix", "--out", "OUT", "--config", {"schemes": "ce", "task_counts": [2],
                                                  "seeds": [0]}],
-         "matrix config needs a non-empty 'schemes' list, got 'ce'"),
+         "matrix config's 'schemes' must be a non-empty list of distinct values, got 'ce'"),
         # a config file that is not an object, or whose benchmark or config is not,
         # fails naming the file and the section
-        (["run", "--config", [1]], "cfg.json: the top level must be a JSON object, not list"),
+        (["run", "--config", [1]], "cfg.json: the top level must be a JSON object, got [1]"),
         (["matrix", "--out", "OUT", "--config", [1]],
-         "cfg.json: the top level must be a JSON object, not list"),
+         "cfg.json: the top level must be a JSON object, got [1]"),
         (["run", "--config", {"benchmark": 5}],
-         "cfg.json: 'benchmark' must be a JSON object, not int"),
+         "cfg.json: 'benchmark' must be a JSON object, got 5"),
         (["matrix", "--out", "OUT", "--config", {"benchmark": 5}],
-         "cfg.json: 'benchmark' must be a JSON object, not int"),
+         "cfg.json: 'benchmark' must be a JSON object, got 5"),
         (["run", "--config", {"config": [1]}],
-         "cfg.json: 'config' must be a JSON object, not list"),
+         "cfg.json: 'config' must be a JSON object, got [1]"),
         (["matrix", "--out", "OUT", "--config", {"config": [1]}],
-         "cfg.json: 'config' must be a JSON object, not list"),
+         "cfg.json: 'config' must be a JSON object, got [1]"),
         # matrix errors every cell would hit fail before the sweep writes anything
         (["matrix", "--out", "OUT", "--config", {"schemes": ["sb"], "task_counts": [3],
                                                  "seeds": [0]}],
@@ -392,13 +419,13 @@ class TestCli:
          "num_tasks must be a positive divisor of 8 classes, got 0"),
         (["matrix", "--out", "OUT", "--config", {"schemes": ["sb"], "task_counts": [2],
                                                  "seeds": [1.5]}],
-         "seed must be an integer, got 1.5"),
+         "seed must be an integer >= 0, got 1.5"),
         (["matrix", "--out", "OUT", "--config", {"schemes": ["sb"], "task_counts": [2],
                                                  "seeds": [0], "config": {"bogus": 1}}],
          "unknown config keys: ['bogus']"),
         (["matrix", "--out", "OUT", "--config", {"schemes": ["sb"], "task_counts": [2],
                                                  "seeds": [0], "config": {"tau": -1}}],
-         "need tau > 0, rho > 0, gamma >= 0"),
+         "tau must be a finite number > 0, got -1"),
         # a run's task count is an integer too
         (["run", "--out", "OUT", "--config", {"tasks": "2"}],
          "num_tasks must be a positive divisor of 8 classes, got '2'"),
@@ -421,7 +448,7 @@ class TestCli:
         (["run", "--out", "OUT", "--config", {"benchmark": {"feature_dim": 2.5}}],
          "benchmark key 'feature_dim' must be an integer >= 0, got 2.5"),
         (["run", "--out", "OUT", "--config", {"benchmark": {"source": "glyphs", "side": 2.5}}],
-         "benchmark key 'side' must be an integer >= 0, got 2.5"),
+         "benchmark key 'side' must be an integer >= 1, got 2.5"),
         (["run", "--out", "OUT", "--config", {"benchmark": {"data_seed": "a"}}],
          "benchmark key 'data_seed' must be an integer >= 0, got 'a'"),
         (["run", "--out", "OUT", "--config", {"benchmark": {"arrange_seed": -1}}],
@@ -440,6 +467,24 @@ class TestCli:
         (["run", "--out", "OUT", "--config", {"benchmark": {
             "source": "csv", "train_csv": ["a"], "test_csv": "MISSING"}}],
          "benchmark key 'train_csv' must be a path string, got ['a']"),
+        # a negative seed names seed, not numpy's "expected non-negative integer"
+        (["run", "--seed", "-1", "--tasks", "2", "--out", "OUT"],
+         "seed must be an integer >= 0, got -1"),
+        (["matrix", "--out", "OUT", "--config", {"schemes": ["sb"], "task_counts": [2],
+                                                 "seeds": [-1]}],
+         "seed must be an integer >= 0, got -1"),
+        # a glyph side of 0 is one error line, not build_net's ZeroDivisionError
+        (["run", "--out", "OUT", "--config", {"benchmark": GLYPHS_SIDE_0}],
+         "benchmark key 'side' must be an integer >= 1, got 0"),
+        (["matrix", "--out", "OUT", "--config", {"schemes": ["sb"], "task_counts": [2],
+                                                 "seeds": [0], "benchmark": GLYPHS_SIDE_0}],
+         "benchmark key 'side' must be an integer >= 1, got 0"),
+        # a misspelt key fails by name instead of running at the default noise
+        (["run", "--out", "OUT", "--config", {"benchmark": {"source": "glyphs", "nosie": 0.9}}],
+         "unknown benchmark key 'nosie' = 0.9"),
+        (["matrix", "--out", "OUT", "--config", {"schemes": ["sb"], "task_counts": [2],
+                                                 "seeds": [0], "benchmark": {"nosie": 0.9}}],
+         "unknown benchmark key 'nosie' = 0.9"),
     ])
     def test_bad_value_exit_1_one_line(self, tmp_path, capsys, argv, message):
         # OUT and MISSING stand for an output directory and a file that does

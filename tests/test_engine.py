@@ -62,6 +62,7 @@ class TestSchemeConfig:
         {"rho": float("inf")}, {"weight_decay": float("inf")},
         {"tau": "2"}, {"learning_rate": None}, {"momentum": "0.9"}, {"gamma": True},
         {"weight_decay": [1e-4]}, {"rho": 10 ** 400}, {"hidden": 5}, {"hidden": "32"},
+        {"seed": -1},
     ])
     def test_bad_numbers(self, kw):
         (field,) = kw
@@ -288,6 +289,36 @@ class TestFusedGradients:
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose([parts["kd"], parts["lce"], parts["loss"]],
                                    [kd, lce, kd + lce], rtol=1e-12)
+
+    def test_double_kd_matches_its_formula(self, rng):
+        # written out per row from dd's loss: lam/2 KD of the old window's tempered
+        # softmax against soft, plus lam/2 KD of the new window's against soft_new,
+        # plus (1 - lam) CE of the full softmax, each averaged over all n rows
+        n, tau, lam, c_old, c_new = 8, self.TAU, self.LAM, self.C_OLD, self.C_NEW
+        y = rng.integers(0, c_old + c_new, n)
+        soft = losses.softmax(rng.standard_normal((n, c_old)), tau)
+        soft_new = losses.softmax(rng.standard_normal((n, c_new)), tau)
+        logits = 3.0 * rng.standard_normal((n, c_old + c_new))
+        want, kd, kd_new, ce = np.zeros_like(logits), 0.0, 0.0, 0.0
+        for i in range(n):
+            q_old = np.exp(logits[i, :c_old] / tau)
+            q_old /= q_old.sum()
+            q_new = np.exp(logits[i, c_old:] / tau)
+            q_new /= q_new.sum()
+            p = np.exp(logits[i])
+            p /= p.sum()
+            want[i, :c_old] = lam / 2 * (q_old - soft[i]) / (tau * n)
+            want[i, c_old:] = lam / 2 * (q_new - soft_new[i]) / (tau * n)
+            want[i] += (1 - lam) * (p - np.eye(c_old + c_new)[y[i]]) / n
+            kd -= soft[i] @ np.log(q_old) / n
+            kd_new -= soft_new[i] @ np.log(q_new) / n
+            ce -= np.log(p[y[i]]) / n
+        parts = {}
+        got = _kd_ce(lam, tau, self.OLD, self.NEW)(logits, y, soft, soft_new, parts=parts)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(
+            [parts["kd"], parts["kd_new"], parts["ce"], parts["loss"]],
+            [kd, kd_new, ce, lam / 2 * kd + lam / 2 * kd_new + (1 - lam) * ce], rtol=1e-12)
 
     def test_double_kd(self, rng):
         y, is_new, soft = self._rows(rng)

@@ -3,6 +3,8 @@
 import re
 from pathlib import Path
 
+from splitbridge import engine, runner
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -17,3 +19,26 @@ def test_library_tour_prints_one_line_per_task(capsys):
         fields = line.split()
         assert int(fields[0]) == step
         assert all(0.0 <= float(acc) <= 1.0 for acc in fields[1:])
+
+
+def test_input_table_matches_the_code():
+    # every key of CONFIG_KINDS and BENCH_KINDS has a README row stating its kind
+    # and bound in the words of check's message (the row may go on after ", and"
+    # with a check the code writes out), and the README's config and benchmark
+    # rows name no key but those and the ones the code checks by hand
+    text = README.read_text()
+    table = text[text.index("| key | section | must be |"):].split("\n\n")[0]
+    rules, sections = {}, {}
+    for row in table.splitlines()[2:]:
+        keys, section, must = (cell.strip() for cell in row.strip("|").split("|"))
+        for key in re.findall(r"`([\w-]+)`", keys):
+            assert key not in rules, f"{key} has two rows"
+            rules[key], sections[key] = must, section
+    code = {**engine.CONFIG_KINDS, **runner.BENCH_KINDS}
+    for key, (kind, low) in code.items():
+        phrase = kind + f" >= {low}" * (low is not None)
+        assert rules.get(key, "").split(", and ")[0] == phrase, key
+    written_out = {"config": {"hidden"}, "benchmark": {"source"}}
+    for section, kinds in (("config", engine.CONFIG_KINDS), ("benchmark", runner.BENCH_KINDS)):
+        in_readme = {key for key, s in sections.items() if s == section}
+        assert in_readme == kinds.keys() - {"seed"} | written_out[section], section
