@@ -67,15 +67,9 @@ def _apply_overrides(cfg: dict, args, matrix: bool = False) -> dict:
 
 def _cmd_run(args) -> int:
     cfg = _apply_overrides(_load_config(args.config, RUN_KEYS) if args.config else {}, args)
-    bench = {**runner.DEFAULT_BENCHMARK, **cfg.get("benchmark", {})}
-    manifest = runner.run_experiment(
-        bench,
-        cfg.get("scheme", "sb"),
-        cfg.get("tasks", 2),
-        cfg.get("seed", 0),
-        cfg.get("config", {}),
-        out_dir=args.out,
-    )
+    manifest = runner.run_experiment(cfg.get("benchmark", {}), cfg.get("scheme", "sb"),
+                                     cfg.get("tasks", 2), cfg.get("seed", 0),
+                                     cfg.get("config", {}), out_dir=args.out)
     for rep in manifest["reports"]:
         print(f"step {rep['step']}: overall {rep['overall_acc']:.4f} "
               f"old {rep['old_acc']:.4f} new {rep['new_acc']:.4f} "
@@ -94,10 +88,8 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_eval(args) -> int:
     net = DenseNet.load(args.checkpoint)
-    bench = {**runner.DEFAULT_BENCHMARK}
-    if args.config:
-        keys = dict.fromkeys(RUN_KEYS + MATRIX_KEYS)  # a run's or a matrix's config
-        bench.update(_load_config(args.config, keys).get("benchmark", {}))
+    keys = dict.fromkeys(RUN_KEYS + MATRIX_KEYS)  # a run's or a matrix's config
+    bench = _load_config(args.config, keys).get("benchmark", {}) if args.config else {}
     seq = runner.make_benchmark(bench, args.tasks)
     step = args.step if args.step is not None else args.tasks
     report = evaluate(net, seq.tasks[:step], step)
@@ -125,11 +117,10 @@ def _cmd_gen_data(args) -> int:
 def _cmd_replicate_table1(args) -> int:
     check("--seeds", args.seeds, INT, 1)
     seeds = list(range(args.seeds))
-    bench = dict(runner.DEFAULT_BENCHMARK)
     tables = {}
     for scheme in ("ce", "std"):
         rows = [m["reports"][-1] for m in runner.run_cells(
-            bench, scheme, 2, seeds, {"memory_capacity": args.memory_size})]
+            runner.DEFAULT_BENCHMARK, scheme, 2, seeds, {"memory_capacity": args.memory_size})]
         tables[scheme] = {k: float(np.mean([r[k] for r in rows])) for k in runner.METRIC_KEYS}
     header = f"{'loss':<10}" + "".join(f"{k:>16}" for k in runner.METRIC_KEYS)
     print(header)

@@ -13,20 +13,20 @@ from pathlib import Path
 import numpy as np
 
 from . import data as databench
-from .data import INT, LIST, NUM, PATH, check
+from .data import INT, LIST, NUM, OBJECT, PATH, check, must_be
 from .engine import SchemeConfig, run_sequence
 from .metrics import average_incremental_accuracy
 
-DEFAULT_BENCHMARK = {
-    "source": "synthetic",
-    "num_classes": 8,
-    "feature_dim": 16,
-    "train_per_class": 200,
-    "test_per_class": 100,
-    "data_seed": 1,
-    "arrange_seed": 1,
-    "mean_radius": 3.0,
+BENCH_SOURCES = {  # each source's keys in manifest order, and their defaults (None: none)
+    "synthetic": {"num_classes": 8, "feature_dim": 16, "train_per_class": 200,
+                  "test_per_class": 100, "data_seed": 1, "arrange_seed": 1, "mean_radius": 3.0},
+    "glyphs": {"num_classes": 8, "side": 8, "train_per_class": 200, "test_per_class": 100,
+               "data_seed": 1, "arrange_seed": 1, "noise": 0.15},
+    "idx": {**dict.fromkeys(("train_images", "train_labels", "test_images", "test_labels")),
+            "arrange_seed": 1},
+    "csv": {"train_csv": None, "test_csv": None, "arrange_seed": 1},
 }
+DEFAULT_BENCHMARK = {"source": "synthetic", **BENCH_SOURCES["synthetic"]}
 
 BENCH_KINDS = {  # each key some source reads, bar "source": its kind and lower bound for check
     **dict.fromkeys(("num_classes", "feature_dim", "train_per_class", "test_per_class",
@@ -38,47 +38,46 @@ BENCH_KINDS = {  # each key some source reads, bar "source": its kind and lower 
 METRIC_KEYS = ("overall_acc", "old_acc", "new_acc", "intra_old_acc", "intra_new_acc")
 
 
+def resolve_benchmark(bench: dict) -> dict:
+    """The dataset a benchmark section means: its source, then each key that source
+    reads in BENCH_SOURCES order, given or defaulted. A section that is not an object,
+    an unknown source, a key the source does not read, a missing key without a default
+    or a value not of its key's BENCH_KINDS kind and bound raises a ValueError."""
+    check("benchmark", bench, OBJECT)
+    source = bench.get("source", DEFAULT_BENCHMARK["source"])
+    if source not in list(BENCH_SOURCES):  # a list: an unhashable source is not a TypeError
+        raise must_be("benchmark key 'source'", source, "one of " + ", ".join(BENCH_SOURCES))
+    keys = BENCH_SOURCES[source]
+    for key in bench:  # in the section's order
+        if key != "source" and key not in keys:
+            raise ValueError(f"unknown benchmark key {key!r} = {bench[key]!r}, expected one "
+                             f"of source, {', '.join(keys)} (the keys source {source!r} reads)")
+    resolved = {"source": source}
+    for key, default in keys.items():
+        if key not in bench and default is None:
+            raise ValueError(f"benchmark source {source!r} needs the key {key!r}")
+        resolved[key] = bench.get(key, default)
+        check(f"benchmark key {key!r}", resolved[key], *BENCH_KINDS[key])
+    return resolved
+
+
 def make_benchmark(bench: dict, num_tasks: int) -> databench.TaskSequence:
-    """Instantiate the configured dataset pair and split it into tasks. A key no
-    source reads, a key the source needs and bench lacks, or a value not of its key's
-    BENCH_KINDS kind and bound raises a ValueError naming the key."""
-    for key, v in bench.items():  # every value, before any is read
-        if key in BENCH_KINDS:
-            check(f"benchmark key {key!r}", v, *BENCH_KINDS[key])
-        elif key != "source":
-            raise ValueError(f"unknown benchmark key {key!r} = {v!r}, expected one of "
-                             f"source, {', '.join(BENCH_KINDS)}")
-    source = bench.get("source", "synthetic")
-    try:
-        if source == "synthetic":
-            train, test = databench.gen_synthetic(
-                num_classes=bench["num_classes"],
-                feature_dim=bench["feature_dim"],
-                train_per_class=bench["train_per_class"],
-                test_per_class=bench["test_per_class"],
-                seed=bench["data_seed"],
-                mean_radius=bench.get("mean_radius", 3.0),
-            )
-        elif source == "glyphs":
-            train, test = databench.gen_glyph_images(
-                num_classes=bench["num_classes"],
-                side=bench.get("side", 8),
-                train_per_class=bench["train_per_class"],
-                test_per_class=bench["test_per_class"],
-                seed=bench["data_seed"],
-                noise=bench.get("noise", 0.15),
-            )
-        elif source == "idx":
-            train = databench.load_idx(bench["train_images"], bench["train_labels"])
-            test = databench.load_idx(bench["test_images"], bench["test_labels"])
-        elif source == "csv":
-            train = databench.load_csv(bench["train_csv"])
-            test = databench.load_csv(bench["test_csv"])
-        else:
-            raise ValueError(f"unknown benchmark source {source!r}")
-    except KeyError as exc:
-        raise ValueError(f"benchmark source {source!r} needs the key {exc.args[0]!r}") from None
-    return databench.split_tasks(train, test, num_tasks, bench.get("arrange_seed", 0))
+    """Instantiate the dataset pair resolve_benchmark(bench) means and split it into tasks."""
+    b = resolve_benchmark(bench)
+    if b["source"] == "synthetic":
+        train, test = databench.gen_synthetic(b["num_classes"], b["feature_dim"],
+                                              b["train_per_class"], b["test_per_class"],
+                                              b["data_seed"], b["mean_radius"])
+    elif b["source"] == "glyphs":
+        train, test = databench.gen_glyph_images(b["num_classes"], b["side"],
+                                                 b["train_per_class"], b["test_per_class"],
+                                                 b["data_seed"], b["noise"])
+    elif b["source"] == "idx":
+        train = databench.load_idx(b["train_images"], b["train_labels"])
+        test = databench.load_idx(b["test_images"], b["test_labels"])
+    else:
+        train, test = databench.load_csv(b["train_csv"]), databench.load_csv(b["test_csv"])
+    return databench.split_tasks(train, test, num_tasks, b["arrange_seed"])
 
 
 def build_config(scheme: str, seed: int, overrides: dict | None = None) -> SchemeConfig:
@@ -97,8 +96,13 @@ def run_cells(bench: dict, scheme: str, num_tasks: int, seeds: list[int],
     on one task sequence, and return their manifest dicts in seed order.
 
     When out_dirs, one directory per seed, is given, each cell's per-step
-    checkpoints and manifest are written to its own.
+    checkpoints and manifest are written to its own. The manifests record
+    resolve_benchmark(bench), the dataset the cells trained on.
     """
+    if out_dirs is not None and len(out_dirs) != len(seeds):
+        raise ValueError(f"run_cells needs one out_dir per seed, got {len(out_dirs)} "
+                         f"for {len(seeds)} seeds")
+    bench = resolve_benchmark(bench)
     seq = make_benchmark(bench, num_tasks)
     cfgs = [build_config(scheme, seed, overrides) for seed in seeds]
     manifests = []
@@ -153,7 +157,7 @@ def run_matrix(matrix: dict, out_dir) -> int:
     benchmark that no task count can build raises a ValueError before any write.
     """
     out_dir = Path(out_dir)
-    bench = {**DEFAULT_BENCHMARK, **matrix.get("benchmark", {})}
+    bench = matrix.get("benchmark", {})
     for axis in ("schemes", "task_counts", "seeds"):
         check(f"matrix config's {axis!r}", matrix.get(axis), LIST)
     seeds = matrix["seeds"]

@@ -160,10 +160,21 @@ class TestRunner:
         # a seed is >= 0; a glyph side >= 1 (a side of 0 left build_net a fan-in of
         # 0); a key that no source reads (a misspelt noise) is rejected by name
         ("seeds", [-1], "seed must be an integer >= 0, got -1"),
-        ("benchmark", {**TINY_BENCH, "source": "glyphs", "side": 0},
-         "benchmark key 'side' must be an integer >= 1, got 0"),
-        ("benchmark", {**TINY_BENCH, "source": "glyphs", "nosie": 0.9},
+        ("benchmark", GLYPHS_SIDE_0, "benchmark key 'side' must be an integer >= 1, got 0"),
+        ("benchmark", {"source": "glyphs", "nosie": 0.9},
          "unknown benchmark key 'nosie' = 0.9, expected one of source, num_classes"),
+        # a source rejects the keys only another source reads, naming the source;
+        # a benchmark that is not an object fails as _load_config's sections do
+        ("benchmark", {**GLYPHS_SIDE_0, "side": 3, "mean_radius": 3.0},
+         "unknown benchmark key 'mean_radius' = 3.0, expected one of source, num_classes, "
+         "side, train_per_class, test_per_class, data_seed, arrange_seed, noise (the keys "
+         "source 'glyphs' reads)"),
+        ("benchmark", {**TINY_BENCH, "source": "csv", "train_csv": "a", "test_csv": "b"},
+         "unknown benchmark key 'num_classes' = 4, expected one of source, train_csv, "
+         "test_csv, arrange_seed (the keys source 'csv' reads)"),
+        ("benchmark", 5, "benchmark must be a JSON object, got 5"),
+        ("benchmark", {"source": ["csv"]},
+         "benchmark key 'source' must be one of synthetic, glyphs, idx, csv, got ['csv']"),
     ])
     def test_bad_axis_rejected_before_writing(self, tmp_path, axis, value, message):
         matrix = {"benchmark": TINY_BENCH, "schemes": ["ce"], "task_counts": [2],
@@ -205,6 +216,15 @@ class TestRunner:
                  for root in (tmp_path / "stack", tmp_path / "single")]
         # a manifest and four checkpoints per seed
         assert files[0] == files[1] and len(files[0]) == 3 * (1 + 4)
+
+    @pytest.mark.parametrize("n_dirs", [1, 4])
+    def test_run_cells_needs_one_out_dir_per_seed(self, tmp_path, monkeypatch, n_dirs):
+        # out_dirs of another length fails before training, where zip dropped seeds
+        monkeypatch.setattr(runner, "run_sequence", lambda *a: pytest.fail("trained"))
+        out_dirs = [tmp_path / str(i) for i in range(n_dirs)]
+        with pytest.raises(ValueError, match=f"one out_dir per seed, got {n_dirs} for 3 seeds"):
+            runner.run_cells(TINY_BENCH, "ce", 2, [0, 1, 2], TINY_CONFIG, out_dirs)
+        assert not any(tmp_path.iterdir())
 
     def test_matrix_records_failures(self, tmp_path):
         matrix = {
@@ -277,17 +297,35 @@ class TestCli:
         # evaluating the saved step-2 model reproduces the manifest report
         assert report == m["reports"][1]
 
-    def test_run_glyphs_beside_default_keys(self, tmp_path):
-        # the CLI merges DEFAULT_BENCHMARK's synthetic keys (feature_dim,
-        # mean_radius) into every benchmark, so a glyphs run must accept them
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({"benchmark": {**GLYPHS_SIDE_0, "side": 3},
-                                 "config": TINY_CONFIG}))
-        out = tmp_path / "out"
-        assert cli_main(["run", "--tasks", "2", "--config", str(p), "--out", str(out)]) == 0
-        m = json.loads((out / "manifest.json").read_text())
-        assert m["benchmark"]["source"] == "glyphs"
-        assert m["benchmark"]["feature_dim"] == DEFAULT_BENCHMARK["feature_dim"]
+    @pytest.mark.parametrize("source", ["csv", "glyphs"])
+    def test_one_section_one_dataset(self, tmp_path, source):
+        # a section means one dataset on every entry point: a csv section without
+        # arrange_seed, or a glyphs one without num_classes, writes the same bytes
+        # through run_experiment, `run` and a 1-cell `matrix`, and each manifest
+        # records the source's own keys, with the defaults filled in
+        if source == "csv":
+            assert cli_main(["gen-data", "--classes", "4", "--dim", "3", "--train-per-class",
+                             "10", "--test-per-class", "4", "--out", str(tmp_path)]) == 0
+            bench = {"source": "csv", "train_csv": str(tmp_path / "train.csv"),
+                     "test_csv": str(tmp_path / "test.csv")}
+        else:
+            bench = {"source": "glyphs", "side": 3, "train_per_class": 5, "test_per_class": 2}
+        resolved = {"source": source, **runner.BENCH_SOURCES[source], **bench}
+        run_experiment(bench, "sb", 2, 0, TINY_CONFIG, out_dir=tmp_path / "lib")
+        run_cfg, matrix_cfg = tmp_path / "run.json", tmp_path / "matrix.json"
+        run_cfg.write_text(json.dumps({"benchmark": bench, "config": TINY_CONFIG}))
+        matrix_cfg.write_text(json.dumps({"benchmark": bench, "config": TINY_CONFIG,
+                                          "schemes": ["sb"], "task_counts": [2], "seeds": [0]}))
+        assert cli_main(["run", "--tasks", "2", "--config", str(run_cfg),
+                         "--out", str(tmp_path / "run")]) == 0
+        assert cli_main(["matrix", "--config", str(matrix_cfg),
+                         "--out", str(tmp_path / "matrix")]) == 0
+        outputs = [{f.name: f.read_bytes() for f in sorted(d.iterdir())}
+                   for d in (tmp_path / "lib", tmp_path / "run", tmp_path / "matrix" / "sb_t2_s0")]
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert sorted(outputs[0]) == ["manifest.json", "step1.ckpt", "step2.ckpt"]
+        manifest = json.loads(outputs[0]["manifest.json"])
+        assert list(manifest["benchmark"].items()) == list(resolved.items())
 
     def test_matrix_command(self, tmp_path):
         p = tmp_path / "matrix.json"
@@ -485,6 +523,14 @@ class TestCli:
         (["matrix", "--out", "OUT", "--config", {"schemes": ["sb"], "task_counts": [2],
                                                  "seeds": [0], "benchmark": {"nosie": 0.9}}],
          "unknown benchmark key 'nosie' = 0.9"),
+        # so does a key that only another source reads, naming the source
+        (["run", "--out", "OUT", "--config", {"benchmark": {"source": "glyphs",
+                                                            "mean_radius": 3.0}}],
+         "unknown benchmark key 'mean_radius' = 3.0, expected one of source, num_classes, side"),
+        (["matrix", "--out", "OUT", "--config", {"schemes": ["sb"], "task_counts": [2],
+                                                 "seeds": [0], "benchmark": {"noise": 0.9}}],
+         "unknown benchmark key 'noise' = 0.9, expected one of source, num_classes, "
+         "feature_dim"),
     ])
     def test_bad_value_exit_1_one_line(self, tmp_path, capsys, argv, message):
         # OUT and MISSING stand for an output directory and a file that does
@@ -537,6 +583,18 @@ class TestCli:
         assert cli_main(["run", "--tasks", "2", "--config", str(cfg)]) == 1
         err = capsys.readouterr().err
         assert err == "error: train split has no rows of class 1, one of its 4 classes\n"
+
+    def test_eval_other_source_key_exit_1_one_line(self, tmp_path, capsys):
+        # eval reads its config's benchmark by the same rule as run and matrix
+        build_net(DEFAULT_BENCHMARK["feature_dim"], [4], 2, seed=0).save(tmp_path / "net.ckpt")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"benchmark": {"source": "glyphs", "feature_dim": 16}}))
+        argv = ["eval", "--checkpoint", str(tmp_path / "net.ckpt"), "--config", str(cfg),
+                "--tasks", "2"]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown benchmark key 'feature_dim' = 16, expected one of ")
+        assert err.endswith(" (the keys source 'glyphs' reads)\n") and err.count("\n") == 1
 
     def test_eval_step_0_exit_1_one_line(self, tmp_path, capsys):
         # a readable checkpoint, so the error is evaluate's, not the loader's

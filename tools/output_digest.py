@@ -12,6 +12,11 @@ the two maps shows which output bytes a change moved. The runs:
   glyphs 5 tasks, hidden 32x4, memory 48), and again at memory 0;
 - all four schemes on the width-128 synthetic 4-task cells;
 - one run_matrix sweep: 4 schemes x tasks {2, 4} x 3 seeds of tiny cells;
+- two `splitbridge run` commands through cli_main, from OUT so that the
+  manifests name relative paths: sb on a csv section (4 classes from
+  gen-data, its files under OUT/cli/csv, no arrange_seed) and sb on a glyphs
+  section that leaves num_classes and noise to their defaults, each 2 tasks
+  of the tiny cells, with their stdout;
 - the stdout of every demo.
 """
 
@@ -22,6 +27,7 @@ import sys
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 os.environ.pop("SPLITBRIDGE_WORKERS", None)
 
+import contextlib
 import hashlib
 import json
 import subprocess
@@ -38,6 +44,10 @@ MATRIX_BENCH = {"num_classes": 4, "feature_dim": 6, "train_per_class": 30,
 MATRIX = {"hidden": [10, 10, 10], "split_index": 1, "epochs_first": 4,
           "epochs_sparsify": 2, "epochs_branched": 2, "epochs_bridge": 2,
           "epochs_std": 4, "memory_capacity": 12}
+CLI_BENCHES = {"csv": {"source": "csv", "train_csv": "cli/csv/train.csv",
+                       "test_csv": "cli/csv/test.csv"},
+               "glyphs": {"source": "glyphs", "side": 4, "train_per_class": 20,
+                          "test_per_class": 8}}
 
 
 def run_all(root: Path, out: Path) -> None:
@@ -60,6 +70,25 @@ def run_all(root: Path, out: Path) -> None:
               "seeds": [0, 1, 2], "config": MATRIX}
     if runner.run_matrix(matrix, out / "matrix") != 0:
         sys.exit("run_matrix reported failed cells")
+
+    from splitbridge.cli import cli_main
+
+    cwd = os.getcwd()
+    os.chdir(out)
+    try:
+        with open("cli.out", "w") as stdout, contextlib.redirect_stdout(stdout):
+            argv = ["gen-data", "--classes", "4", "--dim", "3", "--train-per-class", "20",
+                    "--test-per-class", "5", "--out", "cli/csv"]
+            if cli_main(argv) != 0:
+                sys.exit("gen-data failed")
+            for name, bench in CLI_BENCHES.items():
+                config = Path("cli", f"{name}.json")
+                config.write_text(json.dumps({"benchmark": bench, "config": MATRIX}))
+                argv = ["run", "--tasks", "2", "--config", str(config), "--out", f"cli/{name}"]
+                if cli_main(argv) != 0:
+                    sys.exit(f"splitbridge run on the {name} section failed")
+    finally:
+        os.chdir(cwd)
 
     env = {**os.environ, "PYTHONPATH": str(src)}
     (out / "demos").mkdir()
