@@ -234,8 +234,9 @@ def split_tasks(
 ) -> TaskSequence:
     """Permute classes by seed, chunk into equal groups, remap labels so task t
     owns the contiguous global block [t*k, (t+1)*k). The classes are the train
-    split's; one without a train row, a label outside them in either split, or a
-    num_tasks that is not an integer (a bool neither) raises ValueError."""
+    split's; one without a train row, a task without a test row, a label outside
+    them in either split, or a num_tasks that is not an integer (a bool neither)
+    raises ValueError."""
     c = train.num_classes
     if not (_is_int(num_tasks) and num_tasks >= 1 and c % num_tasks == 0):
         raise ValueError(f"num_tasks must be a positive divisor of {c} classes, got {num_tasks!r}")
@@ -259,6 +260,10 @@ def split_tasks(
         block = TaskRange(t * per, (t + 1) * per)
         tr = rtrain.subset(block.mask(rtrain.y))
         te = rtest.subset(block.mask(rtest.y))
+        if not len(te):  # evaluate would fail on it, after training
+            labels = ", ".join(map(str, perm[block.slice()]))
+            raise ValueError(f"test split has no rows of task {t + 1}, class window "
+                             f"[{block.start}, {block.stop}) (data labels {labels})")
         tasks.append(Task(block, tr, te))
     return TaskSequence(tasks, remap)
 

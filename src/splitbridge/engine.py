@@ -1,9 +1,9 @@
 """Incremental training engine: the split/bridge loop, the STD, CE-only and
 double-distillation baselines and exemplar memory, for seeds trained as one
-stack. Each step after the first trains on one Pool for the stack. Each
-soft-label teacher (the previous models, the bridge's old branch, dd's
-throwaway nets) is one stacked forward pass over _stack's layer views. STD, the
-bridge and dd train one KD+CE loss, _kd_ce, with one or two KD windows.
+stack, the (S, P) buffer _stack packs: each seed's net views its row, and _fit
+trains it in place. A step after the first trains on one Pool; each soft-label
+teacher (the previous models, the bridge's old branch, dd's throwaway nets) is
+one stacked forward pass. STD, the bridge and dd train one KD+CE loss, _kd_ce.
 """
 
 from __future__ import annotations
@@ -99,9 +99,11 @@ class Pool:
 
 
 def _stack(nets: list[DenseNet]):
-    """The nets' params as one (S, P) array (a view at S = 1, else a copy) and
-    its layer views, w (S, in, out) and b (S, 1, out), for _forward and _backward."""
-    stack = nets[0].params[None] if len(nets) == 1 else np.stack([net.params for net in nets])
+    """Pack the nets' params into one fresh (S, P) array, their one copy from now on: nets[s]
+    views row s. Returns it and its layer views, w (S, in, out) and b (S, 1, out)."""
+    stack = np.stack([net.params for net in nets])
+    for net, row in zip(nets, stack):
+        net._adopt(row)
     return stack, [Layer(w, b[:, None]) for w, b in zip(*_views(stack, nets[0].layout))]
 
 
@@ -112,33 +114,30 @@ def _fit(nets, cfgs, epochs: int, stream, grad, x, *cols, on_grads=None) -> None
     cfgs differ only in seed. Each epoch puts seed s's rows in the order drawn
     from default_rng([cfgs[s].seed, *stream]), stream = (step, tag); a batch is
     the next batch_size rows of each. One forward pass, phase loss and backward
-    pass per step serve all seeds, on _stack(nets)'s views (refreshed each step
-    at S > 1). grad(logits, *batch_cols, parts=None) returns d(loss)/d(logits),
-    leaving logits as they are; given a dict parts, it also records the value
-    components and their total, loss, per seed (_fit passes none). Then
-    on_grads(gw), if given, edits the stack's per-layer weight gradient views,
-    (S, in, out), in place, and sgd_step updates each seed from its rows of the
-    (S, P) gradient and velocity buffers. Every call trains at cfg.learning_rate
-    from zero momentum.
+    pass per step serve all seeds, on _stack(nets)'s views: the nets train in place
+    as its rows (a net.layers taken before is stale). grad(logits, *batch_cols,
+    parts=None) returns d(loss)/d(logits), leaving logits as they are; given a dict
+    parts, it also records the value components and their total, loss, per seed
+    (_fit passes none). Then on_grads(gw), if given, edits the stack's per-layer
+    weight gradient views, (S, in, out), in place, and sgd_step updates each seed's
+    row from its rows of the gradient and velocity stacks. Every call trains at
+    cfg.learning_rate from zero momentum.
     """
     cfg, layout, lanes = cfgs[0], nets[0].layout, np.arange(len(nets))[:, None]
     rngs = [np.random.default_rng([c.seed, *stream]) for c in cfgs]
     stack, layers = _stack(nets)
     grads, velocity = np.empty_like(stack), np.zeros_like(stack)  # one row per seed
     (gw, gb), buf = _views(grads, layout), np.empty_like(nets[0].params)
-    seeds = list(zip(nets, grads, velocity))  # each seed's rows
     for _ in range(epochs):
         order = np.stack([rng.permutation(x.shape[1]) for rng in rngs])
         rows = [a[lanes, order] for a in (x, *cols)]
         for start in range(0, x.shape[1], cfg.batch_size):
             xb, *batch = (a[:, start : start + cfg.batch_size] for a in rows)
-            if len(nets) > 1:
-                np.stack([net.params for net in nets], out=stack)
             logits, inputs = _forward(layers, xb)
             _backward(layers, inputs, grad(logits, *batch), gw, gb)
             if on_grads is not None:
                 on_grads(gw)
-            for net, g, v in seeds:
+            for net, g, v in zip(nets, grads, velocity):  # each seed's rows
                 sgd_step(net, g, v, cfg.learning_rate, cfg.momentum, cfg.weight_decay, buf)
 
 

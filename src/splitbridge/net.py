@@ -92,11 +92,11 @@ class DenseNet:
     weights in layer order, then every layer's biases. Each `layer.w` and
     `layer.b` is a view into it, and `layout` holds the layers' weight
     shapes. The constructor copies the given layers' values into a fresh
-    buffer. Write parameters in place (`layer.w[...] = ...`); a rebound
-    `layer.w` or `layer.b` is no longer part of `params`, and sgd_step
-    raises ShapeError for it. A gradient or velocity of the network is an
-    array shaped like `params`; `_views(g, layout)` gives its per-layer
-    weight and bias views, which the `_backward` kernel fills.
+    buffer; a net in a seed stack views the stack's row instead (`_adopt`).
+    Write parameters in place (`layer.w[...] = ...`); a rebound `layer.w` or
+    `layer.b` is no longer part of `params`, and sgd_step raises ShapeError for
+    it. A gradient or velocity of the network is an array shaped like `params`;
+    `_views(g, layout)` gives its per-layer weight and bias views, for `_backward`.
     """
 
     def __init__(self, layers: list[Layer]):
@@ -114,12 +114,13 @@ class DenseNet:
         """Copy the layers' values into a fresh params buffer and view them."""
         self.layout = tuple(layer.w.shape for layer in layers)
         self.n_weights = sum(i * o for i, o in self.layout)
-        self.params = np.empty(self.n_weights + sum(o for _, o in self.layout))
-        ws, bs = _views(self.params, self.layout)
-        for layer, w, b in zip(layers, ws, bs):
-            w[...] = layer.w
-            b[...] = layer.b
-        self.layers = [Layer(w, b) for w, b in zip(ws, bs)]
+        ws, bs = [layer.w.ravel() for layer in layers], [layer.b for layer in layers]
+        self._adopt(np.concatenate(ws + bs, dtype=np.float64))
+
+    def _adopt(self, params: np.ndarray) -> None:
+        """View params, a float64 vector in this layout (a stack's row, say), as the net's own."""
+        self.params = params
+        self.layers = [Layer(w, b) for w, b in zip(*_views(params, self.layout))]
 
     @property
     def in_dim(self) -> int:
@@ -159,9 +160,8 @@ class DenseNet:
         if extra < 1:
             raise ValueError("extra must be at least 1")
         last = self.layers[-1]
-        widened = Layer(np.hstack([last.w, np.zeros((last.in_dim, extra))]),
-                        np.concatenate([last.b, np.zeros(extra)]))
-        self._pack(self.layers[:-1] + [widened])
+        self._pack(self.layers[:-1] + [Layer(np.hstack([last.w, np.zeros((last.in_dim, extra))]),
+                                             np.concatenate([last.b, np.zeros(extra)]))])
 
     def save(self, path) -> None:
         """Write the checkpoint format: magic, dims, then raw float64 params."""
@@ -235,11 +235,12 @@ def sgd_step(net: DenseNet, grads: np.ndarray, velocity: np.ndarray, lr: float,
     fresh one if None) takes the intermediates. Raises ShapeError naming the
     argument when grads, velocity or buf does not fit (as for a velocity built
     before widen_output), or naming the layer when its w or b is no longer a
-    view of net.params.
+    view of net.params, or of the stack when net.params is a stack's row.
     """
     p, g, v = net.params, grads, velocity
+    owner = p if p.base is None else p.base  # a stack row's views have the stack as base
     for i, layer in enumerate(net.layers):
-        if layer.w.base is not p or layer.b.base is not p:
+        if layer.w.base is not owner or layer.b.base is not owner:
             raise ShapeError(f"layer {i} weights or biases are not views of net.params "
                              "(rebound instead of written in place)")
     buf = np.empty_like(p) if buf is None else buf

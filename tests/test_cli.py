@@ -142,9 +142,9 @@ class TestRunner:
         ("task_counts", [2.0], "num_tasks must be a positive divisor of 4 classes, got 2.0"),
         # a benchmark value of the wrong kind fails naming its key, before any is read
         ("benchmark", {**TINY_BENCH, "num_classes": "4"},
-         "benchmark key 'num_classes' must be an integer >= 0, got '4'"),
+         "benchmark key 'num_classes' must be an integer >= 1, got '4'"),
         ("benchmark", {**TINY_BENCH, "num_classes": 4.0},
-         "benchmark key 'num_classes' must be an integer >= 0, got 4.0"),
+         "benchmark key 'num_classes' must be an integer >= 1, got 4.0"),
         ("benchmark", {**TINY_BENCH, "data_seed": True},
          "benchmark key 'data_seed' must be an integer >= 0, got True"),
         ("benchmark", {**TINY_BENCH, "train_per_class": -1},
@@ -175,6 +175,12 @@ class TestRunner:
         ("benchmark", 5, "benchmark must be a JSON object, got 5"),
         ("benchmark", {"source": ["csv"]},
          "benchmark key 'source' must be one of synthetic, glyphs, idx, csv, got ['csv']"),
+        # a source needs a class, and every task test rows: not numpy's "need at
+        # least one array to concatenate", nor an empty sweep after training
+        ("benchmark", {"source": "glyphs", "num_classes": 0},
+         "benchmark key 'num_classes' must be an integer >= 1, got 0"),
+        ("benchmark", {**TINY_BENCH, "test_per_class": 0},
+         "test split has no rows of task 1, class window [0, 2) (data labels "),
     ])
     def test_bad_axis_rejected_before_writing(self, tmp_path, axis, value, message):
         matrix = {"benchmark": TINY_BENCH, "schemes": ["ce"], "task_counts": [2],
@@ -482,7 +488,7 @@ class TestCli:
         # a benchmark value of the wrong kind is one error line naming its key; a
         # path is a string, never a number read as a file descriptor
         (["run", "--out", "OUT", "--config", {"benchmark": {"num_classes": "8"}}],
-         "benchmark key 'num_classes' must be an integer >= 0, got '8'"),
+         "benchmark key 'num_classes' must be an integer >= 1, got '8'"),
         (["run", "--out", "OUT", "--config", {"benchmark": {"feature_dim": 2.5}}],
          "benchmark key 'feature_dim' must be an integer >= 0, got 2.5"),
         (["run", "--out", "OUT", "--config", {"benchmark": {"source": "glyphs", "side": 2.5}}],
@@ -531,6 +537,16 @@ class TestCli:
                                                  "seeds": [0], "benchmark": {"noise": 0.9}}],
          "unknown benchmark key 'noise' = 0.9, expected one of source, num_classes, "
          "feature_dim"),
+        # a glyphs source of no classes, or a task without test rows, fails before training
+        (["run", "--out", "OUT", "--config", {"benchmark": {"source": "glyphs",
+                                                            "num_classes": 0}}],
+         "benchmark key 'num_classes' must be an integer >= 1, got 0"),
+        (["run", "--out", "OUT", "--config", {"benchmark": {"test_per_class": 0}}],
+         "test split has no rows of task 1, class window [0, 4) (data labels "),
+        (["matrix", "--out", "OUT", "--config", {"schemes": ["sb"], "task_counts": [2],
+                                                 "seeds": [0], "benchmark": {
+                                                     "test_per_class": 0}}],
+         "test split has no rows of task 1, class window [0, 4) (data labels "),
     ])
     def test_bad_value_exit_1_one_line(self, tmp_path, capsys, argv, message):
         # OUT and MISSING stand for an output directory and a file that does

@@ -1,5 +1,6 @@
 """Tests for dataset generation, IDX/CSV serialization, and task splitting."""
 
+import re
 import struct
 
 import numpy as np
@@ -276,6 +277,24 @@ class TestSplitTasks:
         train, test = gen_synthetic(4, 4, 5, 3, seed=0)
         with pytest.raises(ValueError, match=f"num_tasks .* got {num_tasks}$"):
             split_tasks(train, test, num_tasks, seed=0)
+
+    def test_task_without_test_rows_named(self):
+        # every task needs test rows: one without them fails before any training,
+        # naming the task, its class window and the data labels the window holds
+        perm = np.random.default_rng(0).permutation(4)
+        train, test = gen_synthetic(4, 3, 5, 0, seed=0)  # test_per_class 0
+        with pytest.raises(ValueError, match=re.escape(
+                f"test split has no rows of task 1, class window [0, 2) (data labels "
+                f"{perm[0]}, {perm[1]})")):
+            split_tasks(train, test, 2, seed=0)
+        train, test = gen_synthetic(4, 3, 5, 2, seed=0)
+        lacking = test.subset(np.isin(test.y, perm[:2]))  # a test file without task 2's classes
+        with pytest.raises(ValueError, match=re.escape(
+                f"test split has no rows of task 2, class window [2, 4) (data labels "
+                f"{perm[2]}, {perm[3]})")):
+            split_tasks(train, lacking, 2, seed=0)
+        seq = split_tasks(train, test.subset(test.y != perm[3]), 2, seed=0)  # one class is enough
+        assert [len(t.test) for t in seq.tasks] == [4, 2]
 
     def test_label_outside_train_classes_named(self):
         # the classes are the train split's; a test label past them is named, not a KeyError

@@ -373,15 +373,40 @@ class TestStackedTeachers:
         mems = [update_exemplars(empty_memory(d1), d1, 20, c.seed) for c in cfgs]
         return seq, cfgs, nets, mems
 
-    def test_stack_is_a_view_of_one_net_and_a_copy_of_more(self):
-        _, _, nets, _ = self._seeds()
-        stack, layers = engine._stack(nets[:1])
-        assert np.shares_memory(stack, nets[0].params)
+    @pytest.mark.parametrize("seeds", [1, 3])
+    def test_each_net_is_a_row_of_the_stack(self, seeds):
+        # _stack packs the nets into one fresh buffer, their only copy from then on
+        nets = self._seeds()[2][:seeds]
+        before = [net.params for net in nets]
         stack, layers = engine._stack(nets)
-        assert not any(np.shares_memory(stack, net.params) for net in nets)
-        assert stack.tobytes() == np.stack([net.params for net in nets]).tobytes()
-        assert [l.w.shape for l in layers] == [(3,) + shape for shape in nets[0].layout]
-        assert [l.b.shape for l in layers] == [(3, 1, o) for _, o in nets[0].layout]
+        assert stack.base is None and stack.shape == (seeds, before[0].size)
+        assert stack.tobytes() == np.stack(before).tobytes()
+        for s, net in enumerate(nets):
+            assert net.params.base is stack and not np.shares_memory(net.params, before[s])
+            assert net.params.__array_interface__ == stack[s].__array_interface__
+            for i, (w, b) in enumerate(zip(*_views(stack[s], net.layout))):
+                assert net.layers[i].w.__array_interface__ == w.__array_interface__
+                assert net.layers[i].b.__array_interface__ == b.__array_interface__
+            net.layers[-1].b[0] = 7.0 + s  # a write to a net is a write to its stack row
+            assert layers[-1].b[s, 0, 0] == 7.0 + s
+        assert [l.w.shape for l in layers] == [(seeds,) + shape for shape in nets[0].layout]
+        assert [l.b.shape for l in layers] == [(seeds, 1, o) for _, o in nets[0].layout]
+
+    def test_fit_trains_the_nets_in_place(self, monkeypatch):
+        # every step's forward pass reads the nets' own parameters: no per-step
+        # copy of them into a separate stack, and nothing to write back
+        seq, cfgs, nets, _ = self._seeds()
+        start, seen, forward = [net.params.copy() for net in nets], [], engine._forward
+        def record(layers, x):
+            seen.append(all(np.shares_memory(l.w[s], net.params) and
+                            np.shares_memory(l.b[s], net.params)
+                            for l in layers for s, net in enumerate(nets)))
+            return forward(layers, x)
+        monkeypatch.setattr(engine, "_forward", record)
+        d = seq.tasks[0].train
+        _fit(nets, cfgs, 2, (0, 0), _ce, *(np.broadcast_to(a, (3,) + a.shape) for a in (d.x, d.y)))
+        assert len(seen) > 2 and all(seen)
+        assert not any(np.array_equal(net.params, p) for net, p in zip(nets, start))
 
     def test_pool_build_stacks_one_seed_builds(self):
         seq, cfgs, nets, mems = self._seeds()

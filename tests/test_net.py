@@ -233,12 +233,23 @@ class TestSgdStep:
 
     @pytest.mark.parametrize("attr", ["w", "b"])
     def test_rebound_parameter_rejected(self, rng, attr):
-        net = make_random_net(rng, [2, 3, 2])
-        layer = net.layers[1]
-        setattr(layer, attr, getattr(layer, attr).copy())
-        zeros = np.zeros_like(net.params)
-        with pytest.raises(ShapeError, match="layer 1 weights or biases are not views"):
-            sgd_step(net, zeros, zeros.copy(), 0.1, 0.9, 0.0)
+        # a net that views a row of a stack is accepted as is and steps its row
+        # alone; a rebound w or b is rejected on either kind of net
+        net, other = make_random_net(rng, [2, 3, 2]), make_random_net(rng, [2, 3, 2])
+        stack = np.stack([other.params, net.params])
+        row = net.clone()
+        row._adopt(stack[1])
+        grads = rng.standard_normal(net.params.shape)
+        for n in (net, row):
+            sgd_step(n, grads, np.zeros_like(grads), 0.1, 0.9, 1e-2)
+        assert stack[1].tobytes() == net.params.tobytes()
+        assert stack[0].tobytes() == other.params.tobytes()
+        for n in (net, row):
+            layer = n.layers[1]
+            setattr(layer, attr, getattr(layer, attr).copy())
+            zeros = np.zeros_like(n.params)
+            with pytest.raises(ShapeError, match="layer 1 weights or biases are not views"):
+                sgd_step(n, zeros, zeros.copy(), 0.1, 0.9, 0.0)
 
 
 class TestSgdStepBuffer:
