@@ -3,7 +3,8 @@ against central finite differences.
 
 The training engine does manual backpropagation, so the loss gradients are the
 foundation everything else rests on. Each phase trains on one phase loss that
-takes a batch's logits and rows and returns its gradient and, on request, its
+takes a batch's logits and rows (one-hot targets built from the labels, as
+training builds them once per phase, and soft labels) and returns its gradient and, on request, its
 value components; this script perturbs each logit of a small random batch,
 recomputes the phase loss's total and compares the numerical slope with the
 closed-form gradient. The penalty's gradient is checked the same way over the
@@ -14,7 +15,7 @@ import numpy as np
 
 from splitbridge import losses
 from splitbridge.data import TaskRange
-from splitbridge.engine import _ce, _kd_ce, _kd_lce
+from splitbridge.engine import _ce, _kd_ce, _kd_lce, _lce_targets
 from splitbridge.net import build_net
 from splitbridge.partition import make_plan
 
@@ -58,19 +59,20 @@ def main():
     soft = losses.softmax(rng.standard_normal((n, c_old)), tau)
     soft_new = losses.softmax(rng.standard_normal((n, c_new)), tau)
     old, new, lam = TaskRange(0, c_old), TaskRange(c_old, c), losses.lambda_schedule(c_old, c_new)
-    old_rows = ~is_new
+    old_rows, target = ~is_new, np.eye(c)[labels]
     print(f"pool of {n} rows ({is_new.sum()} new), {c_old} old + {c_new} new classes, "
           f"lam = {lam:.3f}, tau = {tau}\n")
 
-    # each phase loss with the rows it reads, labels and soft labels (a new row's label is new)
+    # each phase loss with the rows it reads, targets and soft labels (a new row's label is new)
     cases = [
-        ("CE (first task, ce, dd's new-task net)", _ce, (labels,)),
-        ("lam*KD + (1-lam)*CE (std, sb bridge)", _kd_ce(lam, tau, old), (labels, soft)),
-        ("KD + LCE (sb sparsify and branched)", _kd_lce(old, new, tau), (labels, soft)),
+        ("CE (first task, ce, dd's new-task net)", _ce, (target,)),
+        ("lam*KD + (1-lam)*CE (std, sb bridge)", _kd_ce(lam, tau, old), (target, soft)),
+        ("KD + LCE (sb sparsify and branched)", _kd_lce(old, new, tau),
+         (*_lce_targets(new, labels), soft)),
         ("KD + LCE on a batch of old rows only", _kd_lce(old, new, tau),
-         (labels[old_rows], soft[old_rows])),
+         (*_lce_targets(new, labels[old_rows]), soft[old_rows])),
         ("lam*(KD + KD_new)/2 + (1-lam)*CE (dd)", _kd_ce(lam, tau, old, new),
-         (labels, soft, soft_new)),
+         (target, soft, soft_new)),
     ]
     worst = []
     for name, grad, cols in cases:

@@ -1,10 +1,9 @@
 """Incremental training engine: the split/bridge loop, the STD, CE-only and
 double-distillation baselines and exemplar memory, for seeds trained as one
-stack, the (S, P) buffer _stack packs: each seed's net views its row, and _fit
+stack, the (S, P) buffer _stack copies: each seed's net views its row, and _fit
 trains it in place. A step after the first trains on one Pool; each soft-label
 teacher (the previous models, the bridge's old branch, dd's throwaway nets) is
-one stacked forward pass. STD, the bridge and dd train one KD+CE loss, _kd_ce.
-"""
+one stacked forward pass. STD, the bridge and dd train one KD+CE loss, _kd_ce."""
 
 from __future__ import annotations
 
@@ -71,13 +70,15 @@ class SchemeConfig:
 @dataclass(frozen=True)
 class Pool:
     """One step's training pool for a stack, one row per seed on a leading axis:
-    the task's rows, then the seed's memory's, and its previous model's tempered
-    soft labels on them (None for ce). Pool sizes are equal across seeds. old and
-    new are the class windows of the widened output; a row is the task's when its
-    label is in new, as memory holds only earlier tasks' classes."""
+    the task's rows, then the seed's memory's, their labels' one-hot rows over the
+    widened output (CE's target), and the previous model's tempered soft labels on
+    them (None for ce). Pool sizes are equal across seeds. old and new are the
+    class windows of the widened output; a row is the task's when its label is in
+    new, as memory holds only earlier tasks' classes."""
 
     x: np.ndarray
     y: np.ndarray
+    target: np.ndarray
     soft: np.ndarray | None
     old: TaskRange
     new: TaskRange
@@ -90,76 +91,82 @@ class Pool:
     def build(cls, task: Task, mems: list[LabeledDataset], nets: list[DenseNet],
               cfg: SchemeConfig) -> Pool:
         """The pool of task's step, row s from mems[s] and nets[s]; call before they widen."""
-        d_t, c_old = task.train, nets[0].num_classes
+        d_t, old = task.train, TaskRange(0, nets[0].num_classes)
+        new = TaskRange(old.stop, old.stop + task.classes.size)
         x = np.stack([np.vstack([d_t.x, mem.x]) for mem in mems])
         y = np.stack([np.concatenate([d_t.y, mem.y]) for mem in mems])
         soft = None if cfg.scheme == "ce" else losses.softmax(
             _forward(_stack(nets)[1], x)[0], cfg.tau)  # every seed's in one stacked pass
-        return cls(x, y, soft, TaskRange(0, c_old), TaskRange(c_old, c_old + task.classes.size))
+        return cls(x, y, np.eye(new.stop)[y], soft, old, new)
 
 
 def _stack(nets: list[DenseNet]):
-    """Pack the nets' params into one fresh (S, P) array, their one copy from now on: nets[s]
-    views row s. Returns it and its layer views, w (S, in, out) and b (S, 1, out)."""
+    """A fresh (S, P) copy of the nets' params and its layer views, w (S, in, out) and
+    b (S, 1, out). It rebinds no net: a teacher reads it as is, and _fit adopts it."""
     stack = np.stack([net.params for net in nets])
-    for net, row in zip(nets, stack):
-        net._adopt(row)
     return stack, [Layer(w, b[:, None]) for w, b in zip(*_views(stack, nets[0].layout))]
 
 
 def _fit(nets, cfgs, epochs: int, stream, grad, x, *cols, on_grads=None) -> None:
     """The one training loop: seeded minibatch SGD of S networks of one layout
-    in lockstep, nets[s] on row s of x and of cols (the phase's per-row targets).
+    in lockstep, nets[s] on row s of x and of cols (the phase's per-row targets,
+    one-hot rows, masks and soft labels, built once per phase).
 
     cfgs differ only in seed. Each epoch puts seed s's rows in the order drawn
     from default_rng([cfgs[s].seed, *stream]), stream = (step, tag); a batch is
-    the next batch_size rows of each. One forward pass, phase loss and backward
-    pass per step serve all seeds, on _stack(nets)'s views: the nets train in place
-    as its rows (a net.layers taken before is stale). grad(logits, *batch_cols,
-    parts=None) returns d(loss)/d(logits), leaving logits as they are; given a dict
-    parts, it also records the value components and their total, loss, per seed
-    (_fit passes none). Then on_grads(gw), if given, edits the stack's per-layer
-    weight gradient views, (S, in, out), in place, and sgd_step updates each seed's
-    row from its rows of the gradient and velocity stacks. Every call trains at
-    cfg.learning_rate from zero momentum.
-    """
+    the next batch_size rows of each. What a step reuses is made once, after the
+    nets adopt _stack(nets)'s rows to train in place (a net.layers taken before is
+    stale). One forward pass, phase loss and backward pass per step serve all
+    seeds. grad(logits, *batch_cols, parts=None) returns d(loss)/d(logits), leaving
+    logits as they are; a dict parts gets the value components and their total,
+    loss, per seed. on_grads(ws, gw), if given, is called once with the stack's
+    weight and weight-gradient views, (S, in, out); its hook edits gw each step.
+    Then sgd_step updates each row at cfg.learning_rate, from zero momentum."""
     cfg, layout, lanes = cfgs[0], nets[0].layout, np.arange(len(nets))[:, None]
     rngs = [np.random.default_rng([c.seed, *stream]) for c in cfgs]
     stack, layers = _stack(nets)
+    for net, row in zip(nets, stack):  # the stack is the nets' one copy from now on
+        net._adopt(row)
     grads, velocity = np.empty_like(stack), np.zeros_like(stack)  # one row per seed
     (gw, gb), buf = _views(grads, layout), np.empty_like(nets[0].params)
+    wts = [layer.w.swapaxes(-1, -2) for layer in layers]
+    hook = None if on_grads is None else on_grads([layer.w for layer in layers], gw)
     for _ in range(epochs):
         order = np.stack([rng.permutation(x.shape[1]) for rng in rngs])
         rows = [a[lanes, order] for a in (x, *cols)]
         for start in range(0, x.shape[1], cfg.batch_size):
             xb, *batch = (a[:, start : start + cfg.batch_size] for a in rows)
             logits, inputs = _forward(layers, xb)
-            _backward(layers, inputs, grad(logits, *batch), gw, gb)
-            if on_grads is not None:
-                on_grads(gw)
+            _backward(wts, inputs, grad(logits, *batch), gw, gb)
+            if hook is not None:
+                hook()
             for net, g, v in zip(nets, grads, velocity):  # each seed's rows
                 sgd_step(net, g, v, cfg.learning_rate, cfg.momentum, cfg.weight_decay, buf)
 
 
-def _ce(logits, y, parts=None):
-    """The gradient of plain cross entropy against the batch's labels y, for _fit."""
-    g = _ce_grad(_softmax(logits, 1.0), y, parts)
+def _ce(logits, target, parts=None):
+    """The gradient of plain cross entropy against the batch's one-hot target rows, for _fit."""
+    g = _ce_grad(_softmax(logits, 1.0), target, parts)
     if parts is not None:
         parts["loss"] = parts["ce"]
     return g
 
 
+def _lce_targets(new: TaskRange, y: np.ndarray):
+    """_kd_lce's targets for labels y: new's one-hot rows and their 0/1 row mask (..., n, 1)."""
+    target = np.eye(new.stop)[y][..., new.slice()]
+    return target, target.sum(axis=-1, keepdims=True)
+
+
 def _kd_lce(old: TaskRange, new: TaskRange, tau: float):
-    """grad(logits, y, soft): the gradient of KD (soft, old window) + LCE (new
-    window, the rows labelled in it; 0.0 on a batch without them), for _fit."""
-    start, old, new = new.start, old.slice(), new.slice()
-    def grad(logits, y, soft, parts=None):
-        g = np.zeros_like(logits)
-        g[..., old] = _kd_grad(_softmax(logits[..., old], tau), soft, tau, parts)
-        rows = (y >= start)[..., None]  # old rows' clipped labels are placeholders, dropped
-        lce = _ce_grad(_softmax(logits[..., new], 1.0), np.maximum(y - start, 0), parts, "lce",
-                       rows)
-        np.copyto(g[..., new], lce, where=rows)  # the other rows stay +0.0
+    """grad(logits, target, rows, soft): the gradient of KD (soft, old window) + LCE
+    (new window, the rows flagged in rows; 0.0 on a batch without them), for _fit;
+    target and rows are _lce_targets'. old then new covers the logits, in that order."""
+    old, new = old.slice(), new.slice()
+    def grad(logits, target, rows, soft, parts=None):
+        kd = _kd_grad(_softmax(logits[..., old], tau), soft, tau, parts)
+        lce = _ce_grad(_softmax(logits[..., new], 1.0), target, parts, "lce", rows)
+        g = np.concatenate([kd, lce * rows], axis=-1)  # the other rows' LCE entries are +0.0
         if parts is not None:
             parts["loss"] = parts["kd"] + parts["lce"]
         return g
@@ -167,17 +174,17 @@ def _kd_lce(old: TaskRange, new: TaskRange, tau: float):
 
 
 def _kd_ce(lam: float, tau: float, *windows: TaskRange):
-    """grad(logits, y, *softs): the gradient of lam * mean_i KD(softs[i], windows[i]) +
-    (1 - lam) * CE against the labels y, for _fit. std and the bridge distill the old
-    window (LwF), dd the old and the new one (DMC), recorded as kd and kd_new."""
+    """grad(logits, target, *softs): the gradient of lam * mean_i KD(softs[i], windows[i])
+    + (1 - lam) * CE against the one-hot target rows, for _fit. std and the bridge
+    distill the old window (LwF), dd the old and the new one (DMC): kd and kd_new."""
     keys, scale = ("kd", "kd_new")[:len(windows)], lam / len(windows)
     windows = [w.slice() for w in windows]
-    def grad(logits, y, *softs, parts=None):
-        g = np.zeros_like(logits)
-        for window, soft, key in zip(windows, softs, keys):
-            g[..., window] = _kd_grad(_softmax(logits[..., window], tau), soft, tau, parts, key)
-        g *= scale
-        g += (1 - lam) * _ce_grad(_softmax(logits, 1.0), y, parts)
+    def grad(logits, target, *softs, parts=None):
+        kds = [_kd_grad(_softmax(logits[..., window], tau), soft, tau, parts, key)
+               for window, soft, key in zip(windows, softs, keys)]
+        g = _ce_grad(_softmax(logits, 1.0), target, parts) * (1 - lam)
+        for window, kd in zip(windows, kds):
+            g[..., window] += scale * kd
         if parts is not None:
             parts["loss"] = scale * sum(parts[k] for k in keys) + (1 - lam) * parts["ce"]
         return g
@@ -186,8 +193,9 @@ def _kd_ce(lam: float, tau: float, *windows: TaskRange):
 
 def run_first_task(nets: list[DenseNet], d1: LabeledDataset, cfgs: list[SchemeConfig]) -> None:
     """Plain CE training of every seed's network on the first task's data."""
+    cols = (d1.x, np.eye(nets[0].num_classes)[d1.y])  # the one task's rows, for every seed
     _fit(nets, cfgs, cfgs[0].epochs_first, (0, 0), _ce,
-         *(np.broadcast_to(a, (len(nets),) + a.shape) for a in (d1.x, d1.y)))
+         *(np.broadcast_to(a, (len(nets),) + a.shape) for a in cols))
 
 
 def run_split_phase(net: DenseNet, plan: partition.PartitionPlan, pool: Pool, s: int,
@@ -196,53 +204,51 @@ def run_split_phase(net: DenseNet, plan: partition.PartitionPlan, pool: Pool, s:
 
     Stage 1 minimizes KD (old logits, all pool samples) + LCE (new logits,
     new-task samples) + the sparsity penalty on the full network. Stage 2
-    disconnects and minimizes KD + LCE on the branched network, zeroing the
-    cut weights' gradients each step: as the weights and the fresh velocities
-    start at 0.0, weight decay and momentum keep them there exactly. KD reads
-    the pool's soft labels in both stages; net trains on row s of the stacked pool.
-
-    plan is the step's one cut, shared by the stack. Returns (net, plan, plan,
-    diagnostics): four entries still, as perfbench's cut check unpacks four and
-    reads the cut from the third.
+    disconnects and minimizes KD + LCE on the branched network, zeroing the cut
+    weights' gradients each step: as the weights and the fresh velocities start
+    at 0.0, weight decay and momentum keep them there exactly. KD reads the pool's
+    soft labels in both stages; net trains on row s of the stacked pool, and plan
+    is the step's one cut, shared by the stack.
+    Returns (net, plan, plan, diagnostics): four entries still, as perfbench's
+    cut check unpacks four and reads the cut from the third.
     """
     kd_lce = _kd_lce(pool.old, pool.new, cfg.tau)
-    rows = [a[s : s + 1] for a in (pool.x, pool.y, pool.soft)]
-    penalty = partial(losses.sparsify_penalty, net, plan, cfg.gamma) if cfg.gamma > 0 else None
+    rows = [pool.x[s : s + 1], *_lce_targets(pool.new, pool.y[s : s + 1]), pool.soft[s : s + 1]]
+    penalty = None if cfg.gamma == 0 else (  # bound to the cut of the stack _fit packs
+        lambda ws, gw: partial(losses._penalty, plan.cut(ws), cfg.gamma, plan.cut(gw)))
 
     diagnostics = {"cross_norm_start": losses.sparsify_penalty(net, plan, 1.0)}
     _fit([net], [cfg], cfg.epochs_sparsify, (step, 1), kd_lce, *rows, on_grads=penalty)
     diagnostics["cross_norm_at_disconnect"] = losses.sparsify_penalty(net, plan, 1.0)
 
     partition.disconnect(net, plan)
-    _fit([net], [cfg], cfg.epochs_branched, (step, 2), kd_lce, *rows, on_grads=plan.zero)
+    _fit([net], [cfg], cfg.epochs_branched, (step, 2), kd_lce, *rows,
+         on_grads=lambda ws, gw: partial(partition.zero, plan.cut(gw)))
     return net, plan, plan, diagnostics
 
 
 def run_bridge_phase(nets: list[DenseNet], plan: partition.PartitionPlan, pool: Pool,
                      cfgs: list[SchemeConfig], step: int) -> None:
-    """Re-enable each seed's cut weights at zero and train the composite loss.
-
-    bridge_reconnect checks that the cut weights are exactly 0.0, so the bridge
-    starts from the branched logits. The KD teacher, frozen before any update, is
-    plan's trunk plus old branch in the stack's views.
-    """
+    """Re-enable each seed's cut weights at zero and train the composite loss;
+    bridge_reconnect checks that they are exactly 0.0, so the bridge starts from
+    the branched logits. The KD teacher, frozen first, is plan's trunk plus old branch."""
     teacher = partition.extract_subnet(_stack(nets)[1], plan)
     soft = losses.softmax(_forward(teacher, pool.x)[0], cfgs[0].tau)
     for net in nets:
         partition.bridge_reconnect(net, plan)
     _fit(nets, cfgs, cfgs[0].epochs_bridge, (step, 3), _kd_ce(pool.lam, cfgs[0].tau, pool.old),
-         pool.x, pool.y, soft)
+         pool.x, pool.target, soft)
 
 
 def run_std_step(nets: list[DenseNet], pool: Pool, cfgs: list[SchemeConfig], step: int) -> None:
     """Single-phase composite-loss training (the standard KD-based scheme)."""
     _fit(nets, cfgs, cfgs[0].epochs_std, (step, 1), _kd_ce(pool.lam, cfgs[0].tau, pool.old),
-         pool.x, pool.y, pool.soft)
+         pool.x, pool.target, pool.soft)
 
 
 def run_ce_step(nets: list[DenseNet], pool: Pool, cfgs: list[SchemeConfig], step: int) -> None:
     """CE-only ablation: plain cross entropy over the pool, no distillation."""
-    _fit(nets, cfgs, cfgs[0].epochs_std, (step, 1), _ce, pool.x, pool.y)
+    _fit(nets, cfgs, cfgs[0].epochs_std, (step, 1), _ce, pool.x, pool.target)
 
 
 def run_dd_step(nets: list[DenseNet], pool: Pool, cfgs: list[SchemeConfig], step: int) -> None:
@@ -250,13 +256,13 @@ def run_dd_step(nets: list[DenseNet], pool: Pool, cfgs: list[SchemeConfig], step
     rows alone, then merge via two KD losses (old soft labels over old logits,
     the throwaway's over new logits) mixed against CE with the usual schedule.
     The extra networks are dropped when the step returns."""
-    cfg, x, y, new, task_rows = cfgs[0], pool.x, pool.y, pool.new, pool.y[0] >= pool.new.start
+    cfg, x, target, new, rows = cfgs[0], pool.x, pool.target, pool.new, pool.y[0] >= pool.new.start
     aux = [build_net(nets[0].in_dim, list(cfg.hidden), new.size, seed=[c.seed, step, 5])
            for c in cfgs]
-    _fit(aux, cfgs, cfg.epochs_std, (step, 4), _ce, x[:, task_rows], y[:, task_rows] - new.start)
+    _fit(aux, cfgs, cfg.epochs_std, (step, 4), _ce, x[:, rows], target[:, rows, new.slice()])
     soft_new = losses.softmax(_forward(_stack(aux)[1], x)[0], cfg.tau)
     _fit(nets, cfgs, cfg.epochs_std, (step, 1), _kd_ce(pool.lam, cfg.tau, pool.old, new),
-         x, y, pool.soft, soft_new)
+         x, target, pool.soft, soft_new)
 
 
 def update_exemplars(mem: LabeledDataset, d_t: LabeledDataset, capacity: int,

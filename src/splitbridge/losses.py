@@ -8,10 +8,13 @@ like-scaled quantities. Probabilities are floored at 1e-12 inside logs.
 The kernels are unchecked and work on float64 batches (..., rows, classes) or
 their logit slices, leading axes a stack of batches each reduced on its own;
 each turns a softmax into its gradient in place and, on request, records the
-loss value per batch first. softmax is the checked entry point for soft labels.
+loss value per batch first. CE reads one-hot target rows, not labels. softmax
+is the checked entry point for soft labels.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -21,10 +24,11 @@ _NORM_EPS = 1e-8
 
 def _softmax(z: np.ndarray, temperature: float) -> np.ndarray:
     """Unchecked: softmax(z / temperature) along the last axis, a new array."""
-    z = z / temperature
-    z -= z.max(axis=-1, keepdims=True)
+    if temperature != 1.0:  # z / 1.0 is z
+        z = z / temperature
+    z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 
@@ -35,16 +39,15 @@ def _mean_nll(probs: np.ndarray, weights, n):
     return (total / np.maximum(n, 1))[..., 0, 0]
 
 
-def _ce_grad(p: np.ndarray, labels: np.ndarray, parts=None, key="ce", rows=None) -> np.ndarray:
-    """Unchecked: a batch's fresh softmax p becomes d(mean CE)/d(logits), in place;
-    with a boolean rows, (..., b, 1), the mean is over the rows it flags (the others'
-    entries are the caller's to drop). Given a dict parts, parts[key] is first the mean CE."""
-    n = p.shape[-2] if rows is None else np.maximum(rows.sum(axis=-2, keepdims=True), 1)
-    flat, hit = p.reshape(-1, p.shape[-1]), (np.arange(labels.size), labels.ravel())
-    if parts is not None:
-        parts[key] = _mean_nll(flat[hit].reshape(labels.shape + (1,)),
+def _ce_grad(p: np.ndarray, target: np.ndarray, parts=None, key="ce", rows=None) -> np.ndarray:
+    """Unchecked: a batch's fresh softmax p becomes d(mean CE)/d(logits) against its one-hot
+    target rows, in place; with a 0/1 float rows, (..., b, 1), the mean is over the rows
+    it flags (the others' are the caller's to drop). parts[key] is first the mean CE."""
+    n = p.shape[-2] if rows is None else np.maximum(np.add.reduce(rows, axis=-2, keepdims=True), 1)
+    if parts is not None:  # each row's target probability, exactly: one 1.0 among 0.0s
+        parts[key] = _mean_nll(np.sum(p * target, axis=-1, keepdims=True),
                                1.0 if rows is None else rows, n)
-    flat[hit] -= 1.0
+    p -= target
     p /= n
     return p
 
@@ -78,27 +81,26 @@ def lambda_schedule(c_old: int, c_new: int) -> float:
     return c_old / (c_old + c_new)
 
 
+def _penalty(blocks, gamma: float, grads=None) -> float:
+    """Unchecked: gamma * the sum of the weight views blocks' Frobenius norms; each
+    view of grads, if given, gets gamma * w / max(norm, 1e-8) added in place."""
+    value = 0.0
+    for i, w in enumerate(blocks):
+        norm = math.sqrt(np.add.reduce(np.square(w), axis=None))
+        value += norm
+        if grads is not None:
+            grads[i] += gamma * (w / max(norm, _NORM_EPS))
+    return float(gamma * value)
+
+
 def sparsify_penalty(net, plan, gamma: float, into=None) -> float:
     """Group-norm penalty on cross-partition weights.
 
-    value = gamma * sum over partitioned layers of the Frobenius norms of the
-    old-to-new and new-to-old blocks in plan.blocks (at gamma = 1, the
-    cross-partition norm). Returns the value. With into, per-layer weight
-    gradient views of net, 2-D or a one-seed stack's (1, in, out) (_fit's
-    on_grads hook), the gradient is also added into it in place, indexed
-    (..., rows, cols), touching only the cross weights.
-    Gradient of each group is gamma * w / ||W_group||_F with the norm floored
-    at 1e-8, so entries are driven toward exactly zero; within-partition
-    weights get zero gradient.
+    value = gamma * the sum of the Frobenius norms of plan.cut's old-to-new and
+    new-to-old blocks (at gamma = 1, the cross-partition norm). With into, per-layer
+    weight gradient views of net, 2-D or (1, in, out), each group's gradient gamma *
+    w / ||W_group||_F (the norm floored at 1e-8) is added into its cut in place, which
+    drives the cut toward exactly zero. Training binds the kernel, _penalty, per fit.
     """
-    value = 0.0
-    for li, pair in plan.blocks.items():
-        w = net.layers[li].w
-        for rows, cols in pair:
-            v = w[rows, cols].ravel()  # a C-order copy: the norm sums in row-major order
-            norm = float(np.sqrt((v ** 2).sum()))
-            value += norm
-            if into is not None:
-                g = into[li][..., rows, cols]
-                g += (gamma * (v / max(norm, _NORM_EPS))).reshape(g.shape)
-    return float(gamma * value)
+    blocks = plan.cut([layer.w for layer in net.layers])
+    return _penalty(blocks, gamma, None if into is None else plan.cut(into))

@@ -70,18 +70,19 @@ def _forward(layers, x: np.ndarray):
     return h, inputs
 
 
-def _backward(layers, inputs, delta: np.ndarray, wgrads, bgrads) -> None:
+def _backward(wts, inputs, delta: np.ndarray, wgrads, bgrads) -> None:
     """Unchecked: backpropagate d(loss)/d(logits) delta of a _forward pass into
-    the views wgrads and bgrads, shaped like the layers' w and b; delta stays."""
-    for i in range(len(layers) - 1, -1, -1):
-        if i < len(layers) - 1:
-            # a hidden layer's output is the next input; relu(z) > 0 exactly where z > 0.
-            # The logit layer has no ReLU, so delta is the fresh product from above
-            delta *= inputs[i + 1] > 0
+    the views wgrads and bgrads, shaped like the layers' w and b; delta stays.
+    wts are the layers' w.swapaxes(-1, -2), views a training loop makes once."""
+    for i in range(len(wts) - 1, -1, -1):
+        if i < len(wts) - 1:
+            # a hidden layer's output, the next input, is relu(z) >= +0.0: its sign is the
+            # float mask of z > 0. The logit layer has no ReLU; delta is a fresh product
+            delta *= np.sign(inputs[i + 1])
         np.matmul(inputs[i].swapaxes(-1, -2), delta, out=wgrads[i])
         np.add.reduce(delta, axis=-2, out=bgrads[i])
         if i > 0:
-            delta = delta @ layers[i].w.swapaxes(-1, -2)
+            delta = delta @ wts[i]
 
 
 class DenseNet:
@@ -94,9 +95,9 @@ class DenseNet:
     shapes. The constructor copies the given layers' values into a fresh
     buffer; a net in a seed stack views the stack's row instead (`_adopt`).
     Write parameters in place (`layer.w[...] = ...`); a rebound `layer.w` or
-    `layer.b` is no longer part of `params`, and sgd_step raises ShapeError for
-    it. A gradient or velocity of the network is an array shaped like `params`;
-    `_views(g, layout)` gives its per-layer weight and bias views, for `_backward`.
+    `layer.b`, even to another view of the same buffer, is not the view the net
+    trains: sgd_step raises ShapeError for it. A gradient or velocity is an
+    array shaped like `params`; `_views(g, layout)` gives its layer views.
     """
 
     def __init__(self, layers: list[Layer]):
@@ -120,7 +121,8 @@ class DenseNet:
     def _adopt(self, params: np.ndarray) -> None:
         """View params, a float64 vector in this layout (a stack's row, say), as the net's own."""
         self.params = params
-        self.layers = [Layer(w, b) for w, b in zip(*_views(params, self.layout))]
+        self._own = (params, *_views(params, self.layout))  # what sgd_step checks by identity
+        self.layers = [Layer(w, b) for w, b in zip(*self._own[1:])]
 
     @property
     def in_dim(self) -> int:
@@ -234,13 +236,13 @@ def sgd_step(net: DenseNet, grads: np.ndarray, velocity: np.ndarray, lr: float,
     momentum, updated in place: start from np.zeros_like(net.params). buf (a
     fresh one if None) takes the intermediates. Raises ShapeError naming the
     argument when grads, velocity or buf does not fit (as for a velocity built
-    before widen_output), or naming the layer when its w or b is no longer a
-    view of net.params, or of the stack when net.params is a stack's row.
+    before widen_output), or naming the layer when its w or b (or net.params) is
+    not the view the net made, as when rebound to another row of the same stack.
     """
     p, g, v = net.params, grads, velocity
-    owner = p if p.base is None else p.base  # a stack row's views have the stack as base
-    for i, layer in enumerate(net.layers):
-        if layer.w.base is not owner or layer.b.base is not owner:
+    own, ws, bs = net._own
+    for i, (layer, w, b) in enumerate(zip(net.layers, ws, bs)):
+        if layer.w is not w or layer.b is not b or p is not own:
             raise ShapeError(f"layer {i} weights or biases are not views of net.params "
                              "(rebound instead of written in place)")
     buf = np.empty_like(p) if buf is None else buf

@@ -52,12 +52,11 @@ class PartitionPlan:
             view[li] = (on, no)
         return view
 
-    def zero(self, mats) -> None:
-        """Zero both cut blocks of each layer's matrix in mats (weights or gradients,
-        one network's or a stack's (S, in, out)), in place."""
-        for li, pair in self.blocks.items():
-            for rows, cols in pair:
-                mats[li][..., rows, cols] = 0.0
+    def cut(self, mats) -> list[np.ndarray]:
+        """Views of every cut block of the per-layer matrices mats (weights or gradients,
+        one network's or a stack's (S, in, out)), (..., rows, cols): training binds them."""
+        return [mats[li][..., rows, cols] for li, pair in self.blocks.items()
+                for rows, cols in pair]
 
     def summary(self) -> dict:
         """JSON-ready record for the run manifest."""
@@ -129,6 +128,12 @@ def make_plan(net: DenseNet, split_index: int, c_old: int, c_new: int, rho: floa
     return plan
 
 
+def zero(views) -> None:
+    """Write 0.0 into every view, plan.cut's, say, in place."""
+    for view in views:
+        view.fill(0.0)
+
+
 def disconnect(net: DenseNet, plan: PartitionPlan) -> None:
     """Zero every cross-partition weight, in place.
 
@@ -136,7 +141,7 @@ def disconnect(net: DenseNet, plan: PartitionPlan) -> None:
     old branch to the new branch above the shared trunk. Training keeps it
     that way only if the cut weights' gradients are zeroed too. Idempotent.
     """
-    plan.zero([layer.w for layer in net.layers])
+    zero(plan.cut([layer.w for layer in net.layers]))
 
 
 def bridge_reconnect(net: DenseNet, plan: PartitionPlan) -> None:

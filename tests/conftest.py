@@ -24,7 +24,8 @@ def backward(net, x, upstream):
     from the _forward and _backward kernels: a new array in net.params' layout."""
     grads = np.empty_like(net.params)
     _, inputs = _forward(net.layers, x)
-    _backward(net.layers, inputs, upstream, *_views(grads, net.layout))
+    _backward([layer.w.swapaxes(-1, -2) for layer in net.layers], inputs, upstream,
+              *_views(grads, net.layout))
     return grads
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from splitbridge import losses, partition, runner
 from splitbridge.data import gen_synthetic
-from splitbridge.engine import SchemeConfig, _ce, _kd_ce, _kd_lce
+from splitbridge.engine import SchemeConfig, _ce, _kd_ce, _kd_lce, _lce_targets
 from splitbridge.data import TaskRange
 from splitbridge.losses import lambda_schedule
 from splitbridge.net import build_net
@@ -90,12 +90,13 @@ def test_criterion_1_gradient_suite(rng):
             labels = np.where(is_new, rng.integers(c_old, c, n), rng.integers(0, c_old, n))
             soft_new = losses.softmax(rng.standard_normal((n, c_new)), tau)
             no_new, lam = ~is_new, lambda_schedule(c_old, c_new)
-            kd_lce = _kd_lce(old, new, tau)
-            cases = [(_ce, logits, labels),
-                     (_kd_ce(lam, tau, old), logits, labels, teacher),
-                     (kd_lce, logits, labels, teacher),
-                     (kd_lce, logits[no_new], labels[no_new], teacher[no_new]),
-                     (_kd_ce(lam, tau, old, new), logits, labels, teacher, soft_new)]
+            kd_lce, target = _kd_lce(old, new, tau), np.eye(c)[labels]
+            cases = [(_ce, logits, target),
+                     (_kd_ce(lam, tau, old), logits, target, teacher),
+                     (kd_lce, logits, *_lce_targets(new, labels), teacher),
+                     (kd_lce, logits[no_new], *_lce_targets(new, labels[no_new]),
+                      teacher[no_new]),
+                     (_kd_ce(lam, tau, old, new), logits, target, teacher, soft_new)]
             for grad, z, *cols in cases:
                 assert_close_rel(grad(z, *cols), finite_diff_logit_grad(phase_loss(grad, *cols), z))
 

@@ -15,6 +15,7 @@ from splitbridge.engine import (
     _fit,
     _kd_ce,
     _kd_lce,
+    _lce_targets,
     run_bridge_phase,
     run_first_task,
     run_sequence,
@@ -24,8 +25,8 @@ from splitbridge.engine import (
 )
 from splitbridge import engine, losses
 from splitbridge.data import TaskRange
-from splitbridge.losses import lambda_schedule
-from splitbridge.net import DenseNet, _views, build_net
+from splitbridge.losses import lambda_schedule, sparsify_penalty
+from splitbridge.net import DenseNet, _views, build_net, sgd_step
 from splitbridge.partition import bridge_reconnect, disconnect, extract_subnet, make_plan
 from conftest import backward, finite_diff_logit_grad, phase_loss
 
@@ -158,9 +159,9 @@ class TestFit:
         cfg = SchemeConfig(**FAST, weight_decay=1e-2)
         calls = [((1, 1), cfg), ((1, 2), dataclasses.replace(cfg, learning_rate=0.02))]
         net = build_net(seq.feature_dim, list(cfg.hidden), 2, seed=0)
-        ref = net.clone()
+        ref, target = net.clone(), np.eye(2)[d.y]
         for stream, call_cfg in calls:
-            _fit([net], [call_cfg], 3, stream, _ce, d.x[None], d.y[None])
+            _fit([net], [call_cfg], 3, stream, _ce, d.x[None], target[None])
 
         for stream, call_cfg in calls:
             lr = call_cfg.learning_rate
@@ -171,7 +172,7 @@ class TestFit:
                 for start in range(0, len(d), cfg.batch_size):
                     idx = order[start : start + cfg.batch_size]
                     xb = d.x[idx]
-                    gws, gbs = _views(backward(ref, xb, _ce(ref.forward(xb), d.y[idx])),
+                    gws, gbs = _views(backward(ref, xb, _ce(ref.forward(xb), target[idx])),
                                       ref.layout)
                     for i, layer in enumerate(ref.layers):
                         gw = gws[i] + cfg.weight_decay * layer.w
@@ -184,21 +185,27 @@ class TestFit:
             assert la.b.tobytes() == lb.b.tobytes()
 
     def test_on_grads_sees_the_stack_once_per_step(self):
-        # the hook gets the stack's weight-gradient views, (S, in, out), once per
+        # on_grads binds once, after the pack, to the stack's weight and
+        # weight-gradient views, (S, in, out); the hook it returns runs once per
         # step, and its in-place edits reach every seed's update
         seq = small_sequence()
         d = seq.tasks[0].train
         cfgs = [SchemeConfig(**FAST, weight_decay=0.0, seed=s) for s in (0, 1)]
         nets = [build_net(seq.feature_dim, list(cfgs[0].hidden), 2, seed=s) for s in (0, 1)]
         first, second = ([net.layers[li].w.copy() for net in nets] for li in (0, 1))
-        shapes = []
+        binds, shapes = [], []
 
-        def freeze_first_layer(gw):
-            shapes.append([g.shape for g in gw])
-            gw[0][...] = 0.0
+        def freeze_first_layer(ws, gw):
+            binds.append(all(np.shares_memory(w[s], net.params)
+                             for w in ws for s, net in enumerate(nets)))
+            def step():
+                shapes.append([g.shape for g in gw])
+                gw[0][...] = 0.0
+            return step
 
-        x, y = (np.broadcast_to(a, (2,) + a.shape) for a in (d.x, d.y))
+        x, y = (np.broadcast_to(a, (2,) + a.shape) for a in (d.x, np.eye(2)[d.y]))
         _fit(nets, cfgs, 3, (1, 1), _ce, x, y, on_grads=freeze_first_layer)
+        assert binds == [True]
         assert len(shapes) == 3 * -(-len(d) // cfgs[0].batch_size)
         assert all(s == [(2,) + shape for shape in nets[0].layout] for s in shapes)
         for net, w0, w1 in zip(nets, first, second):
@@ -215,7 +222,7 @@ class TestFusedGradients:
     LAM = lambda_schedule(C_OLD, C_NEW)
 
     def _rows(self, rng, n=37):
-        """A pool's per-row targets: labels y, the new-task flag and soft labels."""
+        """A pool's per-row columns: labels y, the new-task flag and soft labels."""
         is_new = rng.random(n) < 0.5
         y = np.where(is_new, rng.integers(self.C_OLD, self.C_OLD + self.C_NEW, n),
                      rng.integers(0, self.C_OLD, n))
@@ -246,27 +253,59 @@ class TestFusedGradients:
             # asking for the value components leaves the gradient's bytes as they are
             assert grad(logits, *batch, parts={}).tobytes() == got.tobytes()
 
+    def _onehot(self, y):
+        """CE's targets for the labels y, as the phases build them: one-hot rows."""
+        return np.eye(self.C_OLD + self.C_NEW)[y]
+
     def test_ce(self, rng):
         y, is_new, _ = self._rows(rng)
-        self._check(_ce, rng, is_new, y)
+        self._check(_ce, rng, is_new, self._onehot(y))
 
     def test_composite(self, rng):
         y, is_new, soft = self._rows(rng)
-        self._check(_kd_ce(self.LAM, self.TAU, self.OLD), rng, is_new, y, soft)
+        self._check(_kd_ce(self.LAM, self.TAU, self.OLD), rng, is_new, self._onehot(y), soft)
 
     def test_kd_lce(self, rng):
         y, is_new, soft = self._rows(rng)
-        grad = _kd_lce(self.OLD, self.NEW, self.TAU)
-        self._check(grad, rng, is_new, y, soft)
+        grad, cols = _kd_lce(self.OLD, self.NEW, self.TAU), (*_lce_targets(self.NEW, y), soft)
+        self._check(grad, rng, is_new, *cols)
         # without new rows LCE is 0.0, not the NaN mean of no rows
         parts, old_rows = {}, np.flatnonzero(~is_new)[:3]
-        grad(np.zeros((3, 10)), y[old_rows], soft[old_rows], parts=parts)
+        grad(np.zeros((3, 10)), *(c[old_rows] for c in cols), parts=parts)
         assert parts["lce"] == 0.0 and parts["loss"] == parts["kd"]
+
+    @staticmethod
+    def _softmax_row(z):
+        """One row's softmax in the kernel's order: shift by the max, exp, normalize."""
+        e = np.exp(z - z.max())
+        return e / e.sum()
+
+    @pytest.mark.parametrize("kd", [False, True])
+    def test_ce_and_composite_match_their_formula(self, rng, kd):
+        # written out per row: CE of the full softmax p, averaged over all n rows;
+        # with kd, std's and the bridge's (1 - lam) CE + lam KD of the old window's
+        # tempered softmax q against soft. Fed the phase's one-hot targets, the
+        # gradient is the formula's, bit for bit
+        n, tau, lam, c_old, c = 8, self.TAU, self.LAM, self.C_OLD, self.C_OLD + self.C_NEW
+        y = rng.integers(0, c, n)
+        soft = losses.softmax(rng.standard_normal((n, c_old)), tau)
+        logits = 3.0 * rng.standard_normal((n, c))
+        want = np.zeros_like(logits)
+        for i in range(n):
+            want[i] = (self._softmax_row(logits[i]) - np.eye(c)[y[i]]) / n
+            if kd:
+                want[i] *= 1 - lam
+                q = self._softmax_row(logits[i, :c_old] / tau)
+                want[i, :c_old] += (q - soft[i]) / (tau * n) * lam
+        grad, softs = (_kd_ce(lam, tau, self.OLD), (soft,)) if kd else (_ce, ())
+        got = grad(logits, self._onehot(y), *softs)
+        assert got.tobytes() == want.tobytes()
 
     def test_kd_lce_matches_its_formula(self, rng):
         # written out per row from the loss's definition: KD of the old window's
         # tempered softmax q against soft, averaged over all 8 rows, plus CE of
-        # the new window's softmax p, averaged over the 3 new rows alone
+        # the new window's softmax p, averaged over the 3 new rows alone. Fed the
+        # split phase's targets, the gradient is the formula's, bit for bit
         n, tau, c_old, c_new = 8, self.TAU, self.C_OLD, self.C_NEW
         is_new = np.zeros(n, bool)
         is_new[[1, 4, 6]] = True
@@ -275,17 +314,17 @@ class TestFusedGradients:
         logits = 3.0 * rng.standard_normal((n, c_old + c_new))
         want, kd, lce = np.zeros_like(logits), 0.0, 0.0
         for i in range(n):
-            q = np.exp(logits[i, :c_old] / tau)
-            q /= q.sum()
+            q = self._softmax_row(logits[i, :c_old] / tau)
             want[i, :c_old] = (q - soft[i]) / (tau * n)
             kd -= soft[i] @ np.log(q) / n
             if is_new[i]:
-                p = np.exp(logits[i, c_old:])
-                p /= p.sum()
+                p = self._softmax_row(logits[i, c_old:])
                 want[i, c_old:] = (p - np.eye(c_new)[y[i] - c_old]) / 3
                 lce -= np.log(p[y[i] - c_old]) / 3
         parts = {}
-        got = _kd_lce(self.OLD, self.NEW, tau)(logits, y, soft, parts=parts)
+        got = _kd_lce(self.OLD, self.NEW, tau)(logits, *_lce_targets(self.NEW, y), soft,
+                                               parts=parts)
+        assert got.tobytes() == want.tobytes()
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose([parts["kd"], parts["lce"], parts["loss"]],
                                    [kd, lce, kd + lce], rtol=1e-12)
@@ -293,7 +332,8 @@ class TestFusedGradients:
     def test_double_kd_matches_its_formula(self, rng):
         # written out per row from dd's loss: lam/2 KD of the old window's tempered
         # softmax against soft, plus lam/2 KD of the new window's against soft_new,
-        # plus (1 - lam) CE of the full softmax, each averaged over all n rows
+        # plus (1 - lam) CE of the full softmax, each averaged over all n rows. Fed
+        # the phase's one-hot targets, the gradient is the formula's, bit for bit
         n, tau, lam, c_old, c_new = 8, self.TAU, self.LAM, self.C_OLD, self.C_NEW
         y = rng.integers(0, c_old + c_new, n)
         soft = losses.softmax(rng.standard_normal((n, c_old)), tau)
@@ -301,20 +341,19 @@ class TestFusedGradients:
         logits = 3.0 * rng.standard_normal((n, c_old + c_new))
         want, kd, kd_new, ce = np.zeros_like(logits), 0.0, 0.0, 0.0
         for i in range(n):
-            q_old = np.exp(logits[i, :c_old] / tau)
-            q_old /= q_old.sum()
-            q_new = np.exp(logits[i, c_old:] / tau)
-            q_new /= q_new.sum()
-            p = np.exp(logits[i])
-            p /= p.sum()
-            want[i, :c_old] = lam / 2 * (q_old - soft[i]) / (tau * n)
-            want[i, c_old:] = lam / 2 * (q_new - soft_new[i]) / (tau * n)
-            want[i] += (1 - lam) * (p - np.eye(c_old + c_new)[y[i]]) / n
+            q_old = self._softmax_row(logits[i, :c_old] / tau)
+            q_new = self._softmax_row(logits[i, c_old:] / tau)
+            p = self._softmax_row(logits[i])
+            want[i] = (p - np.eye(c_old + c_new)[y[i]]) / n * (1 - lam)
+            want[i, :c_old] += (q_old - soft[i]) / (tau * n) * (lam / 2)
+            want[i, c_old:] += (q_new - soft_new[i]) / (tau * n) * (lam / 2)
             kd -= soft[i] @ np.log(q_old) / n
             kd_new -= soft_new[i] @ np.log(q_new) / n
             ce -= np.log(p[y[i]]) / n
         parts = {}
-        got = _kd_ce(lam, tau, self.OLD, self.NEW)(logits, y, soft, soft_new, parts=parts)
+        got = _kd_ce(lam, tau, self.OLD, self.NEW)(logits, self._onehot(y), soft, soft_new,
+                                                   parts=parts)
+        assert got.tobytes() == want.tobytes()
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(
             [parts["kd"], parts["kd_new"], parts["ce"], parts["loss"]],
@@ -324,7 +363,7 @@ class TestFusedGradients:
         y, is_new, soft = self._rows(rng)
         soft_new = losses.softmax(rng.standard_normal((len(y), self.C_NEW)), self.TAU)
         self._check(_kd_ce(self.LAM, self.TAU, self.OLD, self.NEW), rng, is_new,
-                    y, soft, soft_new)
+                    self._onehot(y), soft, soft_new)
 
     @pytest.mark.parametrize("loss", ["ce", "composite", "kd_lce", "double_kd"])
     def test_stacked_batch_equals_each_seed_alone(self, rng, loss):
@@ -339,9 +378,10 @@ class TestFusedGradients:
             y, is_new, soft = self._rows(rng, n=40)
             rows = np.flatnonzero(~is_new if s == 1 else np.ones(40, bool))[:13]
             soft_new = losses.softmax(rng.standard_normal((len(rows), self.C_NEW)), self.TAU)
-            seeds.append({"ce": (y[rows],), "composite": (y[rows], soft[rows]),
-                          "kd_lce": (y[rows], soft[rows]),
-                          "double_kd": (y[rows], soft[rows], soft_new)}[loss])
+            t, (lce, new_rows) = self._onehot(y)[rows], _lce_targets(self.NEW, y[rows])
+            seeds.append({"ce": (t,), "composite": (t, soft[rows]),
+                          "kd_lce": (lce, new_rows, soft[rows]),
+                          "double_kd": (t, soft[rows], soft_new)}[loss])
         logits = 4.0 * rng.standard_normal((3, 13, self.C_OLD + self.C_NEW))
         before, parts = logits.copy(), {}
         stacked = grad(logits, *map(np.stack, zip(*seeds)), parts=parts)
@@ -353,7 +393,7 @@ class TestFusedGradients:
             for key, value in own.items():
                 assert np.float64(parts[key][s]).tobytes() == np.float64(value).tobytes(), key
         if loss == "kd_lce":  # LCE is 0.0 on the batch without new rows, its entries +0.0
-            assert (seeds[0][0] >= self.C_OLD).any() and not (seeds[1][0] >= self.C_OLD).any()
+            assert seeds[0][1].any() and not seeds[1][1].any()
             assert parts["lce"][1] == 0.0 and parts["lce"][0] > 0.0
             assert stacked[1][:, self.C_OLD:].tobytes() == np.zeros((13, self.C_NEW)).tobytes()
 
@@ -375,12 +415,22 @@ class TestStackedTeachers:
 
     @pytest.mark.parametrize("seeds", [1, 3])
     def test_each_net_is_a_row_of_the_stack(self, seeds):
-        # _stack packs the nets into one fresh buffer, their only copy from then on
-        nets = self._seeds()[2][:seeds]
+        # _stack copies the nets into one fresh buffer and rebinds none of them, so
+        # a teacher pass leaves them as they are; _fit makes such a copy their only
+        # one from then on
+        seq, cfgs, nets, _ = self._seeds()
+        nets, cfgs, d = nets[:seeds], cfgs[:seeds], seq.tasks[0].train
         before = [net.params for net in nets]
         stack, layers = engine._stack(nets)
         assert stack.base is None and stack.shape == (seeds, before[0].size)
         assert stack.tobytes() == np.stack(before).tobytes()
+        assert all(net.params is p for net, p in zip(nets, before))
+        assert [l.w.shape for l in layers] == [(seeds,) + shape for shape in nets[0].layout]
+        assert [l.b.shape for l in layers] == [(seeds, 1, o) for _, o in nets[0].layout]
+        _fit(nets, cfgs, 0, (0, 0), _ce,
+             *(np.broadcast_to(a, (seeds,) + a.shape) for a in (d.x, np.eye(2)[d.y])))
+        stack = nets[0].params.base
+        assert stack.base is None and stack.tobytes() == np.stack(before).tobytes()
         for s, net in enumerate(nets):
             assert net.params.base is stack and not np.shares_memory(net.params, before[s])
             assert net.params.__array_interface__ == stack[s].__array_interface__
@@ -388,9 +438,7 @@ class TestStackedTeachers:
                 assert net.layers[i].w.__array_interface__ == w.__array_interface__
                 assert net.layers[i].b.__array_interface__ == b.__array_interface__
             net.layers[-1].b[0] = 7.0 + s  # a write to a net is a write to its stack row
-            assert layers[-1].b[s, 0, 0] == 7.0 + s
-        assert [l.w.shape for l in layers] == [(seeds,) + shape for shape in nets[0].layout]
-        assert [l.b.shape for l in layers] == [(seeds, 1, o) for _, o in nets[0].layout]
+            assert _views(stack, net.layout)[1][-1][s, 0] == 7.0 + s
 
     def test_fit_trains_the_nets_in_place(self, monkeypatch):
         # every step's forward pass reads the nets' own parameters: no per-step
@@ -404,7 +452,8 @@ class TestStackedTeachers:
             return forward(layers, x)
         monkeypatch.setattr(engine, "_forward", record)
         d = seq.tasks[0].train
-        _fit(nets, cfgs, 2, (0, 0), _ce, *(np.broadcast_to(a, (3,) + a.shape) for a in (d.x, d.y)))
+        _fit(nets, cfgs, 2, (0, 0), _ce,
+             *(np.broadcast_to(a, (3,) + a.shape) for a in (d.x, np.eye(2)[d.y])))
         assert len(seen) > 2 and all(seen)
         assert not any(np.array_equal(net.params, p) for net, p in zip(nets, start))
 
@@ -474,6 +523,36 @@ class TestSplitPhase:
         run_bridge_phase([net], plan, pool, [cfg], 2)
         assert any(np.any(net.layers[li].w[on | no] != 0.0)
                    for li, (on, no) in plan.per_layer.items())
+
+    def test_sparsify_hook_equals_the_penalty_each_step(self):
+        # the sparsify stage's penalty hook, bound once per fit to the cut of the
+        # stack _fit packs, steps exactly like adding sparsify_penalty's gradient
+        # of the net being trained each step; bound before _fit packs, it would
+        # read the old, untrained buffer. No branched epochs: the split phase is
+        # its sparsify _fit and the disconnect
+        seq = small_sequence()
+        cfg = SchemeConfig(**{**FAST, "epochs_branched": 0}, gamma=0.5)
+        d1 = seq.tasks[0].train
+        net = build_net(seq.feature_dim, list(cfg.hidden), 2, seed=0)
+        run_first_task([net], d1, [cfg])
+        mem = update_exemplars(empty_memory(d1), d1, cfg.memory_capacity, 1)
+        pool = Pool.build(seq.tasks[1], [mem], [net], cfg)
+        net.widen_output(2)
+        plan = make_plan(net, cfg.split_index, pool.old.size, pool.new.size, cfg.rho)
+        ref, grad = net.clone(), _kd_lce(pool.old, pool.new, cfg.tau)
+        diagnostics = run_split_phase(net, plan, pool, 0, cfg, 2)[3]
+        cols = [pool.x[0], *_lce_targets(pool.new, pool.y[0]), pool.soft[0]]
+        rng, velocity = np.random.default_rng([cfg.seed, 2, 1]), np.zeros_like(ref.params)
+        for _ in range(cfg.epochs_sparsify):
+            order = rng.permutation(len(cols[0]))
+            for start in range(0, len(order), cfg.batch_size):
+                xb, *batch = (c[order[start : start + cfg.batch_size]] for c in cols)
+                grads = backward(ref, xb, grad(ref.forward(xb), *batch))
+                sparsify_penalty(ref, plan, cfg.gamma, into=_views(grads, ref.layout)[0])
+                sgd_step(ref, grads, velocity, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
+        assert diagnostics["cross_norm_at_disconnect"] == sparsify_penalty(ref, plan, 1.0)
+        disconnect(ref, plan)
+        assert net.params.tobytes() == ref.params.tobytes()
 
     def test_zero_width_class_window_rejected(self):
         with pytest.raises(ValueError, match="range"):

@@ -1,5 +1,6 @@
 """Tests for the loss kernels through the phase losses training runs (engine's
-_ce, _kd_ce and _kd_lce), softmax, the mixing schedule and the penalty."""
+_ce, _kd_ce and _kd_lce, fed the targets training builds from the labels),
+softmax, the mixing schedule and the penalty."""
 
 from functools import partial
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splitbridge.engine import _ce, _kd_ce, _kd_lce
+from splitbridge.engine import _ce, _kd_ce, _kd_lce, _lce_targets
 from splitbridge.data import TaskRange
 from splitbridge.losses import lambda_schedule, softmax, sparsify_penalty
 from splitbridge.net import _views
@@ -57,9 +58,15 @@ def evaluate(grad, logits, *cols):
     return g, parts
 
 
+def onehot(y, c):
+    """CE's target rows for the labels y over c classes, as training builds them."""
+    return np.eye(c)[np.asarray(y)]
+
+
 def kd_lce(soft, y, old, new, tau):
     """_kd_lce with the batch's rows bound; a row is new when its label is in new."""
-    return partial(_kd_lce(old, new, tau), y=np.asarray(y), soft=soft)
+    target, rows = _lce_targets(new, np.asarray(y))
+    return partial(_kd_lce(old, new, tau), target=target, rows=rows, soft=soft)
 
 
 def kd_only(soft, width, tau):
@@ -72,21 +79,21 @@ def kd_only(soft, width, tau):
 def composite(y, soft, old, lam, tau):
     """_kd_ce over the old window at any mixing weight lam, with the batch's rows bound."""
     grad = _kd_ce(lam, tau, old)
-    return lambda logits, parts=None: grad(logits, np.asarray(y), soft, parts=parts)
+    return lambda logits, parts=None: grad(logits, onehot(y, logits.shape[-1]), soft, parts=parts)
 
 
 class TestCeLoss:
     def test_perfect_prediction(self):
-        _, parts = evaluate(_ce, np.array([[50.0, 0.0]]), np.array([0]))
+        _, parts = evaluate(_ce, np.array([[50.0, 0.0]]), onehot([0], 2))
         assert parts["ce"] < 1e-12 and parts["loss"] == parts["ce"]
 
     def test_uniform_prediction(self):
-        _, parts = evaluate(_ce, np.zeros((3, 4)), np.array([0, 2, 3]))
+        _, parts = evaluate(_ce, np.zeros((3, 4)), onehot([0, 2, 3], 4))
         assert abs(parts["ce"] - np.log(4)) < 1e-12
 
     def test_gradient_matches_finite_differences(self, rng):
         logits = rng.standard_normal((5, 4))
-        y = rng.integers(0, 4, size=5)
+        y = onehot(rng.integers(0, 4, size=5), 4)
         assert_close_rel(_ce(logits, y), finite_diff_logit_grad(phase_loss(_ce, y), logits))
 
 
@@ -150,7 +157,7 @@ class TestLceLoss:
         labels = rng.integers(3, 7, size=6)
         soft = softmax(rng.standard_normal((6, 3)), 2.0)
         g, parts = evaluate(kd_lce(soft, labels, TaskRange(0, 3), TaskRange(3, 7), 2.0), logits)
-        g_ce, sliced = evaluate(_ce, logits[:, 3:], labels - 3)
+        g_ce, sliced = evaluate(_ce, logits[:, 3:], onehot(labels - 3, 4))
         assert parts["lce"] == sliced["ce"]
         assert np.array_equal(g[:, 3:], g_ce)
 
@@ -190,7 +197,7 @@ class TestCompositeLoss:
     def test_lambda_zero_is_ce(self, rng):
         logits, labels, q_hat, tr = self._instance(rng)
         g, parts = evaluate(composite(labels, q_hat, tr, 0.0, 2.0), logits)
-        g_ce, ce = evaluate(_ce, logits, labels)
+        g_ce, ce = evaluate(_ce, logits, onehot(labels, 6))
         assert parts["loss"] == ce["ce"]
         assert np.array_equal(g, g_ce)
 
@@ -205,7 +212,7 @@ class TestCompositeLoss:
         logits, labels, q_hat, tr = self._instance(rng)
         _, parts = evaluate(composite(labels, q_hat, tr, 0.5, 2.0), logits)
         _, kd = evaluate(kd_only(q_hat, 6, 2.0), logits)
-        _, ce = evaluate(_ce, logits, labels)
+        _, ce = evaluate(_ce, logits, onehot(labels, 6))
         assert (parts["kd"], parts["ce"]) == (kd["kd"], ce["ce"])
         assert abs(parts["loss"] - 0.5 * (kd["kd"] + ce["ce"])) < 1e-14
 
@@ -218,7 +225,7 @@ class TestCompositeLoss:
         q_hat = softmax(r.standard_normal((3, 3)), 2.0)
         _, parts = evaluate(composite(labels, q_hat, TaskRange(0, 3), lam, 2.0), logits)
         _, kd = evaluate(kd_only(q_hat, 5, 2.0), logits)
-        _, ce = evaluate(_ce, logits, labels)
+        _, ce = evaluate(_ce, logits, onehot(labels, 5))
         assert abs(parts["loss"] - (lam * kd["kd"] + (1 - lam) * ce["ce"])) < 1e-12
 
 

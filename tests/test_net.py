@@ -127,7 +127,8 @@ class TestBackward:
 
         def backward_bytes():
             grads = np.empty_like(net.params)
-            _backward(net.layers, cache[1], upstream, *_views(grads, net.layout))
+            _backward([l.w.swapaxes(-1, -2) for l in net.layers], cache[1], upstream,
+                      *_views(grads, net.layout))
             return grads.tobytes()
         first = backward_bytes()
         assert upstream.tobytes() == up0
@@ -250,6 +251,17 @@ class TestSgdStep:
             zeros = np.zeros_like(n.params)
             with pytest.raises(ShapeError, match="layer 1 weights or biases are not views"):
                 sgd_step(n, zeros, zeros.copy(), 0.1, 0.9, 0.0)
+        # a view of another row of its own stack shares the stack as base, but it is
+        # not the view the net trains: the net would read row 0 and step row 1
+        nets = [build_net(3, [4], 2, s) for s in (0, 1)]
+        stack = np.stack([n.params for n in nets])
+        for n, params in zip(nets, stack):  # as engine._fit packs a stack
+            n._adopt(params)
+        layer = nets[1].layers[0]
+        setattr(layer, attr, {"w": stack[0, :12].reshape(3, 4), "b": stack[0, 20:24]}[attr])
+        zeros = np.zeros_like(nets[1].params)
+        with pytest.raises(ShapeError, match="layer 0 weights or biases are not views"):
+            sgd_step(nets[1], zeros, zeros.copy(), 0.1, 0.9, 0.0)
 
 
 class TestSgdStepBuffer:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from splitbridge.net import DenseNet, ShapeError, build_net
-from splitbridge.partition import bridge_reconnect, disconnect, extract_subnet, make_plan
+from splitbridge.partition import bridge_reconnect, disconnect, extract_subnet, make_plan, zero
 
 
 def widened_net(seed=0, hidden=(8, 8, 8), c_old=2, c_new=2, in_dim=4):
@@ -183,12 +183,12 @@ class TestDisconnect:
             assert np.array_equal(l.w, w)
 
     def test_zero_on_a_stack_equals_each_seed(self):
-        # plan.zero indexes (..., rows, cols): on (S, in, out) stacked weights it
+        # plan.cut indexes (..., rows, cols): on (S, in, out) stacked weights, zero
         # zeroes exactly what zeroing each seed's own matrix does
         nets = [widened_net(seed=s) for s in range(3)]
         plan = make_plan(nets[0], 1, 2, 2, 1.0)
         stacked = [np.stack([net.layers[li].w for net in nets]) for li in range(nets[0].depth)]
-        plan.zero(stacked)
+        zero(plan.cut(stacked))
         for s, net in enumerate(nets):
             disconnect(net, plan)
             for li, layer in enumerate(net.layers):
@@ -218,7 +218,7 @@ class TestBridgeReconnect:
         net, plan = self._setup()
         bridge_reconnect(net, plan)
         x = rng.standard_normal((16, 4))
-        y = rng.integers(0, 4, size=16)
+        y = np.eye(4)[rng.integers(0, 4, size=16)]
         for _ in range(3):
             grads = backward(net, x, _ce(net.forward(x), y))
             sgd_step(net, grads, np.zeros_like(net.params), 0.5, 0.0, 0.0)

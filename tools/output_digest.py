@@ -12,6 +12,9 @@ the two maps shows which output bytes a change moved. The runs:
   glyphs 5 tasks, hidden 32x4, memory 48), and again at memory 0;
 - all four schemes on the width-128 synthetic 4-task cells;
 - one run_matrix sweep: 4 schemes x tasks {2, 4} x 3 seeds of tiny cells;
+- three sb edge cases on the tiny 2-task cells: gamma 0 (no sparsity penalty),
+  split_index = len(hidden) (a plan without cut blocks) and a 1-wide hidden
+  layer (make_plan's clamp leaves it shared, with the layers below it);
 - two `splitbridge run` commands through cli_main, from OUT so that the
   manifests name relative paths: sb on a csv section (4 classes from
   gen-data, its files under OUT/cli/csv, no arrange_seed) and sb on a glyphs
@@ -44,6 +47,9 @@ MATRIX_BENCH = {"num_classes": 4, "feature_dim": 6, "train_per_class": 30,
 MATRIX = {"hidden": [10, 10, 10], "split_index": 1, "epochs_first": 4,
           "epochs_sparsify": 2, "epochs_branched": 2, "epochs_bridge": 2,
           "epochs_std": 4, "memory_capacity": 12}
+EDGES = {"gamma0": {**MATRIX, "gamma": 0.0},
+         "no_cut": {**MATRIX, "split_index": len(MATRIX["hidden"])},
+         "one_wide": {**MATRIX, "hidden": [10, 1, 10]}}
 CLI_BENCHES = {"csv": {"source": "csv", "train_csv": "cli/csv/train.csv",
                        "test_csv": "cli/csv/test.csv"},
                "glyphs": {"source": "glyphs", "side": 4, "train_per_class": 20,
@@ -70,6 +76,8 @@ def run_all(root: Path, out: Path) -> None:
               "seeds": [0, 1, 2], "config": MATRIX}
     if runner.run_matrix(matrix, out / "matrix") != 0:
         sys.exit("run_matrix reported failed cells")
+    for label, overrides in EDGES.items():
+        runner.run_experiment(MATRIX_BENCH, "sb", 2, SEED, overrides, out / "edge" / label)
 
     from splitbridge.cli import cli_main
 
