@@ -15,7 +15,7 @@ import numpy as np
 
 from splitbridge import losses
 from splitbridge.data import TaskRange
-from splitbridge.engine import _ce, _kd_ce, _kd_lce, _lce_targets
+from splitbridge.engine import _ce, _kd_ce, _kd_lce
 from splitbridge.net import build_net
 from splitbridge.partition import make_plan
 
@@ -60,6 +60,8 @@ def main():
     soft_new = losses.softmax(rng.standard_normal((n, c_new)), tau)
     old, new, lam = TaskRange(0, c_old), TaskRange(c_old, c), losses.lambda_schedule(c_old, c_new)
     old_rows, target = ~is_new, np.eye(c)[labels]
+    lce = target[:, new.slice()]  # LCE's targets, as the split phase slices them, and its row mask
+    lce_cols = (lce, lce.sum(axis=1, keepdims=True))
     print(f"pool of {n} rows ({is_new.sum()} new), {c_old} old + {c_new} new classes, "
           f"lam = {lam:.3f}, tau = {tau}\n")
 
@@ -67,10 +69,9 @@ def main():
     cases = [
         ("CE (first task, ce, dd's new-task net)", _ce, (target,)),
         ("lam*KD + (1-lam)*CE (std, sb bridge)", _kd_ce(lam, tau, old), (target, soft)),
-        ("KD + LCE (sb sparsify and branched)", _kd_lce(old, new, tau),
-         (*_lce_targets(new, labels), soft)),
+        ("KD + LCE (sb sparsify and branched)", _kd_lce(old, new, tau), (*lce_cols, soft)),
         ("KD + LCE on a batch of old rows only", _kd_lce(old, new, tau),
-         (*_lce_targets(new, labels[old_rows]), soft[old_rows])),
+         (*(col[old_rows] for col in lce_cols), soft[old_rows])),
         ("lam*(KD + KD_new)/2 + (1-lam)*CE (dd)", _kd_ce(lam, tau, old, new),
          (target, soft, soft_new)),
     ]

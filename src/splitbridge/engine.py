@@ -1,9 +1,9 @@
 """Incremental training engine: the split/bridge loop, the STD, CE-only and
 double-distillation baselines and exemplar memory, for seeds trained as one
-stack, the (S, P) buffer _stack copies: each seed's net views its row, and _fit
-trains it in place. A step after the first trains on one Pool; each soft-label
-teacher (the previous models, the bridge's old branch, dd's throwaway nets) is
-one stacked forward pass. STD, the bridge and dd train one KD+CE loss, _kd_ce."""
+stack, the (S, P) buffer _stack copies: each seed's net takes its row as params,
+and _fit trains it in place. A step after the first trains on one Pool; each
+soft-label teacher (the previous models, the bridge's old branch, dd's throwaway
+nets) is one stacked forward pass. STD, the bridge and dd train one KD+CE loss, _kd_ce."""
 
 from __future__ import annotations
 
@@ -102,7 +102,7 @@ class Pool:
 
 def _stack(nets: list[DenseNet]):
     """A fresh (S, P) copy of the nets' params and its layer views, w (S, in, out) and
-    b (S, 1, out). It rebinds no net: a teacher reads it as is, and _fit adopts it."""
+    b (S, 1, out). It rebinds no net: a teacher reads it as is; _fit hands out its rows."""
     stack = np.stack([net.params for net in nets])
     return stack, [Layer(w, b[:, None]) for w, b in zip(*_views(stack, nets[0].layout))]
 
@@ -114,9 +114,9 @@ def _fit(nets, cfgs, epochs: int, stream, grad, x, *cols, on_grads=None) -> None
 
     cfgs differ only in seed. Each epoch puts seed s's rows in the order drawn
     from default_rng([cfgs[s].seed, *stream]), stream = (step, tag); a batch is
-    the next batch_size rows of each. What a step reuses is made once, after the
-    nets adopt _stack(nets)'s rows to train in place (a net.layers taken before is
-    stale). One forward pass, phase loss and backward pass per step serve all
+    the next batch_size rows of each. What a step reuses is made once, after each
+    net takes its row of _stack(nets) as its params (net.params = row), to train
+    in place. One forward pass, phase loss and backward pass per step serve all
     seeds. grad(logits, *batch_cols, parts=None) returns d(loss)/d(logits), leaving
     logits as they are; a dict parts gets the value components and their total,
     loss, per seed. on_grads(ws, gw), if given, is called once with the stack's
@@ -126,7 +126,7 @@ def _fit(nets, cfgs, epochs: int, stream, grad, x, *cols, on_grads=None) -> None
     rngs = [np.random.default_rng([c.seed, *stream]) for c in cfgs]
     stack, layers = _stack(nets)
     for net, row in zip(nets, stack):  # the stack is the nets' one copy from now on
-        net._adopt(row)
+        net.params = row
     grads, velocity = np.empty_like(stack), np.zeros_like(stack)  # one row per seed
     (gw, gb), buf = _views(grads, layout), np.empty_like(nets[0].params)
     wts = [layer.w.swapaxes(-1, -2) for layer in layers]
@@ -152,16 +152,11 @@ def _ce(logits, target, parts=None):
     return g
 
 
-def _lce_targets(new: TaskRange, y: np.ndarray):
-    """_kd_lce's targets for labels y: new's one-hot rows and their 0/1 row mask (..., n, 1)."""
-    target = np.eye(new.stop)[y][..., new.slice()]
-    return target, target.sum(axis=-1, keepdims=True)
-
-
 def _kd_lce(old: TaskRange, new: TaskRange, tau: float):
     """grad(logits, target, rows, soft): the gradient of KD (soft, old window) + LCE
     (new window, the rows flagged in rows; 0.0 on a batch without them), for _fit;
-    target and rows are _lce_targets'. old then new covers the logits, in that order."""
+    target is the one-hot rows' new window and rows its row sum, (..., n, 1), 1.0 on
+    a new-task row. old then new covers the logits, in that order."""
     old, new = old.slice(), new.slice()
     def grad(logits, target, rows, soft, parts=None):
         kd = _kd_grad(_softmax(logits[..., old], tau), soft, tau, parts)
@@ -213,7 +208,8 @@ def run_split_phase(net: DenseNet, plan: partition.PartitionPlan, pool: Pool, s:
     cut check unpacks four and reads the cut from the third.
     """
     kd_lce = _kd_lce(pool.old, pool.new, cfg.tau)
-    rows = [pool.x[s : s + 1], *_lce_targets(pool.new, pool.y[s : s + 1]), pool.soft[s : s + 1]]
+    target = pool.target[s : s + 1, :, pool.new.slice()]  # its row sum flags the task's rows
+    rows = [pool.x[s : s + 1], target, target.sum(axis=-1, keepdims=True), pool.soft[s : s + 1]]
     penalty = None if cfg.gamma == 0 else (  # bound to the cut of the stack _fit packs
         lambda ws, gw: partial(losses._penalty, plan.cut(ws), cfg.gamma, plan.cut(gw)))
 

@@ -2,11 +2,12 @@
 momentum SGD.
 
 All parameters are float64. A layer holds a weight matrix of shape
-(in_dim, out_dim) and a bias vector of shape (out_dim,). A network keeps
-every parameter in one flat buffer, every layer's weights first and then
-every layer's biases. A gradient or a velocity is a float64 array shaped
-like that buffer, with the same layout, so an SGD step is a few
-whole-buffer operations.
+(in_dim, out_dim) and a bias vector of shape (out_dim,). A network is its
+layers' shapes and one flat buffer of every parameter, every layer's weights
+first and then every layer's biases; its layers are views of that buffer,
+made on each read. A gradient or a velocity is a float64 array shaped like
+the buffer, with the same layout, so an SGD step is a few whole-buffer
+operations.
 """
 
 from __future__ import annotations
@@ -27,10 +28,18 @@ class ShapeError(ValueError):
 
 @dataclass
 class Layer:
-    """One dense layer: x @ w + b, then ReLU unless it is the network's last."""
+    """One dense layer: x @ w + b, then ReLU unless it is the network's last. w and b
+    are bound once: rebinding either to another array raises AttributeError; writes in
+    place, layer.w[...] = ... or layer.w += d (w rebound to itself), go through."""
 
     w: np.ndarray
     b: np.ndarray
+
+    def __setattr__(self, name, value):
+        if getattr(self, name, value) is not value:
+            raise AttributeError(f"layer.{name} is bound once: write it in place "
+                                 f"(layer.{name}[...] = ...) instead of rebinding it")
+        object.__setattr__(self, name, value)
 
     @property
     def in_dim(self) -> int:
@@ -89,15 +98,14 @@ class DenseNet:
     """Ordered dense layers: ReLU after every layer but the last, whose
     outputs are the logits, one per class.
 
-    The parameters live in one float64 buffer, `params`: every layer's
-    weights in layer order, then every layer's biases. Each `layer.w` and
-    `layer.b` is a view into it, and `layout` holds the layers' weight
-    shapes. The constructor copies the given layers' values into a fresh
-    buffer; a net in a seed stack views the stack's row instead (`_adopt`).
-    Write parameters in place (`layer.w[...] = ...`); a rebound `layer.w` or
-    `layer.b`, even to another view of the same buffer, is not the view the net
-    trains: sgd_step raises ShapeError for it. A gradient or velocity is an
-    array shaped like `params`; `_views(g, layout)` gives its layer views.
+    A net is its `layout`, the layers' weight shapes, and `params`, one float64
+    vector: every layer's weights in layer order, then every layer's biases.
+    The constructor copies the given layers' values into a fresh vector; a net
+    in a seed stack is given the stack's row instead (`net.params = row`).
+    `layers` derives a tuple of fresh Layer views of `params` on every read:
+    write them in place (`layer.w[...] = ...`, `layer.w += d`). A gradient or
+    velocity is an array shaped like `params`; `_views(g, layout)` gives its
+    layer views.
     """
 
     def __init__(self, layers: list[Layer]):
@@ -111,30 +119,29 @@ class DenseNet:
                 raise ShapeError(f"layer {i} bias shape {np.shape(layer.b)} != ({layer.out_dim},)")
         self._pack(layers)
 
-    def _pack(self, layers: list[Layer]) -> None:
-        """Copy the layers' values into a fresh params buffer and view them."""
+    def _pack(self, layers) -> None:
+        """Copy the layers' values into a fresh params vector in their layout."""
         self.layout = tuple(layer.w.shape for layer in layers)
-        self.n_weights = sum(i * o for i, o in self.layout)
+        self.n_weights = sum(i * o for i, o in self.layout)  # params[:n_weights] are weights
         ws, bs = [layer.w.ravel() for layer in layers], [layer.b for layer in layers]
-        self._adopt(np.concatenate(ws + bs, dtype=np.float64))
+        self.params = np.concatenate(ws + bs, dtype=np.float64)
 
-    def _adopt(self, params: np.ndarray) -> None:
-        """View params, a float64 vector in this layout (a stack's row, say), as the net's own."""
-        self.params = params
-        self._own = (params, *_views(params, self.layout))  # what sgd_step checks by identity
-        self.layers = [Layer(w, b) for w, b in zip(*self._own[1:])]
+    @property
+    def layers(self) -> tuple[Layer, ...]:
+        """Fresh Layer views of params, one per layer, on every read."""
+        return tuple(map(Layer, *_views(self.params, self.layout)))
 
     @property
     def in_dim(self) -> int:
-        return self.layers[0].in_dim
+        return self.layout[0][0]
 
     @property
     def depth(self) -> int:
-        return len(self.layers)
+        return len(self.layout)
 
     @property
     def num_classes(self) -> int:
-        return self.layers[-1].out_dim
+        return self.layout[-1][1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Compute logits for a batch x of shape (n, in_dim)."""
@@ -161,9 +168,9 @@ class DenseNet:
         """
         if extra < 1:
             raise ValueError("extra must be at least 1")
-        last = self.layers[-1]
-        self._pack(self.layers[:-1] + [Layer(np.hstack([last.w, np.zeros((last.in_dim, extra))]),
-                                             np.concatenate([last.b, np.zeros(extra)]))])
+        *hidden, last = self.layers
+        self._pack(hidden + [Layer(np.hstack([last.w, np.zeros((last.in_dim, extra))]),
+                                   np.concatenate([last.b, np.zeros(extra)]))])
 
     def save(self, path) -> None:
         """Write the checkpoint format: magic, dims, then raw float64 params."""
@@ -236,15 +243,10 @@ def sgd_step(net: DenseNet, grads: np.ndarray, velocity: np.ndarray, lr: float,
     momentum, updated in place: start from np.zeros_like(net.params). buf (a
     fresh one if None) takes the intermediates. Raises ShapeError naming the
     argument when grads, velocity or buf does not fit (as for a velocity built
-    before widen_output), or naming the layer when its w or b (or net.params) is
-    not the view the net made, as when rebound to another row of the same stack.
+    before widen_output). net.params is the net's whole state: its layers are
+    views of it that no one can rebind, so they need no check.
     """
     p, g, v = net.params, grads, velocity
-    own, ws, bs = net._own
-    for i, (layer, w, b) in enumerate(zip(net.layers, ws, bs)):
-        if layer.w is not w or layer.b is not b or p is not own:
-            raise ShapeError(f"layer {i} weights or biases are not views of net.params "
-                             "(rebound instead of written in place)")
     buf = np.empty_like(p) if buf is None else buf
     for name, a in (("grads", g), ("velocity", v), ("buf", buf)):
         if not (isinstance(a, np.ndarray) and a.shape == p.shape and a.dtype == p.dtype):

@@ -108,7 +108,7 @@ def make_plan(net: DenseNet, split_index: int, c_old: int, c_new: int, rho: floa
     new_share = (1.0 - rho) * c_old + c_new
     old_share = rho * c_old
     for li in range(split_index, depth - 1):
-        width = net.layers[li].out_dim
+        width = net.layout[li][1]
         n_new = _round_half_up(width * max(0.0, new_share) / (old_share + max(0.0, new_share)))
         n_new = min(n_new, width - 1)
         if n_new < 1:
@@ -123,7 +123,7 @@ def make_plan(net: DenseNet, split_index: int, c_old: int, c_new: int, rho: floa
     for li, b in plan.old_size.items():
         if plan.is_partitioned(li - 1):  # else its inputs come from the shared trunk
             a = plan.old_size[li - 1]
-            in_dim, out_dim = net.layers[li].w.shape
+            in_dim, out_dim = net.layout[li]
             plan.blocks[li] = ((slice(0, a), slice(b, out_dim)), (slice(a, in_dim), slice(0, b)))
     return plan
 
@@ -151,8 +151,9 @@ def bridge_reconnect(net: DenseNet, plan: PartitionPlan) -> None:
     changes no logit; nothing is written. Raises ValueError naming the
     layer if a cut weight is not exactly 0.0.
     """
+    layers = net.layers
     for li, pair in plan.blocks.items():
-        bad = sum(np.count_nonzero(net.layers[li].w[block]) for block in pair)
+        bad = sum(np.count_nonzero(layers[li].w[block]) for block in pair)
         if bad:
             raise ValueError(f"layer {li}: {bad} cut weights are not exactly 0.0 at "
                              "reconnection (never disconnected, or trained while cut)")

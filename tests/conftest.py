@@ -29,6 +29,14 @@ def backward(net, x, upstream):
     return grads
 
 
+def lce_targets(target, new):
+    """_kd_lce's target and rows from CE's one-hot rows target, as the split phase
+    takes them from its pool: the new window's columns and their row sum, which is
+    1.0 on a new-task row and 0.0 on the others."""
+    lce = target[..., new.slice()]
+    return lce, lce.sum(axis=-1, keepdims=True)
+
+
 def finite_diff_param_grads(net, loss_of_net, step=1e-5):
     """Central finite differences of a scalar loss over every parameter."""
     wgrads, bgrads = [], []

@@ -13,7 +13,7 @@ import pytest
 
 from splitbridge import losses, partition, runner
 from splitbridge.data import gen_synthetic
-from splitbridge.engine import SchemeConfig, _ce, _kd_ce, _kd_lce, _lce_targets
+from splitbridge.engine import SchemeConfig, _ce, _kd_ce, _kd_lce
 from splitbridge.data import TaskRange
 from splitbridge.losses import lambda_schedule
 from splitbridge.net import build_net
@@ -21,7 +21,7 @@ from splitbridge.partition import bridge_reconnect, disconnect, make_plan
 from splitbridge.metrics import report_from_predictions
 
 from conftest import (
-    assert_close_rel, finite_diff_logit_grad, finite_diff_param_grads, phase_loss,
+    assert_close_rel, finite_diff_logit_grad, finite_diff_param_grads, lce_targets, phase_loss,
 )
 
 
@@ -93,8 +93,8 @@ def test_criterion_1_gradient_suite(rng):
             kd_lce, target = _kd_lce(old, new, tau), np.eye(c)[labels]
             cases = [(_ce, logits, target),
                      (_kd_ce(lam, tau, old), logits, target, teacher),
-                     (kd_lce, logits, *_lce_targets(new, labels), teacher),
-                     (kd_lce, logits[no_new], *_lce_targets(new, labels[no_new]),
+                     (kd_lce, logits, *lce_targets(target, new), teacher),
+                     (kd_lce, logits[no_new], *lce_targets(target[no_new], new),
                       teacher[no_new]),
                      (_kd_ce(lam, tau, old, new), logits, target, teacher, soft_new)]
             for grad, z, *cols in cases:

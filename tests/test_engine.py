@@ -15,7 +15,6 @@ from splitbridge.engine import (
     _fit,
     _kd_ce,
     _kd_lce,
-    _lce_targets,
     run_bridge_phase,
     run_first_task,
     run_sequence,
@@ -28,7 +27,7 @@ from splitbridge.data import TaskRange
 from splitbridge.losses import lambda_schedule, sparsify_penalty
 from splitbridge.net import DenseNet, _views, build_net, sgd_step
 from splitbridge.partition import bridge_reconnect, disconnect, extract_subnet, make_plan
-from conftest import backward, finite_diff_logit_grad, phase_loss
+from conftest import backward, finite_diff_logit_grad, lce_targets, phase_loss
 
 FAST = dict(
     epochs_first=8, epochs_sparsify=4, epochs_branched=4,
@@ -178,8 +177,8 @@ class TestFit:
                         gw = gws[i] + cfg.weight_decay * layer.w
                         vel[i] = (cfg.momentum * vel[i][0] + gw,
                                   cfg.momentum * vel[i][1] + gbs[i])
-                        layer.w = layer.w - lr * vel[i][0]
-                        layer.b = layer.b - lr * vel[i][1]
+                        layer.w[...] = layer.w - lr * vel[i][0]
+                        layer.b[...] = layer.b - lr * vel[i][1]
         for la, lb in zip(net.layers, ref.layers):
             assert la.w.tobytes() == lb.w.tobytes()
             assert la.b.tobytes() == lb.b.tobytes()
@@ -267,7 +266,8 @@ class TestFusedGradients:
 
     def test_kd_lce(self, rng):
         y, is_new, soft = self._rows(rng)
-        grad, cols = _kd_lce(self.OLD, self.NEW, self.TAU), (*_lce_targets(self.NEW, y), soft)
+        grad = _kd_lce(self.OLD, self.NEW, self.TAU)
+        cols = (*lce_targets(self._onehot(y), self.NEW), soft)
         self._check(grad, rng, is_new, *cols)
         # without new rows LCE is 0.0, not the NaN mean of no rows
         parts, old_rows = {}, np.flatnonzero(~is_new)[:3]
@@ -322,8 +322,8 @@ class TestFusedGradients:
                 want[i, c_old:] = (p - np.eye(c_new)[y[i] - c_old]) / 3
                 lce -= np.log(p[y[i] - c_old]) / 3
         parts = {}
-        got = _kd_lce(self.OLD, self.NEW, tau)(logits, *_lce_targets(self.NEW, y), soft,
-                                               parts=parts)
+        cols = (*lce_targets(self._onehot(y), self.NEW), soft)
+        got = _kd_lce(self.OLD, self.NEW, tau)(logits, *cols, parts=parts)
         assert got.tobytes() == want.tobytes()
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose([parts["kd"], parts["lce"], parts["loss"]],
@@ -378,7 +378,8 @@ class TestFusedGradients:
             y, is_new, soft = self._rows(rng, n=40)
             rows = np.flatnonzero(~is_new if s == 1 else np.ones(40, bool))[:13]
             soft_new = losses.softmax(rng.standard_normal((len(rows), self.C_NEW)), self.TAU)
-            t, (lce, new_rows) = self._onehot(y)[rows], _lce_targets(self.NEW, y[rows])
+            t = self._onehot(y)[rows]
+            lce, new_rows = lce_targets(t, self.NEW)
             seeds.append({"ce": (t,), "composite": (t, soft[rows]),
                           "kd_lce": (lce, new_rows, soft[rows]),
                           "double_kd": (t, soft[rows], soft_new)}[loss])
@@ -541,7 +542,8 @@ class TestSplitPhase:
         plan = make_plan(net, cfg.split_index, pool.old.size, pool.new.size, cfg.rho)
         ref, grad = net.clone(), _kd_lce(pool.old, pool.new, cfg.tau)
         diagnostics = run_split_phase(net, plan, pool, 0, cfg, 2)[3]
-        cols = [pool.x[0], *_lce_targets(pool.new, pool.y[0]), pool.soft[0]]
+        target = np.eye(pool.new.stop)[pool.y[0]]
+        cols = [pool.x[0], *lce_targets(target, pool.new), pool.soft[0]]
         rng, velocity = np.random.default_rng([cfg.seed, 2, 1]), np.zeros_like(ref.params)
         for _ in range(cfg.epochs_sparsify):
             order = rng.permutation(len(cols[0]))

@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from splitbridge.engine import _ce, _kd_ce, _kd_lce, _lce_targets
+from splitbridge.engine import _ce, _kd_ce, _kd_lce
 from splitbridge.data import TaskRange
 from splitbridge.losses import lambda_schedule, softmax, sparsify_penalty
 from splitbridge.net import _views
 from splitbridge.partition import make_plan
-from conftest import (assert_close_rel, backward, finite_diff_logit_grad, make_random_net,
-                      phase_loss)
+from conftest import (assert_close_rel, backward, finite_diff_logit_grad, lce_targets,
+                      make_random_net, phase_loss)
 
 
 class TestSoftmax:
@@ -65,7 +65,7 @@ def onehot(y, c):
 
 def kd_lce(soft, y, old, new, tau):
     """_kd_lce with the batch's rows bound; a row is new when its label is in new."""
-    target, rows = _lce_targets(new, np.asarray(y))
+    target, rows = lce_targets(onehot(y, new.stop), new)
     return partial(_kd_lce(old, new, tau), target=target, rows=rows, soft=soft)
 
 

@@ -235,33 +235,27 @@ class TestSgdStep:
     @pytest.mark.parametrize("attr", ["w", "b"])
     def test_rebound_parameter_rejected(self, rng, attr):
         # a net that views a row of a stack is accepted as is and steps its row
-        # alone; a rebound w or b is rejected on either kind of net
+        # alone; rebinding a layer's w or b raises at the assignment on either
+        # kind of net, even to a view of another row of its own stack, and the
+        # layer keeps its view
         net, other = make_random_net(rng, [2, 3, 2]), make_random_net(rng, [2, 3, 2])
         stack = np.stack([other.params, net.params])
         row = net.clone()
-        row._adopt(stack[1])
+        row.params = stack[1]  # as engine._fit hands a net its row
         grads = rng.standard_normal(net.params.shape)
         for n in (net, row):
             sgd_step(n, grads, np.zeros_like(grads), 0.1, 0.9, 1e-2)
         assert stack[1].tobytes() == net.params.tobytes()
         assert stack[0].tobytes() == other.params.tobytes()
+        other_row = {"w": stack[0, 6:12].reshape(3, 2), "b": stack[0, 15:17]}[attr]
         for n in (net, row):
-            layer = n.layers[1]
-            setattr(layer, attr, getattr(layer, attr).copy())
-            zeros = np.zeros_like(n.params)
-            with pytest.raises(ShapeError, match="layer 1 weights or biases are not views"):
-                sgd_step(n, zeros, zeros.copy(), 0.1, 0.9, 0.0)
-        # a view of another row of its own stack shares the stack as base, but it is
-        # not the view the net trains: the net would read row 0 and step row 1
-        nets = [build_net(3, [4], 2, s) for s in (0, 1)]
-        stack = np.stack([n.params for n in nets])
-        for n, params in zip(nets, stack):  # as engine._fit packs a stack
-            n._adopt(params)
-        layer = nets[1].layers[0]
-        setattr(layer, attr, {"w": stack[0, :12].reshape(3, 4), "b": stack[0, 20:24]}[attr])
-        zeros = np.zeros_like(nets[1].params)
-        with pytest.raises(ShapeError, match="layer 0 weights or biases are not views"):
-            sgd_step(nets[1], zeros, zeros.copy(), 0.1, 0.9, 0.0)
+            layer, before = n.layers[1], n.params.copy()
+            view = getattr(layer, attr)
+            for rebound in (view.copy(), other_row):
+                with pytest.raises(AttributeError, match=f"layer.{attr} is bound once"):
+                    setattr(layer, attr, rebound)
+                assert getattr(layer, attr) is view
+            assert n.params.tobytes() == before.tobytes()
 
 
 class TestSgdStepBuffer:
@@ -360,6 +354,59 @@ class TestFlatParams:
             assert w.base is grads and b.base is grads
         flat = np.concatenate([w.ravel() for w in gw] + list(gb))
         assert flat.tobytes() == grads.tobytes()
+
+
+class TestParamsAreTheState:
+    """A net is its layout and params: layers are views derived from params on
+    every read, and a Layer's w and b cannot be rebound, only written in place."""
+
+    @staticmethod
+    def _nets(rng):
+        """A packed net and a net whose params are row 1 of a stack."""
+        packed, other = make_random_net(rng, [2, 3, 2]), make_random_net(rng, [2, 3, 2])
+        row = packed.clone()
+        row.params = np.stack([other.params, packed.params])[1]
+        return {"packed": packed, "stack_row": row}
+
+    def test_layers_follow_rebound_params(self):
+        nets = [build_net(3, [4], 2, seed=s) for s in (0, 1)]
+        before = [net.params for net in nets]
+        stack = np.stack(before)
+        for net, row in zip(nets, stack):
+            net.params = row
+        for s, net in enumerate(nets):
+            for _ in range(2):  # every read views the row, none the old buffer
+                for layer, w, b in zip(net.layers, *_views(stack[s], net.layout)):
+                    assert layer.w.__array_interface__ == w.__array_interface__
+                    assert layer.b.__array_interface__ == b.__array_interface__
+                    assert not np.shares_memory(layer.w, before[s])
+            stack[s, 0] = 5.0  # a write to the row is a write to the net
+            assert net.layers[0].w[0, 0] == 5.0
+
+    @pytest.mark.parametrize("kind", ["packed", "stack_row"])
+    def test_in_place_writes_reach_params(self, rng, kind):
+        net = self._nets(rng)[kind]
+        layer, want = net.layers[0], net.params.copy()
+        d = rng.standard_normal(layer.w.shape)
+        layer.w += d  # rebinds w to the same array: allowed
+        layer.b[...] = 3.0
+        ws, bs = _views(want, net.layout)
+        ws[0][...] += d
+        bs[0][...] = 3.0
+        assert net.params.tobytes() == want.tobytes()
+        net.layers[1].w[...] = 0.0
+        assert not _views(net.params, net.layout)[0][1].any()
+
+    @pytest.mark.parametrize("kind", ["packed", "stack_row"])
+    def test_layers_cannot_be_replaced(self, rng, kind):
+        net = self._nets(rng)[kind]
+        before = net.params.copy()
+        replacement = Layer(np.zeros((2, 3)), np.zeros(3))
+        with pytest.raises(TypeError):
+            net.layers[0] = replacement
+        with pytest.raises(AttributeError):
+            net.layers = [replacement] + list(net.layers[1:])
+        assert net.params.tobytes() == before.tobytes()
 
 
 class TestClone:
