@@ -88,7 +88,7 @@ def main():
         layer.w += 0.3 * rng.standard_normal(layer.w.shape)
     plan = make_plan(net, 1, c_old, c_new, 1.0)
     wgrads = [np.zeros_like(layer.w) for layer in net.layers]
-    value = losses.sparsify_penalty(net, plan, 0.01, into=wgrads)
+    value = losses._penalty(plan.cut([layer.w for layer in net.layers]), 0.01, plan.cut(wgrads))
     err = max(np.abs(wgrads[li] - finite_diff(
         lambda: losses.sparsify_penalty(net, plan, 0.01), net.layers[li].w)).max()
         for li in range(net.depth))

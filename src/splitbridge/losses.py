@@ -93,14 +93,10 @@ def _penalty(blocks, gamma: float, grads=None) -> float:
     return float(gamma * value)
 
 
-def sparsify_penalty(net, plan, gamma: float, into=None) -> float:
-    """Group-norm penalty on cross-partition weights.
-
-    value = gamma * the sum of the Frobenius norms of plan.cut's old-to-new and
-    new-to-old blocks (at gamma = 1, the cross-partition norm). With into, per-layer
-    weight gradient views of net, 2-D or (1, in, out), each group's gradient gamma *
-    w / ||W_group||_F (the norm floored at 1e-8) is added into its cut in place, which
-    drives the cut toward exactly zero. Training binds the kernel, _penalty, per fit.
+def sparsify_penalty(net, plan, gamma: float) -> float:
+    """Group-norm penalty on cross-partition weights: gamma * the sum of the
+    Frobenius norms of plan.cut's old-to-new and new-to-old blocks (at gamma = 1,
+    the cross-partition norm). Training binds its kernel, _penalty, per fit: the
+    cut of the gradients gets each group's gamma * w / max(||W_group||_F, 1e-8).
     """
-    blocks = plan.cut([layer.w for layer in net.layers])
-    return _penalty(blocks, gamma, None if into is None else plan.cut(into))
+    return _penalty(plan.cut([layer.w for layer in net.layers]), gamma)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import read_exact
 
-CHECKPOINT_MAGIC = b"SBN1"
+CHECKPOINT_MAGIC = b"SBN2"
 
 
 class ShapeError(ValueError):
@@ -173,47 +173,31 @@ class DenseNet:
                                    np.concatenate([last.b, np.zeros(extra)]))])
 
     def save(self, path) -> None:
-        """Write the checkpoint format: magic, dims, then raw float64 params."""
+        """Write the checkpoint: magic, depth, the depth + 1 widths, then params."""
+        widths = (self.in_dim, *(out_dim for _, out_dim in self.layout))
         with open(path, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<II", self.depth, self.num_classes))
-            for i, layer in enumerate(self.layers):
-                act = int(i < self.depth - 1)
-                f.write(struct.pack("<IIBB", layer.in_dim, layer.out_dim, act, 0))
-                f.write(np.ascontiguousarray(layer.w, dtype="<f8").tobytes())
-                f.write(np.ascontiguousarray(layer.b, dtype="<f8").tobytes())
+            f.write(CHECKPOINT_MAGIC + struct.pack(f"<{len(widths) + 1}I", self.depth, *widths))
+            f.write(np.ascontiguousarray(self.params, dtype="<f8"))
 
     @classmethod
     def load(cls, path) -> "DenseNet":
-        """Read a save() checkpoint; a truncated or padded file raises ValueError.
-
-        Each layer header's activation id must be 1 (ReLU) on a hidden layer and
-        0 on the last, and its has-mask flag byte must be 0: no layer carries a
-        mask block. The header's num_classes must be the last layer's width.
-        """
+        """Read a save() checkpoint; a truncated or padded file raises ValueError
+        naming the part and its offset."""
         with open(path, "rb") as f:
             magic = f.read(4)
             if magic != CHECKPOINT_MAGIC:
                 raise ValueError(f"bad checkpoint magic {magic!r} at offset 0")
-            depth, num_classes = struct.unpack("<II", read_exact(f, 8, "checkpoint header"))
-            layers = []
-            for i in range(depth):
-                in_dim, out_dim, act, has_mask = struct.unpack(
-                    "<IIBB", read_exact(f, 10, f"layer {i} header"))
-                relu = int(i < depth - 1)
-                if act != relu or has_mask:
-                    raise ValueError(f"layer {i} header: activation id {act} must be {relu} "
-                                     f"(1 hidden, 0 last) and has-mask flag {has_mask} must be 0")
-                if not relu and out_dim != num_classes:
-                    raise ValueError(f"checkpoint header: num_classes {num_classes} != "
-                                     f"layer {i} out_dim {out_dim}")
-                w = np.frombuffer(read_exact(f, 8 * in_dim * out_dim, f"layer {i} weights"),
-                                  dtype="<f8").reshape(in_dim, out_dim)
-                b = np.frombuffer(read_exact(f, 8 * out_dim, f"layer {i} bias"), dtype="<f8")
-                layers.append(Layer(w, b))
+            (depth,) = struct.unpack("<I", read_exact(f, 4, "checkpoint header"))
+            widths = struct.unpack(f"<{depth + 1}I",
+                                   read_exact(f, 4 * (depth + 1), "checkpoint widths"))
+            shapes = list(enumerate(zip(widths[:-1], widths[1:])))  # (layer, (in, out))
+            ws = [np.frombuffer(read_exact(f, 8 * i * o, f"layer {li} weights"),
+                                dtype="<f8").reshape(i, o) for li, (i, o) in shapes]
+            bs = [np.frombuffer(read_exact(f, 8 * o, f"layer {li} bias"), dtype="<f8")
+                  for li, (_, o) in shapes]
             if f.read(1):
-                raise ValueError(f"trailing bytes after layer {depth - 1} at offset {f.tell() - 1}")
-        return cls(layers)
+                raise ValueError(f"trailing bytes after the params at offset {f.tell() - 1}")
+        return cls(list(map(Layer, ws, bs)))
 
 
 def build_net(in_dim: int, hidden: list[int], num_classes: int,

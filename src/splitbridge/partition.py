@@ -36,9 +36,6 @@ class PartitionPlan:
     blocks: dict[int, tuple[tuple[slice, slice], tuple[slice, slice]]] = field(
         default_factory=dict)
 
-    def is_partitioned(self, layer: int) -> bool:
-        return layer in self.old_size
-
     @property
     def per_layer(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """Boolean (on, no) selectors of each layer's weight matrix, built
@@ -121,7 +118,7 @@ def make_plan(net: DenseNet, split_index: int, c_old: int, c_new: int, rho: floa
     plan.new_size[depth - 1] = c_new
 
     for li, b in plan.old_size.items():
-        if plan.is_partitioned(li - 1):  # else its inputs come from the shared trunk
+        if li - 1 in plan.old_size:  # else its inputs come from the shared trunk
             a = plan.old_size[li - 1]
             in_dim, out_dim = net.layout[li]
             plan.blocks[li] = ((slice(0, a), slice(b, out_dim)), (slice(a, in_dim), slice(0, b)))

@@ -107,7 +107,7 @@ def test_criterion_1_gradient_suite(rng):
                 layer.w += 0.3 * rng.standard_normal(layer.w.shape)
             plan = make_plan(net, 1, 2, 2, 1.0)
             wgrads = [np.zeros_like(layer.w) for layer in net.layers]
-            losses.sparsify_penalty(net, plan, 0.01, into=wgrads)
+            losses._penalty(plan.cut([l.w for l in net.layers]), 0.01, plan.cut(wgrads))
             fd_w, _ = finite_diff_param_grads(
                 net, lambda n: losses.sparsify_penalty(n, plan, 0.01))
             for li, (g, f) in enumerate(zip(wgrads, fd_w)):
@@ -141,7 +141,7 @@ def test_criterion_2_allocation_formulas():
             net = build_net(4, [width], c_old + c_new, seed=0)
             plan = make_plan(net, 0, c_old, c_new, rho)
             if expect is None:
-                assert not plan.is_partitioned(0)
+                assert 0 not in plan.old_size
                 assert 0 not in plan.new_size
             else:
                 assert plan.new_size[0] == expect

@@ -134,6 +134,18 @@ class TestExemplarMemory:
         mem = update_exemplars(mem, d2, 20, seed=2)
         assert len(mem) == 12
 
+    @pytest.mark.parametrize("capacity", [0, 5, 19, 40])
+    def test_draw_is_keyed_on_seed_then_candidate_count(self, capacity):
+        # the kept rows of [mem; d_t] are the sorted draw of default_rng([seed, n]),
+        # n the candidate count: the stream key every run's memory rests on
+        mem, d, seed = self._ds(7, seed=0), self._ds(13, seed=1), 3
+        n = len(mem) + len(d)
+        keep = np.sort(np.random.default_rng([seed, n]).choice(
+            n, size=min(n, capacity), replace=False))
+        got = update_exemplars(mem, d, capacity, seed)
+        assert got.x.tobytes() == np.vstack([mem.x, d.x])[keep].tobytes()
+        assert got.y.tobytes() == np.concatenate([mem.y, d.y])[keep].tobytes()
+
     def test_uniform_sampling_statistics(self):
         # each of 20 candidates should be kept with probability 5/20; over
         # 1000 seeded draws the count stays within 3 sigma of the binomial
@@ -527,8 +539,8 @@ class TestSplitPhase:
 
     def test_sparsify_hook_equals_the_penalty_each_step(self):
         # the sparsify stage's penalty hook, bound once per fit to the cut of the
-        # stack _fit packs, steps exactly like adding sparsify_penalty's gradient
-        # of the net being trained each step; bound before _fit packs, it would
+        # stack _fit packs, steps exactly like adding the penalty kernel's gradient
+        # on the cut of the net being trained each step; bound before _fit packs, it would
         # read the old, untrained buffer. No branched epochs: the split phase is
         # its sparsify _fit and the disconnect
         seq = small_sequence()
@@ -550,7 +562,8 @@ class TestSplitPhase:
             for start in range(0, len(order), cfg.batch_size):
                 xb, *batch = (c[order[start : start + cfg.batch_size]] for c in cols)
                 grads = backward(ref, xb, grad(ref.forward(xb), *batch))
-                sparsify_penalty(ref, plan, cfg.gamma, into=_views(grads, ref.layout)[0])
+                losses._penalty(plan.cut([l.w for l in ref.layers]), cfg.gamma,
+                                plan.cut(_views(grads, ref.layout)[0]))
                 sgd_step(ref, grads, velocity, cfg.learning_rate, cfg.momentum, cfg.weight_decay)
         assert diagnostics["cross_norm_at_disconnect"] == sparsify_penalty(ref, plan, 1.0)
         disconnect(ref, plan)
@@ -702,6 +715,19 @@ class TestRunSequence:
         results = run_sequence(small_sequence(num_classes=6, num_tasks=3),
                                [SchemeConfig(scheme="sb", **FAST)])[0]
         assert len(results) == 3 and len(calls) == 3
+
+    def test_exemplar_draw_after_task_t_is_seeded_seed_plus_t(self, monkeypatch):
+        # each seed of a stack updates its memory after task t with cfg.seed + t
+        seeds = []
+
+        def recording(mem, d_t, capacity, seed):
+            seeds.append(seed)
+            return update_exemplars(mem, d_t, capacity, seed)
+
+        monkeypatch.setattr(engine, "update_exemplars", recording)
+        cfgs = [SchemeConfig(scheme="ce", **FAST, seed=s) for s in (5, 9)]
+        run_sequence(small_sequence(num_classes=6, num_tasks=3), cfgs)
+        assert seeds == [5 + 1, 9 + 1, 5 + 2, 9 + 2, 5 + 3, 9 + 3]
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_runners_looked_up_at_call_time(self, scheme, monkeypatch):

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from splitbridge.engine import _ce, _kd_ce, _kd_lce
 from splitbridge.data import TaskRange
-from splitbridge.losses import lambda_schedule, softmax, sparsify_penalty
+from splitbridge.losses import _penalty, lambda_schedule, softmax, sparsify_penalty
 from splitbridge.net import _views
 from splitbridge.partition import make_plan
 from conftest import (assert_close_rel, backward, finite_diff_logit_grad, lce_targets,
@@ -250,11 +250,17 @@ class TestSparsifyPenalty:
         plan = make_plan(net, 1, 2, 2, 1.0)
         return net, plan
 
+    @staticmethod
+    def _add_into(net, plan, gamma, wgrads):
+        # the penalty kernel as training binds it: on the cut of the weights and of
+        # the per-layer weight gradients, which get the penalty's gradient in place
+        return _penalty(plan.cut([l.w for l in net.layers]), gamma, plan.cut(wgrads))
+
     def test_zero_cross_weights(self, rng):
         net, plan = self._net_and_plan(rng)
         for li, (on, no) in plan.per_layer.items():
             net.layers[li].w[on | no] = 0.0
-        value = sparsify_penalty(net, plan, 0.1, into=[np.zeros_like(l.w) for l in net.layers])
+        value = self._add_into(net, plan, 0.1, [np.zeros_like(l.w) for l in net.layers])
         assert value == 0.0
 
     def test_single_weight_group(self):
@@ -269,7 +275,7 @@ class TestSparsifyPenalty:
         net = DenseNet(layers)
         plan = make_plan(net, 1, 1, 1, 1.0)
         wgrads = [np.zeros_like(l.w) for l in net.layers]
-        value = sparsify_penalty(net, plan, 0.1, into=wgrads)
+        value = self._add_into(net, plan, 0.1, wgrads)
         assert abs(value - 0.1 * (3.0 + 0.5)) < 1e-14
         assert abs(wgrads[2][0, 1] - 0.1) < 1e-9
         assert abs(wgrads[2][1, 0] - 0.1) < 1e-9
@@ -282,7 +288,7 @@ class TestSparsifyPenalty:
             return sparsify_penalty(n, plan, 0.3)
 
         wgrads = [np.zeros_like(l.w) for l in net.layers]
-        sparsify_penalty(net, plan, 0.3, into=wgrads)
+        self._add_into(net, plan, 0.3, wgrads)
         from conftest import finite_diff_param_grads
 
         fw, _ = finite_diff_param_grads(net, value_of)
@@ -302,7 +308,7 @@ class TestSparsifyPenalty:
             for sel in selectors:
                 v = net.layers[li].w[sel]
                 expected[li][sel] += 0.3 * (v / max(float(np.sqrt((v ** 2).sum())), 1e-8))
-        assert sparsify_penalty(net, plan, 0.3, into=wgrads) == value
+        assert self._add_into(net, plan, 0.3, wgrads) == value
         for got, want in zip(wgrads, expected):
             assert got.tobytes() == want.tobytes()
 

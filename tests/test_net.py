@@ -457,9 +457,12 @@ class TestCheckpoint:
         net = make_random_net(rng, [3, 4, 2])
         path = tmp_path / "net.ckpt"
         net.save(path)
-        # header, then per layer a 10-byte header, weights and biases only
+        # magic, depth, the depth + 1 widths, then params as the net holds it
         params = sum(l.w.size + l.b.size for l in net.layers)
-        assert path.stat().st_size == 12 + 10 * net.depth + 8 * params
+        assert path.stat().st_size == 8 + 4 * (net.depth + 1) + 8 * params
+        raw = path.read_bytes()
+        assert raw[:20] == b"SBN2" + struct.pack("<4I", 2, 3, 4, 2)
+        assert raw[20:] == net.params.astype("<f8").tobytes()
         loaded = DenseNet.load(path)
         for a, b in zip(net.layers, loaded.layers):
             assert a.w.tobytes() == b.w.tobytes()
@@ -470,8 +473,8 @@ class TestCheckpoint:
         assert [f.name for f in dataclasses.fields(Layer)] == ["w", "b"]
 
     @pytest.mark.parametrize("cut, part", [
-        (9, "checkpoint header"),
-        (20, "layer 0 header"),
+        (6, "checkpoint header"),   # inside the depth
+        (14, "checkpoint widths"),
         (40, "layer 0 weights"),
         (-8, "layer 1 bias"),       # only the last bias value of the logit layer
     ])
@@ -479,43 +482,22 @@ class TestCheckpoint:
         net = make_random_net(rng, [3, 4, 3])
         path = tmp_path / "net.ckpt"
         net.save(path)
+        # each part's offset: magic, depth, 3 widths, the weights 3x4 and 4x3, biases 4 and 3
+        offset = {"checkpoint header": 4, "checkpoint widths": 8, "layer 0 weights": 20,
+                  "layer 1 bias": 20 + 8 * (12 + 12 + 4)}[part]
         path.write_bytes(path.read_bytes()[:cut])
-        with pytest.raises(ValueError, match=f"truncated .* for {part} at offset"):
-            DenseNet.load(path)
-
-    @pytest.mark.parametrize("layer, byte, value", [
-        (0, 8, 7),      # activation id
-        (0, 9, 9),      # has-mask flag
-        (1, 8, 2),
-        (1, 9, 2),
-        (1, 9, 1),      # no layer carries a mask block
-        (0, 8, 0),      # a hidden layer applies ReLU, id 1
-        (1, 8, 1),      # the last layer gives the logits, id 0
-        (None, 8, 4),   # the checkpoint header's num_classes, not the last width 3
-    ])
-    def test_bad_header_byte_rejected(self, rng, tmp_path, layer, byte, value):
-        net = make_random_net(rng, [3, 4, 3])
-        path = tmp_path / "net.ckpt"
-        net.save(path)
-        # the checkpoint header is magic, depth, num_classes; a layer header is in_dim,
-        # out_dim (uint32 each), activation id, has-mask flag
-        start = (0 if layer is None else
-                 12 + sum(10 + 8 * (l.w.size + l.b.size) for l in net.layers[:layer]))
-        raw = bytearray(path.read_bytes())
-        raw[start + byte] = value
-        path.write_bytes(bytes(raw))
-        match = ("checkpoint header: num_classes 4 != layer 1 out_dim 3" if layer is None else
-                 f"layer {layer} header: activation id \\d+ must be {int(layer == 0)} "
-                 r"\(1 hidden, 0 last\) and has-mask flag \d+ must be 0")
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=f"truncated .* for {part} at offset {offset}$"):
             DenseNet.load(path)
 
     def test_huge_declared_layer_rejected(self, tmp_path):
         # the size check comes before any read, so nothing of that size is allocated
         path = tmp_path / "huge.ckpt"
-        dims = struct.pack("<IIBB", 2**32 - 1, 2**32 - 1, 0, 0)
-        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<II", 1, 2**32 - 1) + dims)
-        with pytest.raises(ValueError, match="truncated.*layer 0 weights at offset 22"):
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<3I", 1, 2**32 - 1, 2**32 - 1))
+        with pytest.raises(ValueError, match="truncated.*layer 0 weights at offset 16"):
+            DenseNet.load(path)
+        # a huge depth fails the same way, on its widths
+        path.write_bytes(CHECKPOINT_MAGIC + struct.pack("<3I", 2**32 - 1, 3, 2))
+        with pytest.raises(ValueError, match="truncated.*checkpoint widths at offset 8"):
             DenseNet.load(path)
 
     def test_trailing_bytes_rejected(self, rng, tmp_path):
@@ -531,6 +513,13 @@ class TestCheckpoint:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"XXXX" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
+            DenseNet.load(path)
+
+    def test_sbn1_checkpoint_rejected(self, tmp_path):
+        # the per-layer format SBN2 replaced: a 1-layer net, 3 -> 2, in SBN1's bytes
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(b"SBN1" + struct.pack("<IIIIBB", 1, 2, 3, 2, 0, 0) + b"\x00" * 64)
+        with pytest.raises(ValueError, match="bad checkpoint magic b'SBN1' at offset 0"):
             DenseNet.load(path)
 
 

@@ -31,7 +31,7 @@ class TestMakePlan:
         net = build_net(4, [32, 32], 60, 0)
         plan = make_plan(net, 1, 50, 10, 1.4)
         assert 1 not in plan.old_size
-        assert not plan.is_partitioned(1)
+        assert 1 not in plan.new_size
 
     def test_rounded_allocation(self):
         # round(8 * 30 / 40) = 6
@@ -287,10 +287,10 @@ class TestPartitionClassification:
         net = build_net(4, hidden, c_old + c_new, seed)
         plan = make_plan(net, 1, c_old, c_new, rho)
         for li in range(1, net.depth):
-            if not plan.is_partitioned(li):
+            if li not in plan.old_size:
                 continue
             empty = np.array([], dtype=np.int64)
-            in_old, in_new = (_index_groups(plan, li - 1) if plan.is_partitioned(li - 1)
+            in_old, in_new = (_index_groups(plan, li - 1) if li - 1 in plan.old_size
                               else (empty, empty))
             assert (li in plan.per_layer) == bool(in_old.size)
             empty = np.zeros(net.layers[li].w.shape, dtype=bool)
@@ -322,7 +322,7 @@ def _check_slice_encoding(split_index, hidden, rho, c_old, c_new, seed):
     for layer in net.layers:
         layer.w += np.sign(layer.w) + (layer.w == 0.0)  # no weight is 0.0 before the cut
     plan = make_plan(net, split_index, c_old, c_new, rho)
-    fed = [li for li in plan.old_size if plan.is_partitioned(li - 1)]
+    fed = [li for li in plan.old_size if li - 1 in plan.old_size]
     assert sorted(plan.per_layer) == sorted(fed)
     for li, (on, no) in plan.per_layer.items():
         want_on, want_no = _ix_selectors(plan, li, net.layers[li].w.shape)
@@ -340,7 +340,7 @@ def _check_slice_encoding(split_index, hidden, rho, c_old, c_new, seed):
     sub = extract_subnet(net.layers, plan)
     for li, (layer, got) in enumerate(zip(net.layers, sub)):
         rows = np.arange(layer.in_dim)
-        cols = _index_groups(plan, li)[0] if plan.is_partitioned(li) else np.arange(layer.out_dim)
+        cols = _index_groups(plan, li)[0] if li in plan.old_size else np.arange(layer.out_dim)
         if li in fed:
             rows = _index_groups(plan, li - 1)[0]
         assert got.w.tobytes() == layer.w[np.ix_(rows, cols)].tobytes()

@@ -6,7 +6,11 @@
 Imports splitbridge from ROOT/src only, writes the outputs under OUT (which
 must be missing or empty) and prints sorted JSON mapping each output file,
 relative to OUT, to its sha256. Running it on two source trees and comparing
-the two maps shows which output bytes a change moved. The runs:
+the two maps shows which output bytes a change moved. One more entry,
+`_environment`, sorts before every file: numpy's version, its BLAS and the CPU
+core type OpenBLAS chose at load time (`OPENBLAS_CORETYPE` overrides it). The
+bytes hold for one numpy build and one kernel, so a compare of two digests
+names a kernel mismatch before the files it moves. The runs:
 
 - all four schemes on the two criterion-5 setups (synthetic 4 tasks and
   glyphs 5 tasks, hidden 32x4, memory 48), and again at memory 0;
@@ -31,6 +35,7 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 os.environ.pop("SPLITBRIDGE_WORKERS", None)
 
 import contextlib
+import ctypes
 import hashlib
 import json
 import subprocess
@@ -54,6 +59,9 @@ CLI_BENCHES = {"csv": {"source": "csv", "train_csv": "cli/csv/train.csv",
                        "test_csv": "cli/csv/test.csv"},
                "glyphs": {"source": "glyphs", "side": 4, "train_per_class": 20,
                           "test_per_class": 8}}
+# the core-name symbol of a scipy-openblas or a plain OpenBLAS build, 64-bit ints or not
+CORENAME_SYMBOLS = [f"{prefix}_get_corename{suffix}" for prefix in ("scipy_openblas", "openblas")
+                    for suffix in ("64_", "")]
 
 
 def run_all(root: Path, out: Path) -> None:
@@ -109,6 +117,31 @@ def run_all(root: Path, out: Path) -> None:
         (out / "demos" / f"{demo.name}.out").write_bytes(run.stdout)
 
 
+def openblas_core() -> str:
+    """The core type of the OpenBLAS this process loaded, from its *get_corename*
+    symbol, or "unknown" if no loaded library has one."""
+    maps = Path("/proc/self/maps")
+    libs = sorted({line.split()[-1] for line in maps.read_text().splitlines()
+                   if "openblas" in line} if maps.exists() else ())
+    for lib in libs:
+        dll = ctypes.CDLL(lib)
+        for name in CORENAME_SYMBOLS:
+            if hasattr(dll, name):
+                corename = getattr(dll, name)
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return "unknown"
+
+
+def environment() -> dict:
+    """numpy's version, its BLAS name and version, and the OpenBLAS core type."""
+    import numpy as np
+
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
+            "openblas_core": openblas_core()}
+
+
 def main(argv) -> None:
     if len(argv) != 3:
         sys.exit(__doc__)
@@ -118,6 +151,7 @@ def main(argv) -> None:
     run_all(root, out)
     digests = {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in out.rglob("*") if p.is_file()}
+    digests["_environment"] = environment()
     print(json.dumps(digests, indent=1, sort_keys=True))
 
 
