@@ -87,11 +87,11 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    net = DenseNet.load(args.checkpoint)
+    step = args.step if args.step is not None else args.tasks
+    net = DenseNet.load(args.checkpoint, step)  # a file of several records: step's
     keys = dict.fromkeys(RUN_KEYS + MATRIX_KEYS)  # a run's or a matrix's config
     bench = _load_config(args.config, keys).get("benchmark", {}) if args.config else {}
     seq = runner.make_benchmark(bench, args.tasks)
-    step = args.step if args.step is not None else args.tasks
     report = evaluate(net, seq.tasks[:step], step)
     print(json.dumps(report, indent=2))
     return 0
@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run one experiment from a config file")
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--out", help="output directory for checkpoints and manifest")
+    p.add_argument("--out", help="output directory for the checkpoint file and manifest")
     _add_override_flags(p)
     p.set_defaults(fn=_cmd_run)
 

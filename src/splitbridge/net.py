@@ -172,32 +172,41 @@ class DenseNet:
         self._pack(hidden + [Layer(np.hstack([last.w, np.zeros((last.in_dim, extra))]),
                                    np.concatenate([last.b, np.zeros(extra)]))])
 
-    def save(self, path) -> None:
-        """Write the checkpoint: magic, depth, the depth + 1 widths, then params."""
+    def save(self, file) -> None:
+        """Write the net's SBN2 record (magic, depth, the depth + 1 widths, then params)
+        at the position of file, open for binary writing, or as a new file at a path."""
+        if not hasattr(file, "write"):
+            with open(file, "wb") as f:
+                return self.save(f)
         widths = (self.in_dim, *(out_dim for _, out_dim in self.layout))
-        with open(path, "wb") as f:
-            f.write(CHECKPOINT_MAGIC + struct.pack(f"<{len(widths) + 1}I", self.depth, *widths))
-            f.write(np.ascontiguousarray(self.params, dtype="<f8"))
+        file.write(CHECKPOINT_MAGIC + struct.pack(f"<{len(widths) + 1}I", self.depth, *widths))
+        file.write(np.ascontiguousarray(self.params, dtype="<f8"))
 
     @classmethod
-    def load(cls, path) -> "DenseNet":
-        """Read a save() checkpoint; a truncated or padded file raises ValueError
-        naming the part and its offset."""
+    def load(cls, path, step: int | None = None) -> "DenseNet":
+        """The net of a checkpoint file's one record, or record `step` of save()'s records
+        back to back (a run's steps 1..T); errors name the count, or record, part and offset."""
+        nets = []
         with open(path, "rb") as f:
-            magic = f.read(4)
-            if magic != CHECKPOINT_MAGIC:
-                raise ValueError(f"bad checkpoint magic {magic!r} at offset 0")
-            (depth,) = struct.unpack("<I", read_exact(f, 4, "checkpoint header"))
-            widths = struct.unpack(f"<{depth + 1}I",
-                                   read_exact(f, 4 * (depth + 1), "checkpoint widths"))
-            shapes = list(enumerate(zip(widths[:-1], widths[1:])))  # (layer, (in, out))
-            ws = [np.frombuffer(read_exact(f, 8 * i * o, f"layer {li} weights"),
-                                dtype="<f8").reshape(i, o) for li, (i, o) in shapes]
-            bs = [np.frombuffer(read_exact(f, 8 * o, f"layer {li} bias"), dtype="<f8")
-                  for li, (_, o) in shapes]
-            if f.read(1):
-                raise ValueError(f"trailing bytes after the params at offset {f.tell() - 1}")
-        return cls(list(map(Layer, ws, bs)))
+            while (magic := f.read(4)) or not nets:
+                try:
+                    if magic != CHECKPOINT_MAGIC:
+                        raise ValueError(f"bad checkpoint magic {magic!r} at offset "
+                                         f"{f.tell() - len(magic)}")
+                    (depth,) = struct.unpack("<I", read_exact(f, 4, "checkpoint header"))
+                    widths = struct.unpack(f"<{depth + 1}I",
+                                           read_exact(f, 4 * (depth + 1), "checkpoint widths"))
+                    shapes = list(enumerate(zip(widths[:-1], widths[1:])))  # (layer, (in, out))
+                    ws = [np.frombuffer(read_exact(f, 8 * i * o, f"layer {li} weights"),
+                                        dtype="<f8").reshape(i, o) for li, (i, o) in shapes]
+                    bs = [np.frombuffer(read_exact(f, 8 * o, f"layer {li} bias"), dtype="<f8")
+                          for li, (_, o) in shapes]
+                except ValueError as exc:
+                    raise ValueError(f"checkpoint record {len(nets) + 1}: {exc}") from None
+                nets.append(cls(list(map(Layer, ws, bs))))
+        if len(nets) > 1 and step not in range(1, len(nets) + 1):
+            raise ValueError(f"checkpoint {path} holds {len(nets)} records; step {step} is not one")
+        return nets[step - 1 if len(nets) > 1 else 0]
 
 
 def build_net(in_dim: int, hidden: list[int], num_classes: int,

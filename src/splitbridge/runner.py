@@ -95,9 +95,9 @@ def run_cells(bench: dict, scheme: str, num_tasks: int, seeds: list[int],
     """Run the (scheme, task count) cell of each seed, the seeds as one stack
     on one task sequence, and return their manifest dicts in seed order.
 
-    When out_dirs, one directory per seed, is given, each cell's per-step
-    checkpoints and manifest are written to its own. The manifests record
-    resolve_benchmark(bench), the dataset the cells trained on.
+    When out_dirs, one directory per seed, is given, each cell's manifest and
+    steps.ckpt, one checkpoint record per step, go to its own. The manifests
+    record resolve_benchmark(bench), the dataset the cells trained on.
     """
     if out_dirs is not None and len(out_dirs) != len(seeds):
         raise ValueError(f"run_cells needs one out_dir per seed, got {len(out_dirs)} "
@@ -124,8 +124,9 @@ def run_cells(bench: dict, scheme: str, num_tasks: int, seeds: list[int],
         if out_dir is not None:
             out_dir = Path(out_dir)
             out_dir.mkdir(parents=True, exist_ok=True)
-            for r in results:
-                r.net.save(out_dir / f"step{r.report['step']}.ckpt")
+            with open(out_dir / "steps.ckpt", "wb") as f:  # record t: step t's net
+                for r in results:
+                    r.net.save(f)
             _write_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2))
         manifests.append(manifest)
     return manifests
@@ -148,7 +149,7 @@ def run_matrix(matrix: dict, out_dir) -> int:
     """Run every (scheme, task-count, seed) cell; returns a process exit code.
 
     Writes rows.jsonl (one row per cell and step), summary.csv (mean/std over
-    seeds), and a per-cell directory with checkpoints and a manifest. The seeds
+    seeds), and a per-cell directory with its checkpoint file and manifest. The seeds
     of a (scheme, task count) group run as one stack (run_cells), one group
     after another in this process; a stack's failure is recorded for each of
     its cells, the other stacks continue, and any failure makes the exit code

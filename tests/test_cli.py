@@ -14,6 +14,7 @@ import splitbridge
 from splitbridge import runner
 from splitbridge.cli import cli_main
 from splitbridge.data import load_csv
+from splitbridge.engine import run_sequence
 from splitbridge.metrics import evaluate
 from splitbridge.net import DenseNet, build_net
 from splitbridge.runner import (
@@ -61,8 +62,9 @@ class TestRunner:
         assert [r["step"] for r in m["reports"]] == [1, 2]
         assert m["plans"][0] is None and m["plans"][1] is not None
         assert m["avg_incremental_acc"] == m["reports"][1]["overall_acc"]
-        assert (tmp_path / "step1.ckpt").exists()
-        assert (tmp_path / "step2.ckpt").exists()
+        # one checkpoint file of the two steps' records: each step's net loads from it
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["manifest.json", "steps.ckpt"]
+        assert [DenseNet.load(tmp_path / "steps.ckpt", t).num_classes for t in (1, 2)] == [2, 4]
         on_disk = json.loads((tmp_path / "manifest.json").read_text())
         assert on_disk == json.loads(json.dumps(m))
 
@@ -74,7 +76,7 @@ class TestRunner:
         entries = json.loads((tmp_path / "manifest.json").read_text())["reports"]
         accs = ["overall_acc", "old_acc", "new_acc", "intra_old_acc", "intra_new_acc"]
         for step, entry in enumerate(entries, start=1):
-            report = evaluate(DenseNet.load(tmp_path / f"step{step}.ckpt"), seq.tasks[:step], step)
+            report = evaluate(DenseNet.load(tmp_path / "steps.ckpt", step), seq.tasks[:step], step)
             assert list(report) == ["step", *accs, "per_task_acc", "n_old", "n_new",
                                     "block_confusion"]
             assert all(type(report[k]) is float for k in accs)
@@ -88,10 +90,37 @@ class TestRunner:
 
     def test_checkpoints_load_and_widths_grow(self, tmp_path):
         run_experiment(TINY_BENCH, "std", 2, 0, TINY_CONFIG, out_dir=tmp_path)
-        n1 = DenseNet.load(tmp_path / "step1.ckpt")
-        n2 = DenseNet.load(tmp_path / "step2.ckpt")
+        n1 = DenseNet.load(tmp_path / "steps.ckpt", 1)
+        n2 = DenseNet.load(tmp_path / "steps.ckpt", 2)
         assert n1.num_classes == 2
         assert n2.num_classes == 4
+
+    def test_cell_directory_holds_a_manifest_and_one_checkpoint_file(self, tmp_path):
+        run_experiment(TINY_BENCH, "ce", 2, 0, TINY_CONFIG, out_dir=tmp_path / "single")
+        matrix = {"benchmark": TINY_BENCH, "schemes": ["sb"], "task_counts": [2, 4],
+                  "seeds": [0, 1], "config": TINY_CONFIG}
+        assert run_matrix(matrix, tmp_path / "matrix") == 0
+        cells = [tmp_path / "single", *(tmp_path / "matrix" / f"sb_t{t}_s{s}"
+                                         for t in (2, 4) for s in (0, 1))]
+        for cell in cells:
+            assert sorted(f.name for f in cell.iterdir()) == ["manifest.json", "steps.ckpt"]
+        assert sorted(f.name for f in (tmp_path / "matrix").iterdir() if f.is_file()) == [
+            "rows.jsonl", "summary.csv"]
+
+    @pytest.mark.parametrize("scheme", ["sb", "dd"])
+    def test_checkpoint_record_t_is_step_t_net(self, tmp_path, scheme):
+        # steps.ckpt is each step's one-record save() file, back to back in step order
+        run_experiment(TINY_BENCH, scheme, 4, 0, TINY_CONFIG, out_dir=tmp_path)
+        (results,) = run_sequence(make_benchmark(TINY_BENCH, 4),
+                                  [build_config(scheme, 0, TINY_CONFIG)])
+        path, singles = tmp_path / "steps.ckpt", []
+        for t, result in enumerate(results, start=1):
+            loaded = DenseNet.load(path, t)
+            assert loaded.layout == result.net.layout
+            assert loaded.params.tobytes() == result.net.params.tobytes()
+            result.net.save(tmp_path / f"step{t}.ckpt")
+            singles.append((tmp_path / f"step{t}.ckpt").read_bytes())
+        assert len(singles) == 4 and path.read_bytes() == b"".join(singles)
 
     def test_matrix_outputs_and_rerun_identical(self, tmp_path):
         matrix = {
@@ -205,7 +234,7 @@ class TestRunner:
                            timeout=300)
             outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
         assert outputs[0] == outputs[1]
-        assert "manifest.json" in outputs[0] and "step2.ckpt" in outputs[0]
+        assert "manifest.json" in outputs[0] and "steps.ckpt" in outputs[0]
 
     @pytest.mark.parametrize("scheme", ["sb", "std", "ce", "dd"])
     def test_run_cells_writes_the_bytes_of_single_runs(self, tmp_path, scheme):
@@ -220,8 +249,10 @@ class TestRunner:
             assert manifest == single
         files = [{f.relative_to(root): f.read_bytes() for f in sorted(root.rglob("*.*"))}
                  for root in (tmp_path / "stack", tmp_path / "single")]
-        # a manifest and four checkpoints per seed
-        assert files[0] == files[1] and len(files[0]) == 3 * (1 + 4)
+        # a manifest and a checkpoint file of four step records per seed
+        assert files[0] == files[1] and len(files[0]) == 3 * (1 + 1)
+        assert all(DenseNet.load(tmp_path / "stack" / str(s) / "steps.ckpt", 4).num_classes == 4
+                   for s in seeds)
 
     @pytest.mark.parametrize("n_dirs", [1, 4])
     def test_run_cells_needs_one_out_dir_per_seed(self, tmp_path, monkeypatch, n_dirs):
@@ -295,13 +326,25 @@ class TestCli:
         out = tmp_path / "out"
         cli_main(["run", "--config", str(cfg), "--out", str(out)])
         capsys.readouterr()
-        code = cli_main(["eval", "--checkpoint", str(out / "step2.ckpt"),
+        code = cli_main(["eval", "--checkpoint", str(out / "steps.ckpt"),
                          "--config", str(cfg), "--tasks", "2"])
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         m = json.loads((out / "manifest.json").read_text())
         # evaluating the saved step-2 model reproduces the manifest report
         assert report == m["reports"][1]
+
+    def test_eval_step_picks_its_record(self, tmp_path, capsys):
+        # a run's checkpoint file holds every step: --step 1 evaluates the step-1 net
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "out"
+        cli_main(["run", "--config", str(cfg), "--out", str(out)])
+        capsys.readouterr()
+        code = cli_main(["eval", "--checkpoint", str(out / "steps.ckpt"),
+                         "--config", str(cfg), "--tasks", "2", "--step", "1"])
+        assert code == 0
+        m = json.loads((out / "manifest.json").read_text())
+        assert json.loads(capsys.readouterr().out) == m["reports"][0]
 
     @pytest.mark.parametrize("source", ["csv", "glyphs"])
     def test_one_section_one_dataset(self, tmp_path, source):
@@ -329,7 +372,7 @@ class TestCli:
         outputs = [{f.name: f.read_bytes() for f in sorted(d.iterdir())}
                    for d in (tmp_path / "lib", tmp_path / "run", tmp_path / "matrix" / "sb_t2_s0")]
         assert outputs[0] == outputs[1] == outputs[2]
-        assert sorted(outputs[0]) == ["manifest.json", "step1.ckpt", "step2.ckpt"]
+        assert sorted(outputs[0]) == ["manifest.json", "steps.ckpt"]
         manifest = json.loads(outputs[0]["manifest.json"])
         assert list(manifest["benchmark"].items()) == list(resolved.items())
 
@@ -611,6 +654,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: unknown benchmark key 'feature_dim' = 16, expected one of ")
         assert err.endswith(" (the keys source 'glyphs' reads)\n") and err.count("\n") == 1
+
+    def test_eval_step_past_the_records_exit_1_one_line(self, tmp_path, capsys):
+        path = tmp_path / "steps.ckpt"
+        with open(path, "wb") as f:
+            for classes in (2, 4):
+                build_net(DEFAULT_BENCHMARK["feature_dim"], [4], classes, seed=0).save(f)
+        argv = ["eval", "--checkpoint", str(path), "--tasks", "2", "--step", "3"]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: checkpoint {path} holds 2 records; step 3 is not one\n"
 
     def test_eval_step_0_exit_1_one_line(self, tmp_path, capsys):
         # a readable checkpoint, so the error is evaluate's, not the loader's

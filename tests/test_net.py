@@ -506,7 +506,9 @@ class TestCheckpoint:
         net.save(path)
         size = path.stat().st_size
         path.write_bytes(path.read_bytes() + b"\x00" * 8)
-        with pytest.raises(ValueError, match=f"trailing bytes .* offset {size}"):
+        # bytes after a record are read as the next record's, which they are not
+        message = f"checkpoint record 2: bad checkpoint magic {bytes(4)!r} at offset {size}"
+        with pytest.raises(ValueError, match=re.escape(message)):
             DenseNet.load(path)
 
     def test_bad_magic(self, tmp_path):
@@ -521,6 +523,72 @@ class TestCheckpoint:
         path.write_bytes(b"SBN1" + struct.pack("<IIIIBB", 1, 2, 3, 2, 0, 0) + b"\x00" * 64)
         with pytest.raises(ValueError, match="bad checkpoint magic b'SBN1' at offset 0"):
             DenseNet.load(path)
+
+
+class TestCheckpointRecords:
+    """A checkpoint file is one or more save() records back to back, one per step."""
+
+    @staticmethod
+    def two_records(rng, path):
+        nets = [make_random_net(rng, [3, 4, 2]), make_random_net(rng, [3, 4, 3])]
+        with open(path, "wb") as f:
+            for net in nets:
+                net.save(f)
+        return nets
+
+    def test_records_back_to_back(self, rng, tmp_path):
+        path = tmp_path / "steps.ckpt"
+        nets = self.two_records(rng, path)
+        singles = []
+        for step, net in enumerate(nets, start=1):
+            net.save(tmp_path / f"step{step}.ckpt")
+            singles.append((tmp_path / f"step{step}.ckpt").read_bytes())
+            loaded = DenseNet.load(path, step)
+            assert loaded.layout == net.layout
+            assert loaded.params.tobytes() == net.params.tobytes()
+        assert path.read_bytes() == b"".join(singles)
+
+    def test_one_record_whatever_the_step(self, rng, tmp_path):
+        # a one-record file, as save(path) writes, is that record at any step
+        net = make_random_net(rng, [3, 4, 2])
+        net.save(tmp_path / "net.ckpt")
+        for step in (None, 0, 1, 5):
+            assert DenseNet.load(tmp_path / "net.ckpt", step).params.tobytes() == \
+                net.params.tobytes()
+
+    @pytest.mark.parametrize("step", [None, 0, 3])
+    def test_several_records_need_a_step(self, rng, tmp_path, step):
+        path = tmp_path / "steps.ckpt"
+        self.two_records(rng, path)
+        message = f"checkpoint {path} holds 2 records; step {step} is not one"
+        with pytest.raises(ValueError, match=re.escape(message) + "$"):
+            DenseNet.load(path, step)
+
+    def test_truncated_inside_record_2(self, rng, tmp_path):
+        path = tmp_path / "steps.ckpt"
+        nets = self.two_records(rng, path)
+        first = 8 + 4 * 3 + 8 * nets[0].params.size  # record 1's size
+        path.write_bytes(path.read_bytes()[: first + 20 + 8])  # one weight of record 2
+        with pytest.raises(ValueError, match="^checkpoint record 2: truncated .* for layer 0 "
+                                             f"weights at offset {first + 20}$"):
+            DenseNet.load(path, 1)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.ckpt"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match=re.escape(
+                "checkpoint record 1: bad checkpoint magic b'' at offset 0")):
+            DenseNet.load(path)
+
+    def test_bad_magic_in_record_2(self, rng, tmp_path):
+        path = tmp_path / "steps.ckpt"
+        self.two_records(rng, path)
+        raw = path.read_bytes()
+        first = raw.index(CHECKPOINT_MAGIC, 1)
+        path.write_bytes(raw[:first] + b"SBN1" + raw[first + 4:])
+        with pytest.raises(ValueError, match=re.escape(
+                f"checkpoint record 2: bad checkpoint magic b'SBN1' at offset {first}")):
+            DenseNet.load(path, 1)
 
 
 def test_build_net_deterministic():

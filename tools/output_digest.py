@@ -7,10 +7,12 @@ Imports splitbridge from ROOT/src only, writes the outputs under OUT (which
 must be missing or empty) and prints sorted JSON mapping each output file,
 relative to OUT, to its sha256. Running it on two source trees and comparing
 the two maps shows which output bytes a change moved. One more entry,
-`_environment`, sorts before every file: numpy's version, its BLAS and the CPU
-core type OpenBLAS chose at load time (`OPENBLAS_CORETYPE` overrides it). The
-bytes hold for one numpy build and one kernel, so a compare of two digests
-names a kernel mismatch before the files it moves. The runs:
+`_environment`, sorts before every file: numpy's version, its BLAS, the CPU
+core type OpenBLAS chose at load time (`OPENBLAS_CORETYPE` overrides it) and
+its thread count. The bytes hold for one numpy build and one kernel, so a
+compare of two digests names a kernel mismatch before the files it moves. The
+runs use the caller's `OPENBLAS_NUM_THREADS`, 1 if it is unset, so a digest
+at another thread count checks that the bytes do not depend on it. The runs:
 
 - all four schemes on the two criterion-5 setups (synthetic 4 tasks and
   glyphs 5 tasks, hidden 32x4, memory 48), and again at memory 0;
@@ -31,7 +33,7 @@ import os
 import sys
 
 # before numpy is imported: BLAS reads its thread count once, at load time
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 os.environ.pop("SPLITBRIDGE_WORKERS", None)
 
 import contextlib
@@ -59,9 +61,8 @@ CLI_BENCHES = {"csv": {"source": "csv", "train_csv": "cli/csv/train.csv",
                        "test_csv": "cli/csv/test.csv"},
                "glyphs": {"source": "glyphs", "side": 4, "train_per_class": 20,
                           "test_per_class": 8}}
-# the core-name symbol of a scipy-openblas or a plain OpenBLAS build, 64-bit ints or not
-CORENAME_SYMBOLS = [f"{prefix}_get_corename{suffix}" for prefix in ("scipy_openblas", "openblas")
-                    for suffix in ("64_", "")]
+# a function's symbols in a scipy-openblas or a plain OpenBLAS build, 64-bit ints or not
+OPENBLAS_PREFIXES, OPENBLAS_SUFFIXES = ("scipy_openblas", "openblas"), ("64_", "")
 
 
 def run_all(root: Path, out: Path) -> None:
@@ -117,29 +118,34 @@ def run_all(root: Path, out: Path) -> None:
         (out / "demos" / f"{demo.name}.out").write_bytes(run.stdout)
 
 
-def openblas_core() -> str:
-    """The core type of the OpenBLAS this process loaded, from its *get_corename*
-    symbol, or "unknown" if no loaded library has one."""
+def openblas(function: str, restype):
+    """Call the no-argument `function` (get_corename, get_num_threads) of the
+    OpenBLAS this process loaded, under any build's symbol for it; "unknown" if
+    no loaded library has one."""
     maps = Path("/proc/self/maps")
     libs = sorted({line.split()[-1] for line in maps.read_text().splitlines()
                    if "openblas" in line} if maps.exists() else ())
     for lib in libs:
         dll = ctypes.CDLL(lib)
-        for name in CORENAME_SYMBOLS:
+        for name in (f"{prefix}_{function}{suffix}" for prefix in OPENBLAS_PREFIXES
+                     for suffix in OPENBLAS_SUFFIXES):
             if hasattr(dll, name):
-                corename = getattr(dll, name)
-                corename.argtypes, corename.restype = [], ctypes.c_char_p
-                return corename().decode()
+                call = getattr(dll, name)
+                call.argtypes, call.restype = [], restype
+                return call()
     return "unknown"
 
 
 def environment() -> dict:
-    """numpy's version, its BLAS name and version, and the OpenBLAS core type."""
+    """numpy's version, its BLAS name and version, and the OpenBLAS core type
+    and thread count."""
     import numpy as np
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    core = openblas("get_corename", ctypes.c_char_p)
     return {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}",
-            "openblas_core": openblas_core()}
+            "openblas_core": core.decode() if isinstance(core, bytes) else core,
+            "openblas_threads": openblas("get_num_threads", ctypes.c_int)}
 
 
 def main(argv) -> None:
