@@ -42,7 +42,7 @@ def main():
 
     net = build_net(seq.feature_dim, list(cfg.hidden), 4, cfg.seed)
     run_first_task([net], seq.tasks[0].train, [cfg])  # a stack of one seed
-    rep = evaluate(net, seq.tasks[:1], 1)
+    rep = evaluate(net, seq.tasks[:1])
     print(f"task 1 trained: accuracy {rep['overall_acc']:.3f} on 4 classes")
 
     d1 = seq.tasks[0].train
@@ -91,7 +91,7 @@ def main():
           f"{np.array_equal(preview.forward(probe), branched)}")
     run_bridge_phase([net], plan, pool, [cfg], step=2)
 
-    rep = evaluate(net, seq.tasks, 2)
+    rep = evaluate(net, seq.tasks)
     print(f"\nfinal step-2 metrics over all 8 classes:")
     print(f"  overall {rep['overall_acc']:.3f}  old {rep['old_acc']:.3f}  "
           f"new {rep['new_acc']:.3f}")

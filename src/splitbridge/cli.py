@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import engine, runner
-from .data import INT, OBJECT, check, gen_synthetic, save_csv
+from .data import INT, OBJECT, check, gen_synthetic, must_be, save_csv
 from .metrics import evaluate
 from .net import DenseNet
 
@@ -88,11 +88,13 @@ def _cmd_matrix(args) -> int:
 
 def _cmd_eval(args) -> int:
     step = args.step if args.step is not None else args.tasks
+    if not 1 <= step <= args.tasks:  # before any checkpoint record is read
+        raise must_be("--step", step, f"in 1..{args.tasks} (--tasks)")
     net = DenseNet.load(args.checkpoint, step)  # a file of several records: step's
     keys = dict.fromkeys(RUN_KEYS + MATRIX_KEYS)  # a run's or a matrix's config
     bench = _load_config(args.config, keys).get("benchmark", {}) if args.config else {}
     seq = runner.make_benchmark(bench, args.tasks)
-    report = evaluate(net, seq.tasks[:step], step)
+    report = evaluate(net, seq.tasks[:step])
     print(json.dumps(report, indent=2))
     return 0
 

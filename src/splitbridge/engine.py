@@ -319,6 +319,6 @@ def run_sequence(seq: TaskSequence, cfgs: list[SchemeConfig]) -> list[list[StepR
         mems = [update_exemplars(mem, task.train, cfg.memory_capacity, c.seed + t)
                 for mem, c in zip(mems, cfgs)]
         for net, diag, out in zip(nets, diagnostics, results):
-            report = metrics.evaluate(net, seq.tasks[:t], t)
+            report = metrics.evaluate(net, seq.tasks[:t])
             out.append(StepResult(net.clone(), report, plan and plan.summary(), diag))
     return results

@@ -152,10 +152,10 @@ def run_matrix(matrix: dict, out_dir) -> int:
     seeds), and a per-cell directory with its checkpoint file and manifest. The seeds
     of a (scheme, task count) group run as one stack (run_cells), one group
     after another in this process; a stack's failure is recorded for each of
-    its cells, the other stacks continue, and any failure makes the exit code
-    nonzero. A schemes, task_counts or seeds axis that is not a non-empty list
-    of distinct values, a scheme, seed or config that build_config rejects, or a
-    benchmark that no task count can build raises a ValueError before any write.
+    its cells in failures.json (deleted if none fails), the other stacks go on,
+    and any failure makes the exit code nonzero. An axis that is not a non-empty
+    list of distinct values, a scheme, seed or config that build_config rejects,
+    or a benchmark that no task count can build raises a ValueError before any write.
     """
     out_dir = Path(out_dir)
     bench = matrix.get("benchmark", {})
@@ -186,16 +186,16 @@ def run_matrix(matrix: dict, out_dir) -> int:
             except Exception as exc:  # fails every cell of the stack
                 failures += [{"cell": name, "error": str(exc)} for name in names]
 
-    rows = []
-    for m in manifests:
-        for report in m["reports"]:
-            rows.append({"scheme": m["scheme"], "tasks": m["tasks"], "seed": m["seed"], **report})
+    rows = [{"scheme": m["scheme"], "tasks": m["tasks"], "seed": m["seed"], **report}
+            for m in manifests for report in m["reports"]]
     rows.sort(key=lambda r: (r["scheme"], r["tasks"], r["seed"], r["step"]))
     _write_atomic(out_dir / "rows.jsonl",
                   "".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
     write_summary(rows, out_dir / "summary.csv")
     if failures:
         _write_atomic(out_dir / "failures.json", json.dumps(failures, indent=2))
+    else:  # an earlier sweep's list would name cells that did not fail this time
+        (out_dir / "failures.json").unlink(missing_ok=True)
     return 1 if failures else 0
 
 

@@ -76,7 +76,7 @@ class TestRunner:
         entries = json.loads((tmp_path / "manifest.json").read_text())["reports"]
         accs = ["overall_acc", "old_acc", "new_acc", "intra_old_acc", "intra_new_acc"]
         for step, entry in enumerate(entries, start=1):
-            report = evaluate(DenseNet.load(tmp_path / "steps.ckpt", step), seq.tasks[:step], step)
+            report = evaluate(DenseNet.load(tmp_path / "steps.ckpt", step), seq.tasks[:step])
             assert list(report) == ["step", *accs, "per_task_acc", "n_old", "n_new",
                                     "block_confusion"]
             assert all(type(report[k]) is float for k in accs)
@@ -279,6 +279,10 @@ class TestRunner:
         # the healthy cell still produced rows
         rows = (tmp_path / "rows.jsonl").read_text().splitlines()
         assert len(rows) == 2
+        # a sweep without failures into the same directory leaves no failures.json,
+        # which would name cells that did not fail this time
+        assert run_matrix({**matrix, "task_counts": [2]}, tmp_path) == 0
+        assert not (tmp_path / "failures.json").exists()
 
     def test_matrix_failure_fails_each_cell_of_its_stack(self, tmp_path):
         # the seeds of a (scheme, task count) group train as one stack: its
@@ -590,6 +594,11 @@ class TestCli:
                                                  "seeds": [0], "benchmark": {
                                                      "test_per_class": 0}}],
          "test split has no rows of task 1, class window [0, 4) (data labels "),
+        # a step outside 1..--tasks fails before the checkpoint is opened
+        (["eval", "--checkpoint", "MISSING", "--tasks", "2", "--step", "0"],
+         "--step must be in 1..2 (--tasks), got 0"),
+        (["eval", "--checkpoint", "MISSING", "--tasks", "2", "--step", "3"],
+         "--step must be in 1..2 (--tasks), got 3"),
     ])
     def test_bad_value_exit_1_one_line(self, tmp_path, capsys, argv, message):
         # OUT and MISSING stand for an output directory and a file that does
@@ -660,15 +669,15 @@ class TestCli:
         with open(path, "wb") as f:
             for classes in (2, 4):
                 build_net(DEFAULT_BENCHMARK["feature_dim"], [4], classes, seed=0).save(f)
-        argv = ["eval", "--checkpoint", str(path), "--tasks", "2", "--step", "3"]
+        argv = ["eval", "--checkpoint", str(path), "--tasks", "3", "--step", "3"]
         assert cli_main(argv) == 1
         err = capsys.readouterr().err
         assert err == f"error: checkpoint {path} holds 2 records; step 3 is not one\n"
 
     def test_eval_step_0_exit_1_one_line(self, tmp_path, capsys):
-        # a readable checkpoint, so the error is evaluate's, not the loader's
+        # a readable checkpoint: the step is refused by name, not by the loader
         build_net(DEFAULT_BENCHMARK["feature_dim"], [4], 2, seed=0).save(tmp_path / "net.ckpt")
         argv = ["eval", "--checkpoint", str(tmp_path / "net.ckpt"), "--tasks", "2", "--step", "0"]
         assert cli_main(argv) == 1
         err = capsys.readouterr().err
-        assert err == "error: step must be at least 1, got 0\n"
+        assert err == "error: --step must be in 1..2 (--tasks), got 0\n"

@@ -21,9 +21,7 @@ class TestReportFromPredictions:
     def test_perfect_classifier(self):
         labels = np.array([0, 1, 2, 3])
         rep = report_from_predictions(
-            logits_for(labels, 4), labels,
-            [TaskRange(0, 2), TaskRange(2, 4)], step=2,
-        )
+            logits_for(labels, 4), labels, [TaskRange(0, 2), TaskRange(2, 4)])
         assert rep["overall_acc"] == 1.0
         assert rep["old_acc"] == 1.0 and rep["new_acc"] == 1.0
         assert rep["intra_old_acc"] == 1.0 and rep["intra_new_acc"] == 1.0
@@ -38,9 +36,7 @@ class TestReportFromPredictions:
         logits = logits_for([3, 3, 3, 3], 4)
         logits[0, 0] = 0.5
         logits[1, 1] = 0.5
-        rep = report_from_predictions(
-            logits, labels, [TaskRange(0, 2), TaskRange(2, 4)], step=2,
-        )
+        rep = report_from_predictions(logits, labels, [TaskRange(0, 2), TaskRange(2, 4)])
         assert rep["old_acc"] == 0.0
         assert rep["new_acc"] == 0.5
         assert rep["intra_old_acc"] == 1.0
@@ -66,9 +62,7 @@ class TestReportFromPredictions:
             [1.0, 0.0, 3.0, 2.0],
             [2.0, 4.0, 1.0, 3.0],
         ])
-        rep = report_from_predictions(
-            logits, labels, [TaskRange(0, 2), TaskRange(2, 4)], step=2,
-        )
+        rep = report_from_predictions(logits, labels, [TaskRange(0, 2), TaskRange(2, 4)])
         assert rep["old_acc"] == pytest.approx(3 / 5)
         assert rep["new_acc"] == pytest.approx(2 / 5)
         assert rep["overall_acc"] == pytest.approx(5 / 10)
@@ -81,9 +75,7 @@ class TestReportFromPredictions:
 
     def test_first_step_has_no_old_block(self):
         labels = np.array([0, 1, 1])
-        rep = report_from_predictions(
-            logits_for([0, 1, 0], 2), labels, [TaskRange(0, 2)], step=1,
-        )
+        rep = report_from_predictions(logits_for([0, 1, 0], 2), labels, [TaskRange(0, 2)])
         assert rep["n_old"] == 0
         assert rep["old_acc"] == 0.0 and rep["intra_old_acc"] == 0.0
         assert rep["overall_acc"] == pytest.approx(2 / 3)
@@ -96,7 +88,7 @@ class TestReportFromPredictions:
         labels = rng.integers(0, 6, size=40)
         logits = rng.standard_normal((40, 6))
         blocks = [TaskRange(0, 2), TaskRange(2, 4), TaskRange(4, 6)]
-        rep = report_from_predictions(logits, labels, blocks, step=3)
+        rep = report_from_predictions(logits, labels, blocks)
         # restricted argmax can only help the block's own samples
         assert rep["intra_old_acc"] >= rep["old_acc"] - 1e-12
         assert rep["intra_new_acc"] >= rep["new_acc"] - 1e-12
@@ -108,6 +100,69 @@ class TestReportFromPredictions:
         # confusion row sums recover the block sample counts
         assert sum(rep["block_confusion"][0]) == rep["n_old"]
         assert sum(rep["block_confusion"][1]) == rep["n_new"]
+
+
+def reference_report(logits, labels, blocks):
+    """The report by its per-row definitions: a mask per slice of rows, the
+    global or block-restricted argmax, and the mean of its hits."""
+    def acc(pred, truth):
+        return float((pred == truth).mean()) if truth.size else 0.0
+
+    new = blocks[-1]
+    old_hi = new.start
+    pred = logits.argmax(axis=1)
+    is_old, is_new = labels < old_hi, new.mask(labels)
+    intra_old = 0.0
+    if old_hi > 0:
+        intra_old = acc(logits[is_old][:, :old_hi].argmax(axis=1), labels[is_old])
+    pred_old = pred < old_hi
+    return {
+        "step": len(blocks),
+        "overall_acc": acc(pred, labels),
+        "old_acc": acc(pred[is_old], labels[is_old]),
+        "new_acc": acc(pred[is_new], labels[is_new]),
+        "intra_old_acc": intra_old,
+        "intra_new_acc": acc(old_hi + logits[is_new][:, new.slice()].argmax(axis=1),
+                             labels[is_new]),
+        "per_task_acc": [acc(pred[b.mask(labels)], labels[b.mask(labels)]) for b in blocks],
+        "n_old": int(is_old.sum()),
+        "n_new": int(is_new.sum()),
+        "block_confusion": [[int((true & pred_old).sum()), int((true & ~pred_old).sum())]
+                            for true in (is_old, is_new)],
+    }
+
+
+@st.composite
+def report_inputs(draw):
+    """Blocks of 1..3 classes for 1..4 tasks (one task: no old block), logits
+    up to 2 columns wider than the classes with few distinct values (ties),
+    and rows drawn from a subset of the classes (blocks without rows)."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    stops = np.cumsum(sizes).tolist()
+    blocks = [TaskRange(stop - size, stop) for size, stop in zip(sizes, stops)]
+    classes = draw(st.lists(st.integers(0, stops[-1] - 1), min_size=1, unique=True))
+    n = draw(st.integers(0, 12))
+    labels = np.array(draw(st.lists(st.sampled_from(classes), min_size=n, max_size=n)),
+                      dtype=np.int64)
+    width = stops[-1] + draw(st.integers(0, 2))
+    cells = draw(st.lists(st.integers(0, 2), min_size=n * width, max_size=n * width))
+    return np.array(cells, dtype=np.float64).reshape(n, width), labels, blocks
+
+
+def types_of(value):
+    return [types_of(v) for v in value] if isinstance(value, list) else type(value)
+
+
+class TestReportReference:
+    @given(report_inputs())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_per_row_definitions(self, inputs):
+        # the count table's ratios are the per-row means bit for bit, in the
+        # manifest's key order and with its value types
+        rep, ref = report_from_predictions(*inputs), reference_report(*inputs)
+        assert list(rep) == list(ref)
+        assert {k: types_of(v) for k, v in rep.items()} == {k: types_of(v) for k, v in ref.items()}
+        assert rep == ref
 
 
 def task_with_test(classes, labels, num_classes=4):
@@ -125,25 +180,19 @@ class TestEvaluate:
         def forward(self, x):
             return np.tile(self.out, (x.shape[0], 1))
 
-    def test_wrong_number_of_test_sets(self):
-        task = task_with_test([0, 1], [0, 1], 2)
-        with pytest.raises(ValueError, match="test set"):
-            evaluate(self._Net(np.zeros(2)), [task], step=2)
-
-    @pytest.mark.parametrize("step", [0, -1])
-    def test_step_below_1_names_step(self, step):
-        with pytest.raises(ValueError, match=f"step must be at least 1, got {step}"):
-            evaluate(self._Net(np.zeros(2)), [], step=step)
+    def test_no_task_needs_at_least_one_task(self):
+        with pytest.raises(ValueError, match="at least one task"):
+            evaluate(self._Net(np.zeros(2)), [])
 
     def test_narrow_network(self):
         task = task_with_test([2, 3], [2, 3])
         with pytest.raises(ValueError, match="narrower"):
-            evaluate(self._Net(np.zeros(2)), [task], step=1)
+            evaluate(self._Net(np.zeros(2)), [task])
 
     def test_constant_predictor(self):
         old = task_with_test([0, 1], [0, 0, 1, 1])
         new = task_with_test([2, 3], [2, 2, 3, 3])
-        rep = evaluate(self._Net(np.array([0.0, 1.0, 3.0, 2.0])), [old, new], step=2)
+        rep = evaluate(self._Net(np.array([0.0, 1.0, 3.0, 2.0])), [old, new])
         assert rep["overall_acc"] == pytest.approx(2 / 8)
         assert rep["old_acc"] == 0.0
         assert rep["new_acc"] == pytest.approx(2 / 4)
@@ -157,7 +206,7 @@ class TestEvaluate:
         # restricted argmax over it, and the prediction's block, are both wrong
         old = task_with_test([0, 1], [0, 1])
         new = task_with_test([2, 3], [present] * 3)
-        rep = evaluate(self._Net(np.array(out)), [old, new], step=2)
+        rep = evaluate(self._Net(np.array(out)), [old, new])
         assert rep["intra_new_acc"] == 0.0
         assert rep["new_acc"] == 0.0
         assert rep["block_confusion"] == [[0, 2], [0, 3]]
@@ -167,7 +216,7 @@ class TestEvaluate:
         old = task_with_test([0, 1], [0, 1])
         new = task_with_test([2, 3], [])
         with pytest.raises(ValueError, match="task 2 has an empty test set"):
-            evaluate(self._Net(np.zeros(4)), [old, new], step=2)
+            evaluate(self._Net(np.zeros(4)), [old, new])
 
 
 class TestAverageIncrementalAccuracy:
