@@ -180,9 +180,12 @@ class TestEvaluate:
         def forward(self, x):
             return np.tile(self.out, (x.shape[0], 1))
 
-    def test_no_task_needs_at_least_one_task(self):
+    @pytest.mark.parametrize("step", [0, -1])
+    def test_step_below_1_names_step(self, step):
+        # step s reports on tasks[:s]; a step below 1 has no task to report on
+        tasks = [task_with_test([0, 1], [0, 1])][:max(step, 0)]
         with pytest.raises(ValueError, match="at least one task"):
-            evaluate(self._Net(np.zeros(2)), [])
+            evaluate(self._Net(np.zeros(2)), tasks)
 
     def test_narrow_network(self):
         task = task_with_test([2, 3], [2, 3])
