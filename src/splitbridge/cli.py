@@ -87,6 +87,7 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    check("--tasks", args.tasks, INT, 1)  # before --step defaults to it
     step = args.step if args.step is not None else args.tasks
     if not 1 <= step <= args.tasks:  # before any checkpoint record is read
         raise must_be("--step", step, f"in 1..{args.tasks} (--tasks)")

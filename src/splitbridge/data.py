@@ -183,9 +183,11 @@ def load_idx(images_path, labels_path) -> LabeledDataset:
 
 
 def save_idx(ds: LabeledDataset, images_path, labels_path, rows: int, cols: int) -> None:
-    """Write a dataset as an IDX pair; features must be [0,1] rows*cols vectors."""
+    """Write a dataset as an IDX pair; features must be [0,1] rows*cols vectors, labels bytes."""
     if ds.x.shape[1] != rows * cols:
         raise ValueError("feature dim does not match rows * cols")
+    if np.any(ds.y > 255):  # before either file is opened
+        raise must_be("an IDX label", int(ds.y.max()), "at most 255 (one byte)")
     pixels = np.clip(np.rint(ds.x * 255.0), 0, 255).astype(np.uint8)
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, len(ds), rows, cols))

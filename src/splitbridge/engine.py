@@ -71,13 +71,12 @@ class SchemeConfig:
 class Pool:
     """One step's training pool for a stack, one row per seed on a leading axis:
     the task's rows, then the seed's memory's, their labels' one-hot rows over the
-    widened output (CE's target), and the previous model's tempered soft labels on
-    them (None for ce). Pool sizes are equal across seeds. old and new are the
-    class windows of the widened output; a row is the task's when its label is in
-    new, as memory holds only earlier tasks' classes."""
+    widened output (CE's target; the pool keeps no labels), and the previous model's
+    tempered soft labels on them (None for ce). Pool sizes are equal across seeds.
+    old and new are the class windows of the widened output; a row is the task's
+    when its target's 1 falls in new, as memory holds only earlier tasks' classes."""
 
     x: np.ndarray
-    y: np.ndarray
     target: np.ndarray
     soft: np.ndarray | None
     old: TaskRange
@@ -97,7 +96,7 @@ class Pool:
         y = np.stack([np.concatenate([d_t.y, mem.y]) for mem in mems])
         soft = None if cfg.scheme == "ce" else losses.softmax(
             _forward(_stack(nets)[1], x)[0], cfg.tau)  # every seed's in one stacked pass
-        return cls(x, y, np.eye(new.stop)[y], soft, old, new)
+        return cls(x, np.eye(new.stop)[y], soft, old, new)
 
 
 def _stack(nets: list[DenseNet]):
@@ -197,24 +196,22 @@ def run_split_phase(net: DenseNet, plan: partition.PartitionPlan, pool: Pool, s:
                     cfg: SchemeConfig, step: int):
     """Sparsify plan's cross-partition weights, disconnect, then train the branches.
 
-    Stage 1 minimizes KD (old logits, all pool samples) + LCE (new logits,
-    new-task samples) + the sparsity penalty on the full network. Stage 2
-    disconnects and minimizes KD + LCE on the branched network, zeroing the cut
-    weights' gradients each step: as the weights and the fresh velocities start
-    at 0.0, weight decay and momentum keep them there exactly. KD reads the pool's
-    soft labels in both stages; net trains on row s of the stacked pool, and plan
-    is the step's one cut, shared by the stack.
+    Stage 1 minimizes KD (old logits, all pool samples) + LCE (new logits, new-task samples)
+    + the sparsity penalty on the full network, at every gamma (0.0 adds exact zeros). Stage 2
+    disconnects and minimizes KD + LCE on the branched network, zeroing the cut weights'
+    gradients each step: as the weights and the fresh velocities start at 0.0, weight decay
+    and momentum keep them there exactly. KD reads the pool's soft labels in both stages; net
+    trains on row s of the stacked pool, and plan is the step's one cut, shared by the stack.
     Returns (net, plan, plan, diagnostics): four entries still, as perfbench's
     cut check unpacks four and reads the cut from the third.
     """
     kd_lce = _kd_lce(pool.old, pool.new, cfg.tau)
     target = pool.target[s : s + 1, :, pool.new.slice()]  # its row sum flags the task's rows
     rows = [pool.x[s : s + 1], target, target.sum(axis=-1, keepdims=True), pool.soft[s : s + 1]]
-    penalty = None if cfg.gamma == 0 else (  # bound to the cut of the stack _fit packs
-        lambda ws, gw: partial(losses._penalty, plan.cut(ws), cfg.gamma, plan.cut(gw)))
 
     diagnostics = {"cross_norm_start": losses.sparsify_penalty(net, plan, 1.0)}
-    _fit([net], [cfg], cfg.epochs_sparsify, (step, 1), kd_lce, *rows, on_grads=penalty)
+    _fit([net], [cfg], cfg.epochs_sparsify, (step, 1), kd_lce, *rows,  # bound to the cut _fit packs
+         on_grads=lambda ws, gw: partial(losses._penalty, plan.cut(ws), cfg.gamma, plan.cut(gw)))
     diagnostics["cross_norm_at_disconnect"] = losses.sparsify_penalty(net, plan, 1.0)
 
     partition.disconnect(net, plan)
@@ -248,11 +245,12 @@ def run_ce_step(nets: list[DenseNet], pool: Pool, cfgs: list[SchemeConfig], step
 
 
 def run_dd_step(nets: list[DenseNet], pool: Pool, cfgs: list[SchemeConfig], step: int) -> None:
-    """Double distillation: train a throwaway network per seed on the new-task
-    rows alone, then merge via two KD losses (old soft labels over old logits,
-    the throwaway's over new logits) mixed against CE with the usual schedule.
-    The extra networks are dropped when the step returns."""
-    cfg, x, target, new, rows = cfgs[0], pool.x, pool.target, pool.new, pool.y[0] >= pool.new.start
+    """Double distillation: train a throwaway network per seed on the new-task rows
+    alone, those whose one-hot target is in the new window, then merge via two KD
+    losses (old soft labels over old logits, the throwaway's over new logits) mixed
+    against CE with the usual schedule. The extra networks are dropped at return."""
+    cfg, x, target, new = cfgs[0], pool.x, pool.target, pool.new
+    rows = target[0, :, new.slice()].any(axis=-1)  # the task's rows, first in each seed's pool
     aux = [build_net(nets[0].in_dim, list(cfg.hidden), new.size, seed=[c.seed, step, 5])
            for c in cfgs]
     _fit(aux, cfgs, cfg.epochs_std, (step, 4), _ce, x[:, rows], target[:, rows, new.slice()])

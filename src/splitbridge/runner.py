@@ -29,9 +29,9 @@ BENCH_SOURCES = {  # each source's keys in manifest order, and their defaults (N
 DEFAULT_BENCHMARK = {"source": "synthetic", **BENCH_SOURCES["synthetic"]}
 
 BENCH_KINDS = {  # each key some source reads, bar "source": its kind and lower bound for check
-    **dict.fromkeys(("feature_dim", "train_per_class", "test_per_class", "data_seed",
-                     "arrange_seed"), (INT, 0)),
-    "num_classes": (INT, 1), "side": (INT, 1), "mean_radius": (NUM, None), "noise": (NUM, 0),
+    **dict.fromkeys(("train_per_class", "test_per_class", "data_seed", "arrange_seed"), (INT, 0)),
+    "feature_dim": (INT, 2), "num_classes": (INT, 1), "side": (INT, 1),
+    "mean_radius": (NUM, None), "noise": (NUM, 0),
     **dict.fromkeys(("train_images", "train_labels", "test_images", "test_labels",
                      "train_csv", "test_csv"), (PATH, None)),
 }

@@ -537,7 +537,7 @@ class TestCli:
         (["run", "--out", "OUT", "--config", {"benchmark": {"num_classes": "8"}}],
          "benchmark key 'num_classes' must be an integer >= 1, got '8'"),
         (["run", "--out", "OUT", "--config", {"benchmark": {"feature_dim": 2.5}}],
-         "benchmark key 'feature_dim' must be an integer >= 0, got 2.5"),
+         "benchmark key 'feature_dim' must be an integer >= 2, got 2.5"),
         (["run", "--out", "OUT", "--config", {"benchmark": {"source": "glyphs", "side": 2.5}}],
          "benchmark key 'side' must be an integer >= 1, got 2.5"),
         (["run", "--out", "OUT", "--config", {"benchmark": {"data_seed": "a"}}],
@@ -599,6 +599,12 @@ class TestCli:
          "--step must be in 1..2 (--tasks), got 0"),
         (["eval", "--checkpoint", "MISSING", "--tasks", "2", "--step", "3"],
          "--step must be in 1..2 (--tasks), got 3"),
+        # a task count below 1 names --tasks, not the --step it defaults
+        (["eval", "--checkpoint", "MISSING", "--tasks", "0"],
+         "--tasks must be an integer >= 1, got 0"),
+        # a one-feature benchmark fails as its key, not inside gen_synthetic
+        (["run", "--out", "OUT", "--config", {"benchmark": {"feature_dim": 1}}],
+         "benchmark key 'feature_dim' must be an integer >= 2, got 1"),
     ])
     def test_bad_value_exit_1_one_line(self, tmp_path, capsys, argv, message):
         # OUT and MISSING stand for an output directory and a file that does

@@ -147,6 +147,13 @@ class TestIdx:
         with pytest.raises(ValueError, match="count"):
             load_idx(ip, lp)
 
+    def test_save_label_above_a_byte_raises_before_writing(self, tmp_path):
+        # an IDX label file holds one byte per label: 256 would load back as 0
+        ds = LabeledDataset(np.zeros((2, 1)), [1, 256], 257)
+        with pytest.raises(ValueError, match="IDX label must be at most 255 .*got 256"):
+            save_idx(ds, tmp_path / "a", tmp_path / "b", 1, 1)
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
     def test_save_wrong_shape(self, tmp_path):
         ds = LabeledDataset(np.zeros((2, 5)), [0, 1], 2)
         with pytest.raises(ValueError):

@@ -475,7 +475,7 @@ class TestStackedTeachers:
         pool = Pool.build(seq.tasks[1], mems, nets, cfgs[0])
         singles = [Pool.build(seq.tasks[1], [m], [n], c) for m, n, c in zip(mems, nets, cfgs)]
         assert not all(np.array_equal(pool.x[0], x) for x in pool.x[1:])  # seeds' memories differ
-        for name in ("x", "y", "soft"):
+        for name in ("x", "target", "soft"):
             got, want = getattr(pool, name), np.concatenate([getattr(p, name) for p in singles])
             assert got.shape[0] == 3 and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes(), name
@@ -537,14 +537,16 @@ class TestSplitPhase:
         assert any(np.any(net.layers[li].w[on | no] != 0.0)
                    for li, (on, no) in plan.per_layer.items())
 
-    def test_sparsify_hook_equals_the_penalty_each_step(self):
+    @pytest.mark.parametrize("gamma", [0.5, 0.0])
+    def test_sparsify_hook_equals_the_penalty_each_step(self, gamma):
         # the sparsify stage's penalty hook, bound once per fit to the cut of the
         # stack _fit packs, steps exactly like adding the penalty kernel's gradient
         # on the cut of the net being trained each step; bound before _fit packs, it would
-        # read the old, untrained buffer. No branched epochs: the split phase is
-        # its sparsify _fit and the disconnect
+        # read the old, untrained buffer. It is bound at every gamma: at 0.0 the
+        # reference still adds the kernel's exact zeros. No branched epochs: the
+        # split phase is its sparsify _fit and the disconnect
         seq = small_sequence()
-        cfg = SchemeConfig(**{**FAST, "epochs_branched": 0}, gamma=0.5)
+        cfg = SchemeConfig(**{**FAST, "epochs_branched": 0}, gamma=gamma)
         d1 = seq.tasks[0].train
         net = build_net(seq.feature_dim, list(cfg.hidden), 2, seed=0)
         run_first_task([net], d1, [cfg])
@@ -554,8 +556,7 @@ class TestSplitPhase:
         plan = make_plan(net, cfg.split_index, pool.old.size, pool.new.size, cfg.rho)
         ref, grad = net.clone(), _kd_lce(pool.old, pool.new, cfg.tau)
         diagnostics = run_split_phase(net, plan, pool, 0, cfg, 2)[3]
-        target = np.eye(pool.new.stop)[pool.y[0]]
-        cols = [pool.x[0], *lce_targets(target, pool.new), pool.soft[0]]
+        cols = [pool.x[0], *lce_targets(pool.target[0], pool.new), pool.soft[0]]
         rng, velocity = np.random.default_rng([cfg.seed, 2, 1]), np.zeros_like(ref.params)
         for _ in range(cfg.epochs_sparsify):
             order = rng.permutation(len(cols[0]))
@@ -603,8 +604,10 @@ class TestStdReduction:
 
 class TestDoubleDistillation:
     def test_new_window_distills_the_aux_nets_at_tau(self, monkeypatch):
-        # the main _fit call's last column is each seed's throwaway-net soft
-        # labels on its whole pool, softmax(aux logits / tau) at cfg.tau = 2
+        # the throwaway nets fit each seed's first len(task.train) pool rows, the
+        # task's, on their new-window one-hot columns; the main _fit call's last
+        # column is each seed's throwaway-net soft labels on its whole pool,
+        # softmax(aux logits / tau) at cfg.tau = 2
         seq = small_sequence()
         d1 = seq.tasks[0].train
         cfgs = [SchemeConfig(**FAST, scheme="dd", tau=2.0, seed=s) for s in (0, 1)]
@@ -617,12 +620,17 @@ class TestDoubleDistillation:
 
         def record(fit_nets, fit_cfgs, epochs, stream, grad, x, *cols, **kwargs):
             fit(fit_nets, fit_cfgs, epochs, stream, grad, x, *cols, **kwargs)
-            calls.append((fit_nets, cols))
+            calls.append((fit_nets, x, cols))
 
         monkeypatch.setattr(engine, "_fit", record)
         engine.run_dd_step(nets, pool, cfgs, 2)
-        (aux, _), (main, (_, soft, soft_new)) = calls
+        (aux, aux_x, (aux_target,)), (main, _, (_, soft, soft_new)) = calls
         assert main == nets and soft is pool.soft and len(aux) == 2
+        n = len(seq.tasks[1].train)
+        assert aux_x.shape == pool.x[:, :n].shape and aux_x.tobytes() == pool.x[:, :n].tobytes()
+        want_target = pool.target[:, :n, pool.new.slice()]
+        assert aux_target.shape == want_target.shape
+        assert aux_target.tobytes() == want_target.tobytes()
         for a, x, got in zip(aux, pool.x, soft_new):
             z = a.forward(x) / 2.0
             want = np.exp(z - z.max(axis=1, keepdims=True))
