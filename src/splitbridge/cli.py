@@ -101,6 +101,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
+    for flag, key in (("classes", "num_classes"), ("dim", "feature_dim"), ("seed", "data_seed"),
+                      ("train_per_class", "train_per_class"), ("test_per_class", "test_per_class")):
+        check("--" + flag.replace("_", "-"), getattr(args, flag), *runner.BENCH_KINDS[key])
     train, test = gen_synthetic(
         num_classes=args.classes,
         feature_dim=args.dim,

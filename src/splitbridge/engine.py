@@ -1,9 +1,9 @@
-"""Incremental training engine: the split/bridge loop, the STD, CE-only and
-double-distillation baselines and exemplar memory, for seeds trained as one
-stack, the (S, P) buffer _stack copies: each seed's net takes its row as params,
-and _fit trains it in place. A step after the first trains on one Pool; each
-soft-label teacher (the previous models, the bridge's old branch, dd's throwaway
-nets) is one stacked forward pass. STD, the bridge and dd train one KD+CE loss, _kd_ce."""
+"""Incremental training engine: the split/bridge loop, the STD, CE-only and double-distillation
+baselines and exemplar memory, for seeds trained as one stack, the (S, P) buffer _stack copies:
+each seed's net takes its row as params, and _fit trains it in place. A step after the first
+trains on one Pool; each soft-label teacher (the previous models, the bridge's old branch, dd's
+throwaway nets) is one stacked forward pass. Every fit but the split phase's trains _kd_ce;
+plain CE (_ce) is its lam = 0 case with no KD window."""
 
 from __future__ import annotations
 
@@ -143,14 +143,6 @@ def _fit(nets, cfgs, epochs: int, stream, grad, x, *cols, on_grads=None) -> None
                 sgd_step(net, g, v, cfg.learning_rate, cfg.momentum, cfg.weight_decay, buf)
 
 
-def _ce(logits, target, parts=None):
-    """The gradient of plain cross entropy against the batch's one-hot target rows, for _fit."""
-    g = _ce_grad(_softmax(logits, 1.0), target, parts)
-    if parts is not None:
-        parts["loss"] = parts["ce"]
-    return g
-
-
 def _kd_lce(old: TaskRange, new: TaskRange, tau: float):
     """grad(logits, target, rows, soft): the gradient of KD (soft, old window) + LCE
     (new window, the rows flagged in rows; 0.0 on a batch without them), for _fit;
@@ -169,9 +161,9 @@ def _kd_lce(old: TaskRange, new: TaskRange, tau: float):
 
 def _kd_ce(lam: float, tau: float, *windows: TaskRange):
     """grad(logits, target, *softs): the gradient of lam * mean_i KD(softs[i], windows[i])
-    + (1 - lam) * CE against the one-hot target rows, for _fit. std and the bridge
-    distill the old window (LwF), dd the old and the new one (DMC): kd and kd_new."""
-    keys, scale = ("kd", "kd_new")[:len(windows)], lam / len(windows)
+    + (1 - lam) * CE against the one-hot target rows, for _fit. std and the bridge distill the
+    old window (LwF), dd the old and the new one (DMC): kd and kd_new. No window, lam = 0: _ce."""
+    keys, scale = ("kd", "kd_new")[:len(windows)], lam / max(len(windows), 1)
     windows = [w.slice() for w in windows]
     def grad(logits, target, *softs, parts=None):
         kds = [_kd_grad(_softmax(logits[..., window], tau), soft, tau, parts, key)
@@ -183,6 +175,9 @@ def _kd_ce(lam: float, tau: float, *windows: TaskRange):
             parts["loss"] = scale * sum(parts[k] for k in keys) + (1 - lam) * parts["ce"]
         return g
     return grad
+
+
+_ce = _kd_ce(0.0, 1.0)  # plain CE: the first task, ce, dd's auxiliary nets
 
 
 def run_first_task(nets: list[DenseNet], d1: LabeledDataset, cfgs: list[SchemeConfig]) -> None:

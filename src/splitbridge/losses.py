@@ -1,7 +1,7 @@
 """Loss kernels: CE, temperature KD and the cross-partition sparsity penalty.
-Training's phase losses (engine's _ce, _kd_lce and _kd_ce, the KD+CE mix of
-std, the bridge and dd) are built from these kernels, so it never relies on
-numeric differentiation.
+Training's two phase losses, engine's _kd_lce and _kd_ce, are built from these
+kernels, so it never relies on numeric differentiation. Every fit but the split
+phase's trains _kd_ce; plain CE (engine's _ce) is its lambda = 0 case with no KD window.
 
 All batch losses are batch means, so the composite mixing weight combines
 like-scaled quantities. Probabilities are floored at 1e-12 inside logs.

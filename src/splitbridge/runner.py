@@ -30,7 +30,7 @@ DEFAULT_BENCHMARK = {"source": "synthetic", **BENCH_SOURCES["synthetic"]}
 
 BENCH_KINDS = {  # each key some source reads, bar "source": its kind and lower bound for check
     **dict.fromkeys(("train_per_class", "test_per_class", "data_seed", "arrange_seed"), (INT, 0)),
-    "feature_dim": (INT, 2), "num_classes": (INT, 1), "side": (INT, 1),
+    "feature_dim": (INT, 2), "num_classes": (INT, 2), "side": (INT, 1),
     "mean_radius": (NUM, None), "noise": (NUM, 0),
     **dict.fromkeys(("train_images", "train_labels", "test_images", "test_labels",
                      "train_csv", "test_csv"), (PATH, None)),

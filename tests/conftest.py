@@ -78,8 +78,9 @@ def finite_diff_logit_grad(loss_of_logits, logits, step=1e-5):
 
 
 def phase_loss(grad, *cols):
-    """The total loss of the phase loss grad (engine's _ce, or a closure of
-    _kd_lce or _kd_ce) on the batch's rows cols, as a function of the logits."""
+    """The total loss of the phase loss grad (a closure of _kd_lce or _kd_ce, such
+    as engine's _ce, _kd_ce at lambda = 0 with no KD window) on the batch's rows
+    cols, as a function of the logits."""
     def loss(logits):
         parts = {}
         grad(logits, *cols, parts=parts)

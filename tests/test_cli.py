@@ -171,9 +171,9 @@ class TestRunner:
         ("task_counts", [2.0], "num_tasks must be a positive divisor of 4 classes, got 2.0"),
         # a benchmark value of the wrong kind fails naming its key, before any is read
         ("benchmark", {**TINY_BENCH, "num_classes": "4"},
-         "benchmark key 'num_classes' must be an integer >= 1, got '4'"),
+         "benchmark key 'num_classes' must be an integer >= 2, got '4'"),
         ("benchmark", {**TINY_BENCH, "num_classes": 4.0},
-         "benchmark key 'num_classes' must be an integer >= 1, got 4.0"),
+         "benchmark key 'num_classes' must be an integer >= 2, got 4.0"),
         ("benchmark", {**TINY_BENCH, "data_seed": True},
          "benchmark key 'data_seed' must be an integer >= 0, got True"),
         ("benchmark", {**TINY_BENCH, "train_per_class": -1},
@@ -207,7 +207,7 @@ class TestRunner:
         # a source needs a class, and every task test rows: not numpy's "need at
         # least one array to concatenate", nor an empty sweep after training
         ("benchmark", {"source": "glyphs", "num_classes": 0},
-         "benchmark key 'num_classes' must be an integer >= 1, got 0"),
+         "benchmark key 'num_classes' must be an integer >= 2, got 0"),
         ("benchmark", {**TINY_BENCH, "test_per_class": 0},
          "test split has no rows of task 1, class window [0, 2) (data labels "),
     ])
@@ -535,7 +535,7 @@ class TestCli:
         # a benchmark value of the wrong kind is one error line naming its key; a
         # path is a string, never a number read as a file descriptor
         (["run", "--out", "OUT", "--config", {"benchmark": {"num_classes": "8"}}],
-         "benchmark key 'num_classes' must be an integer >= 1, got '8'"),
+         "benchmark key 'num_classes' must be an integer >= 2, got '8'"),
         (["run", "--out", "OUT", "--config", {"benchmark": {"feature_dim": 2.5}}],
          "benchmark key 'feature_dim' must be an integer >= 2, got 2.5"),
         (["run", "--out", "OUT", "--config", {"benchmark": {"source": "glyphs", "side": 2.5}}],
@@ -587,7 +587,7 @@ class TestCli:
         # a glyphs source of no classes, or a task without test rows, fails before training
         (["run", "--out", "OUT", "--config", {"benchmark": {"source": "glyphs",
                                                             "num_classes": 0}}],
-         "benchmark key 'num_classes' must be an integer >= 1, got 0"),
+         "benchmark key 'num_classes' must be an integer >= 2, got 0"),
         (["run", "--out", "OUT", "--config", {"benchmark": {"test_per_class": 0}}],
          "test split has no rows of task 1, class window [0, 4) (data labels "),
         (["matrix", "--out", "OUT", "--config", {"schemes": ["sb"], "task_counts": [2],
@@ -605,6 +605,20 @@ class TestCli:
         # a one-feature benchmark fails as its key, not inside gen_synthetic
         (["run", "--out", "OUT", "--config", {"benchmark": {"feature_dim": 1}}],
          "benchmark key 'feature_dim' must be an integer >= 2, got 1"),
+        # so does a one-class benchmark: on synthetic not gen_synthetic's error, on
+        # glyphs not a one-logit net, whose CE gradient is 0, reading overall 1.0000
+        (["run", "--out", "OUT", "--config", {"benchmark": {"num_classes": 1}}],
+         "benchmark key 'num_classes' must be an integer >= 2, got 1"),
+        (["run", "--out", "OUT", "--config", {"benchmark": {"source": "glyphs",
+                                                            "num_classes": 1}}],
+         "benchmark key 'num_classes' must be an integer >= 2, got 1"),
+        # gen-data's flags follow the rules of the benchmark keys they set, naming the flag
+        (["gen-data", "--classes", "1", "--out", "OUT"],
+         "--classes must be an integer >= 2, got 1"),
+        (["gen-data", "--dim", "1", "--out", "OUT"], "--dim must be an integer >= 2, got 1"),
+        (["gen-data", "--seed", "-1", "--out", "OUT"], "--seed must be an integer >= 0, got -1"),
+        (["gen-data", "--train-per-class", "-1", "--out", "OUT"],
+         "--train-per-class must be an integer >= 0, got -1"),
     ])
     def test_bad_value_exit_1_one_line(self, tmp_path, capsys, argv, message):
         # OUT and MISSING stand for an output directory and a file that does

@@ -377,6 +377,23 @@ class TestFusedGradients:
         self._check(_kd_ce(self.LAM, self.TAU, self.OLD, self.NEW), rng, is_new,
                     self._onehot(y), soft, soft_new)
 
+    @pytest.mark.parametrize("tau", [1.0, 2.0])
+    @pytest.mark.parametrize("shape", [(13,), (3, 13)], ids=["batch", "stack"])
+    def test_no_window_at_lambda_0_is_plain_ce(self, rng, tau, shape):
+        # the first task, ce and dd's auxiliary nets train _kd_ce(0.0, ...) with no KD
+        # window: the CE kernel's bytes (scaled by exactly 1.0, at any tau), and parts
+        # the CE value alone, its loss that value (0.0 added to a CE that is >= 0)
+        c = self.C_OLD + self.C_NEW
+        logits = 4.0 * rng.standard_normal((*shape, c))
+        target = np.eye(c)[rng.integers(0, c, shape)]
+        want = losses._ce_grad(losses._softmax(logits, 1.0), target)
+        for grad in (_kd_ce(0.0, tau), _ce):
+            parts = {}
+            assert grad(logits, target).tobytes() == want.tobytes()
+            assert grad(logits, target, parts=parts).tobytes() == want.tobytes()
+            assert parts.keys() == {"ce", "loss"}
+            assert np.asarray(parts["loss"]).tobytes() == np.asarray(parts["ce"]).tobytes()
+
     @pytest.mark.parametrize("loss", ["ce", "composite", "kd_lce", "double_kd"])
     def test_stacked_batch_equals_each_seed_alone(self, rng, loss):
         # _fit hands a phase loss one batch per seed on a leading axis; each
